@@ -63,6 +63,24 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], context: s
             raise ConfigError(f"missing key '{key}' in {context}")
 
 
+def _number(value, context: str, kind=float):
+    """Convert one config entry to a finite float (or int), else ConfigError."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{context} must be a finite number") from err
+    if not np.isfinite(out):
+        raise ConfigError(f"{context} must be a finite number")
+    return out
+
+
+def _numbers(value, context: str, kind=float) -> list:
+    """Convert a nonempty config list to finite floats (or ints), else ConfigError."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{context} must be a nonempty list")
+    return [_number(v, f"{context} entry", kind) for v in value]
+
+
 def _build_grid(section) -> Grid:
     if not isinstance(section, dict):
         raise ConfigError("'grid' must be an object")
@@ -84,15 +102,23 @@ def _build_params(section) -> ModelParams:
         raise ConfigError(f"invalid 'params': {err}") from err
 
 
+def _build_solve_params(section) -> ModelParams:
+    """Model constants of a mode that solves at params.tau, which must be > 0."""
+    params = _build_params(section)
+    if params.tau <= 0.0:
+        raise ConfigError("invalid 'params': tau must be positive to solve")
+    return params
+
+
 def _build_field(section, grid: Grid, context: str) -> NodeField:
     if isinstance(section, (int, float)):
-        return NodeField.constant(grid, float(section))
+        return NodeField.constant(grid, _number(section, context))
     if not isinstance(section, dict):
         raise ConfigError(f"{context} must be a number or an object")
     kind = section.get("kind")
     if kind == "constant":
         _check_keys(section, {"kind", "value"}, {"value"}, context)
-        return NodeField.constant(grid, float(section["value"]))
+        return NodeField.constant(grid, _number(section["value"], f"{context}.value"))
     if kind == "csv":
         _check_keys(section, {"kind", "path"}, {"path"}, context)
         try:
@@ -101,17 +127,25 @@ def _build_field(section, grid: Grid, context: str) -> NodeField:
             raise ConfigError(f"{context}: {err}") from err
     if kind == "patches":
         _check_keys(section, {"kind", "background", "patches"}, {"patches"}, context)
-        values = np.full(grid.shape, float(section.get("background", 0.0)))
+        values = np.full(grid.shape, _number(section.get("background", 0.0), f"{context}.background"))
         coords = grid.meshgrid()
+        if not isinstance(section["patches"], list):
+            raise ConfigError(f"{context}.patches must be a list")
         for i, patch in enumerate(section["patches"]):
-            _check_keys(patch, {"box", "value"}, {"box", "value"}, f"{context}.patches[{i}]")
+            where = f"{context}.patches[{i}]"
+            if not isinstance(patch, dict):
+                raise ConfigError(f"{where} must be an object")
+            _check_keys(patch, {"box", "value"}, {"box", "value"}, where)
             box = patch["box"]
-            if len(box) != grid.dim:
-                raise ConfigError(f"{context}.patches[{i}]: box needs one [lo,hi] pair per axis")
+            if not isinstance(box, list) or len(box) != grid.dim or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in box
+            ):
+                raise ConfigError(f"{where}: box needs one [lo,hi] pair per axis")
             mask = np.ones(grid.shape, dtype=bool)
             for axis, (lo, hi) in enumerate(box):
-                mask &= (coords[axis] >= float(lo)) & (coords[axis] <= float(hi))
-            values[mask] = float(patch["value"])
+                lo, hi = _number(lo, f"{where}.box"), _number(hi, f"{where}.box")
+                mask &= (coords[axis] >= lo) & (coords[axis] <= hi)
+            values[mask] = _number(patch["value"], f"{where}.value")
         return NodeField(grid, values)
     raise ConfigError(f"{context}: 'kind' must be constant, csv, or patches")
 
@@ -153,7 +187,7 @@ def _validate_mode_keys(config: dict, mode: str, extra: set[str]) -> None:
 def _run_stationary(config: dict, out: Path) -> None:
     _validate_mode_keys(config, "stationary", {"source"})
     grid = _build_grid(config["grid"])
-    params = _build_params(config["params"])
+    params = _build_solve_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
     picard = _build_dataclass(config.get("picard"), PicardConfig, "'picard'")
     if "source" not in config:
@@ -180,16 +214,16 @@ def _run_stationary(config: dict, out: Path) -> None:
 def _run_evolve(config: dict, out: Path) -> None:
     _validate_mode_keys(config, "evolve", {"u0", "dt", "nsteps", "checkpoint_every"})
     grid = _build_grid(config["grid"])
-    params = _build_params(config["params"])
+    params = _build_solve_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
     picard = _build_dataclass(config.get("picard"), PicardConfig, "'picard'")
     for key in ("u0", "dt", "nsteps"):
         if key not in config:
             raise ConfigError(f"missing key '{key}' in the config")
     u0 = _build_field(config["u0"], grid, "'u0'")
-    dt = float(config["dt"])
-    nsteps = int(config["nsteps"])
-    every = int(config.get("checkpoint_every", 1))
+    dt = _number(config["dt"], "'dt'")
+    nsteps = _number(config["nsteps"], "'nsteps'", int)
+    every = _number(config.get("checkpoint_every", 1), "'checkpoint_every'", int)
     if dt <= 0 or nsteps < 1 or every < 1:
         raise ConfigError("'dt' must be positive and 'nsteps'/'checkpoint_every' at least 1")
     traj = evolve(u0, dt, nsteps, params, picard, newton)
@@ -241,7 +275,9 @@ def _run_audit(config: dict, out: Path) -> None:
         if key not in config:
             raise ConfigError(f"missing key '{key}' in the config")
     f = _build_field(config["source"], grid, "'source'")
-    schedule = [float(t) for t in config["tau_schedule"]]
+    schedule = _numbers(config["tau_schedule"], "'tau_schedule'")
+    if any(t <= 0.0 for t in schedule) or any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError("'tau_schedule' must be strictly decreasing and positive")
     result = continuation_tau(ProblemData(f, params), schedule, picard, newton)
     payload = {
         "mode": "audit",
@@ -275,12 +311,14 @@ def _run_singular(config: dict, out: Path) -> None:
     rho = _build_field(config["rho"], grid, "'rho'")
     if np.min(rho.values) < 0.0:
         raise ConfigError("'rho' must be nonnegative")
-    probes = [tuple(map(float, pt)) for pt in config["probes"]]
-    eps_list = tuple(float(e) for e in config.get("eps_list", DEFAULT_EPS_LIST))
+    if not isinstance(config["probes"], list):
+        raise ConfigError("'probes' must be a list of points")
+    probes = [tuple(_numbers(pt, "'probes' point")) for pt in config["probes"]]
+    eps_list = tuple(_numbers(config.get("eps_list", list(DEFAULT_EPS_LIST)), "'eps_list'"))
     if any(not (0.0 < e < 2.0) for e in eps_list):
         raise ConfigError("'eps_list' entries must lie in (0,2)")
-    r_max = float(config.get("r_max", 0.25 * min(grid.extents)))
-    levels = int(config.get("levels", 5))
+    r_max = _number(config.get("r_max", 0.25 * min(grid.extents)), "'r_max'")
+    levels = _number(config.get("levels", 5), "'levels'", int)
     try:
         report = classify_points(rho, probes, eps_list, r_max, levels)
     except ValueError as err:
@@ -291,13 +329,18 @@ def _run_singular(config: dict, out: Path) -> None:
 def _run_mms(config: dict, out: Path) -> None:
     _validate_mode_keys(config, "mms", {"cells_list", "amplitude", "extent"})
     grid = _build_grid(config["grid"])
-    params = _build_params(config["params"])
+    params = _build_solve_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
     if "cells_list" not in config:
         raise ConfigError("missing key 'cells_list' in the config")
-    cells_list = [int(n) for n in config["cells_list"]]
-    amplitude = float(config.get("amplitude", 0.06))
-    extent = float(config.get("extent", grid.extents[0]))
+    cells_list = _numbers(config["cells_list"], "'cells_list'", int)
+    amplitude = _number(config.get("amplitude", 0.06), "'amplitude'")
+    extent = _number(config.get("extent", grid.extents[0]), "'extent'")
+    for cells in cells_list:
+        try:
+            Grid(grid.dim, (extent,) * grid.dim, (cells,) * grid.dim)
+        except ValueError as err:
+            raise ConfigError(f"invalid 'cells_list' or 'extent': {err}") from err
     rows = mms_convergence(grid.dim, cells_list, params, amplitude, extent, newton)
     with open(out / "mms.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("h,err_u,order_u,err_rho,order_rho\n")

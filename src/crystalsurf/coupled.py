@@ -33,6 +33,7 @@ from .solvers import (
     NewtonConfig,
     SolveReport,
     SolverError,
+    _require_int,
     apply_height_operator,
     solve_rho,
     solve_u,
@@ -86,8 +87,13 @@ class PicardConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.relaxation <= 1.0):
             raise ValueError("relaxation must lie in (0,1]")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
+        if not 0.0 < self.tol_fixed_point < np.inf:
+            raise ValueError("tol_fixed_point must be positive and finite")
+        _require_int("max_outer", self.max_outer, 1)
+        if not 0.0 < self.tol_residual < np.inf:
+            raise ValueError("tol_residual must be positive and finite")
+        if self.delta_polish is not None and not 0.0 <= self.delta_polish < np.inf:
+            raise ValueError("delta_polish must be None or nonnegative and finite")
 
 
 @dataclass
@@ -138,19 +144,25 @@ def limit_flux(u: NodeField, params: ModelParams) -> EdgeField:
 
 
 def _picard_step(
-    v: NodeField, data: ProblemData, newton_cfg: NewtonConfig | None
+    v: NodeField,
+    data: ProblemData,
+    newton_cfg: NewtonConfig | None,
+    rho0: NodeField | None = None,
+    u0: NodeField | None = None,
 ) -> tuple[NodeField, NodeField, int]:
+    """Evaluate the composition map at v, warm-starting the inner solves
+    from ``rho0`` and ``u0`` when given."""
     p = data.params
     if p.tau <= 0.0:
         raise ValueError("the coupled map requires tau > 0")
     g = NodeField(data.f.grid, data.f.values - p.a * v.values)
     try:
-        rho, rep_rho = solve_rho(g, p.tau, newton_cfg)
+        rho, rep_rho = solve_rho(g, p.tau, newton_cfg, rho0=rho0)
     except SolverError as err:
         raise SolverError(str(err), err.report, stage="rho-stage") from err
     rhs = NodeField(data.f.grid, np.log(rho.values))
     try:
-        u, rep_u = solve_u(rhs, p, newton_cfg)
+        u, rep_u = solve_u(rhs, p, newton_cfg, u0=u0)
     except SolverError as err:
         raise SolverError(str(err), err.report, stage="u-stage") from err
     return u, rho, rep_rho.iterations + rep_u.iterations
@@ -195,14 +207,19 @@ def _damped_iteration(
     cfg: PicardConfig,
     newton_cfg: NewtonConfig | None,
     report: SolveReport,
-) -> tuple[NodeField, NodeField]:
+    rho: NodeField | None = None,
+    u_map: NodeField | None = None,
+) -> tuple[NodeField, NodeField, NodeField]:
+    """Mean-projected damped iteration from u; each outer step warm-starts
+    its inner solves from the previous step's density and height map
+    (the first from ``rho`` and ``u_map`` when given). Returns the
+    converged height, density and last height map."""
     ubar = mean_height_target(data)
     u = _pin_mean(u, ubar)
     omega = cfg.relaxation
     prev_res = np.inf
-    rho = None
     for _ in range(cfg.max_outer):
-        u_map, rho, inner = _picard_step(u, data, newton_cfg)
+        u_map, rho, inner = _picard_step(u, data, newton_cfg, rho0=rho, u0=u_map)
         u_new = _pin_mean(
             NodeField(u.grid, (1.0 - omega) * u.values + omega * u_map.values), ubar
         )
@@ -214,7 +231,7 @@ def _damped_iteration(
         report.linear_solver_stats.append(inner)
         u = u_new
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
-            return u, rho
+            return u, rho, u_map
         omega = min(1.0, omega * 1.2) if res < prev_res else max(1e-3, 0.5 * omega)
         prev_res = res
     raise SolverError(
@@ -227,18 +244,27 @@ def solve_coupled(
     picard_cfg: PicardConfig | None = None,
     newton_cfg: NewtonConfig | None = None,
     u0: NodeField | None = None,
+    rho0: NodeField | None = None,
 ) -> tuple[WeakSolutionTriple, SolveReport]:
-    """Solve the coupled stationary system by mean-projected damped iteration."""
+    """Solve the coupled stationary system by mean-projected damped iteration.
+
+    ``u0`` is the first outer iterate (default: the constant with the
+    known mean). ``rho0`` warm-starts the first density solve, e.g. from
+    the density of a nearby problem; later outer steps and the viscosity
+    polish warm-start from the previous step. Any warm start that fails
+    falls back to the cold inner solve, so it changes cost, not the
+    solution beyond solver tolerance.
+    """
     cfg = picard_cfg or PicardConfig()
     p = data.params
     if p.tau <= 0.0:
         raise ValueError("the coupled solve requires tau > 0")
     report = SolveReport()
     u = u0 if u0 is not None else NodeField.constant(data.f.grid, mean_height_target(data))
-    u, rho = _damped_iteration(data, u, cfg, newton_cfg, report)
+    u, rho, u_map = _damped_iteration(data, u, cfg, newton_cfg, report, rho=rho0)
     if cfg.delta_polish is not None and p.delta > cfg.delta_polish:
         polished = ProblemData(data.f, replace(p, delta=cfg.delta_polish))
-        u, rho = _damped_iteration(polished, u, cfg, newton_cfg, report)
+        u, rho, _ = _damped_iteration(polished, u, cfg, newton_cfg, report, rho, u_map)
     report.converged = True
     return WeakSolutionTriple(u, rho, subgradient_field(u)), report
 
@@ -270,8 +296,9 @@ def continuation_tau(
 ) -> ContinuationResult:
     """Warm-started sweep of the coupled solve over a decreasing tau schedule.
 
-    Each stage is audited (estimate report attached); a stage failure
-    halts the sweep and the completed prefix is returned.
+    Each stage starts from the previous stage's height and density and
+    is audited (estimate report attached); a stage failure halts the
+    sweep and the completed prefix is returned.
     """
     from .analysis import apriori_audit  # local import to avoid a cycle
 
@@ -281,17 +308,23 @@ def continuation_tau(
     ):
         raise ValueError("tau schedule must be strictly decreasing and positive")
     stages: list[TauStage] = []
-    u_start: NodeField | None = None
+    prev: WeakSolutionTriple | None = None
     for tau in schedule:
         stage_data = ProblemData(data.f, replace(data.params, tau=tau))
         try:
-            triple, rep = solve_coupled(stage_data, picard_cfg, newton_cfg, u0=u_start)
+            triple, rep = solve_coupled(
+                stage_data,
+                picard_cfg,
+                newton_cfg,
+                u0=None if prev is None else prev.u,
+                rho0=None if prev is None else prev.rho,
+            )
         except SolverError as err:
             return ContinuationResult(stages, False, failure=f"tau={tau:g}: {err}")
         stages.append(
             TauStage(tau, triple, apriori_audit(triple.u, triple.rho, stage_data), rep)
         )
-        u_start = triple.u
+        prev = triple
     return ContinuationResult(stages, True)
 
 
@@ -333,7 +366,8 @@ def evolve(
 
     Each step solves the stationary system with rate coefficient 1/dt
     and source u^n/dt; per the mean identity the discrete mass satisfies
-    int u^{n+1} = int u^n / (1 + tau^2 dt) exactly. The surface energy is
+    int u^{n+1} = int u^n / (1 + tau^2 dt) exactly. Each step starts
+    from the previous step's height and density. The surface energy is
     recorded per step as a diagnostic; a step failure terminates the
     trajectory and returns the prefix.
     """
@@ -346,6 +380,7 @@ def evolve(
     grid = u0.grid
     step_params = replace(params, a=1.0 / dt)
     u = u0
+    rho = None
     steps = [
         EvolveStep(
             0,
@@ -361,10 +396,10 @@ def evolve(
     for n in range(1, nsteps + 1):
         data = ProblemData(NodeField(grid, u.values / dt), step_params)
         try:
-            triple, rep = solve_coupled(data, picard_cfg, newton_cfg, u0=u)
+            triple, rep = solve_coupled(data, picard_cfg, newton_cfg, u0=u, rho0=rho)
         except SolverError as err:
             return Trajectory(steps, False, failure=f"step {n}: {err}")
-        u = triple.u
+        u, rho = triple.u, triple.rho
         steps.append(
             EvolveStep(
                 n,

@@ -58,6 +58,9 @@ class ModelParams:
     delta: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("p", "beta0", "a", "tau", "delta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (1.0 < self.p <= 2.0):
             raise ValueError("p must lie in (1,2]")
         if not self.beta0 > 0.0:

@@ -73,8 +73,8 @@ class Grid:
             raise ValueError("dim must be 1 or 2")
         if len(self.extents) != self.dim or len(self.cells) != self.dim:
             raise ValueError("extents and cells must have one entry per axis")
-        if any(e <= 0.0 for e in self.extents):
-            raise ValueError("extents must be positive")
+        if not all(0.0 < e < np.inf for e in self.extents):
+            raise ValueError("extents must be positive and finite")
         if any(int(n) != n or n < 3 for n in self.cells):
             raise ValueError("cells must be integers >= 3 per axis")
 

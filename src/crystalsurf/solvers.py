@@ -7,6 +7,8 @@ Density problem (barrier-regularized semilinear equation):
 solved by damped Newton; ``solve_rho`` drives delta to zero along a
 geometric schedule and finishes with an exact-logarithm polish so the
 limit equation -lap rho + tau ln rho = g holds at solver tolerance.
+Given a positive warm start it runs the exact-logarithm stage alone,
+falling back to the schedule if that fails.
 
 Height problem (convex variational equation):
 
@@ -22,7 +24,8 @@ derivatives. The 1/dim factor compensates for sampling the full edge
 gradient (longitudinal plus reconstructed transverse) once per axis
 family. Strict convexity of the edge energy makes the Hessian symmetric
 positive definite, so Newton converges quadratically and the minimizer
-is unique.
+is unique. Newton runs on the fluctuation u - mean(u), which keeps the
+rounding error of the residual proportional to the fluctuation.
 
 Inner linear systems are symmetric positive definite; they are solved
 with a sparse direct factorization by default, or with the bundled
@@ -77,12 +80,24 @@ class NewtonConfig:
     pcg_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.tol_residual <= 0.0:
-            raise ValueError("tol_residual must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.tol_residual < np.inf:
+            raise ValueError("tol_residual must be positive and finite")
+        _require_int("max_iter", self.max_iter, 1)
+        if not 0.0 < self.armijo_factor < 1.0:
+            raise ValueError("armijo_factor must lie in (0,1)")
+        if not 0.0 < self.armijo_decrease < 1.0:
+            raise ValueError("armijo_decrease must lie in (0,1)")
+        _require_int("max_backtracks", self.max_backtracks, 0)
         if self.linear_solver not in ("direct", "pcg"):
             raise ValueError("linear_solver must be 'direct' or 'pcg'")
+        if not 0.0 < self.pcg_tol < np.inf:
+            raise ValueError("pcg_tol must be positive and finite")
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 @dataclass
@@ -187,7 +202,11 @@ def solve_rho_delta(
 
     Requires tau > 0 or delta > 0 (both zero is ill posed). ``delta = 0``
     selects the exact logarithm and demands a strictly positive start,
-    the line search then keeps iterates positive.
+    the line search then keeps iterates positive. The exact-logarithm
+    stage always takes at least one Newton step, so a start that already
+    meets the tolerance is still polished; if that step's line search
+    fails on an iterate within tolerance (the merit is at its rounding
+    floor), the iterate is returned as converged.
     """
     if tau < 0.0 or delta < 0.0 or delta >= 1.0:
         raise ValueError("need tau >= 0 and delta in [0,1)")
@@ -216,9 +235,10 @@ def solve_rho_delta(
 
     res = residual(rho)
     merit = _weighted_norm(w, res)
+    target = cfg.tol_residual * (1.0 + gnorm)
     report.residual_history.append(merit)
     for _ in range(cfg.max_iter):
-        if merit <= cfg.tol_residual * (1.0 + gnorm):
+        if merit <= target and (delta > 0.0 or report.iterations > 0):
             report.converged = True
             return NodeField.from_flat(grid, rho), report
         _, slope = _barrier(rho, delta)
@@ -240,9 +260,12 @@ def solve_rho_delta(
             s *= cfg.armijo_factor
         report.iterations += 1
         if not accepted:
+            if merit <= target:
+                report.converged = True
+                return NodeField.from_flat(grid, rho), report
             raise SolverError("density Newton line search failed", report)
         report.residual_history.append(merit)
-    if merit <= cfg.tol_residual * (1.0 + gnorm):
+    if merit <= target:
         report.converged = True
         return NodeField.from_flat(grid, rho), report
     raise SolverError(
@@ -259,8 +282,14 @@ def solve_rho(
 ) -> tuple[NodeField, SolveReport]:
     """Barrier continuation toward -lap rho + tau ln rho = g.
 
-    Solves along a decreasing delta schedule with warm starts, then
+    Cold (``rho0`` None or not strictly positive): solves along a
+    decreasing delta schedule, each stage starting from the last, then
     re-solves at delta = 0 so the limit equation holds at tolerance.
+    Warm (``rho0`` strictly positive, typically the density of a nearby
+    source): runs only the exact-logarithm stage from ``rho0`` and falls
+    back to the cold schedule if that fails; the report then also
+    carries the failed attempt's iterations and residuals.
+
     The returned density is strictly positive on the grid; a sign
     failure after the final barrier stage raises (the source is too
     negative for the resolution).
@@ -272,12 +301,19 @@ def solve_rho(
     if schedule.size == 0 or np.any(schedule <= 0.0) or np.any(np.diff(schedule) >= 0.0):
         raise ValueError("delta schedule must be strictly decreasing and positive")
     total = SolveReport()
-    rho = rho0
+    if rho0 is not None and np.min(rho0.values) > 0.0:
+        try:
+            rho, rep = solve_rho_delta(g, tau, 0.0, cfg, rho0=rho0)
+        except SolverError as err:
+            _absorb(total, err.report)
+        else:
+            _absorb(total, rep)
+            total.converged = rep.converged
+            return rho, total
+    rho = None
     for delta in schedule:
         rho, rep = solve_rho_delta(g, tau, float(delta), cfg, rho0=rho)
-        total.iterations += rep.iterations
-        total.residual_history.extend(rep.residual_history)
-        total.linear_solver_stats.extend(rep.linear_solver_stats)
+        _absorb(total, rep)
     floor = float(schedule[-1])
     if np.min(rho.values) <= 0.0:
         # the barrier stages undershoot when the source is strongly
@@ -288,17 +324,22 @@ def solve_rho(
     try:
         rho, rep = solve_rho_delta(g, tau, 0.0, cfg, rho0=rho)
     except SolverError as err:
-        err_report = err.report or SolveReport()
-        total.iterations += err_report.iterations
-        total.residual_history.extend(err_report.residual_history)
+        _absorb(total, err.report)
         raise SolverError(
             "density is not positive at this resolution (source too negative)", total
         ) from err
+    _absorb(total, rep)
+    total.converged = rep.converged
+    return rho, total
+
+
+def _absorb(total: SolveReport, rep: SolveReport | None) -> None:
+    """Append one inner solve's iterations, residuals and linear solves."""
+    if rep is None:
+        return
     total.iterations += rep.iterations
     total.residual_history.extend(rep.residual_history)
     total.linear_solver_stats.extend(rep.linear_solver_stats)
-    total.converged = rep.converged
-    return rho, total
 
 
 # ---------------------------------------------------------------------------
@@ -414,39 +455,64 @@ def solve_u(
     and the same tau smooths the flux coefficient, which is singular at
     flat gradients when tau = 0. Sharp-limit quantities are reported by
     the coupled layer instead of being solved for directly.
+
+    ``u0`` is a warm start: Newton runs from it first and, if that
+    fails, again from the constant start, with both attempts in the
+    returned report.
     """
     cfg = cfg or NewtonConfig()
     if params.tau <= 0.0:
         raise SolverError(
             "the height solve requires tau > 0 (flux coefficient is singular at flat states)"
         )
+    report = SolveReport()
+    if u0 is not None:
+        try:
+            return _height_newton(rhs, params, cfg, u0.flat, report), report
+        except SolverError:
+            pass  # the failed attempt stays in the report
+    grid = rhs.grid
+    mean = float(np.sum(mesh.mass_vector(grid) * rhs.flat)) / (params.tau * grid.volume)
+    return _height_newton(rhs, params, cfg, np.full(grid.node_count, mean), report), report
+
+
+def _height_newton(
+    rhs: NodeField, params: ModelParams, cfg: NewtonConfig, start: np.ndarray, report: SolveReport
+) -> NodeField:
+    """Newton on the fluctuation v = u - c, c the weighted mean of ``start``.
+
+    The operator only sees gradients of u plus tau u, so A(c + v) =
+    A(v) + tau c; evaluating it on the small fluctuation instead of on u
+    keeps the rounding error of the differences proportional to |v|, not
+    |u|, which would otherwise put a floor on the merit above the
+    tolerance at small tau and fine grids. Iterations, residuals and
+    energies are appended to ``report``.
+    """
     grid = rhs.grid
     k = mesh.stiffness_matrix(grid)
     w = mesh.mass_vector(grid)
     rv = rhs.flat
-    rnorm = _weighted_norm(w, rv)
-    u = (
-        np.full(grid.node_count, float(np.sum(w * rv)) / (params.tau * grid.volume))
-        if u0 is None
-        else u0.flat.copy()
-    )
-
-    report = SolveReport()
+    target = cfg.tol_residual * (1.0 + _weighted_norm(w, rv))
+    c = float(np.sum(w * start) / np.sum(w))
+    v = start - c
+    shift = params.tau * c - rv
 
     def residual(vec):
-        f = NodeField.from_flat(grid, vec)
-        return apply_height_operator(f, params).flat - rv
+        return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift
 
-    res = residual(u)
+    def energy(vec):
+        return height_energy(NodeField.from_flat(grid, c + vec), params, rhs)
+
+    res = residual(v)
     merit = _weighted_norm(w, res)
     report.residual_history.append(merit)
-    report.energy_history.append(height_energy(NodeField.from_flat(grid, u), params, rhs))
+    report.energy_history.append(energy(v))
     for _ in range(cfg.max_iter):
-        if merit <= cfg.tol_residual * (1.0 + rnorm):
+        if merit <= target:
             report.converged = True
-            return NodeField.from_flat(grid, u), report
+            return NodeField.from_flat(grid, c + v)
         hess = (
-            _energy_hessian_matrix(NodeField.from_flat(grid, u), params)
+            _energy_hessian_matrix(NodeField.from_flat(grid, v), params)
             + params.delta * k
             + sp.diags(params.tau * w)
         )
@@ -454,11 +520,11 @@ def solve_u(
         accepted = False
         s = 1.0
         for _ in range(cfg.max_backtracks + 1):
-            trial = u + s * step
+            trial = v + s * step
             res_t = residual(trial)
             merit_t = _weighted_norm(w, res_t)
             if merit_t <= (1.0 - cfg.armijo_decrease * s) * merit:
-                u, res, merit = trial, res_t, merit_t
+                v, res, merit = trial, res_t, merit_t
                 accepted = True
                 break
             s *= cfg.armijo_factor
@@ -466,8 +532,8 @@ def solve_u(
         if not accepted:
             raise SolverError("height Newton line search failed", report)
         report.residual_history.append(merit)
-        report.energy_history.append(height_energy(NodeField.from_flat(grid, u), params, rhs))
-    if merit <= cfg.tol_residual * (1.0 + rnorm):
+        report.energy_history.append(energy(v))
+    if merit <= target:
         report.converged = True
-        return NodeField.from_flat(grid, u), report
+        return NodeField.from_flat(grid, c + v)
     raise SolverError(f"height Newton did not converge in {cfg.max_iter} iterations", report)

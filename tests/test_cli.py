@@ -187,3 +187,113 @@ def test_mms_mode(tmp_path):
 def test_mode_mismatch_rejected(tmp_path):
     cfg = write_config(tmp_path / "c.json", {**BASE, "source": 1.0, "mode": "evolve"})
     assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: malformed values are config errors (exit 2), not tracebacks
+# ---------------------------------------------------------------------------
+
+
+def assert_config_error(tmp_path, capsys, mode, payload):
+    path = tmp_path / "c.json"
+    # json.dump writes NaN as the bare token that json.load accepts back
+    cfg = write_config(path, payload)
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tau", [0.0, float("nan"), float("inf")])
+def test_config_error_nonpositive_or_nonfinite_tau(tmp_path, capsys, tau):
+    params = {**BASE["params"], "tau": tau}
+    assert_config_error(tmp_path, capsys, "stationary", {**BASE, "params": params, "source": 1.0})
+
+
+def test_config_error_tau_zero_in_evolve_and_mms(tmp_path, capsys):
+    params = {**BASE["params"], "tau": 0.0}
+    assert_config_error(
+        tmp_path, capsys, "evolve", {**BASE, "params": params, "u0": 1.0, "dt": 0.1, "nsteps": 2}
+    )
+    assert_config_error(tmp_path, capsys, "mms", {**BASE, "params": params, "cells_list": [17, 33]})
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        float("nan"),
+        {"kind": "constant", "value": float("nan")},
+        {"kind": "patches", "patches": [{"box": [[0.2, 0.6]], "value": float("inf")}]},
+    ],
+)
+def test_config_error_nonfinite_source(tmp_path, capsys, source):
+    assert_config_error(tmp_path, capsys, "stationary", {**BASE, "source": source})
+
+
+def test_config_error_nonfinite_csv_source(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    write_node_csv(NodeField.constant(Grid.interval(1.0, 33), 1.0), path)
+    path.write_text(path.read_text().replace(",1\n", ",nan\n", 1))
+    assert "nan" in path.read_text()
+    source = {"kind": "csv", "path": str(path)}
+    assert_config_error(tmp_path, capsys, "stationary", {**BASE, "source": source})
+
+
+@pytest.mark.parametrize(
+    "patches",
+    [[3], 3, [{"box": 3, "value": 1.0}], [{"box": [0.2], "value": 1.0}], [{"box": [[0.2, "x"]], "value": 1.0}]],
+)
+def test_config_error_malformed_patches(tmp_path, capsys, patches):
+    source = {"kind": "patches", "patches": patches}
+    assert_config_error(tmp_path, capsys, "stationary", {**BASE, "source": source})
+
+
+@pytest.mark.parametrize("cells_list", [[2, 5], [], 17, [17, "x"]])
+def test_config_error_mms_cells_list(tmp_path, capsys, cells_list):
+    assert_config_error(tmp_path, capsys, "mms", {**BASE, "cells_list": cells_list})
+
+
+@pytest.mark.parametrize("schedule", [[0.1, 0], [0.1, 0.2], [], [0.1, float("nan")], 0.1])
+def test_config_error_audit_tau_schedule(tmp_path, capsys, schedule):
+    assert_config_error(tmp_path, capsys, "audit", {**BASE, "source": 1.0, "tau_schedule": schedule})
+
+
+def test_audit_accepts_zero_params_tau(tmp_path):
+    # the schedule, not params.tau, sets the smoothing of every audit stage
+    params = {**BASE["params"], "tau": 0.0}
+    cfg = write_config(
+        tmp_path / "c.json", {**BASE, "params": params, "source": 2.0, "tau_schedule": [0.1]}
+    )
+    assert main(["audit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "section, overrides",
+    [
+        ("picard", {"tol_fixed_point": -1}),
+        ("picard", {"tol_residual": 0}),
+        ("picard", {"delta_polish": -1e-10}),
+        ("picard", {"max_outer": 2.5}),
+        ("newton", {"armijo_factor": 1.5}),
+        ("newton", {"armijo_factor": 0}),
+        ("newton", {"armijo_decrease": 1.0}),
+        ("newton", {"max_backtracks": -1}),
+        ("newton", {"pcg_tol": 0}),
+        ("newton", {"tol_residual": float("nan")}),
+    ],
+)
+def test_config_error_solver_controls(tmp_path, capsys, section, overrides):
+    assert_config_error(tmp_path, capsys, "stationary", {**BASE, "source": 1.0, section: overrides})
+
+
+def test_solver_controls_accept_boundaries(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            **BASE,
+            "source": 1.0,
+            "newton": {"max_backtracks": 0, "armijo_factor": 0.25},
+            "picard": {"delta_polish": None},
+        },
+    )
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

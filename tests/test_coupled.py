@@ -109,6 +109,17 @@ def test_initial_guess_independence(grid, rng):
     assert norm_l2(NodeField(grid, t1.u.values - t2.u.values)) <= 1e-7
 
 
+def test_density_warm_start_matches_cold(grid, rng):
+    p = params_with(tau=0.05)
+    f = smooth_field(grid, rng, offset=0.5)
+    nearby = NodeField(grid, 1.05 * f.values)
+    cold, _ = solve_coupled(ProblemData(f, p))
+    guess, _ = solve_coupled(ProblemData(nearby, p))
+    warm, _ = solve_coupled(ProblemData(f, p), rho0=guess.rho)
+    assert np.abs(warm.u.values - cold.u.values).max() <= 1e-10
+    assert np.abs(warm.rho.values - cold.rho.values).max() <= 1e-9
+
+
 def test_phi_bounds_and_selection(grid, rng):
     data = ProblemData(smooth_field(grid, rng), params_with())
     triple, _ = solve_coupled(data)
@@ -251,3 +262,52 @@ def test_evolve_validates_inputs(grid):
         evolve(NodeField.zeros(grid), dt=-1.0, nsteps=2, params=params_with())
     with pytest.raises(ValueError):
         evolve(NodeField.zeros(grid), dt=0.1, nsteps=0, params=params_with())
+
+
+# ---------------------------------------------------------------------------
+# rounding floor of the height Newton: small tau, fine grids, larger means
+# ---------------------------------------------------------------------------
+#
+# Evaluating the height operator on u ~ 0.5 leaves rounding noise of order
+# eps |u| F / h^2 in the residual, which at tau = 1e-4 or 1025 nodes sits
+# just above the 1e-10 (1 + |rhs|) Newton target. These inputs made the
+# height line search fail before the operator was evaluated on the
+# fluctuation u - mean(u).
+
+
+FLOOR_COEFS = (0.75, -0.45, 0.2, -0.1)
+FLOOR_SCHEDULE = [1e-1, 1e-2, 1e-3, 1e-4]
+
+
+def floor_source(nodes: int, offset: float) -> NodeField:
+    grid = Grid.interval(1.0, nodes)
+    return NodeField.from_function(
+        grid,
+        lambda x: offset + sum(c * np.cos(k * np.pi * x) for k, c in enumerate(FLOOR_COEFS, 1)),
+    )
+
+
+def assert_mean_identity(u: NodeField, f: NodeField, p: ModelParams) -> None:
+    int_f = integrate(f)
+    assert abs((p.a + p.tau**2) * integrate(u) - int_f) <= 1e-9 * (1.0 + abs(int_f))
+
+
+def test_rounding_floor_stationary_1025_nodes():
+    f = floor_source(1025, offset=0.5)
+    p = params_with(tau=0.1)
+    triple, rep = solve_coupled(ProblemData(f, p))
+    assert rep.converged
+    assert np.min(triple.rho.values) > 0.0
+    assert_mean_identity(triple.u, f, p)
+
+
+@pytest.mark.parametrize("nodes, offset", [(257, 0.5), (129, 1.0)])
+def test_rounding_floor_tau_continuation(nodes, offset):
+    f = floor_source(nodes, offset)
+    result = continuation_tau(ProblemData(f, params_with(tau=0.1)), FLOOR_SCHEDULE)
+    assert result.completed, result.failure
+    assert [st.tau for st in result.stages] == FLOOR_SCHEDULE
+    for st in result.stages:
+        assert np.min(st.triple.rho.values) > 0.0
+        assert_mean_identity(st.triple.u, f, params_with(tau=st.tau))
+        assert st.estimates.mean_identity_residual <= 1e-9 * (1.0 + abs(integrate(f)))

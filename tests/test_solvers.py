@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crystalsurf import solvers
 from crystalsurf.energy import ModelParams, log_barrier
 from crystalsurf.mesh import Grid, NodeField, integrate, laplacian, norm_l2, norm_lp
 from crystalsurf.solvers import (
@@ -158,6 +159,85 @@ def test_rho_rejects_tau_zero(grid):
         solve_rho(NodeField.zeros(grid), tau=0.0)
 
 
+def count_stages(monkeypatch, fail_first_exact_log=False):
+    """Record the delta of every solve_rho_delta call; optionally make the
+    first exact-logarithm stage fail after two iterations."""
+    deltas = []
+    original = solvers.solve_rho_delta
+
+    def counted(g, tau, delta, cfg=None, rho0=None):
+        deltas.append(delta)
+        if fail_first_exact_log and delta == 0.0 and deltas.count(0.0) == 1:
+            raise SolverError("forced", solvers.SolveReport(iterations=2, residual_history=[9.0, 8.0, 7.0]))
+        return original(g, tau, delta, cfg, rho0)
+
+    monkeypatch.setattr(solvers, "solve_rho_delta", counted)
+    return deltas
+
+
+def test_rho_warm_matches_cold(grid, rng, monkeypatch):
+    g = smooth_field(grid, rng)
+    nearby = NodeField(grid, g.values + 0.05 * smooth_field(grid, rng).values)
+    rho_cold, rep_cold = solve_rho(g, tau=0.3)
+    rho_near, _ = solve_rho(nearby, tau=0.3)
+    deltas = count_stages(monkeypatch)
+    rho_warm, rep_warm = solve_rho(g, tau=0.3, rho0=rho_near)
+    assert deltas == [0.0]  # exact-logarithm stage only, no fallback
+    assert rep_warm.converged
+    assert rep_warm.iterations < rep_cold.iterations
+    # both stop once the merit is below 1e-10 (1 + |g|); the mean mode then
+    # carries an error of order merit / tau
+    assert np.abs(rho_warm.values - rho_cold.values).max() <= 1e-9
+
+
+def test_rho_warm_start_at_tolerance_converges_without_fallback(grid, rng, monkeypatch):
+    g = smooth_field(grid, rng)
+    rho_cold, _ = solve_rho(g, tau=0.3)
+    deltas = count_stages(monkeypatch)
+    rho, rep = solve_rho(g, tau=0.3, rho0=rho_cold)
+    assert deltas == [0.0]
+    assert rep.converged
+    assert rep.iterations == 1  # the start meets the tolerance, one polishing step is still taken
+    assert np.abs(rho.values - rho_cold.values).max() <= 1e-9
+
+
+def test_rho_warm_start_at_rounding_floor_returns_start(grid, rng, monkeypatch):
+    # a step from a start at the rounding floor cannot cut the merit by the
+    # factor this Armijo constant demands; the line search then fails on an
+    # iterate already within tolerance, which is returned as converged
+    g = smooth_field(grid, rng)
+    rho_cold, _ = solve_rho(g, tau=0.3)
+    rho_floor, _ = solve_rho(g, tau=0.3, rho0=rho_cold)
+    deltas = count_stages(monkeypatch)
+    cfg = NewtonConfig(armijo_decrease=1.0 - 1e-9, max_backtracks=2)
+    rho, rep = solve_rho(g, tau=0.3, cfg=cfg, rho0=rho_floor)
+    assert deltas == [0.0]
+    assert rep.converged and rep.iterations == 1
+    assert len(rep.residual_history) == 1  # no step was accepted
+    np.testing.assert_array_equal(rho.values, rho_floor.values)
+
+
+def test_rho_warm_failure_falls_back_to_cold_schedule(grid, rng, monkeypatch):
+    g = smooth_field(grid, rng)
+    rho_cold, rep_cold = solve_rho(g, tau=0.3)
+    deltas = count_stages(monkeypatch, fail_first_exact_log=True)
+    rho, rep = solve_rho(g, tau=0.3, rho0=NodeField.constant(grid, 2.0))
+    assert deltas == [0.0, *solvers.default_delta_schedule(), 0.0]
+    np.testing.assert_array_equal(rho.values, rho_cold.values)
+    # the failed attempt is part of the report
+    assert rep.iterations == rep_cold.iterations + 2
+    assert rep.residual_history == [9.0, 8.0, 7.0, *rep_cold.residual_history]
+
+
+def test_rho_nonpositive_start_runs_cold(grid, rng, monkeypatch):
+    g = smooth_field(grid, rng)
+    rho_cold, _ = solve_rho(g, tau=0.3)
+    deltas = count_stages(monkeypatch)
+    rho, _ = solve_rho(g, tau=0.3, rho0=NodeField.zeros(grid))
+    assert deltas == [*solvers.default_delta_schedule(), 0.0]
+    np.testing.assert_array_equal(rho.values, rho_cold.values)
+
+
 # ---------------------------------------------------------------------------
 # height solves
 # ---------------------------------------------------------------------------
@@ -209,6 +289,41 @@ def test_u_initial_guess_independence(params):
     u1, _ = solve_u(rhs, params)
     u2, _ = solve_u(rhs, params, u0=NodeField.constant(grid, 7.0))
     assert norm_l2(NodeField(grid, u1.values - u2.values)) <= 1e-8
+
+
+def test_u_warm_matches_cold(grid, params):
+    exact = NodeField.from_function(grid, lambda x: 0.5 + 0.1 * np.cos(np.pi * x))
+    rhs = apply_height_operator(exact, params)
+    u_cold, rep_cold = solve_u(rhs, params)
+    start = NodeField(grid, u_cold.values + 1e-3 * np.cos(2 * np.pi * grid.meshgrid()[0]))
+    u_warm, rep_warm = solve_u(rhs, params, u0=start)
+    assert rep_warm.converged
+    assert rep_warm.iterations < rep_cold.iterations
+    assert np.abs(u_warm.values - u_cold.values).max() <= 1e-11
+
+
+def test_u_warm_failure_falls_back_to_constant_start(grid, params, monkeypatch):
+    exact = NodeField.from_function(grid, lambda x: np.cos(np.pi * x))
+    rhs = apply_height_operator(exact, params)
+    u_cold, rep_cold = solve_u(rhs, params)
+    starts = []
+    original = solvers._height_newton
+
+    def failing_first(rhs, params, cfg, start, report):
+        starts.append(start.copy())
+        if len(starts) == 1:
+            report.iterations += 2
+            report.residual_history += [9.0, 8.0]
+            raise SolverError("forced", report)
+        return original(rhs, params, cfg, start, report)
+
+    monkeypatch.setattr(solvers, "_height_newton", failing_first)
+    u, rep = solve_u(rhs, params, u0=NodeField.constant(grid, 7.0))
+    assert np.all(starts[0] == 7.0) and np.ptp(starts[1]) == 0.0
+    np.testing.assert_array_equal(u.values, u_cold.values)
+    assert rep.converged
+    assert rep.iterations == rep_cold.iterations + 2
+    assert rep.residual_history == [9.0, 8.0, *rep_cold.residual_history]
 
 
 def test_u_2d_manufactured(params):
