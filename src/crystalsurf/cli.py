@@ -14,7 +14,7 @@ Usage: ``crystalsurf <mode> --config <path> [--out <dir>]`` with modes
 
 Configuration is a single JSON document; unknown keys are rejected so
 typos in sweep scripts fail closed. Exit codes: 0 success, 2 config
-error, 3 solver non-convergence, 4 I/O error.
+error, 3 solver non-convergence or numerical breakdown, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,9 @@ from .solvers import NewtonConfig, SolverError
 __all__ = ["ConfigError", "run", "main"]
 
 MODES = ("stationary", "evolve", "audit", "singular", "mms")
+# Largest grid a config may request: 80 MB per node field, far beyond
+# what the sparse direct solves can factor.
+MAX_NODES = 10**7
 
 
 class ConfigError(ValueError):
@@ -64,13 +68,17 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], context: s
 
 
 def _number(value, context: str, kind=float):
-    """Convert one config entry to a finite float (or int), else ConfigError."""
+    """Convert one config entry to a finite float (or an integral int), else ConfigError."""
     try:
-        out = kind(value)
+        out = float(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{context} must be a finite number") from err
     if not np.isfinite(out):
         raise ConfigError(f"{context} must be a finite number")
+    if kind is int:
+        if out != int(out):
+            raise ConfigError(f"{context} must be an integer")
+        return int(out)
     return out
 
 
@@ -85,10 +93,20 @@ def _build_grid(section) -> Grid:
     if not isinstance(section, dict):
         raise ConfigError("'grid' must be an object")
     _check_keys(section, {"dim", "extents", "cells"}, {"dim", "extents", "cells"}, "'grid'")
+    dim = _number(section["dim"], "'grid.dim'", int)
+    extents = _numbers(section["extents"], "'grid.extents'")
+    cells = _numbers(section["cells"], "'grid.cells'", int)
+    return _make_grid(dim, extents, cells, "'grid'")
+
+
+def _make_grid(dim: int, extents, cells, context: str) -> Grid:
     try:
-        return Grid(int(section["dim"]), tuple(map(float, section["extents"])), tuple(map(int, section["cells"])))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid 'grid': {err}") from err
+        grid = Grid(dim, tuple(extents), tuple(cells))
+    except ValueError as err:
+        raise ConfigError(f"invalid {context}: {err}") from err
+    if math.prod(cells) > MAX_NODES:
+        raise ConfigError(f"invalid {context}: more than {MAX_NODES} nodes")
+    return grid
 
 
 def _build_params(section) -> ModelParams:
@@ -335,12 +353,11 @@ def _run_mms(config: dict, out: Path) -> None:
         raise ConfigError("missing key 'cells_list' in the config")
     cells_list = _numbers(config["cells_list"], "'cells_list'", int)
     amplitude = _number(config.get("amplitude", 0.06), "'amplitude'")
+    if amplitude == 0.0:
+        raise ConfigError("'amplitude' must be nonzero (errors are relative to the exact height)")
     extent = _number(config.get("extent", grid.extents[0]), "'extent'")
     for cells in cells_list:
-        try:
-            Grid(grid.dim, (extent,) * grid.dim, (cells,) * grid.dim)
-        except ValueError as err:
-            raise ConfigError(f"invalid 'cells_list' or 'extent': {err}") from err
+        _make_grid(grid.dim, (extent,) * grid.dim, (cells,) * grid.dim, "'cells_list' or 'extent'")
     rows = mms_convergence(grid.dim, cells_list, params, amplitude, extent, newton)
     with open(out / "mms.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("h,err_u,order_u,err_rho,order_rho\n")
@@ -399,6 +416,11 @@ def main(argv=None) -> int:
         print(f"solver error: {err}", file=sys.stderr)
         if err.report is not None:
             print(json.dumps(err.report.to_dict(), sort_keys=True), file=sys.stderr)
+        return 3
+    except (ArithmeticError, ValueError) as err:
+        # overflow, division by zero or a non-finite field inside the solve
+        # of an accepted config (config errors were caught above)
+        print(f"solver error: numerical breakdown: {err!r}", file=sys.stderr)
         return 3
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

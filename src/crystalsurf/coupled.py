@@ -7,7 +7,9 @@ The stationary system couples the density and height equations
 
 with homogeneous Neumann conditions. ``picard_map`` evaluates the
 composition map B: given a height iterate v, solve the density equation
-with source f - a v, then the height equation with source ln rho.
+with source f - a v, then the height equation with source ln rho, each
+by the single damped Newton core of ``solvers`` and optionally
+warm-started from a previous density and height.
 
 ``solve_coupled`` runs a damped iteration on B with one structural
 addition: integrating both equations shows that the discrete solution
@@ -17,12 +19,14 @@ known value. The projection leaves the fixed point unchanged and removes
 the mean mode of B, whose amplification factor a / tau^2 makes the raw
 iteration diverge for small tau. The fluctuating modes contract at an
 O(a) rate independent of tau, and the mean identity then holds to
-rounding on every converged solve.
+rounding on every converged solve. The outer report records one
+residual per outer step; the inner Newton loops keep their own
+iteration and linear-solve counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,41 +147,31 @@ def limit_flux(u: NodeField, params: ModelParams) -> EdgeField:
     return EdgeField(grid, tuple(comps))
 
 
-def _picard_step(
+def picard_map(
     v: NodeField,
     data: ProblemData,
-    newton_cfg: NewtonConfig | None,
+    newton_cfg: NewtonConfig | None = None,
     rho0: NodeField | None = None,
     u0: NodeField | None = None,
-) -> tuple[NodeField, NodeField, int]:
-    """Evaluate the composition map at v, warm-starting the inner solves
-    from ``rho0`` and ``u0`` when given."""
+) -> tuple[NodeField, NodeField]:
+    """One composition step: density solve with source f - a v, then height solve.
+
+    ``rho0`` and ``u0`` warm-start the two inner solves (cold when None).
+    Solver failures are re-raised tagged with the stage that failed.
+    """
     p = data.params
     if p.tau <= 0.0:
         raise ValueError("the coupled map requires tau > 0")
     g = NodeField(data.f.grid, data.f.values - p.a * v.values)
     try:
-        rho, rep_rho = solve_rho(g, p.tau, newton_cfg, rho0=rho0)
+        rho, _ = solve_rho(g, p.tau, newton_cfg, rho0=rho0)
     except SolverError as err:
         raise SolverError(str(err), err.report, stage="rho-stage") from err
     rhs = NodeField(data.f.grid, np.log(rho.values))
     try:
-        u, rep_u = solve_u(rhs, p, newton_cfg, u0=u0)
+        u, _ = solve_u(rhs, p, newton_cfg, u0=u0)
     except SolverError as err:
         raise SolverError(str(err), err.report, stage="u-stage") from err
-    return u, rho, rep_rho.iterations + rep_u.iterations
-
-
-def picard_map(
-    v: NodeField,
-    data: ProblemData,
-    newton_cfg: NewtonConfig | None = None,
-) -> tuple[NodeField, NodeField]:
-    """One composition step: density solve with source f - a v, then height solve.
-
-    Solver failures are re-raised tagged with the stage that failed.
-    """
-    u, rho, _ = _picard_step(v, data, newton_cfg)
     return u, rho
 
 
@@ -219,7 +213,7 @@ def _damped_iteration(
     omega = cfg.relaxation
     prev_res = np.inf
     for _ in range(cfg.max_outer):
-        u_map, rho, inner = _picard_step(u, data, newton_cfg, rho0=rho, u0=u_map)
+        u_map, rho = picard_map(u, data, newton_cfg, rho0=rho, u0=u_map)
         u_new = _pin_mean(
             NodeField(u.grid, (1.0 - omega) * u.values + omega * u_map.values), ubar
         )
@@ -228,7 +222,6 @@ def _damped_iteration(
         res = max(r1, r2)
         report.iterations += 1
         report.residual_history.append(res)
-        report.linear_solver_stats.append(inner)
         u = u_new
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
             return u, rho, u_map

@@ -16,10 +16,14 @@ holds to machine precision. Homogeneous Neumann conditions are encoded
 by reflective ghosts: flux components normal to the boundary are
 identically zero, which is why boundary-normal edges are not stored.
 
-Squared gradient magnitudes at edges combine the exact longitudinal
-difference with a transverse component reconstructed by averaging the
-four neighboring transverse differences (zero on boundary rows, where
-the reflective ghosts cancel).
+Every edge quantity is a sparse operator on flat node values, cached
+per grid: ``gradient_matrices`` gives the longitudinal difference of
+each axis family, and ``edge_stencil`` pairs it with a transverse
+reconstruction that averages the four neighboring transverse
+differences (zero on boundary rows, where the reflective ghosts
+cancel). Squared gradient magnitudes at edges combine the two, and the
+solvers assemble energy gradients and Hessians from the same operators
+and their transposes.
 """
 
 from __future__ import annotations
@@ -269,39 +273,13 @@ def w1p_norm(u: NodeField, p: float) -> float:
     return float(total ** (1.0 / p))
 
 
-def _transverse_at_edges(u: NodeField, axis: int) -> np.ndarray:
-    """Transverse derivative at edges of the given axis (2D only).
-
-    Central differences at nodes (zero on boundary rows, where the
-    reflected ghost differences cancel), then averaged onto the two edge
-    endpoints. Equals the mean of the four neighboring transverse
-    differences at interior positions.
-    """
-    g = u.grid
-    t = 1 - axis
-    dn = np.zeros(g.shape)
-    inner = [slice(None), slice(None)]
-    lo = [slice(None), slice(None)]
-    hi = [slice(None), slice(None)]
-    inner[t] = slice(1, -1)
-    lo[t] = slice(None, -2)
-    hi[t] = slice(2, None)
-    dn[tuple(inner)] = (u.values[tuple(hi)] - u.values[tuple(lo)]) / (2.0 * g.h[t])
-    lo_e = [slice(None), slice(None)]
-    hi_e = [slice(None), slice(None)]
-    lo_e[axis] = slice(None, -1)
-    hi_e[axis] = slice(1, None)
-    return 0.5 * (dn[tuple(lo_e)] + dn[tuple(hi_e)])
-
-
 def edge_gradients(u: NodeField) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Per axis: (longitudinal difference, reconstructed transverse or None)."""
     g = u.grid
     out = []
     for k in range(g.dim):
-        d_long = np.diff(u.values, axis=k) / g.h[k]
-        d_trans = _transverse_at_edges(u, k) if g.dim == 2 else None
-        out.append((d_long, d_trans))
+        shape = tuple(n - 1 if j == k else n for j, n in enumerate(g.cells))
+        out.append(tuple(None if d is None else (d @ u.flat).reshape(shape) for d in edge_stencil(g, k)))
     return out
 
 
@@ -378,59 +356,39 @@ def mass_vector(grid: Grid) -> np.ndarray:
     return grid.node_weights().reshape(-1)
 
 
-@dataclass(frozen=True)
-class EdgeStencil:
-    """Per-edge node indices and gradient coefficients for one axis family.
-
-    ``d_long = coef_long @ u[idx]`` and likewise for the transverse part;
-    ``weights`` are the edge quadrature weights.
-    """
-
-    idx: np.ndarray
-    coef_long: np.ndarray
-    coef_trans: np.ndarray | None
-    weights: np.ndarray
+@functools.lru_cache(maxsize=None)
+def _axis_average_matrix(n: int) -> sp.csr_matrix:
+    """(n-1) x n mean of the two endpoints of each edge."""
+    return abs(_axis_difference_matrix(n, 2.0))
 
 
 @functools.lru_cache(maxsize=None)
-def edge_stencil(grid: Grid, axis: int) -> EdgeStencil:
-    wvec = edge_weight_vectors(grid)[axis]
+def _axis_central_matrix(n: int, h: float) -> sp.csr_matrix:
+    """n x n central difference at nodes, the mean of the two adjacent edge
+    differences; boundary rows are empty (the reflected ghosts cancel)."""
+    interior = sp.diags(np.r_[0.0, np.ones(n - 2), 0.0])
+    return sp.csr_matrix(interior @ _axis_average_matrix(n).T @ _axis_difference_matrix(n, h))
+
+
+@functools.lru_cache(maxsize=None)
+def edge_stencil(grid: Grid, axis: int) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
+    """Sparse edge operators (D_l, D_t) of one axis family on flat node values.
+
+    ``D_l`` is the longitudinal difference ``gradient_matrices(grid)[axis]``;
+    ``D_t`` reconstructs the transverse derivative as the edge average of
+    nodal central differences, i.e. the mean of the four neighboring
+    transverse differences, with zero rows on the boundary. ``D_t`` is
+    None in 1D.
+    """
+    d_long = gradient_matrices(grid)[axis]
     if grid.dim == 1:
-        n = grid.cells[0]
-        h = grid.h[0]
-        e = np.arange(n - 1)
-        idx = np.stack([e, e + 1], axis=1)
-        coef_long = np.tile([-1.0 / h, 1.0 / h], (n - 1, 1))
-        return EdgeStencil(idx, coef_long, None, wvec)
+        return d_long, None
     nx, ny = grid.cells
-    ht = grid.h[1 - axis]
-    hl = grid.h[axis]
     if axis == 0:
-        ii, jj = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
-        lo = ii * ny + jj
-        hi = (ii + 1) * ny + jj
-        tpos = jj
-        nt = ny
-        step = 1          # flat-index step for a unit move along the transverse axis
+        d_trans = sp.kron(_axis_average_matrix(nx), _axis_central_matrix(ny, grid.h[1]), format="csr")
     else:
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
-        lo = ii * ny + jj
-        hi = ii * ny + (jj + 1)
-        tpos = ii
-        nt = nx
-        step = ny
-    interior = (tpos > 0) & (tpos < nt - 1)
-    t = np.where(interior, 1.0 / (4.0 * ht), 0.0)
-    off = np.where(interior, step, 0)  # clamp to the edge's own nodes where coef is 0
-    idx = np.stack([lo, hi, lo - off, lo + off, hi - off, hi + off], axis=-1)
-    zeros = np.zeros_like(t)
-    coef_long = np.stack(
-        [np.full_like(t, -1.0 / hl), np.full_like(t, 1.0 / hl), zeros, zeros, zeros, zeros],
-        axis=-1,
-    )
-    coef_trans = np.stack([zeros, zeros, -t, t, -t, t], axis=-1)
-    flat = lambda arr: arr.reshape(-1, arr.shape[-1])
-    return EdgeStencil(flat(idx), flat(coef_long), flat(coef_trans), wvec)
+        d_trans = sp.kron(_axis_central_matrix(nx, grid.h[0]), _axis_average_matrix(ny), format="csr")
+    return d_long, d_trans
 
 
 def _fmt(v: float) -> str:

@@ -19,13 +19,18 @@ solved by minimizing the discrete energy
     J(u) = (1/dim) sum_edges W_e e(g_e) + (delta/2) |grad u|^2
            + (tau/2) u^2 - rhs u,
 
-whose exact gradient and Hessian are assembled from the edgewise energy
-derivatives. The 1/dim factor compensates for sampling the full edge
-gradient (longitudinal plus reconstructed transverse) once per axis
-family. Strict convexity of the edge energy makes the Hessian symmetric
+whose exact gradient and Hessian are assembled from the sparse edge
+operators of ``mesh.edge_stencil`` (longitudinal D_l and, in 2D,
+transverse D_t): the gradient is sum_i D_i^T (W F z_i) and the Hessian
+sum_ij D_i^T diag(W h_ij) D_j, with h the edgewise energy Hessian. The
+1/dim factor compensates for sampling the full edge gradient once per
+axis family. Strict convexity of the edge energy makes the Hessian symmetric
 positive definite, so Newton converges quadratically and the minimizer
 is unique. Newton runs on the fluctuation u - mean(u), which keeps the
 rounding error of the residual proportional to the fluctuation.
+
+Both problems run one damped Newton loop, ``_damped_newton``, with
+Armijo backtracking on the quadrature-weighted residual norm.
 
 Inner linear systems are symmetric positive definite; they are solved
 with a sparse direct factorization by default, or with the bundled
@@ -35,6 +40,7 @@ curvature) when ``NewtonConfig.linear_solver = "pcg"``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +108,13 @@ def _require_int(name: str, value, minimum: int) -> None:
 
 @dataclass
 class SolveReport:
-    """Iteration trace of one nonlinear solve."""
+    """Iteration trace of one nonlinear solve.
+
+    ``linear_solver_stats`` has one entry per linear solve of the Newton
+    loops behind this report: the conjugate-gradient iteration count, or
+    1 for a direct factorization. The outer coupled iteration solves no
+    linear system itself, so its report leaves the list empty.
+    """
 
     iterations: int = 0
     residual_history: list[float] = field(default_factory=list)
@@ -166,13 +178,59 @@ def _linear_solve(a: sp.csr_matrix, b: np.ndarray, cfg: NewtonConfig, report: So
         x, its = pcg(a.dot, b, a.diagonal(), cfg.pcg_tol, maxiter=max(10 * b.size, 1000))
         report.linear_solver_stats.append(its)
         return x
-    lu = spla.splu(sp.csc_matrix(a))
+    try:
+        lu = spla.splu(sp.csc_matrix(a))
+    except RuntimeError as err:  # SuperLU reports an exactly singular factor this way
+        raise SolverError(f"sparse factorization failed: {err}", report) from err
     report.linear_solver_stats.append(1)
     return lu.solve(b)
 
 
 def _weighted_norm(w: np.ndarray, r: np.ndarray) -> float:
     return float(np.sqrt(np.sum(w * r * r)))
+
+
+def _damped_newton(
+    x, residual, jacobian, w, target, cfg, report, name, admissible=None, min_steps=0, on_accept=None
+) -> np.ndarray:
+    """Damped Newton with Armijo backtracking on the merit |residual|_w.
+
+    Steps solve ``jacobian(x) step = -w residual(x)``; trials failing
+    ``admissible`` are backtracked without evaluating the residual.
+    Converged once the merit is at most ``target`` after at least
+    ``min_steps`` steps, or when the line search fails on such an iterate
+    (the merit is at its rounding floor). ``on_accept`` sees the start
+    and every accepted iterate; ``report`` collects the trace.
+    """
+    res = residual(x)
+    merit = _weighted_norm(w, res)
+    for it in range(cfg.max_iter + 1):
+        report.residual_history.append(merit)
+        if on_accept is not None:
+            on_accept(x)
+        if merit <= target and it >= min_steps:
+            report.converged = True
+            return x
+        if it == cfg.max_iter:
+            break
+        step = _linear_solve(jacobian(x), -w * res, cfg, report)
+        report.iterations += 1
+        s = 1.0
+        for _ in range(cfg.max_backtracks + 1):
+            trial = x + s * step
+            if admissible is None or admissible(trial):
+                res_t = residual(trial)
+                merit_t = _weighted_norm(w, res_t)
+                if merit_t <= (1.0 - cfg.armijo_decrease * s) * merit:
+                    x, res, merit = trial, res_t, merit_t
+                    break
+            s *= cfg.armijo_factor
+        else:
+            if merit > target:
+                raise SolverError(f"{name} Newton line search failed", report)
+            report.converged = True
+            return x
+    raise SolverError(f"{name} Newton did not converge in {cfg.max_iter} iterations", report)
 
 
 # ---------------------------------------------------------------------------
@@ -227,50 +285,22 @@ def solve_rho_delta(
     if delta == 0.0 and np.min(rho) <= 0.0:
         raise SolverError("exact-logarithm solve needs a positive starting density")
 
-    report = SolveReport()
-
     def residual(r):
         psi, _ = _barrier(r, delta)
         return (k @ r) / w + delta * r + tau * psi - gv
 
-    res = residual(rho)
-    merit = _weighted_norm(w, res)
+    def jacobian(r):
+        _, slope = _barrier(r, delta)
+        return k + sp.diags(w * (delta + tau * slope))
+
+    exact = delta == 0.0  # the exact logarithm keeps iterates positive, polishes at least once
+    positive = (lambda r: np.min(r) > 0.0) if exact else None
+    report = SolveReport()
     target = cfg.tol_residual * (1.0 + gnorm)
-    report.residual_history.append(merit)
-    for _ in range(cfg.max_iter):
-        if merit <= target and (delta > 0.0 or report.iterations > 0):
-            report.converged = True
-            return NodeField.from_flat(grid, rho), report
-        _, slope = _barrier(rho, delta)
-        jac = k + sp.diags(w * (delta + tau * slope))
-        step = _linear_solve(sp.csr_matrix(jac), -w * res, cfg, report)
-        accepted = False
-        s = 1.0
-        for _ in range(cfg.max_backtracks + 1):
-            trial = rho + s * step
-            if delta == 0.0 and np.min(trial) <= 0.0:
-                s *= cfg.armijo_factor
-                continue
-            res_t = residual(trial)
-            merit_t = _weighted_norm(w, res_t)
-            if merit_t <= (1.0 - cfg.armijo_decrease * s) * merit:
-                rho, res, merit = trial, res_t, merit_t
-                accepted = True
-                break
-            s *= cfg.armijo_factor
-        report.iterations += 1
-        if not accepted:
-            if merit <= target:
-                report.converged = True
-                return NodeField.from_flat(grid, rho), report
-            raise SolverError("density Newton line search failed", report)
-        report.residual_history.append(merit)
-    if merit <= target:
-        report.converged = True
-        return NodeField.from_flat(grid, rho), report
-    raise SolverError(
-        f"density Newton did not converge in {cfg.max_iter} iterations", report
+    rho = _damped_newton(
+        rho, residual, jacobian, w, target, cfg, report, "density", positive, min_steps=int(exact)
     )
+    return NodeField.from_flat(grid, rho), report
 
 
 def solve_rho(
@@ -380,53 +410,46 @@ def height_energy(u: NodeField, params: ModelParams, rhs: NodeField) -> float:
     return surface_energy(u, params) + quad - float(np.sum(w * rhs.flat * uf))
 
 
+@functools.lru_cache(maxsize=None)
+def _edge_operators(grid: Grid) -> tuple:
+    """Per axis family, (D, D^T) for each operator of ``mesh.edge_stencil``."""
+    return tuple(
+        tuple((d, sp.csr_matrix(d.T)) for d in mesh.edge_stencil(grid, axis) if d is not None)
+        for axis in range(grid.dim)
+    )
+
+
+def _scale_rows(d: sp.csr_matrix, s: np.ndarray) -> sp.csr_matrix:
+    """diag(s) d for a CSR matrix, without building the diagonal."""
+    out = d.copy()
+    out.data *= np.repeat(s, np.diff(d.indptr))
+    return out
+
+
 def _energy_gradient_vec(u: NodeField, params: ModelParams) -> np.ndarray:
-    """Exact gradient of the edge-energy sum with respect to node values."""
+    """Exact gradient of the edge-energy sum: sum over operators D^T (W F z)."""
     grid = u.grid
     out = np.zeros(grid.node_count)
-    for axis, z in enumerate(_edge_vectors(u)):
-        st = mesh.edge_stencil(grid, axis)
-        s = np.sum(z * z, axis=1)
-        f = flux_coefficient(s, params)
-        gl = f * z[:, 0]
-        contrib = st.weights[:, None] * gl[:, None] * st.coef_long
-        if st.coef_trans is not None:
-            gt = f * z[:, 1]
-            contrib = contrib + st.weights[:, None] * gt[:, None] * st.coef_trans
-        np.add.at(out, st.idx.reshape(-1), contrib.reshape(-1))
+    for ops, z, wvec in zip(_edge_operators(grid), _edge_vectors(u), mesh.edge_weight_vectors(grid)):
+        f = flux_coefficient(np.sum(z * z, axis=1), params)
+        for i, (_, dt) in enumerate(ops):
+            out += dt @ (wvec * (f * z[:, i]))
     return out / grid.dim
 
 
 def _energy_hessian_matrix(u: NodeField, params: ModelParams) -> sp.csr_matrix:
-    """Exact Hessian of the edge-energy sum (sparse, symmetric, PSD)."""
+    """Exact Hessian of the edge-energy sum, sum over operator pairs
+    D_i^T diag(W h_ij) D_j (sparse, symmetric, PSD)."""
     grid = u.grid
-    n = grid.node_count
-    blocks = []
-    for axis, z in enumerate(_edge_vectors(u)):
-        st = mesh.edge_stencil(grid, axis)
+    terms = []
+    for ops, z, wvec in zip(_edge_operators(grid), _edge_vectors(u), mesh.edge_weight_vectors(grid)):
         h = energy_hessian(z, params)
-        if st.coef_trans is None:
-            data = (
-                st.weights[:, None, None]
-                * h[:, 0, 0][:, None, None]
-                * st.coef_long[:, :, None]
-                * st.coef_long[:, None, :]
-            )
-        else:
-            cl = st.coef_long
-            ct = st.coef_trans
-            data = st.weights[:, None, None] * (
-                h[:, 0, 0][:, None, None] * cl[:, :, None] * cl[:, None, :]
-                + h[:, 0, 1][:, None, None]
-                * (cl[:, :, None] * ct[:, None, :] + ct[:, :, None] * cl[:, None, :])
-                + h[:, 1, 1][:, None, None] * ct[:, :, None] * ct[:, None, :]
-            )
-        rows = np.broadcast_to(st.idx[:, :, None], data.shape)
-        cols = np.broadcast_to(st.idx[:, None, :], data.shape)
-        blocks.append(
-            sp.coo_matrix((data.reshape(-1), (rows.reshape(-1), cols.reshape(-1))), shape=(n, n))
-        )
-    return sp.csr_matrix(sum(blocks)) / grid.dim
+        terms += [
+            dt_i @ _scale_rows(d_j, wvec * h[:, i, j])
+            for i, (_, dt_i) in enumerate(ops)
+            for j, (d_j, _) in enumerate(ops)
+        ]
+    return sum(terms) / grid.dim
 
 
 def apply_height_operator(u: NodeField, params: ModelParams) -> NodeField:
@@ -492,48 +515,19 @@ def _height_newton(
     k = mesh.stiffness_matrix(grid)
     w = mesh.mass_vector(grid)
     rv = rhs.flat
-    target = cfg.tol_residual * (1.0 + _weighted_norm(w, rv))
     c = float(np.sum(w * start) / np.sum(w))
-    v = start - c
     shift = params.tau * c - rv
 
     def residual(vec):
         return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift
 
-    def energy(vec):
-        return height_energy(NodeField.from_flat(grid, c + vec), params, rhs)
+    def hessian(vec):
+        e_hess = _energy_hessian_matrix(NodeField.from_flat(grid, vec), params)
+        return e_hess + params.delta * k + sp.diags(params.tau * w)
 
-    res = residual(v)
-    merit = _weighted_norm(w, res)
-    report.residual_history.append(merit)
-    report.energy_history.append(energy(v))
-    for _ in range(cfg.max_iter):
-        if merit <= target:
-            report.converged = True
-            return NodeField.from_flat(grid, c + v)
-        hess = (
-            _energy_hessian_matrix(NodeField.from_flat(grid, v), params)
-            + params.delta * k
-            + sp.diags(params.tau * w)
-        )
-        step = _linear_solve(sp.csr_matrix(hess), -w * res, cfg, report)
-        accepted = False
-        s = 1.0
-        for _ in range(cfg.max_backtracks + 1):
-            trial = v + s * step
-            res_t = residual(trial)
-            merit_t = _weighted_norm(w, res_t)
-            if merit_t <= (1.0 - cfg.armijo_decrease * s) * merit:
-                v, res, merit = trial, res_t, merit_t
-                accepted = True
-                break
-            s *= cfg.armijo_factor
-        report.iterations += 1
-        if not accepted:
-            raise SolverError("height Newton line search failed", report)
-        report.residual_history.append(merit)
-        report.energy_history.append(energy(v))
-    if merit <= target:
-        report.converged = True
-        return NodeField.from_flat(grid, c + v)
-    raise SolverError(f"height Newton did not converge in {cfg.max_iter} iterations", report)
+    def record_energy(vec):
+        report.energy_history.append(height_energy(NodeField.from_flat(grid, c + vec), params, rhs))
+
+    target = cfg.tol_residual * (1.0 + _weighted_norm(w, rv))
+    v = _damped_newton(start - c, residual, hessian, w, target, cfg, report, "height", on_accept=record_energy)
+    return NodeField.from_flat(grid, c + v)

@@ -297,3 +297,72 @@ def test_solver_controls_accept_boundaries(tmp_path):
         },
     )
     assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "mode, payload",
+    [
+        ("stationary", {**BASE, "grid": {"dim": 1, "extents": [1.0], "cells": [33.9]}, "source": 1.0}),
+        ("evolve", {**BASE, "u0": 1.0, "dt": 0.1, "nsteps": 2.7}),
+        ("evolve", {**BASE, "u0": 1.0, "dt": 0.1, "nsteps": 2, "checkpoint_every": 1.5}),
+        ("stationary", {**BASE, "grid": {"dim": 1.5, "extents": [1.0], "cells": [33]}, "source": 1.0}),
+        ("mms", {**BASE, "cells_list": [17, 33.5]}),
+    ],
+)
+def test_config_error_non_integral_counts(tmp_path, capsys, mode, payload):
+    # integer entries are not truncated: 33.9 nodes or 2.7 steps is a config error
+    assert_config_error(tmp_path, capsys, mode, payload)
+
+
+def test_integral_float_counts_accepted(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {**BASE, "grid": {"dim": 1.0, "extents": [1.0], "cells": [17.0]}, "u0": 0.7, "dt": 0.1, "nsteps": 2.0},
+    )
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["steps"]) == 3
+
+
+def test_singular_jacobian_is_solver_error(tmp_path, capsys):
+    # on 5 nodes the p = 1.2 manufactured source drives the density to ~1e8,
+    # where tau/rho vanishes beside the singular Laplacian and SuperLU
+    # reports an exactly singular factor
+    params = {"p": 1.2, "beta0": 1.0, "a": 1.0, "tau": 0.05, "delta": 1e-6}
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"grid": {"dim": 1, "extents": [1.0], "cells": [5]}, "params": params, "cells_list": [5, 9]},
+    )
+    assert main(["mms", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mode, payload",
+    [
+        ("stationary", {**BASE, "grid": {"dim": 2, "extents": [1.0, 0.5], "cells": [1e300, 3]}, "source": 0.0}),
+        ("stationary", {**BASE, "grid": {"dim": 1, "extents": [1.0], "cells": [10**8]}, "source": 0.0}),
+        ("mms", {**BASE, "cells_list": [17, 10**8]}),
+        ("mms", {**BASE, "cells_list": [5, 9], "amplitude": 0.0}),
+    ],
+)
+def test_config_error_unusable_sizes(tmp_path, capsys, mode, payload):
+    # oversized grids are refused before any field is allocated; a zero
+    # mms amplitude leaves the relative errors undefined
+    assert_config_error(tmp_path, capsys, mode, payload)
+
+
+@pytest.mark.parametrize(
+    "mode, overrides",
+    [
+        ("stationary", {"params": {**BASE["params"], "tau": 1e300}, "source": 1.0}),
+        ("mms", {"params": {**BASE["params"], "beta0": 1e300}, "cells_list": [5, 9]}),
+    ],
+)
+def test_numerical_overflow_is_solver_error(tmp_path, capsys, mode, overrides):
+    # tau**2 overflows in the mean target; beta0 = 1e300 makes the
+    # manufactured fields infinite
+    cfg = write_config(tmp_path / "c.json", {**BASE, **overrides})
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and "Traceback" not in err

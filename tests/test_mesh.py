@@ -163,6 +163,22 @@ def test_edge_gradient_transverse_reconstruction():
     assert np.allclose(s[0][:, 1:-1], 5.0)
 
 
+def test_edge_gradient_transverse_is_four_point_mean(rng):
+    # random field on a grid with unequal extents and node counts per axis
+    g = Grid.rectangle((1.0, 2.0), (9, 7))
+    u = rng.standard_normal(g.shape)
+    (dlx, dtx), (dly, dty) = edge_gradients(NodeField(g, u))
+    dx = np.diff(u, axis=0) / g.h[0]
+    dy = np.diff(u, axis=1) / g.h[1]
+    assert np.allclose(dlx, dx, rtol=1e-14, atol=0.0) and np.allclose(dly, dy, rtol=1e-14, atol=0.0)
+    # x-edge (i+1/2, j) averages the y-differences at (i, j -+ 1/2) and (i+1, j -+ 1/2)
+    expect_x = 0.25 * (dy[:-1, :-1] + dy[:-1, 1:] + dy[1:, :-1] + dy[1:, 1:])
+    expect_y = 0.25 * (dx[:-1, :-1] + dx[:-1, 1:] + dx[1:, :-1] + dx[1:, 1:])
+    assert np.allclose(dtx[:, 1:-1], expect_x, rtol=1e-13, atol=1e-13)
+    assert np.allclose(dty[1:-1, :], expect_y, rtol=1e-13, atol=1e-13)
+    assert np.all(dtx[:, [0, -1]] == 0.0) and np.all(dty[[0, -1], :] == 0.0)
+
+
 def test_node_csv_round_trip(tmp_path, rng):
     for g in (Grid.interval(1.0, 17), Grid.rectangle((1.0, 2.0), (6, 9))):
         u = NodeField(g, rng.standard_normal(g.shape))

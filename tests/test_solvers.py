@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crystalsurf import solvers
 from crystalsurf.energy import ModelParams, log_barrier
-from crystalsurf.mesh import Grid, NodeField, integrate, laplacian, norm_l2, norm_lp
+from crystalsurf.mesh import (
+    Grid,
+    NodeField,
+    integrate,
+    laplacian,
+    mass_vector,
+    norm_l2,
+    norm_lp,
+    stiffness_matrix,
+)
 from crystalsurf.solvers import (
     NewtonConfig,
     SolverError,
@@ -324,6 +334,31 @@ def test_u_warm_failure_falls_back_to_constant_start(grid, params, monkeypatch):
     assert rep.converged
     assert rep.iterations == rep_cold.iterations + 2
     assert rep.residual_history == [9.0, 8.0, *rep_cold.residual_history]
+
+
+@pytest.mark.parametrize(
+    "hess_grid", [Grid.interval(2.0, 11), Grid.rectangle((1.0, 2.0), (9, 7))], ids=["1d", "2d"]
+)
+def test_height_hessian_matches_operator_jacobian(hess_grid, params, rng):
+    # the assembled Newton matrix is W times the Jacobian of the nodewise operator
+    g = hess_grid
+    u = NodeField(g, 0.3 * rng.standard_normal(g.shape))
+    w = mass_vector(g)
+    hess = (
+        solvers._energy_hessian_matrix(u, params)
+        + params.delta * stiffness_matrix(g)
+        + sp.diags(params.tau * w)
+    ).toarray()
+    eps = 1e-6
+    jac = np.empty_like(hess)
+    for j in range(g.node_count):
+        e = np.zeros(g.node_count)
+        e[j] = eps
+        plus = apply_height_operator(NodeField.from_flat(g, u.flat + e), params).flat
+        minus = apply_height_operator(NodeField.from_flat(g, u.flat - e), params).flat
+        jac[:, j] = (plus - minus) / (2.0 * eps)
+    np.testing.assert_allclose(w[:, None] * jac, hess, rtol=0.0, atol=1e-7 * np.abs(hess).max())
+    np.testing.assert_allclose(hess, hess.T, rtol=0.0, atol=1e-14 * np.abs(hess).max())
 
 
 def test_u_2d_manufactured(params):
