@@ -23,6 +23,7 @@ sympy) for measuring real discretization orders.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -407,13 +408,23 @@ def cosine_mms(grid: Grid, params: ModelParams, amplitude: float = 0.06) -> Cosi
     exp of the analytic height operator, and the source closes the
     density equation; all reflection-symmetric at the boundary so the
     Neumann stencils keep their full order. Keep the amplitude small
-    enough that the exponential stays in a sane range.
+    enough that the exponential stays in a sane range. The symbolic
+    solution depends on the grid only through its dimension and extents,
+    so it is built once per (dim, extents, params, amplitude) and reused
+    across the grids of a convergence study.
     """
+    fns = _cosine_mms_functions(grid.dim, grid.extents, params, amplitude)
+    return CosineMms(*(NodeField.from_function(grid, fn) for fn in fns))
+
+
+@functools.lru_cache(maxsize=16)
+def _cosine_mms_functions(dim: int, extents: tuple, params: ModelParams, amplitude: float) -> tuple:
+    """Lambdified (u, rho, f) of ``cosine_mms``."""
     import sympy as sy
 
-    syms = sy.symbols("x y")[: grid.dim]
+    syms = sy.symbols("x y")[:dim]
     u_expr = amplitude
-    for s, length in zip(syms, grid.extents):
+    for s, length in zip(syms, extents):
         u_expr = u_expr * sy.cos(sy.pi * s / length)
     grads = [sy.diff(u_expr, s) for s in syms]
     w = sum(g**2 for g in grads)
@@ -432,9 +443,7 @@ def cosine_mms(grid: Grid, params: ModelParams, amplitude: float = 0.06) -> Cosi
         + params.tau * log_rho
         + params.a * u_expr
     )
-    fns = [sy.lambdify(syms, e, "numpy") for e in (u_expr, rho_expr, f_expr)]
-    fields = [NodeField.from_function(grid, fn) for fn in fns]
-    return CosineMms(*fields)
+    return tuple(sy.lambdify(syms, e, "numpy") for e in (u_expr, rho_expr, f_expr))
 
 
 @dataclass
@@ -458,8 +467,9 @@ def mms_convergence(
     """Solve the coupled system against the analytic cosine solution on a
     grid sequence and tabulate relative L2 errors and observed orders.
 
-    The viscosity polish is disabled so the discrete system matches the
-    analytic operator that generated the data.
+    The viscosity cap is disabled (``delta_polish=None``) so the discrete
+    system keeps params.delta, as the analytic operator that generated
+    the data does.
     """
     picard_cfg = PicardConfig(tol_fixed_point=1e-11, tol_residual=1e-7, delta_polish=None)
     rows: list[MmsRow] = []

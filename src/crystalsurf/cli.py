@@ -62,7 +62,7 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], context: s
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {context}")
-    for key in required:
+    for key in sorted(required):
         if key not in section:
             raise ConfigError(f"missing key '{key}' in {context}")
 
@@ -196,8 +196,9 @@ def _write_json(path: Path, payload: dict) -> None:
 _COMMON_KEYS = {"mode", "grid", "params", "newton", "picard"}
 
 
-def _validate_mode_keys(config: dict, mode: str, extra: set[str]) -> None:
-    _check_keys(config, _COMMON_KEYS | extra, {"grid", "params"}, "the config")
+def _validate_mode_keys(config: dict, mode: str, required: set[str], optional=frozenset()) -> None:
+    required = {"grid", "params"} | required
+    _check_keys(config, _COMMON_KEYS | required | optional, required, "the config")
     if "mode" in config and config["mode"] != mode:
         raise ConfigError(f"config declares mode '{config['mode']}' but '{mode}' was requested")
 
@@ -208,8 +209,6 @@ def _run_stationary(config: dict, out: Path) -> None:
     params = _build_solve_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
     picard = _build_dataclass(config.get("picard"), PicardConfig, "'picard'")
-    if "source" not in config:
-        raise ConfigError("missing key 'source' in the config")
     f = _build_field(config["source"], grid, "'source'")
     data = ProblemData(f, params)
     triple, report = solve_coupled(data, picard, newton)
@@ -230,14 +229,11 @@ def _run_stationary(config: dict, out: Path) -> None:
 
 
 def _run_evolve(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "evolve", {"u0", "dt", "nsteps", "checkpoint_every"})
+    _validate_mode_keys(config, "evolve", {"u0", "dt", "nsteps"}, {"checkpoint_every"})
     grid = _build_grid(config["grid"])
     params = _build_solve_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
     picard = _build_dataclass(config.get("picard"), PicardConfig, "'picard'")
-    for key in ("u0", "dt", "nsteps"):
-        if key not in config:
-            raise ConfigError(f"missing key '{key}' in the config")
     u0 = _build_field(config["u0"], grid, "'u0'")
     dt = _number(config["dt"], "'dt'")
     nsteps = _number(config["nsteps"], "'nsteps'", int)
@@ -289,9 +285,6 @@ def _run_audit(config: dict, out: Path) -> None:
     params = _build_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
     picard = _build_dataclass(config.get("picard"), PicardConfig, "'picard'")
-    for key in ("source", "tau_schedule"):
-        if key not in config:
-            raise ConfigError(f"missing key '{key}' in the config")
     f = _build_field(config["source"], grid, "'source'")
     schedule = _numbers(config["tau_schedule"], "'tau_schedule'")
     if any(t <= 0.0 for t in schedule) or any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -320,12 +313,9 @@ def _run_audit(config: dict, out: Path) -> None:
 
 
 def _run_singular(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "singular", {"rho", "probes", "eps_list", "r_max", "levels"})
+    _validate_mode_keys(config, "singular", {"rho", "probes"}, {"eps_list", "r_max", "levels"})
     grid = _build_grid(config["grid"])
     _build_params(config["params"])  # validated for consistency even though unused
-    for key in ("rho", "probes"):
-        if key not in config:
-            raise ConfigError(f"missing key '{key}' in the config")
     rho = _build_field(config["rho"], grid, "'rho'")
     if np.min(rho.values) < 0.0:
         raise ConfigError("'rho' must be nonnegative")
@@ -345,12 +335,10 @@ def _run_singular(config: dict, out: Path) -> None:
 
 
 def _run_mms(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "mms", {"cells_list", "amplitude", "extent"})
+    _validate_mode_keys(config, "mms", {"cells_list"}, {"amplitude", "extent"})
     grid = _build_grid(config["grid"])
     params = _build_solve_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
-    if "cells_list" not in config:
-        raise ConfigError("missing key 'cells_list' in the config")
     cells_list = _numbers(config["cells_list"], "'cells_list'", int)
     amplitude = _number(config.get("amplitude", 0.06), "'amplitude'")
     if amplitude == 0.0:

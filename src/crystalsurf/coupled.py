@@ -19,9 +19,10 @@ known value. The projection leaves the fixed point unchanged and removes
 the mean mode of B, whose amplification factor a / tau^2 makes the raw
 iteration diverge for small tau. The fluctuating modes contract at an
 O(a) rate independent of tau, and the mean identity then holds to
-rounding on every converged solve. The outer report records one
-residual per outer step; the inner Newton loops keep their own
-iteration and linear-solve counts.
+rounding on every converged solve. The height viscosity is capped at
+``PicardConfig.delta_polish`` and the capped system solved in one pass.
+The outer report records one residual per outer step; the inner Newton
+loops keep their own iteration and linear-solve counts.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ class PicardConfig:
     """Outer fixed-point iteration controls.
 
     The relaxation weight is adapted: halved when the combined equation
-    residual grows, grown by 1.2 (clamped to 1) when it shrinks. After
-    convergence the height equation is re-solved with the viscosity
-    lowered to ``delta_polish`` (skipped when None or when the viscosity
-    is already at or below it).
+    residual grows, grown by 1.2 (clamped to 1) when it shrinks.
+    ``delta_polish`` caps the height viscosity: the coupled solve runs
+    at min(params.delta, delta_polish), or at params.delta when it is
+    None (as the manufactured-solution study needs, whose analytic
+    operator carries params.delta).
     """
 
     relaxation: float = 0.5
@@ -195,21 +197,39 @@ def _pin_mean(u: NodeField, target: float) -> NodeField:
     return NodeField(grid, u.values + (target - mesh.integrate(u) / grid.volume))
 
 
-def _damped_iteration(
+def _capped(params: ModelParams, cfg: PicardConfig) -> ModelParams:
+    """``params`` with the height viscosity capped at ``cfg.delta_polish``."""
+    if cfg.delta_polish is None:
+        return params
+    return replace(params, delta=min(params.delta, cfg.delta_polish))
+
+
+def solve_coupled(
     data: ProblemData,
-    u: NodeField,
-    cfg: PicardConfig,
-    newton_cfg: NewtonConfig | None,
-    report: SolveReport,
-    rho: NodeField | None = None,
-    u_map: NodeField | None = None,
-) -> tuple[NodeField, NodeField, NodeField]:
-    """Mean-projected damped iteration from u; each outer step warm-starts
-    its inner solves from the previous step's density and height map
-    (the first from ``rho`` and ``u_map`` when given). Returns the
-    converged height, density and last height map."""
+    picard_cfg: PicardConfig | None = None,
+    newton_cfg: NewtonConfig | None = None,
+    u0: NodeField | None = None,
+    rho0: NodeField | None = None,
+) -> tuple[WeakSolutionTriple, SolveReport]:
+    """Solve the coupled stationary system by mean-projected damped iteration.
+
+    The height viscosity is first capped at ``PicardConfig.delta_polish``;
+    the returned triple solves that capped system. ``u0`` is the first
+    outer iterate (default: the constant with the known mean). ``rho0``
+    warm-starts the first density solve, e.g. from the density of a
+    nearby problem; each later outer step warm-starts its inner solves
+    from the previous step's density and height map. Any warm start that
+    fails falls back to the cold inner solve, so it changes cost, not the
+    solution beyond solver tolerance.
+    """
+    cfg = picard_cfg or PicardConfig()
+    if data.params.tau <= 0.0:
+        raise ValueError("the coupled solve requires tau > 0")
+    data = ProblemData(data.f, _capped(data.params, cfg))
+    report = SolveReport()
     ubar = mean_height_target(data)
-    u = _pin_mean(u, ubar)
+    u = _pin_mean(u0 if u0 is not None else NodeField.constant(data.f.grid, ubar), ubar)
+    rho, u_map = rho0, None
     omega = cfg.relaxation
     prev_res = np.inf
     for _ in range(cfg.max_outer):
@@ -224,42 +244,13 @@ def _damped_iteration(
         report.residual_history.append(res)
         u = u_new
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
-            return u, rho, u_map
+            report.converged = True
+            return WeakSolutionTriple(u, rho, subgradient_field(u)), report
         omega = min(1.0, omega * 1.2) if res < prev_res else max(1e-3, 0.5 * omega)
         prev_res = res
     raise SolverError(
         f"coupled iteration did not converge in {cfg.max_outer} outer steps", report
     )
-
-
-def solve_coupled(
-    data: ProblemData,
-    picard_cfg: PicardConfig | None = None,
-    newton_cfg: NewtonConfig | None = None,
-    u0: NodeField | None = None,
-    rho0: NodeField | None = None,
-) -> tuple[WeakSolutionTriple, SolveReport]:
-    """Solve the coupled stationary system by mean-projected damped iteration.
-
-    ``u0`` is the first outer iterate (default: the constant with the
-    known mean). ``rho0`` warm-starts the first density solve, e.g. from
-    the density of a nearby problem; later outer steps and the viscosity
-    polish warm-start from the previous step. Any warm start that fails
-    falls back to the cold inner solve, so it changes cost, not the
-    solution beyond solver tolerance.
-    """
-    cfg = picard_cfg or PicardConfig()
-    p = data.params
-    if p.tau <= 0.0:
-        raise ValueError("the coupled solve requires tau > 0")
-    report = SolveReport()
-    u = u0 if u0 is not None else NodeField.constant(data.f.grid, mean_height_target(data))
-    u, rho, u_map = _damped_iteration(data, u, cfg, newton_cfg, report, rho=rho0)
-    if cfg.delta_polish is not None and p.delta > cfg.delta_polish:
-        polished = ProblemData(data.f, replace(p, delta=cfg.delta_polish))
-        u, rho, _ = _damped_iteration(polished, u, cfg, newton_cfg, report, rho, u_map)
-    report.converged = True
-    return WeakSolutionTriple(u, rho, subgradient_field(u)), report
 
 
 @dataclass
@@ -360,9 +351,11 @@ def evolve(
     Each step solves the stationary system with rate coefficient 1/dt
     and source u^n/dt; per the mean identity the discrete mass satisfies
     int u^{n+1} = int u^n / (1 + tau^2 dt) exactly. Each step starts
-    from the previous step's height and density. The surface energy is
-    recorded per step as a diagnostic; a step failure terminates the
-    trajectory and returns the prefix.
+    from the previous step's height and density. The recorded residuals
+    are those of the system solved, at the capped viscosity of
+    ``solve_coupled``. The surface energy is recorded per step as a
+    diagnostic; a step failure terminates the trajectory and returns
+    the prefix.
     """
     from .analysis import apriori_audit  # local import to avoid a cycle
 
@@ -371,7 +364,8 @@ def evolve(
     if params.tau <= 0.0:
         raise ValueError("evolution requires tau > 0")
     grid = u0.grid
-    step_params = replace(params, a=1.0 / dt)
+    cfg = picard_cfg or PicardConfig()
+    step_params = _capped(replace(params, a=1.0 / dt), cfg)
     u = u0
     rho = None
     steps = [
@@ -389,7 +383,7 @@ def evolve(
     for n in range(1, nsteps + 1):
         data = ProblemData(NodeField(grid, u.values / dt), step_params)
         try:
-            triple, rep = solve_coupled(data, picard_cfg, newton_cfg, u0=u, rho0=rho)
+            triple, rep = solve_coupled(data, cfg, newton_cfg, u0=u, rho0=rho)
         except SolverError as err:
             return Trajectory(steps, False, failure=f"step {n}: {err}")
         u, rho = triple.u, triple.rho

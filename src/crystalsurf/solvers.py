@@ -320,9 +320,11 @@ def solve_rho(
     back to the cold schedule if that fails; the report then also
     carries the failed attempt's iterations and residuals.
 
-    The returned density is strictly positive on the grid; a sign
-    failure after the final barrier stage raises (the source is too
-    negative for the resolution).
+    The returned density is strictly positive on the grid. A failure of
+    the final exact-logarithm stage raises with the inner error's
+    message, prefixed "density is not positive" only when the last
+    barrier stage ended non-positive (the source is too negative for the
+    resolution).
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
@@ -344,20 +346,18 @@ def solve_rho(
     for delta in schedule:
         rho, rep = solve_rho_delta(g, tau, float(delta), cfg, rho0=rho)
         _absorb(total, rep)
-    floor = float(schedule[-1])
-    if np.min(rho.values) <= 0.0:
+    clamped = np.min(rho.values) <= 0.0
+    if clamped:
         # the barrier stages undershoot when the source is strongly
         # negative; the exact-logarithm stage can still recover a positive
         # solution from a clamped start, so only fail if that breaks too
-        clamped = np.maximum(rho.values, floor)
-        rho = NodeField(g.grid, clamped)
+        rho = NodeField(g.grid, np.maximum(rho.values, float(schedule[-1])))
     try:
         rho, rep = solve_rho_delta(g, tau, 0.0, cfg, rho0=rho)
     except SolverError as err:
         _absorb(total, err.report)
-        raise SolverError(
-            "density is not positive at this resolution (source too negative)", total
-        ) from err
+        prefix = "density is not positive at this resolution (source too negative): " if clamped else ""
+        raise SolverError(f"{prefix}{err}", total) from err
     _absorb(total, rep)
     total.converged = rep.converged
     return rho, total

@@ -202,6 +202,7 @@ def assert_config_error(tmp_path, capsys, mode, payload):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("tau", [0.0, float("nan"), float("inf")])
@@ -335,6 +336,34 @@ def test_singular_jacobian_is_solver_error(tmp_path, capsys):
     assert main(["mms", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error:") and "Traceback" not in err
+    # the density stays positive; the message names the failed factorization
+    assert "sparse factorization failed" in err
+    assert "source too negative" not in err
+
+
+VALID_BY_MODE = {
+    "stationary": {**BASE, "source": 1.0},
+    "evolve": {**BASE, "u0": 1.0, "dt": 0.1, "nsteps": 2},
+    "audit": {**BASE, "source": 1.0, "tau_schedule": [0.1]},
+    "singular": {**BASE, "rho": 1.0, "probes": [[0.5]]},
+    "mms": {**BASE, "cells_list": [5, 9]},
+}
+REQUIRED_BY_MODE = {
+    "stationary": ["grid", "params", "source"],
+    "evolve": ["grid", "params", "u0", "dt", "nsteps"],
+    "audit": ["grid", "params", "source", "tau_schedule"],
+    "singular": ["grid", "params", "rho", "probes"],
+    "mms": ["grid", "params", "cells_list"],
+}
+
+
+@pytest.mark.parametrize(
+    "mode, key", [(mode, key) for mode, keys in REQUIRED_BY_MODE.items() for key in keys]
+)
+def test_config_error_missing_required_key(tmp_path, capsys, mode, key):
+    payload = {k: v for k, v in VALID_BY_MODE[mode].items() if k != key}
+    err = assert_config_error(tmp_path, capsys, mode, payload)
+    assert f"missing key '{key}' in the config" in err
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,24 @@ def test_solve_coupled_2d(rng):
     assert res <= 1e-9 * (1.0 + abs(integrate(f)))
 
 
+def test_viscosity_cap_is_one_pass(rng):
+    # the default config caps delta = 1e-6 at delta_polish = 1e-10 and
+    # solves that system once: the same floating-point work as asking for
+    # delta = 1e-10 with no cap
+    grid = Grid.rectangle((1.0, 1.0), (17, 17))
+    f = smooth_field(grid, rng, offset=0.5)
+    capped, rep_c = solve_coupled(ProblemData(f, params_with(delta=1e-6)))
+    direct, rep_d = solve_coupled(
+        ProblemData(f, params_with(delta=1e-10)), PicardConfig(delta_polish=None)
+    )
+    for x, y in zip((capped.u, capped.rho), (direct.u, direct.rho)):
+        assert np.array_equal(x.values, y.values)
+    for x, y in zip(capped.phi.components, direct.phi.components):
+        assert np.array_equal(x, y)
+    assert rep_c.iterations == rep_d.iterations
+    assert rep_c.residual_history == rep_d.residual_history
+
+
 def test_mean_height_target(grid):
     data = ProblemData(NodeField.constant(grid, 3.0), params_with(tau=0.1, a=1.0))
     assert mean_height_target(data) == pytest.approx(3.0 / 1.01)
@@ -255,6 +273,16 @@ def test_evolve_cosine_decay(grid):
     assert all(b <= a + 1e-12 for a, b in zip(l2, l2[1:]))
     assert l2[-1] < 0.5 * l2[0]
     assert traj.energy_nonincreasing
+
+
+def test_evolve_residuals_of_the_solved_system(grid):
+    # each step is solved at the capped viscosity, so its residuals meet the
+    # coupled tolerance although params.delta = 1e-4 is far above the cap
+    u0 = NodeField.from_function(grid, lambda x: 1.0 + 0.2 * np.cos(np.pi * x))
+    traj = evolve(u0, dt=0.05, nsteps=3, params=params_with(tau=1e-2, delta=1e-4))
+    assert traj.completed
+    for step in traj.steps[1:]:
+        assert max(step.residuals) <= PicardConfig().tol_residual
 
 
 def test_evolve_validates_inputs(grid):
