@@ -474,11 +474,7 @@ def mms_convergence(
     picard_cfg = PicardConfig(tol_fixed_point=1e-11, tol_residual=1e-7, delta_polish=None)
     rows: list[MmsRow] = []
     for cells in cells_list:
-        grid = (
-            Grid.interval(extent, cells)
-            if dim == 1
-            else Grid.rectangle((extent,) * 2, (cells,) * 2)
-        )
+        grid = Grid(dim, (float(extent),) * dim, (int(cells),) * dim)
         exact = cosine_mms(grid, params, amplitude)
         data = ProblemData(exact.f, params)
         triple, _ = solve_coupled(data, picard_cfg, newton_cfg)

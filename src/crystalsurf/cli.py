@@ -37,6 +37,7 @@ from .analysis import (
 from .coupled import (
     PicardConfig,
     ProblemData,
+    capped_params,
     continuation_tau,
     evolve,
     limit_flux,
@@ -68,10 +69,13 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], context: s
 
 
 def _number(value, context: str, kind=float):
-    """Convert one config entry to a finite float (or an integral int), else ConfigError."""
+    """Convert one config entry, a JSON number (not a bool), to a finite
+    float (or an integral int), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context} must be a finite number")
     try:
         out = float(value)
-    except (TypeError, ValueError, OverflowError) as err:
+    except OverflowError as err:  # an integer beyond the float range
         raise ConfigError(f"{context} must be a finite number") from err
     if not np.isfinite(out):
         raise ConfigError(f"{context} must be a finite number")
@@ -114,8 +118,9 @@ def _build_params(section) -> ModelParams:
         raise ConfigError("'params' must be an object")
     allowed = {"p", "beta0", "a", "tau", "delta"}
     _check_keys(section, allowed, {"p"}, "'params'")
+    values = {k: _number(v, f"'params.{k}'") for k, v in section.items()}
     try:
-        return ModelParams(**{k: float(v) for k, v in section.items()})
+        return ModelParams(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid 'params': {err}") from err
 
@@ -129,7 +134,7 @@ def _build_solve_params(section) -> ModelParams:
 
 
 def _build_field(section, grid: Grid, context: str) -> NodeField:
-    if isinstance(section, (int, float)):
+    if isinstance(section, (int, float)) and not isinstance(section, bool):
         return NodeField.constant(grid, _number(section, context))
     if not isinstance(section, dict):
         raise ConfigError(f"{context} must be a number or an object")
@@ -173,8 +178,11 @@ def _build_dataclass(section, cls, context: str):
         return cls()
     if not isinstance(section, dict):
         raise ConfigError(f"{context} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(section, names, set(), context)
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    _check_keys(section, set(fields), set(), context)
+    for name, value in section.items():  # numeric fields take JSON numbers (or None where allowed)
+        if isinstance(fields[name], (int, float)) and value is not None:
+            _number(value, f"{context} entry '{name}'")
     try:
         return cls(**section)
     except (TypeError, ValueError) as err:
@@ -221,7 +229,7 @@ def _run_stationary(config: dict, out: Path) -> None:
         {
             "mode": "stationary",
             "grid": {"dim": grid.dim, "extents": list(grid.extents), "cells": list(grid.cells)},
-            "params": dataclasses.asdict(params),
+            "params": dataclasses.asdict(capped_params(params, picard)),
             "solve": report.to_dict(),
             "estimates": estimates.to_dict(),
         },
@@ -268,7 +276,7 @@ def _run_evolve(config: dict, out: Path) -> None:
             "mode": "evolve",
             "dt": dt,
             "nsteps": nsteps,
-            "params": dataclasses.asdict(params),
+            "params": dataclasses.asdict(capped_params(params, picard)),
             "completed": traj.completed,
             "failure": traj.failure,
             "energy_nonincreasing": traj.energy_nonincreasing,

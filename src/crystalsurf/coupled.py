@@ -22,7 +22,7 @@ O(a) rate independent of tau, and the mean identity then holds to
 rounding on every converged solve. The height viscosity is capped at
 ``PicardConfig.delta_polish`` and the capped system solved in one pass.
 The outer report records one residual per outer step; the inner Newton
-loops keep their own iteration and linear-solve counts.
+loops keep their own iteration counts.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ __all__ = [
     "subgradient_field",
     "limit_flux",
     "mean_height_target",
+    "capped_params",
 ]
 
 
@@ -119,15 +120,7 @@ def mean_height_target(data: ProblemData) -> float:
 
 def subgradient_field(u: NodeField) -> EdgeField:
     """Edgewise selection grad u / |grad u| (longitudinal components)."""
-    grid = u.grid
-    comps = []
-    for d_long, d_trans in mesh.edge_gradients(u):
-        if d_trans is None:
-            z = d_long[..., None]
-        else:
-            z = np.stack([d_long, d_trans], axis=-1)
-        comps.append(subgradient_select(z)[..., 0])
-    return EdgeField(grid, tuple(comps))
+    return EdgeField(u.grid, tuple(subgradient_select(z)[..., 0] for z in mesh.edge_gradients(u)))
 
 
 def limit_flux(u: NodeField, params: ModelParams) -> EdgeField:
@@ -136,17 +129,13 @@ def limit_flux(u: NodeField, params: ModelParams) -> EdgeField:
     Evaluated with tau = 0 and the zero selection where the gradient
     vanishes; longitudinal components per edge family.
     """
-    grid = u.grid
     comps = []
-    for d_long, d_trans in mesh.edge_gradients(u):
-        s = d_long * d_long
-        if d_trans is not None:
-            s = s + d_trans * d_trans
+    for z in mesh.edge_gradients(u):
+        s = np.sum(z * z, axis=-1)
         pos = s > 0.0
         coef = np.where(pos, np.where(pos, s, 1.0) ** (0.5 * (params.p - 2.0)), 0.0)
-        unit = np.where(pos, d_long / np.sqrt(np.where(pos, s, 1.0)), 0.0)
-        comps.append(coef * d_long + params.beta0 * unit)
-    return EdgeField(grid, tuple(comps))
+        comps.append(coef * z[..., 0] + params.beta0 * subgradient_select(z)[..., 0])
+    return EdgeField(u.grid, tuple(comps))
 
 
 def picard_map(
@@ -197,8 +186,9 @@ def _pin_mean(u: NodeField, target: float) -> NodeField:
     return NodeField(grid, u.values + (target - mesh.integrate(u) / grid.volume))
 
 
-def _capped(params: ModelParams, cfg: PicardConfig) -> ModelParams:
-    """``params`` with the height viscosity capped at ``cfg.delta_polish``."""
+def capped_params(params: ModelParams, cfg: PicardConfig) -> ModelParams:
+    """The parameters the coupled solve actually solves at: ``params`` with
+    the height viscosity capped at ``cfg.delta_polish``."""
     if cfg.delta_polish is None:
         return params
     return replace(params, delta=min(params.delta, cfg.delta_polish))
@@ -225,7 +215,7 @@ def solve_coupled(
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:
         raise ValueError("the coupled solve requires tau > 0")
-    data = ProblemData(data.f, _capped(data.params, cfg))
+    data = ProblemData(data.f, capped_params(data.params, cfg))
     report = SolveReport()
     ubar = mean_height_target(data)
     u = _pin_mean(u0 if u0 is not None else NodeField.constant(data.f.grid, ubar), ubar)
@@ -365,7 +355,7 @@ def evolve(
         raise ValueError("evolution requires tau > 0")
     grid = u0.grid
     cfg = picard_cfg or PicardConfig()
-    step_params = _capped(replace(params, a=1.0 / dt), cfg)
+    step_params = capped_params(replace(params, a=1.0 / dt), cfg)
     u = u0
     rho = None
     steps = [

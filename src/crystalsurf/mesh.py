@@ -16,14 +16,16 @@ holds to machine precision. Homogeneous Neumann conditions are encoded
 by reflective ghosts: flux components normal to the boundary are
 identically zero, which is why boundary-normal edges are not stored.
 
-Every edge quantity is a sparse operator on flat node values, cached
-per grid: ``gradient_matrices`` gives the longitudinal difference of
-each axis family, and ``edge_stencil`` pairs it with a transverse
-reconstruction that averages the four neighboring transverse
-differences (zero on boundary rows, where the reflective ghosts
-cancel). Squared gradient magnitudes at edges combine the two, and the
-solvers assemble energy gradients and Hessians from the same operators
-and their transposes.
+Every per-axis quantity (node and edge weights, sparse operators) is
+one tensor-product rule, ``_tensor``, so no code branches on the
+dimension. Edge quantities are sparse operators on flat node values,
+cached per grid: ``edge_stencil`` gives the longitudinal difference of
+an axis family, then (in 2D) a transverse reconstruction that averages
+the four neighboring transverse differences (zero on boundary rows,
+where the reflective ghosts cancel). ``edge_gradients`` samples the
+full gradient at the edges of each family as one ``(*edges, dim)``
+array; the solvers assemble energy gradients and Hessians from the
+same operators and their transposes.
 """
 
 from __future__ import annotations
@@ -111,17 +113,18 @@ class Grid:
 
     def axis_weights(self, axis: int) -> np.ndarray:
         """1D trapezoid weights: h at interior nodes, h/2 at the two ends."""
-        n = self.cells[axis]
-        w = np.full(n, self.h[axis])
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        return _trapezoid(self.cells[axis], self.h[axis])
+
+    @functools.lru_cache(maxsize=None)
+    def node_weights(self) -> np.ndarray:
+        """Tensor trapezoid quadrature weights, shape ``self.shape``; cached, read-only."""
+        w = _tensor(self, None, _trapezoid, _trapezoid, np.kron).reshape(self.shape)
+        w.flags.writeable = False
         return w
 
-    def node_weights(self) -> np.ndarray:
-        """Tensor trapezoid quadrature weights, shape ``self.shape``."""
-        if self.dim == 1:
-            return self.axis_weights(0)
-        return np.outer(self.axis_weights(0), self.axis_weights(1))
+    def edge_shape(self, axis: int) -> tuple[int, ...]:
+        """Shape of the edges joining adjacent nodes along ``axis``."""
+        return tuple(n - 1 if j == axis else n for j, n in enumerate(self.cells))
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return tuple(
@@ -177,18 +180,10 @@ class EdgeField:
     components: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        comps = []
+        self.components = tuple(np.asarray(c, dtype=float) for c in self.components)
         for k, c in enumerate(self.components):
-            c = np.asarray(c, dtype=float)
-            expected = tuple(
-                n - 1 if j == k else n for j, n in enumerate(self.grid.cells)
-            )
-            if c.shape != expected:
-                raise ValueError(
-                    f"axis {k} component shape {c.shape}, expected {expected}"
-                )
-            comps.append(c)
-        self.components = tuple(comps)
+            if c.shape != self.grid.edge_shape(k):
+                raise ValueError(f"axis {k} component shape {c.shape}, expected {self.grid.edge_shape(k)}")
 
 
 def gradient(u: NodeField) -> EdgeField:
@@ -234,28 +229,9 @@ def norm_l2(u: NodeField) -> float:
 
 
 def node_gradient(u: NodeField) -> list[np.ndarray]:
-    """Per-axis derivative at nodes: adjacent edge differences averaged,
-    one-sided at the boundary."""
-    g = u.grid
-    out = []
-    for k in range(g.dim):
-        d = np.diff(u.values, axis=k) / g.h[k]
-        dn = np.empty(g.shape)
-        head = [slice(None)] * g.dim
-        tail = [slice(None)] * g.dim
-        inner = [slice(None)] * g.dim
-        head[k] = slice(0, 1)
-        tail[k] = slice(-1, None)
-        inner[k] = slice(1, -1)
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[k] = slice(None, -1)
-        hi[k] = slice(1, None)
-        dn[tuple(head)] = d[tuple(head)]
-        dn[tuple(tail)] = d[tuple(tail)]
-        dn[tuple(inner)] = 0.5 * (d[tuple(lo)] + d[tuple(hi)])
-        out.append(dn)
-    return out
+    """Per-axis derivative at nodes: central differences inside, one-sided
+    at the boundary."""
+    return [np.gradient(u.values, h, axis=k) for k, h in enumerate(u.grid.h)]
 
 
 def node_gradient_magnitude(u: NodeField) -> np.ndarray:
@@ -273,25 +249,23 @@ def w1p_norm(u: NodeField, p: float) -> float:
     return float(total ** (1.0 / p))
 
 
-def edge_gradients(u: NodeField) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Per axis: (longitudinal difference, reconstructed transverse or None)."""
+def edge_gradients(u: NodeField) -> list[np.ndarray]:
+    """Full gradient samples at the edges of each axis family.
+
+    One array per axis family, shape ``(*grid.edge_shape(axis), dim)``:
+    component 0 is the longitudinal difference, the rest are the
+    transverse reconstructions of ``edge_stencil``, in its order.
+    """
     g = u.grid
-    out = []
-    for k in range(g.dim):
-        shape = tuple(n - 1 if j == k else n for j, n in enumerate(g.cells))
-        out.append(tuple(None if d is None else (d @ u.flat).reshape(shape) for d in edge_stencil(g, k)))
-    return out
+    return [
+        np.array([d @ u.flat for d in edge_stencil(g, k)]).T.reshape(*g.edge_shape(k), g.dim)
+        for k in range(g.dim)
+    ]
 
 
 def edge_squared_gradient(u: NodeField) -> list[np.ndarray]:
     """|grad u|^2 at the edges of each axis family."""
-    out = []
-    for d_long, d_trans in edge_gradients(u):
-        s = d_long * d_long
-        if d_trans is not None:
-            s = s + d_trans * d_trans
-        out.append(s)
-    return out
+    return [np.sum(z * z, axis=-1) for z in edge_gradients(u)]
 
 
 def dirichlet_integral(u: NodeField) -> float:
@@ -305,6 +279,25 @@ def dirichlet_integral(u: NodeField) -> float:
     return total
 
 
+def _trapezoid(n: int, h: float) -> np.ndarray:
+    """1D trapezoid weights of n nodes at spacing h."""
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+_sparse_kron = functools.partial(sp.kron, format="csr")
+
+
+def _tensor(grid: Grid, axis: int | None, own, other, kron=_sparse_kron):
+    """Kronecker product, in axis order, of ``own(n, h)`` on ``axis`` and
+    ``other(n, h)`` on every other axis (n nodes at spacing h per axis;
+    ``axis`` None puts ``other`` on all of them)."""
+    factors = [(own if k == axis else other)(n, h) for k, (n, h) in enumerate(zip(grid.cells, grid.h))]
+    return functools.reduce(kron, factors)
+
+
 @functools.lru_cache(maxsize=None)
 def _axis_difference_matrix(n: int, h: float) -> sp.csr_matrix:
     data = np.repeat([[-1.0 / h, 1.0 / h]], n - 1, axis=0).ravel()
@@ -315,29 +308,19 @@ def _axis_difference_matrix(n: int, h: float) -> sp.csr_matrix:
 
 @functools.lru_cache(maxsize=None)
 def edge_weight_vectors(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Quadrature weight per edge (flattened C order), one array per axis."""
-    if grid.dim == 1:
-        return (np.full(grid.cells[0] - 1, grid.h[0]),)
-    nx, ny = grid.cells
-    hx, hy = grid.h
-    wx = grid.axis_weights(0)
-    wy = grid.axis_weights(1)
-    w0 = np.kron(np.full(nx - 1, hx), wy)
-    w1 = np.kron(wx, np.full(ny - 1, hy))
-    return (w0, w1)
+    """Quadrature weight per edge (flattened C order), one array per axis:
+    the edge length times the trapezoid weights of the other axes."""
+    return tuple(
+        _tensor(grid, k, lambda n, h: np.full(n - 1, h), _trapezoid, np.kron) for k in range(grid.dim)
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def gradient_matrices(grid: Grid) -> tuple[sp.csr_matrix, ...]:
     """Sparse longitudinal difference operators, one per axis, on flat values."""
-    if grid.dim == 1:
-        return (_axis_difference_matrix(grid.cells[0], grid.h[0]),)
-    nx, ny = grid.cells
-    dx = _axis_difference_matrix(nx, grid.h[0])
-    dy = _axis_difference_matrix(ny, grid.h[1])
-    return (
-        sp.kron(dx, sp.identity(ny, format="csr"), format="csr"),
-        sp.kron(sp.identity(nx, format="csr"), dy, format="csr"),
+    return tuple(
+        _tensor(grid, k, _axis_difference_matrix, lambda n, h: sp.identity(n, format="csr"))
+        for k in range(grid.dim)
     )
 
 
@@ -371,46 +354,41 @@ def _axis_central_matrix(n: int, h: float) -> sp.csr_matrix:
 
 
 @functools.lru_cache(maxsize=None)
-def edge_stencil(grid: Grid, axis: int) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
-    """Sparse edge operators (D_l, D_t) of one axis family on flat node values.
+def edge_stencil(grid: Grid, axis: int) -> tuple[sp.csr_matrix, ...]:
+    """Sparse edge operators of one axis family on flat node values.
 
-    ``D_l`` is the longitudinal difference ``gradient_matrices(grid)[axis]``;
-    ``D_t`` reconstructs the transverse derivative as the edge average of
-    nodal central differences, i.e. the mean of the four neighboring
-    transverse differences, with zero rows on the boundary. ``D_t`` is
-    None in 1D.
+    Only the operators that exist, longitudinal first: ``(D_l,)`` in 1D
+    and ``(D_l, D_t)`` in 2D, never None. ``D_l`` is the longitudinal
+    difference ``gradient_matrices(grid)[axis]``; ``D_t`` reconstructs
+    the transverse derivative as the edge average of nodal central
+    differences, i.e. the mean of the four neighboring transverse
+    differences, with zero rows on the boundary. A grid has at most two
+    axes, so the other axis of a 2D grid is the transverse one.
     """
-    d_long = gradient_matrices(grid)[axis]
-    if grid.dim == 1:
-        return d_long, None
-    nx, ny = grid.cells
-    if axis == 0:
-        d_trans = sp.kron(_axis_average_matrix(nx), _axis_central_matrix(ny, grid.h[1]), format="csr")
-    else:
-        d_trans = sp.kron(_axis_central_matrix(nx, grid.h[0]), _axis_average_matrix(ny), format="csr")
-    return d_long, d_trans
+    transverse = [
+        _tensor(grid, axis, lambda n, h: _axis_average_matrix(n), _axis_central_matrix)
+        for _ in range(1, grid.dim)
+    ]
+    return (gradient_matrices(grid)[axis], *transverse)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+_AXIS_NAMES = ("x", "y")
+
+
+def _write_rows(path, names, blocks) -> None:
+    """CSV with the header ``names``. Each block is a list of equal-shape
+    columns, written row by row in C order, 17 significant digits."""
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for columns in blocks:
+            fh.writelines(row % r for r in zip(*(np.ravel(c).tolist() for c in columns)))
 
 
 def write_node_csv(u: NodeField, path) -> None:
     """CSV with header x[,y],value, nodes in row-major order, 17 significant digits."""
     g = u.grid
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if g.dim == 1:
-            fh.write("x,value\n")
-            xs = g.axis_coords(0)
-            for i in range(g.cells[0]):
-                fh.write(f"{_fmt(xs[i])},{_fmt(u.values[i])}\n")
-        else:
-            fh.write("x,y,value\n")
-            xs = g.axis_coords(0)
-            ys = g.axis_coords(1)
-            for i in range(g.cells[0]):
-                for j in range(g.cells[1]):
-                    fh.write(f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(u.values[i, j])}\n")
+    _write_rows(path, [*_AXIS_NAMES[: g.dim], "value"], [[*g.meshgrid(), u.values]])
 
 
 def read_node_csv(path, grid: Grid) -> NodeField:
@@ -421,31 +399,24 @@ def read_node_csv(path, grid: Grid) -> NodeField:
             f"csv holds {raw.shape[0]} rows of {raw.shape[1]} columns, "
             f"grid needs {grid.node_count} nodes in {grid.dim}D"
         )
-    coords = np.stack(
-        [m.reshape(-1) for m in np.meshgrid(*(grid.axis_coords(k) for k in range(grid.dim)), indexing="ij")],
-        axis=1,
-    )
+    coords = np.stack([m.reshape(-1) for m in grid.meshgrid()], axis=1)
     if not np.allclose(raw[:, : grid.dim], coords, rtol=0.0, atol=1e-12):
         raise ValueError("csv node coordinates do not match the grid")
     return NodeField.from_flat(grid, raw[:, grid.dim])
 
 
 def write_edge_csv(q: EdgeField, path) -> None:
-    """CSV of edge midpoints with header x[,y],axis,value."""
+    """CSV of edge midpoints with header x[,y],axis,value, one axis family
+    after the other, each in row-major order."""
     g = q.grid
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        head = "x,axis,value\n" if g.dim == 1 else "x,y,axis,value\n"
-        fh.write(head)
-        for k in range(g.dim):
-            comp = q.components[k]
-            mids = [g.axis_coords(j) for j in range(g.dim)]
-            mids[k] = 0.5 * (mids[k][:-1] + mids[k][1:])
-            if g.dim == 1:
-                for i, v in enumerate(comp):
-                    fh.write(f"{_fmt(mids[0][i])},{k},{_fmt(v)}\n")
-            else:
-                for i in range(comp.shape[0]):
-                    for j in range(comp.shape[1]):
-                        fh.write(
-                            f"{_fmt(mids[0][i])},{_fmt(mids[1][j])},{k},{_fmt(comp[i, j])}\n"
-                        )
+    coords = g.meshgrid()
+
+    def block(k, comp):
+        lo = (slice(None),) * k + (slice(None, -1),)
+        hi = (slice(None),) * k + (slice(1, None),)
+        mids = [c[lo] for c in coords]
+        mids[k] = 0.5 * (coords[k][lo] + coords[k][hi])
+        return [*mids, np.full(comp.shape, k), comp]
+
+    names = [*_AXIS_NAMES[: g.dim], "axis", "value"]
+    _write_rows(path, names, (block(k, comp) for k, comp in enumerate(q.components)))

@@ -20,14 +20,16 @@ solved by minimizing the discrete energy
            + (tau/2) u^2 - rhs u,
 
 whose exact gradient and Hessian are assembled from the sparse edge
-operators of ``mesh.edge_stencil`` (longitudinal D_l and, in 2D,
-transverse D_t): the gradient is sum_i D_i^T (W F z_i) and the Hessian
-sum_ij D_i^T diag(W h_ij) D_j, with h the edgewise energy Hessian. The
-1/dim factor compensates for sampling the full edge gradient once per
-axis family. Strict convexity of the edge energy makes the Hessian symmetric
-positive definite, so Newton converges quadratically and the minimizer
-is unique. Newton runs on the fluctuation u - mean(u), which keeps the
-rounding error of the residual proportional to the fluctuation.
+operators D_i of ``mesh.edge_stencil`` (the longitudinal D_l, then in
+2D the transverse D_t) and the edge gradient samples z of
+``mesh.edge_gradients``: the gradient is sum_i D_i^T (W F z_i) and the
+Hessian sum_ij D_i^T diag(W h_ij) D_j, with h the edgewise energy
+Hessian, in every dimension alike. The 1/dim factor compensates for
+sampling the full edge gradient once per axis family. Strict convexity
+of the edge energy makes the Hessian symmetric positive definite, so
+Newton converges quadratically and the minimizer is unique. Newton runs
+on the fluctuation u - mean(u), which keeps the rounding error of the
+residual proportional to the fluctuation.
 
 Both problems run one damped Newton loop, ``_damped_newton``, with
 Armijo backtracking on the quadrature-weighted residual norm.
@@ -36,6 +38,9 @@ Inner linear systems are symmetric positive definite; they are solved
 with a sparse direct factorization by default, or with the bundled
 Jacobi-preconditioned conjugate gradient (which asserts positive
 curvature) when ``NewtonConfig.linear_solver = "pcg"``.
+
+A ``SolveReport`` holds only the Newton iteration count, the merit
+history and the convergence flag, with the same meaning for every caller.
 """
 
 from __future__ import annotations
@@ -108,27 +113,18 @@ def _require_int(name: str, value, minimum: int) -> None:
 
 @dataclass
 class SolveReport:
-    """Iteration trace of one nonlinear solve.
-
-    ``linear_solver_stats`` has one entry per linear solve of the Newton
-    loops behind this report: the conjugate-gradient iteration count, or
-    1 for a direct factorization. The outer coupled iteration solves no
-    linear system itself, so its report leaves the list empty.
-    """
+    """Iteration trace of one nonlinear solve: steps taken, the merit
+    (residual norm) before each step and at the end, and convergence."""
 
     iterations: int = 0
     residual_history: list[float] = field(default_factory=list)
     converged: bool = False
-    linear_solver_stats: list[int] = field(default_factory=list)
-    energy_history: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "iterations": int(self.iterations),
             "residual_history": [float(r) for r in self.residual_history],
             "converged": bool(self.converged),
-            "linear_solver_stats": [int(n) for n in self.linear_solver_stats],
-            "energy_history": [float(e) for e in self.energy_history],
         }
 
 
@@ -175,14 +171,11 @@ def pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int) -> tu
 
 def _linear_solve(a: sp.csr_matrix, b: np.ndarray, cfg: NewtonConfig, report: SolveReport) -> np.ndarray:
     if cfg.linear_solver == "pcg":
-        x, its = pcg(a.dot, b, a.diagonal(), cfg.pcg_tol, maxiter=max(10 * b.size, 1000))
-        report.linear_solver_stats.append(its)
-        return x
+        return pcg(a.dot, b, a.diagonal(), cfg.pcg_tol, maxiter=max(10 * b.size, 1000))[0]
     try:
         lu = spla.splu(sp.csc_matrix(a))
     except RuntimeError as err:  # SuperLU reports an exactly singular factor this way
         raise SolverError(f"sparse factorization failed: {err}", report) from err
-    report.linear_solver_stats.append(1)
     return lu.solve(b)
 
 
@@ -191,7 +184,7 @@ def _weighted_norm(w: np.ndarray, r: np.ndarray) -> float:
 
 
 def _damped_newton(
-    x, residual, jacobian, w, target, cfg, report, name, admissible=None, min_steps=0, on_accept=None
+    x, residual, jacobian, w, target, cfg, report, name, admissible=None, min_steps=0
 ) -> np.ndarray:
     """Damped Newton with Armijo backtracking on the merit |residual|_w.
 
@@ -199,15 +192,12 @@ def _damped_newton(
     ``admissible`` are backtracked without evaluating the residual.
     Converged once the merit is at most ``target`` after at least
     ``min_steps`` steps, or when the line search fails on such an iterate
-    (the merit is at its rounding floor). ``on_accept`` sees the start
-    and every accepted iterate; ``report`` collects the trace.
+    (the merit is at its rounding floor). ``report`` collects the trace.
     """
     res = residual(x)
     merit = _weighted_norm(w, res)
     for it in range(cfg.max_iter + 1):
         report.residual_history.append(merit)
-        if on_accept is not None:
-            on_accept(x)
         if merit <= target and it >= min_steps:
             report.converged = True
             return x
@@ -364,12 +354,11 @@ def solve_rho(
 
 
 def _absorb(total: SolveReport, rep: SolveReport | None) -> None:
-    """Append one inner solve's iterations, residuals and linear solves."""
+    """Append one inner solve's iterations and residuals."""
     if rep is None:
         return
     total.iterations += rep.iterations
     total.residual_history.extend(rep.residual_history)
-    total.linear_solver_stats.extend(rep.linear_solver_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +366,12 @@ def _absorb(total: SolveReport, rep: SolveReport | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _edge_vectors(u: NodeField) -> list[np.ndarray]:
-    """Full gradient samples at edges, shape (E, dim) per axis family."""
-    out = []
-    for d_long, d_trans in mesh.edge_gradients(u):
-        if d_trans is None:
-            out.append(d_long.reshape(-1, 1))
-        else:
-            out.append(np.stack([d_long.reshape(-1), d_trans.reshape(-1)], axis=1))
-    return out
-
-
 def surface_energy(u: NodeField, params: ModelParams) -> float:
     """Discrete integral of the smoothed energy density of grad u."""
     grid = u.grid
     total = 0.0
-    for axis, z in enumerate(_edge_vectors(u)):
-        wvec = mesh.edge_weight_vectors(grid)[axis]
-        total += float(np.sum(wvec * energy_density(z, params)))
+    for z, wvec in zip(mesh.edge_gradients(u), mesh.edge_weight_vectors(grid)):
+        total += float(np.sum(wvec * energy_density(z, params).ravel()))
     return total / grid.dim
 
 
@@ -414,7 +391,7 @@ def height_energy(u: NodeField, params: ModelParams, rhs: NodeField) -> float:
 def _edge_operators(grid: Grid) -> tuple:
     """Per axis family, (D, D^T) for each operator of ``mesh.edge_stencil``."""
     return tuple(
-        tuple((d, sp.csr_matrix(d.T)) for d in mesh.edge_stencil(grid, axis) if d is not None)
+        tuple((d, sp.csr_matrix(d.T)) for d in mesh.edge_stencil(grid, axis))
         for axis in range(grid.dim)
     )
 
@@ -430,10 +407,10 @@ def _energy_gradient_vec(u: NodeField, params: ModelParams) -> np.ndarray:
     """Exact gradient of the edge-energy sum: sum over operators D^T (W F z)."""
     grid = u.grid
     out = np.zeros(grid.node_count)
-    for ops, z, wvec in zip(_edge_operators(grid), _edge_vectors(u), mesh.edge_weight_vectors(grid)):
-        f = flux_coefficient(np.sum(z * z, axis=1), params)
+    for ops, z, wvec in zip(_edge_operators(grid), mesh.edge_gradients(u), mesh.edge_weight_vectors(grid)):
+        f = flux_coefficient(np.sum(z * z, axis=-1), params)
         for i, (_, dt) in enumerate(ops):
-            out += dt @ (wvec * (f * z[:, i]))
+            out += dt @ (wvec * (f * z[..., i]).ravel())
     return out / grid.dim
 
 
@@ -442,10 +419,10 @@ def _energy_hessian_matrix(u: NodeField, params: ModelParams) -> sp.csr_matrix:
     D_i^T diag(W h_ij) D_j (sparse, symmetric, PSD)."""
     grid = u.grid
     terms = []
-    for ops, z, wvec in zip(_edge_operators(grid), _edge_vectors(u), mesh.edge_weight_vectors(grid)):
+    for ops, z, wvec in zip(_edge_operators(grid), mesh.edge_gradients(u), mesh.edge_weight_vectors(grid)):
         h = energy_hessian(z, params)
         terms += [
-            dt_i @ _scale_rows(d_j, wvec * h[:, i, j])
+            dt_i @ _scale_rows(d_j, wvec * h[..., i, j].ravel())
             for i, (_, dt_i) in enumerate(ops)
             for j, (d_j, _) in enumerate(ops)
         ]
@@ -508,8 +485,8 @@ def _height_newton(
     A(v) + tau c; evaluating it on the small fluctuation instead of on u
     keeps the rounding error of the differences proportional to |v|, not
     |u|, which would otherwise put a floor on the merit above the
-    tolerance at small tau and fine grids. Iterations, residuals and
-    energies are appended to ``report``.
+    tolerance at small tau and fine grids. Iterations and residuals are
+    appended to ``report``.
     """
     grid = rhs.grid
     k = mesh.stiffness_matrix(grid)
@@ -525,9 +502,6 @@ def _height_newton(
         e_hess = _energy_hessian_matrix(NodeField.from_flat(grid, vec), params)
         return e_hess + params.delta * k + sp.diags(params.tau * w)
 
-    def record_energy(vec):
-        report.energy_history.append(height_energy(NodeField.from_flat(grid, c + vec), params, rhs))
-
     target = cfg.tol_residual * (1.0 + _weighted_norm(w, rv))
-    v = _damped_newton(start - c, residual, hessian, w, target, cfg, report, "height", on_accept=record_energy)
+    v = _damped_newton(start - c, residual, hessian, w, target, cfg, report, "height")
     return NodeField.from_flat(grid, c + v)

@@ -395,3 +395,35 @@ def test_numerical_overflow_is_solver_error(tmp_path, capsys, mode, overrides):
     assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mode, payload",
+    [
+        ("evolve", {**BASE, "u0": 1.0, "dt": 0.1, "nsteps": True}),
+        ("stationary", {**BASE, "params": {**BASE["params"], "tau": True}, "source": 1.0}),
+        ("evolve", {**BASE, "u0": True, "dt": 0.1, "nsteps": 2}),
+        ("stationary", {**BASE, "source": True}),
+        ("evolve", {**BASE, "u0": 1.0, "dt": "0.05", "nsteps": 2}),
+        ("stationary", {**BASE, "source": 1.0, "picard": {"relaxation": True, "delta_polish": False}}),
+        ("stationary", {**BASE, "source": 1.0, "newton": {"tol_residual": True}}),
+    ],
+)
+def test_config_error_numeric_entries_need_json_numbers(tmp_path, capsys, mode, payload):
+    # booleans and numeric strings are not numbers: true is not 1, "0.05" is not 0.05
+    assert_config_error(tmp_path, capsys, mode, payload)
+
+
+@pytest.mark.parametrize("picard, delta", [({}, 1e-10), ({"delta_polish": None}, 1e-6)])
+def test_outputs_record_the_solved_params(tmp_path, picard, delta):
+    # params.delta is 1e-6; the default delta_polish caps the solved system at 1e-10
+    runs = [
+        ("stationary", {**BASE, "source": 1.0, "picard": picard}, "report.json"),
+        ("evolve", {**BASE, "u0": 1.0, "dt": 0.1, "nsteps": 1, "picard": picard}, "manifest.json"),
+    ]
+    for mode, payload, name in runs:
+        out = tmp_path / mode
+        cfg = write_config(tmp_path / f"{mode}.json", payload)
+        assert main([mode, "--config", cfg, "--out", str(out)]) == 0
+        params = json.loads((out / name).read_text())["params"]
+        assert params == {**BASE["params"], "delta": delta}

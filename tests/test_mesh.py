@@ -15,10 +15,12 @@ from crystalsurf.mesh import (
     gradient,
     integrate,
     laplacian,
+    node_gradient,
     norm_lp,
     read_node_csv,
     stiffness_matrix,
     w1p_norm,
+    write_edge_csv,
     write_node_csv,
 )
 
@@ -153,7 +155,7 @@ def test_stiffness_matches_dirichlet_integral(rng):
 def test_edge_gradient_transverse_reconstruction():
     g = Grid.rectangle((1.0, 1.0), (9, 9))
     u = NodeField.from_function(g, lambda x, y: x + 2 * y)
-    (dlx, dtx), (dly, dty) = edge_gradients(u)
+    (dlx, dtx), (dly, dty) = (np.moveaxis(z, -1, 0) for z in edge_gradients(u))
     assert np.allclose(dlx, 1.0) and np.allclose(dly, 2.0)
     # interior transverse values recover the perpendicular slope, boundary rows are zero
     assert np.allclose(dtx[:, 1:-1], 2.0)
@@ -167,7 +169,7 @@ def test_edge_gradient_transverse_is_four_point_mean(rng):
     # random field on a grid with unequal extents and node counts per axis
     g = Grid.rectangle((1.0, 2.0), (9, 7))
     u = rng.standard_normal(g.shape)
-    (dlx, dtx), (dly, dty) = edge_gradients(NodeField(g, u))
+    (dlx, dtx), (dly, dty) = (np.moveaxis(z, -1, 0) for z in edge_gradients(NodeField(g, u)))
     dx = np.diff(u, axis=0) / g.h[0]
     dy = np.diff(u, axis=1) / g.h[1]
     assert np.allclose(dlx, dx, rtol=1e-14, atol=0.0) and np.allclose(dly, dy, rtol=1e-14, atol=0.0)
@@ -188,3 +190,91 @@ def test_node_csv_round_trip(tmp_path, rng):
         assert np.array_equal(back.values, u.values)
     with pytest.raises(ValueError):
         read_node_csv(path, Grid.rectangle((1.0, 2.0), (9, 6)))
+
+
+def test_node_gradient_central_inside_one_sided_at_ends(rng):
+    g = Grid.rectangle((1.0, 2.0), (9, 7))
+    u = rng.standard_normal(g.shape)
+    gx, gy = node_gradient(NodeField(g, u))
+    hx, hy = g.h
+    expect_x = np.empty(g.shape)
+    expect_x[1:-1] = (u[2:] - u[:-2]) / (2.0 * hx)
+    expect_x[0] = (u[1] - u[0]) / hx
+    expect_x[-1] = (u[-1] - u[-2]) / hx
+    expect_y = np.empty(g.shape)
+    expect_y[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * hy)
+    expect_y[:, 0] = (u[:, 1] - u[:, 0]) / hy
+    expect_y[:, -1] = (u[:, -1] - u[:, -2]) / hy
+    assert np.allclose(gx, expect_x, rtol=1e-13, atol=1e-13)
+    assert np.allclose(gy, expect_y, rtol=1e-13, atol=1e-13)
+
+
+def test_node_csv_golden_interval(tmp_path):
+    u = NodeField(Grid.interval(1.0, 4), np.array([0.1, -2.5, 1.0 / 3.0, 1e-20]))
+    write_node_csv(u, tmp_path / "u.csv")
+    assert (tmp_path / "u.csv").read_bytes() == (
+        b"x,value\n"
+        b"0,0.10000000000000001\n"
+        b"0.33333333333333331,-2.5\n"
+        b"0.66666666666666663,0.33333333333333331\n"
+        b"1,9.9999999999999995e-21\n"
+    )
+
+
+def test_edge_csv_golden_interval(tmp_path):
+    q = EdgeField(Grid.interval(1.0, 4), (np.array([0.1, -2.5, 1.0 / 3.0]),))
+    write_edge_csv(q, tmp_path / "q.csv")
+    assert (tmp_path / "q.csv").read_bytes() == (
+        b"x,axis,value\n"
+        b"0.16666666666666666,0,0.10000000000000001\n"
+        b"0.5,0,-2.5\n"
+        b"0.83333333333333326,0,0.33333333333333331\n"
+    )
+
+
+def test_node_csv_golden_rectangle(tmp_path):
+    # unequal extents and node counts: x has 3 nodes on [0, 1], y 4 on [0, 0.3]
+    g = Grid.rectangle((1.0, 0.3), (3, 4))
+    write_node_csv(NodeField(g, np.arange(12.0).reshape(3, 4) / 7), tmp_path / "u.csv")
+    assert (tmp_path / "u.csv").read_text() == (
+        "x,y,value\n"
+        "0,0,0\n"
+        "0,0.099999999999999992,0.14285714285714285\n"
+        "0,0.19999999999999998,0.2857142857142857\n"
+        "0,0.29999999999999999,0.42857142857142855\n"
+        "0.5,0,0.5714285714285714\n"
+        "0.5,0.099999999999999992,0.7142857142857143\n"
+        "0.5,0.19999999999999998,0.8571428571428571\n"
+        "0.5,0.29999999999999999,1\n"
+        "1,0,1.1428571428571428\n"
+        "1,0.099999999999999992,1.2857142857142858\n"
+        "1,0.19999999999999998,1.4285714285714286\n"
+        "1,0.29999999999999999,1.5714285714285714\n"
+    )
+
+
+def test_edge_csv_golden_rectangle(tmp_path):
+    # axis-0 edges first (x midpoints, y nodes), then axis-1 edges (x nodes, y midpoints)
+    g = Grid.rectangle((1.0, 0.3), (3, 4))
+    q = EdgeField(g, (np.arange(8.0).reshape(2, 4) / 3, -np.arange(9.0).reshape(3, 3) / 9))
+    write_edge_csv(q, tmp_path / "q.csv")
+    assert (tmp_path / "q.csv").read_text() == (
+        "x,y,axis,value\n"
+        "0.25,0,0,0\n"
+        "0.25,0.099999999999999992,0,0.33333333333333331\n"
+        "0.25,0.19999999999999998,0,0.66666666666666663\n"
+        "0.25,0.29999999999999999,0,1\n"
+        "0.75,0,0,1.3333333333333333\n"
+        "0.75,0.099999999999999992,0,1.6666666666666667\n"
+        "0.75,0.19999999999999998,0,2\n"
+        "0.75,0.29999999999999999,0,2.3333333333333335\n"
+        "0,0.049999999999999996,1,-0\n"
+        "0,0.14999999999999999,1,-0.1111111111111111\n"
+        "0,0.25,1,-0.22222222222222221\n"
+        "0.5,0.049999999999999996,1,-0.33333333333333331\n"
+        "0.5,0.14999999999999999,1,-0.44444444444444442\n"
+        "0.5,0.25,1,-0.55555555555555558\n"
+        "1,0.049999999999999996,1,-0.66666666666666663\n"
+        "1,0.14999999999999999,1,-0.77777777777777779\n"
+        "1,0.25,1,-0.88888888888888884\n"
+    )
