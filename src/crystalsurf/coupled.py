@@ -7,9 +7,9 @@ The stationary system couples the density and height equations
 
 with homogeneous Neumann conditions. ``picard_map`` evaluates the
 composition map B: given a height iterate v, solve the density equation
-with source f - a v, then the height equation with source ln rho, each
-by the single damped Newton core of ``solvers`` and optionally
-warm-started from a previous density and height.
+with source f - a v (Newton in ln rho), then the height equation with
+source ln rho, each by the single damped Newton core of ``solvers`` and
+optionally warm-started from a previous density and height.
 
 ``solve_coupled`` runs a damped iteration on B with one structural
 addition: integrating both equations shows that the discrete solution
@@ -78,7 +78,7 @@ class PicardConfig:
     """Outer fixed-point iteration controls.
 
     The relaxation weight is adapted: halved when the combined equation
-    residual grows, grown by 1.2 (clamped to 1) when it shrinks.
+    residual grows, grown by 1.2 (capped at 1) when it shrinks.
     ``delta_polish`` caps the height viscosity: the coupled solve runs
     at min(params.delta, delta_polish), or at params.delta when it is
     None (as the manufactured-solution study needs, whose analytic
@@ -208,8 +208,10 @@ def solve_coupled(
     outer iterate (default: the constant with the known mean). ``rho0``
     warm-starts the first density solve, e.g. from the density of a
     nearby problem; each later outer step warm-starts its inner solves
-    from the previous step's density and height map. Any warm start that
-    fails falls back to the cold inner solve, so it changes cost, not the
+    from the previous step's density and height map. An inner Newton
+    solve whose warm start fails is retried in the same loop from its
+    cold start (s = ln rho - mean(g)/tau = 0 for the density, the
+    constant for the height), so warm starts change cost, not the
     solution beyond solver tolerance.
     """
     cfg = picard_cfg or PicardConfig()

@@ -10,9 +10,9 @@ gradient factors through the scalar flux coefficient
 
     F(s) = (s + tau)^((p-2)/2) + beta0 (s + tau)^(-1/2),   grad e(z) = F(|z|^2) z.
 
-This module also provides the logarithmic barrier used by the density
-solver and the subgradient selection for the total-variation term at the
-multivalued point z = 0. All functions are pure, stateless, and safe to
+This module also provides the logarithmic barrier used by the regularized
+density solver and the subgradient selection for the total-variation term
+at the multivalued point z = 0. All functions are pure, stateless, and safe to
 call concurrently; they broadcast over leading array dimensions (``z``
 has shape (..., N), scalars have shape (...)).
 """
@@ -159,7 +159,7 @@ def barrier_zero_point(delta: float) -> float:
 def subgradient_select(z):
     """Selection z/|z| from the total-variation subdifferential, 0 at z = 0.
 
-    Any vector in beta0 [-1,1]^N is admissible at the origin; the zero
+    Any vector in beta0 [-1,1]^N is a valid selection at the origin; the zero
     selection is fixed for determinism and symmetry.
     """
     z = np.asarray(z, dtype=float)

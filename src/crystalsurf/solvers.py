@@ -1,14 +1,15 @@
 """Newton solvers for the two decoupled scalar problems.
 
-Density problem (barrier-regularized semilinear equation):
+Density problem (limit semilinear equation):
 
-    -lap rho + delta rho + tau psi_delta(rho) = g,   grad rho . nu = 0,
+    -lap rho + tau ln rho = g,   grad rho . nu = 0,
 
-solved by damped Newton; ``solve_rho`` drives delta to zero along a
-geometric schedule and finishes with an exact-logarithm polish so the
-limit equation -lap rho + tau ln rho = g holds at solver tolerance.
-Given a positive warm start it runs the exact-logarithm stage alone,
-falling back to the schedule if that fails.
+solved by ``solve_rho`` with damped Newton on s = ln rho - mean_w(g)/tau,
+so the density is positive by construction and the residual differences
+only the fluctuation of rho. Warm and cold solves are the same loop from
+different starts. ``solve_rho_delta`` solves the paper's barrier
+regularization -lap rho + delta rho + tau psi_delta(rho) = g for
+delta in (0,1) by Newton on rho itself.
 
 Height problem (convex variational equation):
 
@@ -31,8 +32,9 @@ Newton converges quadratically and the minimizer is unique. Newton runs
 on the fluctuation u - mean(u), which keeps the rounding error of the
 residual proportional to the fluctuation.
 
-Both problems run one damped Newton loop, ``_damped_newton``, with
-Armijo backtracking on the quadrature-weighted residual norm.
+All three solves run one damped Newton loop, ``_damped_newton``, with
+Armijo backtracking on the quadrature-weighted residual norm; each
+passes its own linear solve for the Newton step.
 
 Inner linear systems are symmetric positive definite; they are solved
 with a sparse direct factorization by default, or with the bundled
@@ -74,8 +76,9 @@ __all__ = [
     "apply_height_operator",
     "height_energy",
     "surface_energy",
-    "default_delta_schedule",
 ]
+
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass
@@ -183,43 +186,37 @@ def _weighted_norm(w: np.ndarray, r: np.ndarray) -> float:
     return float(np.sqrt(np.sum(w * r * r)))
 
 
-def _damped_newton(
-    x, residual, jacobian, w, target, cfg, report, name, admissible=None, min_steps=0
-) -> np.ndarray:
+def _damped_newton(x, residual, solve, w, target, cfg, report, name) -> np.ndarray:
     """Damped Newton with Armijo backtracking on the merit |residual|_w.
 
-    Steps solve ``jacobian(x) step = -w residual(x)``; trials failing
-    ``admissible`` are backtracked without evaluating the residual.
-    Converged once the merit is at most ``target`` after at least
-    ``min_steps`` steps, or when the line search fails on such an iterate
-    (the merit is at its rounding floor). ``report`` collects the trace.
+    Each step is ``solve(x, -w residual(x))``, the solve with W times
+    the Jacobian of ``residual`` at x. Converged once the merit is at
+    most ``target``, so a start within target is returned as is.
+    ``report`` collects the trace.
     """
     res = residual(x)
     merit = _weighted_norm(w, res)
     for it in range(cfg.max_iter + 1):
         report.residual_history.append(merit)
-        if merit <= target and it >= min_steps:
+        if merit <= target:
             report.converged = True
             return x
         if it == cfg.max_iter:
             break
-        step = _linear_solve(jacobian(x), -w * res, cfg, report)
+        step = solve(x, -w * res)
         report.iterations += 1
         s = 1.0
         for _ in range(cfg.max_backtracks + 1):
             trial = x + s * step
-            if admissible is None or admissible(trial):
+            with np.errstate(over="ignore"):  # an overflowing trial has merit inf and is backtracked
                 res_t = residual(trial)
                 merit_t = _weighted_norm(w, res_t)
-                if merit_t <= (1.0 - cfg.armijo_decrease * s) * merit:
-                    x, res, merit = trial, res_t, merit_t
-                    break
+            if merit_t <= (1.0 - cfg.armijo_decrease * s) * merit:
+                x, res, merit = trial, res_t, merit_t
+                break
             s *= cfg.armijo_factor
         else:
-            if merit > target:
-                raise SolverError(f"{name} Newton line search failed", report)
-            report.converged = True
-            return x
+            raise SolverError(f"{name} Newton line search failed", report)
     raise SolverError(f"{name} Newton did not converge in {cfg.max_iter} iterations", report)
 
 
@@ -228,137 +225,94 @@ def _damped_newton(
 # ---------------------------------------------------------------------------
 
 
-def default_delta_schedule() -> np.ndarray:
-    return np.geomspace(1e-1, 1e-8, 8)
-
-
-def _barrier(rho: np.ndarray, delta: float):
-    if delta > 0.0:
-        return log_barrier(rho, delta), log_barrier_slope(rho, delta)
-    # exact logarithm; callers guarantee positivity through the line search
-    return np.log(rho), 1.0 / rho
-
-
 def solve_rho_delta(
-    g: NodeField,
-    tau: float,
-    delta: float,
-    cfg: NewtonConfig | None = None,
-    rho0: NodeField | None = None,
+    g: NodeField, tau: float, delta: float, cfg: NewtonConfig | None = None
 ) -> tuple[NodeField, SolveReport]:
     """Solve -lap rho + delta rho + tau psi_delta(rho) = g by damped Newton.
 
-    Requires tau > 0 or delta > 0 (both zero is ill posed). ``delta = 0``
-    selects the exact logarithm and demands a strictly positive start,
-    the line search then keeps iterates positive. The exact-logarithm
-    stage always takes at least one Newton step, so a start that already
-    meets the tolerance is still polished; if that step's line search
-    fails on an iterate within tolerance (the merit is at its rounding
-    floor), the iterate is returned as converged.
+    The paper's regularized density problem, for tau >= 0 and delta in
+    (0,1); the limit delta = 0 is ``solve_rho``. Starts from the constant
+    exp(mean(g)/tau), clipped to [e^-80, e^80] (1 when tau = 0).
     """
-    if tau < 0.0 or delta < 0.0 or delta >= 1.0:
-        raise ValueError("need tau >= 0 and delta in [0,1)")
-    if tau == 0.0 and delta == 0.0:
-        raise ValueError("tau = delta = 0 is ill posed for the density problem")
+    if tau < 0.0 or not 0.0 < delta < 1.0:
+        raise ValueError("need tau >= 0 and delta in (0,1)")
     cfg = cfg or NewtonConfig()
     grid = g.grid
     k = mesh.stiffness_matrix(grid)
     w = mesh.mass_vector(grid)
     gv = g.flat
-    gnorm = _weighted_norm(w, gv)
-
-    if rho0 is not None:
-        rho = rho0.flat.copy()
-    else:
-        gbar = float(np.sum(w * gv) / np.sum(w))
-        rho = np.full(gv.size, np.exp(np.clip(gbar / tau, -80.0, 80.0)) if tau > 0 else 1.0)
-    if delta == 0.0 and np.min(rho) <= 0.0:
-        raise SolverError("exact-logarithm solve needs a positive starting density")
+    gbar = float(np.sum(w * gv) / np.sum(w))
+    rho = np.full(gv.size, np.exp(np.clip(gbar / tau, -80.0, 80.0)) if tau > 0 else 1.0)
 
     def residual(r):
-        psi, _ = _barrier(r, delta)
-        return (k @ r) / w + delta * r + tau * psi - gv
+        return (k @ r) / w + delta * r + tau * log_barrier(r, delta) - gv
 
-    def jacobian(r):
-        _, slope = _barrier(r, delta)
-        return k + sp.diags(w * (delta + tau * slope))
+    def solve(r, rhs):
+        jac = k + sp.diags(w * (delta + tau * log_barrier_slope(r, delta)))
+        return _linear_solve(jac, rhs, cfg, report)
 
-    exact = delta == 0.0  # the exact logarithm keeps iterates positive, polishes at least once
-    positive = (lambda r: np.min(r) > 0.0) if exact else None
     report = SolveReport()
-    target = cfg.tol_residual * (1.0 + gnorm)
-    rho = _damped_newton(
-        rho, residual, jacobian, w, target, cfg, report, "density", positive, min_steps=int(exact)
-    )
+    target = cfg.tol_residual * (1.0 + _weighted_norm(w, gv))
+    rho = _damped_newton(rho, residual, solve, w, target, cfg, report, "density")
     return NodeField.from_flat(grid, rho), report
 
 
 def solve_rho(
-    g: NodeField,
-    tau: float,
-    cfg: NewtonConfig | None = None,
-    delta_schedule: np.ndarray | None = None,
-    rho0: NodeField | None = None,
+    g: NodeField, tau: float, cfg: NewtonConfig | None = None, rho0: NodeField | None = None
 ) -> tuple[NodeField, SolveReport]:
-    """Barrier continuation toward -lap rho + tau ln rho = g.
+    """Solve -lap rho + tau ln rho = g by Newton in the log variable.
 
-    Cold (``rho0`` None or not strictly positive): solves along a
-    decreasing delta schedule, each stage starting from the last, then
-    re-solves at delta = 0 so the limit equation holds at tolerance.
-    Warm (``rho0`` strictly positive, typically the density of a nearby
-    source): runs only the exact-logarithm stage from ``rho0`` and falls
-    back to the cold schedule if that fails; the report then also
-    carries the failed attempt's iterations and residuals.
+    The unknown is s = ln rho - sigma0, with sigma0 = mean_w(g)/tau the
+    log of the constant solution for the mean source and c = e^sigma0.
+    The residual c K expm1(s)/w + tau s + tau sigma0 - g differences only
+    the fluctuation expm1(s), so its rounding error does not grow like
+    rho/h^2, and rho = c e^s is strictly positive by construction. A step
+    solves the SPD system (K + diag(tau W/rho)) y = -W r and takes
+    ds = y/rho.
 
-    The returned density is strictly positive on the grid. A failure of
-    the final exact-logarithm stage raises with the inner error's
-    message, prefixed "density is not positive" only when the last
-    barrier stage ended non-positive (the source is too negative for the
-    resolution).
+    Newton starts from s = ln rho0 - sigma0 when ``rho0`` is strictly
+    positive (typically the density of a nearby source) and from s = 0
+    otherwise. A failed warm start is retried from s = 0, and the report
+    keeps both attempts' iterations and residuals. A warm start already
+    within tolerance is returned unchanged. Raises SolverError before any
+    exponential is taken when |sigma0| exceeds ln(max float).
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
     cfg = cfg or NewtonConfig()
-    schedule = default_delta_schedule() if delta_schedule is None else np.asarray(delta_schedule, float)
-    if schedule.size == 0 or np.any(schedule <= 0.0) or np.any(np.diff(schedule) >= 0.0):
-        raise ValueError("delta schedule must be strictly decreasing and positive")
-    total = SolveReport()
+    grid = g.grid
+    k = mesh.stiffness_matrix(grid)
+    w = mesh.mass_vector(grid)
+    gv = g.flat
+    sigma0 = float(np.sum(w * gv) / np.sum(w)) / tau
+    if not abs(sigma0) <= _LOG_MAX:
+        kind = "underflows" if sigma0 < 0.0 else "overflows"
+        raise SolverError(
+            f"density {kind}: |mean(g)/tau| = {abs(sigma0):.6g} exceeds ln(max float) = {_LOG_MAX:.6g}"
+        )
+    c = np.exp(sigma0)
+    shift = tau * sigma0 - gv
+
+    def residual(s):
+        return c * (k @ np.expm1(s)) / w + tau * s + shift
+
+    def solve(s, rhs):
+        rho = c * np.exp(s)
+        return _linear_solve(k + sp.diags(tau * w / rho), rhs, cfg, report) / rho
+
+    report = SolveReport()
+    target = cfg.tol_residual * (1.0 + _weighted_norm(w, gv))
     if rho0 is not None and np.min(rho0.values) > 0.0:
+        start = np.log(rho0.flat) - sigma0
         try:
-            rho, rep = solve_rho_delta(g, tau, 0.0, cfg, rho0=rho0)
-        except SolverError as err:
-            _absorb(total, err.report)
+            s = _damped_newton(start, residual, solve, w, target, cfg, report, "density")
+        except SolverError:
+            pass  # the failed attempt stays in the report
         else:
-            _absorb(total, rep)
-            total.converged = rep.converged
-            return rho, total
-    rho = None
-    for delta in schedule:
-        rho, rep = solve_rho_delta(g, tau, float(delta), cfg, rho0=rho)
-        _absorb(total, rep)
-    clamped = np.min(rho.values) <= 0.0
-    if clamped:
-        # the barrier stages undershoot when the source is strongly
-        # negative; the exact-logarithm stage can still recover a positive
-        # solution from a clamped start, so only fail if that breaks too
-        rho = NodeField(g.grid, np.maximum(rho.values, float(schedule[-1])))
-    try:
-        rho, rep = solve_rho_delta(g, tau, 0.0, cfg, rho0=rho)
-    except SolverError as err:
-        _absorb(total, err.report)
-        prefix = "density is not positive at this resolution (source too negative): " if clamped else ""
-        raise SolverError(f"{prefix}{err}", total) from err
-    _absorb(total, rep)
-    total.converged = rep.converged
-    return rho, total
-
-
-def _absorb(total: SolveReport, rep: SolveReport | None) -> None:
-    """Append one inner solve's iterations and residuals."""
-    if rep is None:
-        return
-    total.iterations += rep.iterations
-    total.residual_history.extend(rep.residual_history)
+            rho = rho0.flat.copy() if s is start else c * np.exp(s)
+            return NodeField.from_flat(grid, rho), report
+    s = _damped_newton(np.zeros(gv.size), residual, solve, w, target, cfg, report, "density")
+    return NodeField.from_flat(grid, c * np.exp(s)), report
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +452,10 @@ def _height_newton(
     def residual(vec):
         return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift
 
-    def hessian(vec):
+    def solve(vec, b):
         e_hess = _energy_hessian_matrix(NodeField.from_flat(grid, vec), params)
-        return e_hess + params.delta * k + sp.diags(params.tau * w)
+        return _linear_solve(e_hess + params.delta * k + sp.diags(params.tau * w), b, cfg, report)
 
     target = cfg.tol_residual * (1.0 + _weighted_norm(w, rv))
-    v = _damped_newton(start - c, residual, hessian, w, target, cfg, report, "height")
+    v = _damped_newton(start - c, residual, solve, w, target, cfg, report, "height")
     return NodeField.from_flat(grid, c + v)

@@ -341,6 +341,19 @@ def test_singular_jacobian_is_solver_error(tmp_path, capsys):
     assert "source too negative" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_density_overflow_is_named(tmp_path, capsys):
+    # the first density source has mean ~100 at tau = 0.1, so mean ln rho
+    # ~1000 lies beyond ln(max float); the solve says so before any
+    # exponential overflows (warnings are errors here)
+    source = {"kind": "patches", "patches": [{"box": [[0.0, 0.5]], "value": 2e4}]}
+    cfg = write_config(tmp_path / "c.json", {**BASE, "source": source})
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: rho-stage: density overflows")
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
 VALID_BY_MODE = {
     "stationary": {**BASE, "source": 1.0},
     "evolve": {**BASE, "u0": 1.0, "dt": 0.1, "nsteps": 2},

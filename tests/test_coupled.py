@@ -329,6 +329,20 @@ def test_rounding_floor_stationary_1025_nodes():
     assert_mean_identity(triple.u, f, p)
 
 
+@pytest.mark.parametrize("amplitude, tau", [(0.3, 0.05), (0.3, 0.01), (1.0, 0.05)])
+def test_rounding_floor_density_1025_nodes(amplitude, tau):
+    # (K rho)/w cancels terms of size rho/h^2; a density Newton on rho itself
+    # stalled above its target here, one on ln rho - mean differences only
+    # the fluctuation
+    grid = Grid.interval(1.0, 1025)
+    f = smooth_field(grid, np.random.default_rng(1), amplitude=amplitude, offset=0.5)
+    p = params_with(tau=tau)
+    triple, rep = solve_coupled(ProblemData(f, p))
+    assert rep.converged
+    assert np.min(triple.rho.values) > 0.0
+    assert_mean_identity(triple.u, f, p)
+
+
 @pytest.mark.parametrize("nodes, offset", [(257, 0.5), (129, 1.0)])
 def test_rounding_floor_tau_continuation(nodes, offset):
     f = floor_source(nodes, offset)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from crystalsurf import solvers
+from crystalsurf.coupled import ProblemData, picard_map
 from crystalsurf.energy import ModelParams, log_barrier
 from crystalsurf.mesh import (
     Grid,
@@ -147,12 +148,20 @@ def test_rho_comparison_monotonicity(grid, rng):
     assert np.all(rho1.values <= rho2.values + 1e-10)
 
 
-def test_rho_continuation_stage_stability(grid, rng):
-    # consecutive barrier stages agree once delta is small
-    g = smooth_field(grid, rng)
-    rho_a, _ = solve_rho(g, tau=0.5, delta_schedule=np.geomspace(1e-1, 1e-7, 7))
-    rho_b, _ = solve_rho(g, tau=0.5, delta_schedule=np.geomspace(1e-1, 1e-8, 8))
-    assert norm_l2(NodeField(grid, rho_a.values - rho_b.values)) <= 1e-6
+def test_rho_continuation_stage_stability(rng):
+    # the barrier-regularized density tends to the limit density as delta -> 0;
+    # for a constant density the relative gap is (delta/tau)(rho + tau/rho)
+    # to first order, and these densities near 1 keep it below 2 delta/tau
+    for grid in (Grid.interval(1.0, 65), Grid.rectangle((1.0, 1.0), (17, 17))):
+        g = smooth_field(grid, rng)
+        for tau in (0.5, 0.05, 1e-3):
+            rho, _ = solve_rho(g, tau)
+            gaps = []
+            for delta in (1e-6, 1e-8):
+                rho_delta, _ = solve_rho_delta(g, tau, delta)
+                gaps.append(np.max(np.abs(rho_delta.values - rho.values) / rho.values))
+                assert gaps[-1] <= 2.0 * delta / tau
+            assert 50.0 <= gaps[0] / gaps[1] <= 200.0
 
 
 def test_rho_jacobian_is_spd_via_pcg(grid, rng, monkeypatch):
@@ -177,83 +186,97 @@ def test_rho_rejects_tau_zero(grid):
         solve_rho(NodeField.zeros(grid), tau=0.0)
 
 
-def count_stages(monkeypatch, fail_first_exact_log=False):
-    """Record the delta of every solve_rho_delta call; optionally make the
-    first exact-logarithm stage fail after two iterations."""
-    deltas = []
-    original = solvers.solve_rho_delta
-
-    def counted(g, tau, delta, cfg=None, rho0=None):
-        deltas.append(delta)
-        if fail_first_exact_log and delta == 0.0 and deltas.count(0.0) == 1:
-            raise SolverError("forced", solvers.SolveReport(iterations=2, residual_history=[9.0, 8.0, 7.0]))
-        return original(g, tau, delta, cfg, rho0)
-
-    monkeypatch.setattr(solvers, "solve_rho_delta", counted)
-    return deltas
-
-
-def test_rho_warm_matches_cold(grid, rng, monkeypatch):
+def test_rho_warm_matches_cold(grid, rng):
     g = smooth_field(grid, rng)
     nearby = NodeField(grid, g.values + 0.05 * smooth_field(grid, rng).values)
     rho_cold, rep_cold = solve_rho(g, tau=0.3)
     rho_near, _ = solve_rho(nearby, tau=0.3)
-    deltas = count_stages(monkeypatch)
     rho_warm, rep_warm = solve_rho(g, tau=0.3, rho0=rho_near)
-    assert deltas == [0.0]  # exact-logarithm stage only, no fallback
     assert rep_warm.converged
-    assert rep_warm.iterations < rep_cold.iterations
+    # the warm start is much closer, but Newton in ln rho reaches this
+    # target from the cold start in as few steps
+    assert rep_warm.residual_history[0] <= 0.2 * rep_cold.residual_history[0]
+    assert rep_warm.iterations <= rep_cold.iterations
     # both stop once the merit is below 1e-10 (1 + |g|); the mean mode then
     # carries an error of order merit / tau
     assert np.abs(rho_warm.values - rho_cold.values).max() <= 1e-9
 
 
-def test_rho_warm_start_at_tolerance_converges_without_fallback(grid, rng, monkeypatch):
+def test_rho_warm_start_at_tolerance_converges_without_fallback(grid, rng):
     g = smooth_field(grid, rng)
     rho_cold, _ = solve_rho(g, tau=0.3)
-    deltas = count_stages(monkeypatch)
     rho, rep = solve_rho(g, tau=0.3, rho0=rho_cold)
-    assert deltas == [0.0]
     assert rep.converged
-    assert rep.iterations == 1  # the start meets the tolerance, one polishing step is still taken
-    assert np.abs(rho.values - rho_cold.values).max() <= 1e-9
-
-
-def test_rho_warm_start_at_rounding_floor_returns_start(grid, rng, monkeypatch):
-    # a step from a start at the rounding floor cannot cut the merit by the
-    # factor this Armijo constant demands; the line search then fails on an
-    # iterate already within tolerance, which is returned as converged
-    g = smooth_field(grid, rng)
-    rho_cold, _ = solve_rho(g, tau=0.3)
-    rho_floor, _ = solve_rho(g, tau=0.3, rho0=rho_cold)
-    deltas = count_stages(monkeypatch)
-    cfg = NewtonConfig(armijo_decrease=1.0 - 1e-9, max_backtracks=2)
-    rho, rep = solve_rho(g, tau=0.3, cfg=cfg, rho0=rho_floor)
-    assert deltas == [0.0]
-    assert rep.converged and rep.iterations == 1
-    assert len(rep.residual_history) == 1  # no step was accepted
-    np.testing.assert_array_equal(rho.values, rho_floor.values)
+    assert rep.iterations == 0 and len(rep.residual_history) == 1
+    np.testing.assert_array_equal(rho.values, rho_cold.values)
 
 
 def test_rho_warm_failure_falls_back_to_cold_schedule(grid, rng, monkeypatch):
+    # a failed warm start is retried from s = ln rho - sigma0 = 0 in the same loop
     g = smooth_field(grid, rng)
     rho_cold, rep_cold = solve_rho(g, tau=0.3)
-    deltas = count_stages(monkeypatch, fail_first_exact_log=True)
+    starts = []
+    original = solvers._damped_newton
+
+    def failing_first(x, residual, solve, w, target, cfg, report, name):
+        starts.append(x.copy())
+        if len(starts) == 1:
+            report.iterations += 2
+            report.residual_history += [9.0, 8.0]
+            raise SolverError("forced", report)
+        return original(x, residual, solve, w, target, cfg, report, name)
+
+    monkeypatch.setattr(solvers, "_damped_newton", failing_first)
     rho, rep = solve_rho(g, tau=0.3, rho0=NodeField.constant(grid, 2.0))
-    assert deltas == [0.0, *solvers.default_delta_schedule(), 0.0]
+    assert np.ptp(starts[0]) == 0.0 and starts[0][0] != 0.0
+    assert np.all(starts[1] == 0.0)
     np.testing.assert_array_equal(rho.values, rho_cold.values)
     # the failed attempt is part of the report
+    assert rep.converged
     assert rep.iterations == rep_cold.iterations + 2
-    assert rep.residual_history == [9.0, 8.0, 7.0, *rep_cold.residual_history]
+    assert rep.residual_history == [9.0, 8.0, *rep_cold.residual_history]
 
 
-def test_rho_nonpositive_start_runs_cold(grid, rng, monkeypatch):
+def test_rho_nonpositive_start_runs_cold(grid, rng):
     g = smooth_field(grid, rng)
-    rho_cold, _ = solve_rho(g, tau=0.3)
-    deltas = count_stages(monkeypatch)
-    rho, _ = solve_rho(g, tau=0.3, rho0=NodeField.zeros(grid))
-    assert deltas == [*solvers.default_delta_schedule(), 0.0]
+    rho_cold, rep_cold = solve_rho(g, tau=0.3)
+    rho, rep = solve_rho(g, tau=0.3, rho0=NodeField.zeros(grid))
     np.testing.assert_array_equal(rho.values, rho_cold.values)
+    assert rep.residual_history == rep_cold.residual_history
+
+
+def test_rho_cold_start_far_from_solution(grid, rng):
+    # g = f - v spans [-0.27, 1.22] at tau = 0.05, so the density reaches
+    # ~2.2e4 = e^10 against the start exp(mean g / tau); a barrier schedule
+    # from that start stalled in its line search
+    f = smooth_field(grid, rng, offset=0.5)
+    v = smooth_field(grid, rng, amplitude=0.1)
+    tau = 0.05
+    rho, rep = solve_rho(NodeField(grid, f.values - v.values), tau)
+    assert rep.converged and rep.iterations <= 5
+    assert np.min(rho.values) > 0.0 and np.max(rho.values) > 1e4
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=tau, delta=1e-6)
+    _, rho_map = picard_map(v, ProblemData(f, params))
+    np.testing.assert_array_equal(rho_map.values, rho.values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rho_overflowing_trial_steps_are_backtracked_quietly(grid):
+    # the density spans ~1e-201..1; full Newton steps in ln rho overshoot
+    # into exp overflow, which the line search rejects without warnings
+    g = NodeField.from_function(grid, lambda x: 5.0 * np.cos(np.pi * x) - 0.05)
+    rho, rep = solve_rho(g, tau=0.01)
+    assert rep.converged
+    assert 0.0 < np.min(rho.values) < 1e-150
+
+
+def test_rho_out_of_range_mean_fails_before_exp(grid):
+    # mean(g)/tau = +-1000 puts exp(mean ln rho) outside the float range
+    with np.errstate(all="raise"):
+        with pytest.raises(SolverError, match="density overflows"):
+            solve_rho(NodeField.constant(grid, 100.0), tau=0.1)
+        with pytest.raises(SolverError, match="density underflows"):
+            solve_rho(NodeField.constant(grid, -100.0), tau=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +337,10 @@ def test_u_warm_matches_cold(grid, params):
     start = NodeField(grid, u_cold.values + 1e-3 * np.cos(2 * np.pi * grid.meshgrid()[0]))
     u_warm, rep_warm = solve_u(rhs, params, u0=start)
     assert rep_warm.converged
-    assert rep_warm.iterations < rep_cold.iterations
+    # the warm start is much closer, but Newton in ln rho reaches this
+    # target from the cold start in as few steps
+    assert rep_warm.residual_history[0] <= 0.2 * rep_cold.residual_history[0]
+    assert rep_warm.iterations <= rep_cold.iterations
     assert np.abs(u_warm.values - u_cold.values).max() <= 1e-11
 
 
