@@ -188,15 +188,14 @@ def test_rho_rejects_tau_zero(grid):
 
 def test_rho_warm_matches_cold(grid, rng):
     g = smooth_field(grid, rng)
-    nearby = NodeField(grid, g.values + 0.05 * smooth_field(grid, rng).values)
+    # Newton in ln rho converges quadratically from the cold start, so the
+    # warm start saves a step once the nearby source is within ~1% of g
+    nearby = NodeField(grid, g.values + 0.005 * smooth_field(grid, rng).values)
     rho_cold, rep_cold = solve_rho(g, tau=0.3)
     rho_near, _ = solve_rho(nearby, tau=0.3)
     rho_warm, rep_warm = solve_rho(g, tau=0.3, rho0=rho_near)
     assert rep_warm.converged
-    # the warm start is much closer, but Newton in ln rho reaches this
-    # target from the cold start in as few steps
-    assert rep_warm.residual_history[0] <= 0.2 * rep_cold.residual_history[0]
-    assert rep_warm.iterations <= rep_cold.iterations
+    assert rep_warm.iterations < rep_cold.iterations
     # both stop once the merit is below 1e-10 (1 + |g|); the mean mode then
     # carries an error of order merit / tau
     assert np.abs(rho_warm.values - rho_cold.values).max() <= 1e-9
@@ -337,10 +336,7 @@ def test_u_warm_matches_cold(grid, params):
     start = NodeField(grid, u_cold.values + 1e-3 * np.cos(2 * np.pi * grid.meshgrid()[0]))
     u_warm, rep_warm = solve_u(rhs, params, u0=start)
     assert rep_warm.converged
-    # the warm start is much closer, but Newton in ln rho reaches this
-    # target from the cold start in as few steps
-    assert rep_warm.residual_history[0] <= 0.2 * rep_cold.residual_history[0]
-    assert rep_warm.iterations <= rep_cold.iterations
+    assert rep_warm.iterations < rep_cold.iterations
     assert np.abs(u_warm.values - u_cold.values).max() <= 1e-11
 
 
