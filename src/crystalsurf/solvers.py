@@ -39,7 +39,17 @@ passes its own linear solve for the Newton step.
 Inner linear systems are symmetric positive definite; they are solved
 with a sparse direct factorization by default, or with the bundled
 Jacobi-preconditioned conjugate gradient (which asserts positive
-curvature) when ``NewtonConfig.linear_solver = "pcg"``.
+curvature) when ``NewtonConfig.linear_solver = "pcg"``. SuperLU orders
+the columns by multiple minimum degree on A^T + A, which fits these
+symmetric matrices (COLAMD orders for A^T A and fills more), and keeps
+its default threshold pivoting.
+
+Each Newton matrix is assembled on a pattern fixed per grid, with no
+sparse products: the density matrix K + diag(tau W/rho) adds to a copy of
+the data of K at its cached diagonal positions, and the height matrix is
+data = B concat(W h_ij) + delta K + tau W on the cached pattern of
+``_hessian_pattern``, where the scatter matrix B holds every product
+D_i[e, a] D_j[e, b] / dim of the edge operators.
 
 A ``SolveReport`` holds only the Newton iteration count, the merit
 history and the convergence flag, with the same meaning for every caller.
@@ -49,6 +59,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,6 +90,7 @@ __all__ = [
 ]
 
 _LOG_MAX = float(np.log(np.finfo(float).max))
+_RHO_FLOOR = float(np.sqrt(np.finfo(float).tiny))  # density floor of the Newton matrix only
 
 
 @dataclass
@@ -175,8 +187,8 @@ def pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int) -> tu
 def _linear_solve(a: sp.csr_matrix, b: np.ndarray, cfg: NewtonConfig, report: SolveReport) -> np.ndarray:
     if cfg.linear_solver == "pcg":
         return pcg(a.dot, b, a.diagonal(), cfg.pcg_tol, maxiter=max(10 * b.size, 1000))[0]
-    try:
-        lu = spla.splu(sp.csc_matrix(a))
+    try:  # both Newton matrices are symmetric, so order by minimum degree on A^T + A
+        lu = spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # SuperLU reports an exactly singular factor this way
         raise SolverError(f"sparse factorization failed: {err}", report) from err
     return lu.solve(b)
@@ -225,6 +237,21 @@ def _damped_newton(x, residual, solve, w, target, cfg, report, name) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _stiffness_diagonal(grid: Grid) -> np.ndarray:
+    """Positions of the diagonal inside ``mesh.stiffness_matrix(grid).data``."""
+    k = mesh.stiffness_matrix(grid)
+    return np.flatnonzero(k.indices == np.repeat(np.arange(grid.node_count), np.diff(k.indptr)))
+
+
+def _stiffness_plus_diagonal(grid: Grid, d: np.ndarray) -> sp.csr_matrix:
+    """K + diag(d) on the pattern of K, which holds every diagonal entry."""
+    k = mesh.stiffness_matrix(grid)
+    data = k.data.copy()
+    data[_stiffness_diagonal(grid)] += d
+    return sp.csr_matrix((data, k.indices, k.indptr), shape=k.shape)
+
+
 def solve_rho_delta(
     g: NodeField, tau: float, delta: float, cfg: NewtonConfig | None = None
 ) -> tuple[NodeField, SolveReport]:
@@ -248,7 +275,7 @@ def solve_rho_delta(
         return (k @ r) / w + delta * r + tau * log_barrier(r, delta) - gv
 
     def solve(r, rhs):
-        jac = k + sp.diags(w * (delta + tau * log_barrier_slope(r, delta)))
+        jac = _stiffness_plus_diagonal(grid, w * (delta + tau * log_barrier_slope(r, delta)))
         return _linear_solve(jac, rhs, cfg, report)
 
     report = SolveReport()
@@ -268,7 +295,10 @@ def solve_rho(
     the fluctuation expm1(s), so its rounding error does not grow like
     rho/h^2, and rho = c e^s is strictly positive by construction. A step
     solves the SPD system (K + diag(tau W/rho)) y = -W r and takes
-    ds = y/rho.
+    ds = y/rho, with rho floored at sqrt(tiny) where c e^s underflows: the
+    exact Jacobian there is tau W alone, and the floor adds only
+    K sqrt(tiny). A converged density that underflows to 0 at some node
+    is a SolverError naming the underflow.
 
     Newton starts from s = ln rho0 - sigma0 when ``rho0`` is strictly
     positive (typically the density of a nearby source) and from s = 0
@@ -297,11 +327,12 @@ def solve_rho(
         return c * (k @ np.expm1(s)) / w + tau * s + shift
 
     def solve(s, rhs):
-        rho = c * np.exp(s)
-        return _linear_solve(k + sp.diags(tau * w / rho), rhs, cfg, report) / rho
+        rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
+        return _linear_solve(_stiffness_plus_diagonal(grid, tau * w / rho), rhs, cfg, report) / rho
 
     report = SolveReport()
     target = cfg.tol_residual * (1.0 + _weighted_norm(w, gv))
+    s = None
     if rho0 is not None and np.min(rho0.values) > 0.0:
         start = np.log(rho0.flat) - sigma0
         try:
@@ -309,10 +340,18 @@ def solve_rho(
         except SolverError:
             pass  # the failed attempt stays in the report
         else:
-            rho = rho0.flat.copy() if s is start else c * np.exp(s)
-            return NodeField.from_flat(grid, rho), report
-    s = _damped_newton(np.zeros(gv.size), residual, solve, w, target, cfg, report, "density")
-    return NodeField.from_flat(grid, c * np.exp(s)), report
+            if s is start:
+                return NodeField.from_flat(grid, rho0.flat.copy()), report
+    if s is None:
+        s = _damped_newton(np.zeros(gv.size), residual, solve, w, target, cfg, report, "density")
+    rho = c * np.exp(s)
+    if not np.min(rho) > 0.0:
+        raise SolverError(
+            f"density underflows: rho = e^{np.min(s) + sigma0:.6g} is below the smallest float "
+            f"at {np.count_nonzero(rho == 0.0)} of {rho.size} nodes",
+            report,
+        )
+    return NodeField.from_flat(grid, rho), report
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +389,69 @@ def _edge_operators(grid: Grid) -> tuple:
     )
 
 
-def _scale_rows(d: sp.csr_matrix, s: np.ndarray) -> sp.csr_matrix:
-    """diag(s) d for a CSR matrix, without building the diagonal."""
-    out = d.copy()
-    out.data *= np.repeat(s, np.diff(d.indptr))
-    return out
+class _HessianPattern(NamedTuple):
+    """Fixed CSR pattern of the height Newton matrix on one grid.
+
+    ``scatter`` (B) maps the edge coefficients concat(W h_ij), per axis
+    family and operator pair (i, j) in order, to the pattern's data, with
+    the 1/dim factor folded in. ``k_pos`` and ``diag`` are the positions
+    of the entries of K and of the diagonal inside that data.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: sp.csc_matrix
+    k_pos: np.ndarray
+    diag: np.ndarray
+
+
+def _edge_pairs(di: sp.csr_matrix, dj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of D_i^T diag(c) D_j: for each edge e, every pair of a
+    nonzero of row e of D_i with one of row e of D_j, grouped by edge.
+    Returns the positions of the pairs' entries in ``di.data`` and
+    ``dj.data``."""
+    ni = np.diff(di.indptr)
+    reps = np.repeat(np.diff(dj.indptr), ni)
+    first = np.cumsum(reps) - reps
+    return (
+        np.repeat(np.arange(di.nnz), reps),
+        np.repeat(np.repeat(dj.indptr[:-1], ni) - first, reps) + np.arange(reps.sum()),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _hessian_pattern(grid: Grid) -> _HessianPattern:
+    """Pattern and scatter matrix of the height Newton matrix, built at
+    the first height solve on a grid, one operator pair at a time with
+    int32 positions."""
+    n = grid.node_count
+    blocks = [(di, dj) for ops in _edge_operators(grid) for di, _ in ops for dj, _ in ops]
+    # sum |D_i|^T |D_j| adds positive terms only, so no entry cancels out of the pattern
+    pattern = sp.csr_matrix(sum(abs(di).T @ abs(dj) for di, dj in blocks)).sorted_indices()
+    flat = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr)) * n + pattern.indices
+
+    def position(rows, cols):  # index of each entry (rows, cols) in the pattern's data
+        return np.searchsorted(flat, rows.astype(np.int64) * n + cols)
+
+    per_edge = np.concatenate([np.diff(di.indptr) * np.diff(dj.indptr) for di, dj in blocks])
+    columns = np.r_[0, np.cumsum(per_edge)].astype(np.int32)  # one column of B per edge of each pair
+    rows = np.empty(columns[-1], dtype=np.int32)
+    vals = np.empty(columns[-1])
+    start = 0
+    for di, dj in blocks:
+        ti, tj = _edge_pairs(di, dj)
+        rows[start : start + ti.size] = position(di.indices[ti], dj.indices[tj])
+        vals[start : start + ti.size] = di.data[ti] * dj.data[tj] / grid.dim
+        start += ti.size
+    k = mesh.stiffness_matrix(grid)
+    nodes = np.arange(n)
+    return _HessianPattern(
+        indptr=pattern.indptr,
+        indices=pattern.indices,
+        scatter=sp.csc_matrix((vals, rows, columns), shape=(pattern.nnz, per_edge.size)),
+        k_pos=position(np.repeat(nodes, np.diff(k.indptr)), k.indices),
+        diag=position(nodes, nodes),
+    )
 
 
 def _energy_gradient_vec(u: NodeField, params: ModelParams) -> np.ndarray:
@@ -368,19 +465,21 @@ def _energy_gradient_vec(u: NodeField, params: ModelParams) -> np.ndarray:
     return out / grid.dim
 
 
-def _energy_hessian_matrix(u: NodeField, params: ModelParams) -> sp.csr_matrix:
-    """Exact Hessian of the edge-energy sum, sum over operator pairs
-    D_i^T diag(W h_ij) D_j (sparse, symmetric, PSD)."""
+def _height_newton_matrix(u: NodeField, params: ModelParams) -> sp.csr_matrix:
+    """W times the Jacobian of ``apply_height_operator`` at u: the exact
+    energy Hessian sum_ij D_i^T diag(W h_ij) D_j / dim plus delta K +
+    tau W (sparse, symmetric, positive definite), assembled on the fixed
+    pattern of ``_hessian_pattern`` without sparse products."""
     grid = u.grid
-    terms = []
-    for ops, z, wvec in zip(_edge_operators(grid), mesh.edge_gradients(u), mesh.edge_weight_vectors(grid)):
-        h = energy_hessian(z, params)
-        terms += [
-            dt_i @ _scale_rows(d_j, wvec * h[..., i, j].ravel())
-            for i, (_, dt_i) in enumerate(ops)
-            for j, (d_j, _) in enumerate(ops)
-        ]
-    return sum(terms) / grid.dim
+    pat = _hessian_pattern(grid)
+    coef = []
+    for z, wvec in zip(mesh.edge_gradients(u), mesh.edge_weight_vectors(grid)):
+        h = energy_hessian(z, params).reshape(wvec.size, -1)
+        coef += [wvec * h[:, m] for m in range(h.shape[1])]
+    data = pat.scatter @ np.concatenate(coef)
+    data[pat.k_pos] += params.delta * mesh.stiffness_matrix(grid).data
+    data[pat.diag] += params.tau * mesh.mass_vector(grid)
+    return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(grid.node_count, grid.node_count))
 
 
 def apply_height_operator(u: NodeField, params: ModelParams) -> NodeField:
@@ -443,7 +542,6 @@ def _height_newton(
     appended to ``report``.
     """
     grid = rhs.grid
-    k = mesh.stiffness_matrix(grid)
     w = mesh.mass_vector(grid)
     rv = rhs.flat
     c = float(np.sum(w * start) / np.sum(w))
@@ -453,8 +551,7 @@ def _height_newton(
         return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift
 
     def solve(vec, b):
-        e_hess = _energy_hessian_matrix(NodeField.from_flat(grid, vec), params)
-        return _linear_solve(e_hess + params.delta * k + sp.diags(params.tau * w), b, cfg, report)
+        return _linear_solve(_height_newton_matrix(NodeField.from_flat(grid, vec), params), b, cfg, report)
 
     target = cfg.tol_residual * (1.0 + _weighted_norm(w, rv))
     v = _damped_newton(start - c, residual, solve, w, target, cfg, report, "height")

@@ -4,10 +4,13 @@ import scipy.sparse as sp
 
 from crystalsurf import solvers
 from crystalsurf.coupled import ProblemData, picard_map
-from crystalsurf.energy import ModelParams, log_barrier
+from crystalsurf.energy import ModelParams, energy_hessian, log_barrier
 from crystalsurf.mesh import (
     Grid,
     NodeField,
+    edge_gradients,
+    edge_stencil,
+    edge_weight_vectors,
     integrate,
     laplacian,
     mass_vector,
@@ -278,6 +281,50 @@ def test_rho_out_of_range_mean_fails_before_exp(grid):
             solve_rho(NodeField.constant(grid, -100.0), tau=0.1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_rho_underflowing_solution_is_named():
+    # ln rho reaches -886 at one node, below the smallest float; Newton in s
+    # converges with the Jacobian floored where rho = c e^s underflows (no
+    # divide-by-zero warnings or NaN steps) and the solve names the underflow
+    grid = Grid.interval(1.0, 257)
+    g = smooth_field(grid, np.random.default_rng(2), amplitude=2.0, offset=-5e-3)
+    with pytest.raises(SolverError, match="density underflows") as err:
+        solve_rho(g, tau=1e-3)
+    assert err.value.report.converged
+
+
+@pytest.mark.filterwarnings("error")
+def test_rho_transient_underflow_converges():
+    # iterates underflow on the way to a subnormal but positive density
+    grid = Grid.rectangle((1.0, 1.0), (17, 17))
+    g = smooth_field(grid, np.random.default_rng(0), amplitude=1.0, offset=-5e-3)
+    rho, rep = solve_rho(g, tau=1e-3)
+    assert rep.converged
+    assert 0.0 < np.min(rho.values) < np.finfo(float).tiny
+
+
+def test_rho_newton_matrix_is_stiffness_plus_diagonal(grid, rng, monkeypatch):
+    # every step factors K + diag(tau W / rho); the first cold one has rho = c
+    matrices = []
+    real = solvers._linear_solve
+
+    def recording(a, b, cfg, report):
+        matrices.append(a)
+        return real(a, b, cfg, report)
+
+    monkeypatch.setattr(solvers, "_linear_solve", recording)
+    g = smooth_field(grid, rng)
+    tau = 0.3
+    solve_rho(g, tau)
+    k = stiffness_matrix(grid)
+    w = mass_vector(grid)
+    c = np.exp(float(np.sum(w * g.flat) / np.sum(w)) / tau)
+    np.testing.assert_array_equal(matrices[0].toarray(), (k + sp.diags(tau * w / c)).toarray())
+    off_k = (k - sp.diags(k.diagonal())).toarray()
+    for a in matrices[1:]:
+        np.testing.assert_array_equal((a - sp.diags(a.diagonal())).toarray(), off_k)
+
+
 # ---------------------------------------------------------------------------
 # height solves
 # ---------------------------------------------------------------------------
@@ -286,6 +333,11 @@ def test_rho_out_of_range_mean_fails_before_exp(grid):
 @pytest.fixture
 def params():
     return ModelParams(p=1.5, beta0=1.0, a=1.0, tau=0.1, delta=1e-6)
+
+
+HESS_GRIDS = pytest.mark.parametrize(
+    "hess_grid", [Grid.interval(2.0, 11), Grid.rectangle((1.0, 2.0), (9, 7))], ids=["1d", "2d"]
+)
 
 
 def test_u_constant_and_zero(grid, params):
@@ -364,19 +416,13 @@ def test_u_warm_failure_falls_back_to_constant_start(grid, params, monkeypatch):
     assert rep.residual_history == [9.0, 8.0, *rep_cold.residual_history]
 
 
-@pytest.mark.parametrize(
-    "hess_grid", [Grid.interval(2.0, 11), Grid.rectangle((1.0, 2.0), (9, 7))], ids=["1d", "2d"]
-)
+@HESS_GRIDS
 def test_height_hessian_matches_operator_jacobian(hess_grid, params, rng):
     # the assembled Newton matrix is W times the Jacobian of the nodewise operator
     g = hess_grid
     u = NodeField(g, 0.3 * rng.standard_normal(g.shape))
     w = mass_vector(g)
-    hess = (
-        solvers._energy_hessian_matrix(u, params)
-        + params.delta * stiffness_matrix(g)
-        + sp.diags(params.tau * w)
-    ).toarray()
+    hess = solvers._height_newton_matrix(u, params).toarray()
     eps = 1e-6
     jac = np.empty_like(hess)
     for j in range(g.node_count):
@@ -387,6 +433,38 @@ def test_height_hessian_matches_operator_jacobian(hess_grid, params, rng):
         jac[:, j] = (plus - minus) / (2.0 * eps)
     np.testing.assert_allclose(w[:, None] * jac, hess, rtol=0.0, atol=1e-7 * np.abs(hess).max())
     np.testing.assert_allclose(hess, hess.T, rtol=0.0, atol=1e-14 * np.abs(hess).max())
+
+
+@HESS_GRIDS
+def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
+    # the fixed-pattern assembly equals sum_ij D_i^T diag(W h_ij) D_j / dim + delta K + tau W
+    g = hess_grid
+    u = NodeField(g, 0.3 * rng.standard_normal(g.shape))
+    ref = params.delta * stiffness_matrix(g) + sp.diags(params.tau * mass_vector(g))
+    for axis, (z, wvec) in enumerate(zip(edge_gradients(u), edge_weight_vectors(g))):
+        h = energy_hessian(z, params)
+        ops = edge_stencil(g, axis)
+        for i, d_i in enumerate(ops):
+            for j, d_j in enumerate(ops):
+                ref = ref + d_i.T @ sp.diags(wvec * h[..., i, j].ravel()) @ d_j / g.dim
+    ref = ref.toarray()
+    mat = solvers._height_newton_matrix(u, params).toarray()
+    np.testing.assert_allclose(mat, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+
+
+def test_newton_solves_leave_cached_operators_unchanged(params, rng):
+    # both assemblies copy into fresh data arrays, never into a cached one
+    g = Grid.rectangle((1.0, 2.0), (9, 7))
+    k = stiffness_matrix(g)
+    pat = solvers._hessian_pattern(g)
+    cached = [k.data, k.indices, k.indptr, solvers._stiffness_diagonal(g), pat.indptr, pat.indices]
+    cached += [pat.scatter.data, pat.scatter.indices, pat.scatter.indptr, pat.k_pos, pat.diag]
+    before = [a.copy() for a in cached]
+    solve_rho(smooth_field(g, rng), 0.3)
+    solve_u(smooth_field(g, rng), params)
+    assert stiffness_matrix(g) is k and solvers._hessian_pattern(g) is pat
+    for a, b in zip(cached, before):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_u_2d_manufactured(params):
