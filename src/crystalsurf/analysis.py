@@ -31,7 +31,7 @@ import numpy as np
 
 from . import mesh
 from .coupled import PicardConfig, ProblemData, solve_coupled
-from .energy import ModelParams, log_barrier
+from .energy import ModelParams
 from .mesh import Grid, NodeField
 from .solvers import NewtonConfig, apply_height_operator
 
@@ -411,10 +411,12 @@ def cosine_mms(grid: Grid, params: ModelParams, amplitude: float = 0.06) -> Cosi
     enough that the exponential stays in a sane range. The symbolic
     solution depends on the grid only through its dimension and extents,
     so it is built once per (dim, extents, params, amplitude) and reused
-    across the grids of a convergence study.
+    across the grids of a convergence study. A field that overflows or
+    turns NaN raises FloatingPointError.
     """
     fns = _cosine_mms_functions(grid.dim, grid.extents, params, amplitude)
-    return CosineMms(*(NodeField.from_function(grid, fn) for fn in fns))
+    with np.errstate(over="raise", invalid="raise"):
+        return CosineMms(*(NodeField.from_function(grid, fn) for fn in fns))
 
 
 @functools.lru_cache(maxsize=16)

@@ -13,7 +13,8 @@ Usage: ``crystalsurf <mode> --config <path> [--out <dir>]`` with modes
     mms         manufactured-solution convergence study; writes mms.csv
 
 Configuration is a single JSON document; unknown keys are rejected so
-typos in sweep scripts fail closed. Exit codes: 0 success, 2 config
+typos in sweep scripts fail closed, as does a solver section (``newton``,
+``picard``) the mode does not read. Exit codes: 0 success, 2 config
 error, 3 solver non-convergence or numerical breakdown, 4 I/O error.
 """
 
@@ -201,18 +202,18 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-_COMMON_KEYS = {"mode", "grid", "params", "newton", "picard"}
+_SOLVER_KEYS = {"newton", "picard"}
 
 
 def _validate_mode_keys(config: dict, mode: str, required: set[str], optional=frozenset()) -> None:
     required = {"grid", "params"} | required
-    _check_keys(config, _COMMON_KEYS | required | optional, required, "the config")
+    _check_keys(config, {"mode"} | required | optional, required, "the config")
     if "mode" in config and config["mode"] != mode:
         raise ConfigError(f"config declares mode '{config['mode']}' but '{mode}' was requested")
 
 
 def _run_stationary(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "stationary", {"source"})
+    _validate_mode_keys(config, "stationary", {"source"}, _SOLVER_KEYS)
     grid = _build_grid(config["grid"])
     params = _build_solve_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
@@ -237,7 +238,7 @@ def _run_stationary(config: dict, out: Path) -> None:
 
 
 def _run_evolve(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "evolve", {"u0", "dt", "nsteps"}, {"checkpoint_every"})
+    _validate_mode_keys(config, "evolve", {"u0", "dt", "nsteps"}, {"checkpoint_every"} | _SOLVER_KEYS)
     grid = _build_grid(config["grid"])
     params = _build_solve_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
@@ -288,7 +289,7 @@ def _run_evolve(config: dict, out: Path) -> None:
 
 
 def _run_audit(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "audit", {"source", "tau_schedule"})
+    _validate_mode_keys(config, "audit", {"source", "tau_schedule"}, _SOLVER_KEYS)
     grid = _build_grid(config["grid"])
     params = _build_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
@@ -343,7 +344,7 @@ def _run_singular(config: dict, out: Path) -> None:
 
 
 def _run_mms(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "mms", {"cells_list"}, {"amplitude", "extent"})
+    _validate_mode_keys(config, "mms", {"cells_list"}, {"amplitude", "extent", "newton"})
     grid = _build_grid(config["grid"])
     params = _build_solve_params(config["params"])
     newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")

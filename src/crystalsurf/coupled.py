@@ -33,7 +33,7 @@ import numpy as np
 
 from . import mesh
 from .energy import ModelParams, subgradient_select
-from .mesh import EdgeField, Grid, NodeField
+from .mesh import EdgeField, NodeField
 from .solvers import (
     NewtonConfig,
     SolveReport,

@@ -34,15 +34,16 @@ residual proportional to the fluctuation.
 
 All three solves run one damped Newton loop, ``_damped_newton``, with
 Armijo backtracking on the quadrature-weighted residual norm; each
-passes its own linear solve for the Newton step.
+passes its own linear solve for the Newton step. ``NewtonConfig`` sets
+only the tolerance and the iteration cap; the line search constants are
+fixed here.
 
-Inner linear systems are symmetric positive definite; they are solved
-with a sparse direct factorization by default, or with the bundled
-Jacobi-preconditioned conjugate gradient (which asserts positive
-curvature) when ``NewtonConfig.linear_solver = "pcg"``. SuperLU orders
-the columns by multiple minimum degree on A^T + A, which fits these
-symmetric matrices (COLAMD orders for A^T A and fills more), and keeps
-its default threshold pivoting.
+Inner linear systems are symmetric positive definite and are solved by
+SuperLU, which orders the columns by multiple minimum degree on A^T + A
+(COLAMD orders for A^T A and fills more) and keeps its default threshold
+pivoting. No solve calls ``pcg``, a Jacobi-preconditioned conjugate
+gradient that raises on nonpositive curvature; the test suite runs it on
+the Newton matrices to check that they are positive definite.
 
 Each Newton matrix is assembled on a pattern fixed per grid, with no
 sparse products: the density matrix K + diag(tau W/rho) adds to a copy of
@@ -91,6 +92,10 @@ __all__ = [
 
 _LOG_MAX = float(np.log(np.finfo(float).max))
 _RHO_FLOOR = float(np.sqrt(np.finfo(float).tiny))  # density floor of the Newton matrix only
+# Armijo line search: step shrink factor, sufficient decrease, backtracks per step
+_ARMIJO_SHRINK = 0.5
+_ARMIJO_DECREASE = 1e-4
+_MAX_BACKTRACKS = 40
 
 
 @dataclass
@@ -99,25 +104,11 @@ class NewtonConfig:
 
     tol_residual: float = 1e-10
     max_iter: int = 100
-    armijo_factor: float = 0.5
-    armijo_decrease: float = 1e-4
-    max_backtracks: int = 40
-    linear_solver: str = "direct"  # "direct" (sparse LU) or "pcg"
-    pcg_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol_residual < np.inf:
             raise ValueError("tol_residual must be positive and finite")
         _require_int("max_iter", self.max_iter, 1)
-        if not 0.0 < self.armijo_factor < 1.0:
-            raise ValueError("armijo_factor must lie in (0,1)")
-        if not 0.0 < self.armijo_decrease < 1.0:
-            raise ValueError("armijo_decrease must lie in (0,1)")
-        _require_int("max_backtracks", self.max_backtracks, 0)
-        if self.linear_solver not in ("direct", "pcg"):
-            raise ValueError("linear_solver must be 'direct' or 'pcg'")
-        if not 0.0 < self.pcg_tol < np.inf:
-            raise ValueError("pcg_tol must be positive and finite")
 
 
 def _require_int(name: str, value, minimum: int) -> None:
@@ -184,9 +175,7 @@ def pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int) -> tu
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
 
-def _linear_solve(a: sp.csr_matrix, b: np.ndarray, cfg: NewtonConfig, report: SolveReport) -> np.ndarray:
-    if cfg.linear_solver == "pcg":
-        return pcg(a.dot, b, a.diagonal(), cfg.pcg_tol, maxiter=max(10 * b.size, 1000))[0]
+def _linear_solve(a: sp.csr_matrix, b: np.ndarray, report: SolveReport) -> np.ndarray:
     try:  # both Newton matrices are symmetric, so order by minimum degree on A^T + A
         lu = spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # SuperLU reports an exactly singular factor this way
@@ -218,15 +207,15 @@ def _damped_newton(x, residual, solve, w, target, cfg, report, name) -> np.ndarr
         step = solve(x, -w * res)
         report.iterations += 1
         s = 1.0
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             trial = x + s * step
             with np.errstate(over="ignore"):  # an overflowing trial has merit inf and is backtracked
                 res_t = residual(trial)
                 merit_t = _weighted_norm(w, res_t)
-            if merit_t <= (1.0 - cfg.armijo_decrease * s) * merit:
+            if merit_t <= (1.0 - _ARMIJO_DECREASE * s) * merit:
                 x, res, merit = trial, res_t, merit_t
                 break
-            s *= cfg.armijo_factor
+            s *= _ARMIJO_SHRINK
         else:
             raise SolverError(f"{name} Newton line search failed", report)
     raise SolverError(f"{name} Newton did not converge in {cfg.max_iter} iterations", report)
@@ -276,7 +265,7 @@ def solve_rho_delta(
 
     def solve(r, rhs):
         jac = _stiffness_plus_diagonal(grid, w * (delta + tau * log_barrier_slope(r, delta)))
-        return _linear_solve(jac, rhs, cfg, report)
+        return _linear_solve(jac, rhs, report)
 
     report = SolveReport()
     target = cfg.tol_residual * (1.0 + _weighted_norm(w, gv))
@@ -328,7 +317,7 @@ def solve_rho(
 
     def solve(s, rhs):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
-        return _linear_solve(_stiffness_plus_diagonal(grid, tau * w / rho), rhs, cfg, report) / rho
+        return _linear_solve(_stiffness_plus_diagonal(grid, tau * w / rho), rhs, report) / rho
 
     report = SolveReport()
     target = cfg.tol_residual * (1.0 + _weighted_norm(w, gv))
@@ -551,7 +540,7 @@ def _height_newton(
         return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift
 
     def solve(vec, b):
-        return _linear_solve(_height_newton_matrix(NodeField.from_flat(grid, vec), params), b, cfg, report)
+        return _linear_solve(_height_newton_matrix(NodeField.from_flat(grid, vec), params), b, report)
 
     target = cfg.tol_residual * (1.0 + _weighted_norm(w, rv))
     v = _damped_newton(start - c, residual, solve, w, target, cfg, report, "height")

@@ -48,12 +48,6 @@ def test_config_error_message_names_p(tmp_path, capsys):
     assert "p must lie in (1,2]" in capsys.readouterr().err
 
 
-def test_config_error_unknown_key(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.json", {**BASE, "source": 1.0, "sorce": 2.0})
-    assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "sorce" in capsys.readouterr().err
-
-
 def test_missing_config_file_is_io_error(tmp_path):
     assert main(["stationary", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 4
 
@@ -275,11 +269,6 @@ def test_audit_accepts_zero_params_tau(tmp_path):
         ("picard", {"tol_residual": 0}),
         ("picard", {"delta_polish": -1e-10}),
         ("picard", {"max_outer": 2.5}),
-        ("newton", {"armijo_factor": 1.5}),
-        ("newton", {"armijo_factor": 0}),
-        ("newton", {"armijo_decrease": 1.0}),
-        ("newton", {"max_backtracks": -1}),
-        ("newton", {"pcg_tol": 0}),
         ("newton", {"tol_residual": float("nan")}),
     ],
 )
@@ -293,7 +282,6 @@ def test_solver_controls_accept_boundaries(tmp_path):
         {
             **BASE,
             "source": 1.0,
-            "newton": {"max_backtracks": 0, "armijo_factor": 0.25},
             "picard": {"delta_polish": None},
         },
     )
@@ -371,6 +359,27 @@ REQUIRED_BY_MODE = {
 
 
 @pytest.mark.parametrize(
+    "mode, payload, key",
+    [
+        ("stationary", {**VALID_BY_MODE["stationary"], "sorce": 2.0}, "sorce"),
+        # the line search constants and the linear solver are not settable
+        ("stationary", {**VALID_BY_MODE["stationary"], "newton": {"armijo_factor": 1.5}}, "armijo_factor"),
+        ("stationary", {**VALID_BY_MODE["stationary"], "newton": {"armijo_factor": 0}}, "armijo_factor"),
+        ("stationary", {**VALID_BY_MODE["stationary"], "newton": {"armijo_decrease": 1.0}}, "armijo_decrease"),
+        ("stationary", {**VALID_BY_MODE["stationary"], "newton": {"max_backtracks": -1}}, "max_backtracks"),
+        ("stationary", {**VALID_BY_MODE["stationary"], "newton": {"pcg_tol": 0}}, "pcg_tol"),
+        # a mode rejects the solver sections it does not read
+        ("mms", {**VALID_BY_MODE["mms"], "picard": {"max_outer": 1}}, "picard"),
+        ("singular", {**VALID_BY_MODE["singular"], "newton": {"max_iter": 1}}, "newton"),
+        ("singular", {**VALID_BY_MODE["singular"], "picard": {"max_outer": 1}}, "picard"),
+    ],
+)
+def test_config_error_unknown_key(tmp_path, capsys, mode, payload, key):
+    err = assert_config_error(tmp_path, capsys, mode, payload)
+    assert f"unknown key '{key}'" in err
+
+
+@pytest.mark.parametrize(
     "mode, key", [(mode, key) for mode, keys in REQUIRED_BY_MODE.items() for key in keys]
 )
 def test_config_error_missing_required_key(tmp_path, capsys, mode, key):
@@ -401,13 +410,16 @@ def test_config_error_unusable_sizes(tmp_path, capsys, mode, payload):
         ("mms", {"params": {**BASE["params"], "beta0": 1e300}, "cells_list": [5, 9]}),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_overflow_is_solver_error(tmp_path, capsys, mode, overrides):
-    # tau**2 overflows in the mean target; beta0 = 1e300 makes the
-    # manufactured fields infinite
+    # tau**2 overflows in the mean target; beta0 = 1e300 overflows the
+    # manufactured density, which raises rather than warns
     cfg = write_config(tmp_path / "c.json", {**BASE, **overrides})
     assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error:") and "Traceback" not in err
+    if mode == "mms":
+        assert "FloatingPointError('overflow encountered in exp')" in err
 
 
 @pytest.mark.parametrize(

@@ -77,7 +77,7 @@ def documents(draw):
     if mode in ("stationary", "audit"):
         doc["source"] = draw(fields(grid))
     if mode == "stationary" and draw(st.booleans()):
-        doc["newton"] = {"max_iter": draw(st.integers(1, 50)), "linear_solver": draw(st.sampled_from(["direct", "pcg"]))}
+        doc["newton"] = {"max_iter": draw(st.integers(1, 50))}
         doc["picard"] = {"relaxation": draw(st.sampled_from([0.5, 1.0])), "max_outer": draw(st.integers(1, 50))}
     if mode == "evolve":
         doc.update(u0=draw(fields(grid)), dt=draw(st.sampled_from([0.05, 0.5])), nsteps=draw(st.integers(1, 2)))

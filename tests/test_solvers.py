@@ -167,21 +167,35 @@ def test_rho_continuation_stage_stability(rng):
             assert 50.0 <= gaps[0] / gaps[1] <= 200.0
 
 
+def newton_matrices(monkeypatch) -> list:
+    """Record every matrix the Newton solves pass to the linear solve."""
+    matrices = []
+    real = solvers._linear_solve
+
+    def recording(a, b, report):
+        matrices.append(a)
+        return real(a, b, report)
+
+    monkeypatch.setattr(solvers, "_linear_solve", recording)
+    return matrices
+
+
+def assert_spd_via_pcg(matrices, rng):
+    # pcg raises on nonpositive curvature, so it converging on a random
+    # right-hand side checks positive definiteness along its Krylov space
+    assert matrices
+    for a in matrices:
+        b = rng.standard_normal(a.shape[0])
+        x, its = pcg(a.dot, b, a.diagonal(), tol=1e-10, maxiter=10 * a.shape[0])
+        assert its > 0
+        assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
 def test_rho_jacobian_is_spd_via_pcg(grid, rng, monkeypatch):
-    # the pcg path asserts positive curvature on every inner solve
-    calls = []
-    real_pcg = solvers.pcg
-
-    def counting_pcg(*args, **kwargs):
-        calls.append(1)
-        return real_pcg(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "pcg", counting_pcg)
-    cfg = NewtonConfig(linear_solver="pcg")
-    g = smooth_field(grid, rng)
-    rho, rep = solve_rho(g, tau=0.5, cfg=cfg)
+    matrices = newton_matrices(monkeypatch)
+    rho, rep = solve_rho(smooth_field(grid, rng), tau=0.5)
     assert rep.converged
-    assert len(calls) >= 1
+    assert_spd_via_pcg(matrices, rng)
 
 
 def test_rho_rejects_tau_zero(grid):
@@ -305,14 +319,7 @@ def test_rho_transient_underflow_converges():
 
 def test_rho_newton_matrix_is_stiffness_plus_diagonal(grid, rng, monkeypatch):
     # every step factors K + diag(tau W / rho); the first cold one has rho = c
-    matrices = []
-    real = solvers._linear_solve
-
-    def recording(a, b, cfg, report):
-        matrices.append(a)
-        return real(a, b, cfg, report)
-
-    monkeypatch.setattr(solvers, "_linear_solve", recording)
+    matrices = newton_matrices(monkeypatch)
     g = smooth_field(grid, rng)
     tau = 0.3
     solve_rho(g, tau)
@@ -433,6 +440,17 @@ def test_height_hessian_matches_operator_jacobian(hess_grid, params, rng):
         jac[:, j] = (plus - minus) / (2.0 * eps)
     np.testing.assert_allclose(w[:, None] * jac, hess, rtol=0.0, atol=1e-7 * np.abs(hess).max())
     np.testing.assert_allclose(hess, hess.T, rtol=0.0, atol=1e-14 * np.abs(hess).max())
+
+
+@HESS_GRIDS
+@pytest.mark.parametrize("tau", [0.1, 1e-3])
+def test_height_newton_matrices_are_spd_via_pcg(hess_grid, tau, rng, monkeypatch):
+    # the exact Hessian is positive definite at every Newton iterate
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=tau, delta=1e-6)
+    matrices = newton_matrices(monkeypatch)
+    u, rep = solve_u(smooth_field(hess_grid, rng, amplitude=0.5), params)
+    assert rep.converged and rep.iterations >= 2
+    assert_spd_via_pcg(matrices, rng)
 
 
 @HESS_GRIDS
