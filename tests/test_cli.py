@@ -269,6 +269,11 @@ def test_audit_accepts_zero_params_tau(tmp_path):
         ("picard", {"tol_residual": 0}),
         ("picard", {"delta_polish": -1e-10}),
         ("picard", {"max_outer": 2.5}),
+        ("newton", {"tol_residual": 0}),
+        ("newton", {"tol_residual": -1e-10}),
+        ("newton", {"tol_residual": float("inf")}),
+        ("newton", {"max_iter": 0}),
+        ("newton", {"max_iter": 2.5}),
         ("newton", {"tol_residual": float("nan")}),
     ],
 )
