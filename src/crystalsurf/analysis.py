@@ -18,7 +18,8 @@ b^(-1/alpha^2).
 ``manufactured_problem`` assembles sources with the same discrete
 operators the solvers use, so round trips are exact by construction;
 ``cosine_mms`` builds smooth analytic solution/source triples (via
-sympy) for measuring real discretization orders.
+sympy) for measuring real discretization orders; the study that solves
+against them is ``coupled.mms_convergence``.
 """
 
 from __future__ import annotations
@@ -26,14 +27,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import mesh
-from .coupled import PicardConfig, ProblemData, solve_coupled
 from .energy import ModelParams
 from .mesh import Grid, NodeField
-from .solvers import NewtonConfig, apply_height_operator
+from .solvers import apply_height_operator
+
+if TYPE_CHECKING:
+    from .coupled import ProblemData
 
 __all__ = [
     "EstimateReport",
@@ -48,8 +52,6 @@ __all__ = [
     "manufactured_problem",
     "CosineMms",
     "cosine_mms",
-    "MmsRow",
-    "mms_convergence",
     "DEFAULT_EPS_LIST",
 ]
 
@@ -446,45 +448,3 @@ def _cosine_mms_functions(dim: int, extents: tuple, params: ModelParams, amplitu
         + params.a * u_expr
     )
     return tuple(sy.lambdify(syms, e, "numpy") for e in (u_expr, rho_expr, f_expr))
-
-
-@dataclass
-class MmsRow:
-    cells: int
-    h: float
-    err_u: float
-    err_rho: float
-    order_u: float | None = None
-    order_rho: float | None = None
-
-
-def mms_convergence(
-    dim: int,
-    cells_list,
-    params: ModelParams,
-    amplitude: float = 0.06,
-    extent: float = 1.0,
-    newton_cfg: NewtonConfig | None = None,
-) -> list[MmsRow]:
-    """Solve the coupled system against the analytic cosine solution on a
-    grid sequence and tabulate relative L2 errors and observed orders.
-
-    The viscosity cap is disabled (``delta_polish=None``) so the discrete
-    system keeps params.delta, as the analytic operator that generated
-    the data does.
-    """
-    picard_cfg = PicardConfig(tol_fixed_point=1e-11, tol_residual=1e-7, delta_polish=None)
-    rows: list[MmsRow] = []
-    for cells in cells_list:
-        grid = Grid(dim, (float(extent),) * dim, (int(cells),) * dim)
-        exact = cosine_mms(grid, params, amplitude)
-        data = ProblemData(exact.f, params)
-        triple, _ = solve_coupled(data, picard_cfg, newton_cfg)
-        err_u = mesh.norm_l2(NodeField(grid, triple.u.values - exact.u.values)) / mesh.norm_l2(exact.u)
-        err_rho = mesh.norm_l2(NodeField(grid, triple.rho.values - exact.rho.values)) / mesh.norm_l2(exact.rho)
-        rows.append(MmsRow(cells=cells, h=max(grid.h), err_u=err_u, err_rho=err_rho))
-    for prev, row in zip(rows, rows[1:]):
-        ratio = math.log(prev.h / row.h)
-        row.order_u = math.log(prev.err_u / row.err_u) / ratio
-        row.order_rho = math.log(prev.err_rho / row.err_rho) / ratio
-    return rows

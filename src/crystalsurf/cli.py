@@ -33,7 +33,6 @@ from .analysis import (
     DEFAULT_EPS_LIST,
     apriori_audit,
     classify_points,
-    mms_convergence,
 )
 from .coupled import (
     PicardConfig,
@@ -42,6 +41,7 @@ from .coupled import (
     continuation_tau,
     evolve,
     limit_flux,
+    mms_convergence,
     solve_coupled,
 )
 from .energy import ModelParams

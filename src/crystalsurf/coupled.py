@@ -23,17 +23,21 @@ rounding on every converged solve. The height viscosity is capped at
 ``PicardConfig.delta_polish`` and the capped system solved in one pass.
 The outer report records one residual per outer step; the inner Newton
 loops keep their own iteration counts.
+
+The drivers of ``solve_coupled`` live here too: ``continuation_tau``,
+``evolve`` and the manufactured-solution study ``mms_convergence``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import mesh
-from .energy import ModelParams, subgradient_select
-from .mesh import EdgeField, NodeField
+from . import analysis, mesh
+from .energy import ModelParams, energy_gradient, subgradient_select
+from .mesh import EdgeField, Grid, NodeField
 from .solvers import (
     NewtonConfig,
     SolveReport,
@@ -53,11 +57,13 @@ __all__ = [
     "ContinuationResult",
     "EvolveStep",
     "Trajectory",
+    "MmsRow",
     "picard_map",
     "solve_coupled",
     "coupled_residuals",
     "continuation_tau",
     "evolve",
+    "mms_convergence",
     "subgradient_field",
     "limit_flux",
     "mean_height_target",
@@ -126,16 +132,11 @@ def subgradient_field(u: NodeField) -> EdgeField:
 def limit_flux(u: NodeField, params: ModelParams) -> EdgeField:
     """Sharp-limit flux |grad u|^(p-2) grad u + beta0 grad u/|grad u| at edges.
 
-    Evaluated with tau = 0 and the zero selection where the gradient
-    vanishes; longitudinal components per edge family.
+    The energy gradient at tau = 0, with the zero selection where the
+    gradient vanishes; longitudinal components per edge family.
     """
-    comps = []
-    for z in mesh.edge_gradients(u):
-        s = np.sum(z * z, axis=-1)
-        pos = s > 0.0
-        coef = np.where(pos, np.where(pos, s, 1.0) ** (0.5 * (params.p - 2.0)), 0.0)
-        comps.append(coef * z[..., 0] + params.beta0 * subgradient_select(z)[..., 0])
-    return EdgeField(u.grid, tuple(comps))
+    sharp = replace(params, tau=0.0)
+    return EdgeField(u.grid, tuple(energy_gradient(z, sharp)[..., 0] for z in mesh.edge_gradients(u)))
 
 
 def picard_map(
@@ -211,7 +212,7 @@ def solve_coupled(
     from the previous step's density and height map. An inner Newton
     solve whose warm start fails is retried in the same loop from its
     cold start (s = ln rho - mean(g)/tau = 0 for the density, the
-    constant for the height), so warm starts change cost, not the
+    constant mean(rhs)/tau for the height), so warm starts change cost, not the
     solution beyond solver tolerance.
     """
     cfg = picard_cfg or PicardConfig()
@@ -249,7 +250,7 @@ def solve_coupled(
 class TauStage:
     tau: float
     triple: WeakSolutionTriple
-    estimates: "EstimateReport"  # noqa: F821  (analysis imports lazily, see below)
+    estimates: analysis.EstimateReport
     report: SolveReport
 
 
@@ -276,8 +277,6 @@ def continuation_tau(
     is audited (estimate report attached); a stage failure halts the
     sweep and the completed prefix is returned.
     """
-    from .analysis import apriori_audit  # local import to avoid a cycle
-
     schedule = [float(t) for t in tau_schedule]
     if not schedule or any(t <= 0.0 for t in schedule) or any(
         b >= a for a, b in zip(schedule, schedule[1:])
@@ -298,7 +297,7 @@ def continuation_tau(
         except SolverError as err:
             return ContinuationResult(stages, False, failure=f"tau={tau:g}: {err}")
         stages.append(
-            TauStage(tau, triple, apriori_audit(triple.u, triple.rho, stage_data), rep)
+            TauStage(tau, triple, analysis.apriori_audit(triple.u, triple.rho, stage_data), rep)
         )
         prev = triple
     return ContinuationResult(stages, True)
@@ -315,7 +314,7 @@ class EvolveStep:
     mean_height: float
     converged: bool
     residuals: tuple[float, float] | None = None
-    estimates: "EstimateReport | None" = None  # noqa: F821
+    estimates: analysis.EstimateReport | None = None
 
 
 @dataclass
@@ -349,8 +348,6 @@ def evolve(
     diagnostic; a step failure terminates the trajectory and returns
     the prefix.
     """
-    from .analysis import apriori_audit  # local import to avoid a cycle
-
     if dt <= 0.0 or nsteps < 1:
         raise ValueError("need dt > 0 and nsteps >= 1")
     if params.tau <= 0.0:
@@ -390,7 +387,49 @@ def evolve(
                 mesh.integrate(u) / grid.volume,
                 rep.converged,
                 residuals=coupled_residuals(u, triple.rho, data),
-                estimates=apriori_audit(u, triple.rho, data),
+                estimates=analysis.apriori_audit(u, triple.rho, data),
             )
         )
     return Trajectory(steps, True)
+
+
+@dataclass
+class MmsRow:
+    cells: int
+    h: float
+    err_u: float
+    err_rho: float
+    order_u: float | None = None
+    order_rho: float | None = None
+
+
+def mms_convergence(
+    dim: int,
+    cells_list,
+    params: ModelParams,
+    amplitude: float = 0.06,
+    extent: float = 1.0,
+    newton_cfg: NewtonConfig | None = None,
+) -> list[MmsRow]:
+    """Solve the coupled system against the analytic cosine solution on a
+    grid sequence and tabulate relative L2 errors and observed orders.
+
+    The viscosity cap is disabled (``delta_polish=None``) so the discrete
+    system keeps params.delta, as the analytic operator that generated
+    the data does.
+    """
+    picard_cfg = PicardConfig(tol_fixed_point=1e-11, tol_residual=1e-7, delta_polish=None)
+    rows: list[MmsRow] = []
+    for cells in cells_list:
+        grid = Grid(dim, (float(extent),) * dim, (int(cells),) * dim)
+        exact = analysis.cosine_mms(grid, params, amplitude)
+        data = ProblemData(exact.f, params)
+        triple, _ = solve_coupled(data, picard_cfg, newton_cfg)
+        err_u = mesh.norm_l2(NodeField(grid, triple.u.values - exact.u.values)) / mesh.norm_l2(exact.u)
+        err_rho = mesh.norm_l2(NodeField(grid, triple.rho.values - exact.rho.values)) / mesh.norm_l2(exact.rho)
+        rows.append(MmsRow(cells=cells, h=max(grid.h), err_u=err_u, err_rho=err_rho))
+    for prev, row in zip(rows, rows[1:]):
+        ratio = math.log(prev.h / row.h)
+        row.order_u = math.log(prev.err_u / row.err_u) / ratio
+        row.order_rho = math.log(prev.err_rho / row.err_rho) / ratio
+    return rows

@@ -29,14 +29,16 @@ Hessian, in every dimension alike. The 1/dim factor compensates for
 sampling the full edge gradient once per axis family. Strict convexity
 of the edge energy makes the Hessian symmetric positive definite, so
 Newton converges quadratically and the minimizer is unique. Newton runs
-on the fluctuation u - mean(u), which keeps the rounding error of the
-residual proportional to the fluctuation.
+on the fluctuation about the solution's exact mean mean_w(rhs)/tau,
+which keeps the rounding error of the residual proportional to the
+fluctuation.
 
-All three solves run one damped Newton loop, ``_damped_newton``, with
-Armijo backtracking on the quadrature-weighted residual norm; each
-passes its own linear solve for the Newton step. ``NewtonConfig`` sets
-only the tolerance and the iteration cap; the line search constants are
-fixed here.
+One Newton core, ``_damped_newton``, owns the starts (a warm start, when
+given, then the cold one), the target, the Armijo line search on the
+quadrature-weighted residual norm and the ``SolveReport`` of every
+solve; each solve passes its residual and its linear solve.
+``NewtonConfig`` sets only the tolerance and the iteration cap; the line
+search constants are fixed here.
 
 Inner linear systems are symmetric positive definite and are solved by
 SuperLU, which orders the columns by multiple minimum degree on A^T + A
@@ -45,12 +47,13 @@ pivoting. No solve calls ``pcg``, a Jacobi-preconditioned conjugate
 gradient that raises on nonpositive curvature; the test suite runs it on
 the Newton matrices to check that they are positive definite.
 
-Each Newton matrix is assembled on a pattern fixed per grid, with no
-sparse products: the density matrix K + diag(tau W/rho) adds to a copy of
-the data of K at its cached diagonal positions, and the height matrix is
-data = B concat(W h_ij) + delta K + tau W on the cached pattern of
-``_hessian_pattern``, where the scatter matrix B holds every product
-D_i[e, a] D_j[e, b] / dim of the edge operators.
+Each Newton matrix is built as CSC, the format SuperLU reads, on a
+symmetric pattern fixed per grid, with no sparse products: the density
+matrix K + diag(tau W/rho) adds to a copy of the data of K at its cached
+diagonal positions, and the height matrix is data = B concat(W h_ij) +
+delta K + tau W on the cached pattern of ``_hessian_pattern``, where the
+scatter matrix B holds every product D_i[e, a] D_j[e, b] / dim of the
+edge operators.
 
 A ``SolveReport`` holds only the Newton iteration count, the merit
 history and the convergence flag, with the same meaning for every caller.
@@ -175,11 +178,11 @@ def pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int) -> tu
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
 
-def _linear_solve(a: sp.csr_matrix, b: np.ndarray, report: SolveReport) -> np.ndarray:
+def _linear_solve(a: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
     try:  # both Newton matrices are symmetric, so order by minimum degree on A^T + A
-        lu = spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # SuperLU reports an exactly singular factor this way
-        raise SolverError(f"sparse factorization failed: {err}", report) from err
+        raise SolverError(f"sparse factorization failed: {err}") from err
     return lu.solve(b)
 
 
@@ -187,13 +190,29 @@ def _weighted_norm(w: np.ndarray, r: np.ndarray) -> float:
     return float(np.sqrt(np.sum(w * r * r)))
 
 
-def _damped_newton(x, residual, solve, w, target, cfg, report, name) -> np.ndarray:
+def _damped_newton(starts, residual, solve, w, source, cfg, name) -> tuple:
+    """Run ``_newton_attempt`` from each of ``starts`` until one reaches
+    tol_residual (1 + |source|_w); return it and the report of every
+    attempt, which is attached to the last SolverError if none does."""
+    cfg = cfg or NewtonConfig()
+    target = cfg.tol_residual * (1.0 + _weighted_norm(w, source))
+    report = SolveReport()
+    for x in starts:
+        try:
+            return _newton_attempt(x, residual, solve, w, target, cfg, report, name), report
+        except SolverError as err:
+            failure = err  # the failed attempt stays in the report
+    failure.report = report
+    raise failure
+
+
+def _newton_attempt(x, residual, solve, w, target, cfg, report, name) -> np.ndarray:
     """Damped Newton with Armijo backtracking on the merit |residual|_w.
 
     Each step is ``solve(x, -w residual(x))``, the solve with W times
     the Jacobian of ``residual`` at x. Converged once the merit is at
     most ``target``, so a start within target is returned as is.
-    ``report`` collects the trace.
+    Iterations and merits are appended to ``report``.
     """
     res = residual(x)
     merit = _weighted_norm(w, res)
@@ -217,8 +236,8 @@ def _damped_newton(x, residual, solve, w, target, cfg, report, name) -> np.ndarr
                 break
             s *= _ARMIJO_SHRINK
         else:
-            raise SolverError(f"{name} Newton line search failed", report)
-    raise SolverError(f"{name} Newton did not converge in {cfg.max_iter} iterations", report)
+            raise SolverError(f"{name} Newton line search failed")
+    raise SolverError(f"{name} Newton did not converge in {cfg.max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +252,13 @@ def _stiffness_diagonal(grid: Grid) -> np.ndarray:
     return np.flatnonzero(k.indices == np.repeat(np.arange(grid.node_count), np.diff(k.indptr)))
 
 
-def _stiffness_plus_diagonal(grid: Grid, d: np.ndarray) -> sp.csr_matrix:
-    """K + diag(d) on the pattern of K, which holds every diagonal entry."""
+def _stiffness_plus_diagonal(grid: Grid, d: np.ndarray) -> sp.csc_matrix:
+    """K + diag(d) on the pattern of K, which holds every diagonal entry
+    (K is symmetric, so its CSR arrays are also its CSC arrays)."""
     k = mesh.stiffness_matrix(grid)
     data = k.data.copy()
     data[_stiffness_diagonal(grid)] += d
-    return sp.csr_matrix((data, k.indices, k.indptr), shape=k.shape)
+    return sp.csc_matrix((data, k.indices, k.indptr), shape=k.shape)
 
 
 def solve_rho_delta(
@@ -252,7 +272,6 @@ def solve_rho_delta(
     """
     if tau < 0.0 or not 0.0 < delta < 1.0:
         raise ValueError("need tau >= 0 and delta in (0,1)")
-    cfg = cfg or NewtonConfig()
     grid = g.grid
     k = mesh.stiffness_matrix(grid)
     w = mesh.mass_vector(grid)
@@ -265,11 +284,9 @@ def solve_rho_delta(
 
     def solve(r, rhs):
         jac = _stiffness_plus_diagonal(grid, w * (delta + tau * log_barrier_slope(r, delta)))
-        return _linear_solve(jac, rhs, report)
+        return _linear_solve(jac, rhs)
 
-    report = SolveReport()
-    target = cfg.tol_residual * (1.0 + _weighted_norm(w, gv))
-    rho = _damped_newton(rho, residual, solve, w, target, cfg, report, "density")
+    rho, report = _damped_newton([rho], residual, solve, w, gv, cfg, "density")
     return NodeField.from_flat(grid, rho), report
 
 
@@ -298,7 +315,6 @@ def solve_rho(
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
-    cfg = cfg or NewtonConfig()
     grid = g.grid
     k = mesh.stiffness_matrix(grid)
     w = mesh.mass_vector(grid)
@@ -317,22 +333,13 @@ def solve_rho(
 
     def solve(s, rhs):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
-        return _linear_solve(_stiffness_plus_diagonal(grid, tau * w / rho), rhs, report) / rho
+        return _linear_solve(_stiffness_plus_diagonal(grid, tau * w / rho), rhs) / rho
 
-    report = SolveReport()
-    target = cfg.tol_residual * (1.0 + _weighted_norm(w, gv))
-    s = None
-    if rho0 is not None and np.min(rho0.values) > 0.0:
-        start = np.log(rho0.flat) - sigma0
-        try:
-            s = _damped_newton(start, residual, solve, w, target, cfg, report, "density")
-        except SolverError:
-            pass  # the failed attempt stays in the report
-        else:
-            if s is start:
-                return NodeField.from_flat(grid, rho0.flat.copy()), report
-    if s is None:
-        s = _damped_newton(np.zeros(gv.size), residual, solve, w, target, cfg, report, "density")
+    warm = rho0 is not None and np.min(rho0.values) > 0.0
+    starts = ([np.log(rho0.flat) - sigma0] if warm else []) + [np.zeros(gv.size)]
+    s, report = _damped_newton(starts, residual, solve, w, gv, cfg, "density")
+    if warm and s is starts[0]:  # a warm start within target is returned unchanged
+        return NodeField.from_flat(grid, rho0.flat.copy()), report
     rho = c * np.exp(s)
     if not np.min(rho) > 0.0:
         raise SolverError(
@@ -454,11 +461,11 @@ def _energy_gradient_vec(u: NodeField, params: ModelParams) -> np.ndarray:
     return out / grid.dim
 
 
-def _height_newton_matrix(u: NodeField, params: ModelParams) -> sp.csr_matrix:
+def _height_newton_matrix(u: NodeField, params: ModelParams) -> sp.csc_matrix:
     """W times the Jacobian of ``apply_height_operator`` at u: the exact
     energy Hessian sum_ij D_i^T diag(W h_ij) D_j / dim plus delta K +
     tau W (sparse, symmetric, positive definite), assembled on the fixed
-    pattern of ``_hessian_pattern`` without sparse products."""
+    symmetric pattern of ``_hessian_pattern`` without sparse products."""
     grid = u.grid
     pat = _hessian_pattern(grid)
     coef = []
@@ -468,7 +475,7 @@ def _height_newton_matrix(u: NodeField, params: ModelParams) -> sp.csr_matrix:
     data = pat.scatter @ np.concatenate(coef)
     data[pat.k_pos] += params.delta * mesh.stiffness_matrix(grid).data
     data[pat.diag] += params.tau * mesh.mass_vector(grid)
-    return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(grid.node_count, grid.node_count))
+    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(grid.node_count, grid.node_count))
 
 
 def apply_height_operator(u: NodeField, params: ModelParams) -> NodeField:
@@ -498,50 +505,31 @@ def solve_u(
     flat gradients when tau = 0. Sharp-limit quantities are reported by
     the coupled layer instead of being solved for directly.
 
-    ``u0`` is a warm start: Newton runs from it first and, if that
-    fails, again from the constant start, with both attempts in the
-    returned report.
+    Newton runs on v = u - ubar, ubar = mean_w(rhs)/tau the exact mean of
+    the solution (the divergence terms of ``apply_height_operator`` have
+    weighted sum zero). A(ubar + v) = A(v) + tau ubar, and evaluating A
+    on the small fluctuation keeps the residual's rounding error
+    proportional to |v|, not |u|, which would otherwise floor the merit
+    above the tolerance at small tau and fine grids. ``u0`` is a warm
+    start: Newton runs from v = u0 - ubar first and, if that fails, from
+    v = 0, with both attempts in the returned report.
     """
-    cfg = cfg or NewtonConfig()
     if params.tau <= 0.0:
         raise SolverError(
             "the height solve requires tau > 0 (flux coefficient is singular at flat states)"
         )
-    report = SolveReport()
-    if u0 is not None:
-        try:
-            return _height_newton(rhs, params, cfg, u0.flat, report), report
-        except SolverError:
-            pass  # the failed attempt stays in the report
-    grid = rhs.grid
-    mean = float(np.sum(mesh.mass_vector(grid) * rhs.flat)) / (params.tau * grid.volume)
-    return _height_newton(rhs, params, cfg, np.full(grid.node_count, mean), report), report
-
-
-def _height_newton(
-    rhs: NodeField, params: ModelParams, cfg: NewtonConfig, start: np.ndarray, report: SolveReport
-) -> NodeField:
-    """Newton on the fluctuation v = u - c, c the weighted mean of ``start``.
-
-    The operator only sees gradients of u plus tau u, so A(c + v) =
-    A(v) + tau c; evaluating it on the small fluctuation instead of on u
-    keeps the rounding error of the differences proportional to |v|, not
-    |u|, which would otherwise put a floor on the merit above the
-    tolerance at small tau and fine grids. Iterations and residuals are
-    appended to ``report``.
-    """
     grid = rhs.grid
     w = mesh.mass_vector(grid)
     rv = rhs.flat
-    c = float(np.sum(w * start) / np.sum(w))
-    shift = params.tau * c - rv
+    ubar = float(np.sum(w * rv) / np.sum(w)) / params.tau
+    shift = params.tau * ubar - rv
 
     def residual(vec):
         return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift
 
     def solve(vec, b):
-        return _linear_solve(_height_newton_matrix(NodeField.from_flat(grid, vec), params), b, report)
+        return _linear_solve(_height_newton_matrix(NodeField.from_flat(grid, vec), params), b)
 
-    target = cfg.tol_residual * (1.0 + _weighted_norm(w, rv))
-    v = _damped_newton(start - c, residual, solve, w, target, cfg, report, "height")
-    return NodeField.from_flat(grid, c + v)
+    starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]
+    v, report = _damped_newton(starts, residual, solve, w, rv, cfg, "height")
+    return NodeField.from_flat(grid, ubar + v), report

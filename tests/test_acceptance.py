@@ -21,12 +21,11 @@ from crystalsurf.mesh import (
     integrate,
     norm_lp,
 )
-from crystalsurf.coupled import PicardConfig, ProblemData, evolve, solve_coupled
+from crystalsurf.coupled import PicardConfig, ProblemData, evolve, mms_convergence, solve_coupled
 from crystalsurf.analysis import (
     degiorgi_sequence_check,
     degiorgi_threshold,
     apriori_audit,
-    mms_convergence,
     vanishing_order,
 )
 from conftest import smooth_field

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from crystalsurf.energy import ModelParams
 from crystalsurf.mesh import Grid, NodeField, integrate, norm_lp
-from crystalsurf.coupled import PicardConfig, ProblemData, solve_coupled
+from crystalsurf.coupled import PicardConfig, ProblemData, mms_convergence, solve_coupled
 from crystalsurf.solvers import apply_height_operator, solve_rho, solve_u
 from crystalsurf.analysis import (
     apriori_audit,
@@ -16,7 +16,6 @@ from crystalsurf.analysis import (
     degiorgi_sequence_check,
     degiorgi_threshold,
     manufactured_problem,
-    mms_convergence,
     poincare_ratio,
     vanishing_order,
 )

@@ -172,9 +172,9 @@ def newton_matrices(monkeypatch) -> list:
     matrices = []
     real = solvers._linear_solve
 
-    def recording(a, b, report):
+    def recording(a, b):
         matrices.append(a)
-        return real(a, b, report)
+        return real(a, b)
 
     monkeypatch.setattr(solvers, "_linear_solve", recording)
     return matrices
@@ -232,17 +232,17 @@ def test_rho_warm_failure_falls_back_to_cold_schedule(grid, rng, monkeypatch):
     g = smooth_field(grid, rng)
     rho_cold, rep_cold = solve_rho(g, tau=0.3)
     starts = []
-    original = solvers._damped_newton
+    original = solvers._newton_attempt
 
     def failing_first(x, residual, solve, w, target, cfg, report, name):
         starts.append(x.copy())
         if len(starts) == 1:
             report.iterations += 2
             report.residual_history += [9.0, 8.0]
-            raise SolverError("forced", report)
+            raise SolverError("forced")
         return original(x, residual, solve, w, target, cfg, report, name)
 
-    monkeypatch.setattr(solvers, "_damped_newton", failing_first)
+    monkeypatch.setattr(solvers, "_newton_attempt", failing_first)
     rho, rep = solve_rho(g, tau=0.3, rho0=NodeField.constant(grid, 2.0))
     assert np.ptp(starts[0]) == 0.0 and starts[0][0] != 0.0
     assert np.all(starts[1] == 0.0)
@@ -251,6 +251,28 @@ def test_rho_warm_failure_falls_back_to_cold_schedule(grid, rng, monkeypatch):
     assert rep.converged
     assert rep.iterations == rep_cold.iterations + 2
     assert rep.residual_history == [9.0, 8.0, *rep_cold.residual_history]
+
+
+def assert_reports_both_attempts(report, warm_merit, cold_merit):
+    # one step from each start, two merits per attempt, the warm start's first
+    assert not report.converged
+    assert report.iterations == 2
+    assert len(report.residual_history) == 4
+    assert report.residual_history[0] == pytest.approx(warm_merit, rel=1e-12)
+    assert report.residual_history[2] == pytest.approx(cold_merit, rel=1e-12)
+
+
+def test_rho_all_attempts_failing_report_both(grid, rng):
+    g = smooth_field(grid, rng)
+    tau = 0.3
+    with pytest.raises(SolverError, match="did not converge") as info:
+        solve_rho(g, tau, cfg=NewtonConfig(max_iter=1), rho0=NodeField.constant(grid, 2.0))
+    # residual at a constant rho: tau ln rho - g
+    w = mass_vector(grid)
+    mean_g = float(np.sum(w * g.flat) / np.sum(w))
+    warm = np.sqrt(np.sum(w * (tau * np.log(2.0) - g.flat) ** 2))
+    cold = np.sqrt(np.sum(w * (mean_g - g.flat) ** 2))
+    assert_reports_both_attempts(info.value.report, warm, cold)
 
 
 def test_rho_nonpositive_start_runs_cold(grid, rng):
@@ -404,23 +426,37 @@ def test_u_warm_failure_falls_back_to_constant_start(grid, params, monkeypatch):
     rhs = apply_height_operator(exact, params)
     u_cold, rep_cold = solve_u(rhs, params)
     starts = []
-    original = solvers._height_newton
+    original = solvers._newton_attempt
 
-    def failing_first(rhs, params, cfg, start, report):
-        starts.append(start.copy())
+    def failing_first(x, residual, solve, w, target, cfg, report, name):
+        starts.append(x.copy())
         if len(starts) == 1:
             report.iterations += 2
             report.residual_history += [9.0, 8.0]
-            raise SolverError("forced", report)
-        return original(rhs, params, cfg, start, report)
+            raise SolverError("forced")
+        return original(x, residual, solve, w, target, cfg, report, name)
 
-    monkeypatch.setattr(solvers, "_height_newton", failing_first)
+    monkeypatch.setattr(solvers, "_newton_attempt", failing_first)
     u, rep = solve_u(rhs, params, u0=NodeField.constant(grid, 7.0))
-    assert np.all(starts[0] == 7.0) and np.ptp(starts[1]) == 0.0
+    # Newton centres on ubar = mean_w(rhs)/tau: warm v = 7 - ubar, cold v = 0
+    ubar = float(np.sum(mass_vector(grid) * rhs.flat) / np.sum(mass_vector(grid))) / params.tau
+    assert np.all(starts[0] == 7.0 - ubar) and np.all(starts[1] == 0.0)
     np.testing.assert_array_equal(u.values, u_cold.values)
     assert rep.converged
     assert rep.iterations == rep_cold.iterations + 2
     assert rep.residual_history == [9.0, 8.0, *rep_cold.residual_history]
+
+
+def test_u_all_attempts_failing_report_both(grid, params):
+    rhs = apply_height_operator(NodeField.from_function(grid, lambda x: np.cos(np.pi * x)), params)
+    with pytest.raises(SolverError, match="did not converge") as info:
+        solve_u(rhs, params, cfg=NewtonConfig(max_iter=1), u0=NodeField.constant(grid, 7.0))
+    # residual at a constant u: tau u - rhs
+    w = mass_vector(grid)
+    mean_rhs = float(np.sum(w * rhs.flat) / np.sum(w))
+    warm = np.sqrt(np.sum(w * (params.tau * 7.0 - rhs.flat) ** 2))
+    cold = np.sqrt(np.sum(w * (mean_rhs - rhs.flat) ** 2))
+    assert_reports_both_attempts(info.value.report, warm, cold)
 
 
 @HESS_GRIDS
