@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -81,20 +81,7 @@ class EstimateReport:
     sup_bound_ratio_minus: float
 
     def to_dict(self) -> dict:
-        return {
-            "dirichlet_sqrt_rho": float(self.dirichlet_sqrt_rho),
-            "w1p_u": float(self.w1p_u),
-            "l1_log_rho": float(self.l1_log_rho),
-            "tau_log_vs_f": {
-                lam: {k: float(v) for k, v in pair.items()}
-                for lam, pair in self.tau_log_vs_f.items()
-            },
-            "mean_identity_residual": float(self.mean_identity_residual),
-            "sup_u_plus": float(self.sup_u_plus),
-            "sup_u_minus": float(self.sup_u_minus),
-            "sup_bound_ratio_plus": float(self.sup_bound_ratio_plus),
-            "sup_bound_ratio_minus": float(self.sup_bound_ratio_minus),
-        }
+        return asdict(self)
 
 
 def _sup_ratio(part: np.ndarray, fpart: NodeField, p: float, tau: float) -> float:

@@ -145,6 +145,8 @@ def _build_field(section, grid: Grid, context: str) -> NodeField:
         return NodeField.constant(grid, _number(section["value"], f"{context}.value"))
     if kind == "csv":
         _check_keys(section, {"kind", "path"}, {"path"}, context)
+        if not isinstance(section["path"], str):
+            raise ConfigError(f"{context}.path must be a string")
         try:
             return read_node_csv(section["path"], grid)
         except ValueError as err:

@@ -62,7 +62,7 @@ history and the convergence flag, with the same meaning for every caller.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -130,11 +130,7 @@ class SolveReport:
     converged: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": int(self.iterations),
-            "residual_history": [float(r) for r in self.residual_history],
-            "converged": bool(self.converged),
-        }
+        return asdict(self)
 
 
 class SolverError(RuntimeError):
@@ -376,15 +372,6 @@ def height_energy(u: NodeField, params: ModelParams, rhs: NodeField) -> float:
     return surface_energy(u, params) + quad - float(np.sum(w * rhs.flat * uf))
 
 
-@functools.lru_cache(maxsize=None)
-def _edge_operators(grid: Grid) -> tuple:
-    """Per axis family, (D, D^T) for each operator of ``mesh.edge_stencil``."""
-    return tuple(
-        tuple((d, sp.csr_matrix(d.T)) for d in mesh.edge_stencil(grid, axis))
-        for axis in range(grid.dim)
-    )
-
-
 class _HessianPattern(NamedTuple):
     """Fixed CSR pattern of the height Newton matrix on one grid.
 
@@ -421,7 +408,8 @@ def _hessian_pattern(grid: Grid) -> _HessianPattern:
     the first height solve on a grid, one operator pair at a time with
     int32 positions."""
     n = grid.node_count
-    blocks = [(di, dj) for ops in _edge_operators(grid) for di, _ in ops for dj, _ in ops]
+    stencils = [mesh.edge_stencil(grid, axis) for axis in range(grid.dim)]
+    blocks = [(di, dj) for ops in stencils for di in ops for dj in ops]
     # sum |D_i|^T |D_j| adds positive terms only, so no entry cancels out of the pattern
     pattern = sp.csr_matrix(sum(abs(di).T @ abs(dj) for di, dj in blocks)).sorted_indices()
     flat = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr)) * n + pattern.indices
@@ -454,9 +442,9 @@ def _energy_gradient_vec(u: NodeField, params: ModelParams) -> np.ndarray:
     """Exact gradient of the edge-energy sum: sum over operators D^T (W F z)."""
     grid = u.grid
     out = np.zeros(grid.node_count)
-    for ops, z, wvec in zip(_edge_operators(grid), mesh.edge_gradients(u), mesh.edge_weight_vectors(grid)):
+    for axis, (z, wvec) in enumerate(zip(mesh.edge_gradients(u), mesh.edge_weight_vectors(grid))):
         f = flux_coefficient(np.sum(z * z, axis=-1), params)
-        for i, (_, dt) in enumerate(ops):
+        for i, dt in enumerate(mesh.edge_adjoints(grid, axis)):
             out += dt @ (wvec * (f * z[..., i]).ravel())
     return out / grid.dim
 

@@ -234,6 +234,15 @@ def test_config_error_nonfinite_csv_source(tmp_path, capsys):
     assert_config_error(tmp_path, capsys, "stationary", {**BASE, "source": source})
 
 
+@pytest.mark.parametrize("path", [["x,value", "0,1", "0.5,2", "1,3"], 7, None])
+def test_config_error_csv_path_not_a_string(tmp_path, capsys, path):
+    # a list of strings would otherwise be read by np.loadtxt as inline CSV lines
+    grid = {"dim": 1, "extents": [1.0], "cells": [3]}
+    source = {"kind": "csv", "path": path}
+    err = assert_config_error(tmp_path, capsys, "stationary", {**BASE, "grid": grid, "source": source})
+    assert "'source'.path" in err
+
+
 @pytest.mark.parametrize(
     "patches",
     [[3], 3, [{"box": 3, "value": 1.0}], [{"box": [0.2], "value": 1.0}], [{"box": [[0.2, "x"]], "value": 1.0}]],

@@ -34,6 +34,7 @@ JUNK = [
     [[0.5]],
     {"kind": "constant"},
     {"kind": "csv", "path": "missing.csv"},
+    {"kind": "csv", "path": ["x,value"]},
 ]
 
 

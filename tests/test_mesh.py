@@ -9,7 +9,6 @@ from crystalsurf.mesh import (
     NodeField,
     divergence,
     edge_gradients,
-    edge_squared_gradient,
     edge_weight_vectors,
     dirichlet_integral,
     gradient,
@@ -144,12 +143,61 @@ def test_norms():
     assert norm_lp(NodeField(g, u.values + v.values), 1.5) <= norm_lp(u, 1.5) + norm_lp(v, 1.5) + 1e-12
 
 
+# index-stencil references: adjacent differences along each axis, and their
+# negative adjoint under the trapezoid node weights
+def diff_gradient(g: Grid, u: np.ndarray) -> list[np.ndarray]:
+    return [np.diff(u, axis=k) / g.h[k] for k in range(g.dim)]
+
+
+def diff_divergence(g: Grid, comps) -> np.ndarray:
+    out = np.zeros(g.shape)
+    for k, c in enumerate(comps):
+        w = np.full(g.cells[k], g.h[k])
+        w[[0, -1]] *= 0.5
+        shape = [1] * g.dim
+        shape[k] = g.cells[k]
+        out += np.diff(c, axis=k, prepend=0.0, append=0.0) / w.reshape(shape)
+    return out
+
+
+def diff_dirichlet_integral(g: Grid, u: np.ndarray) -> float:
+    return sum(
+        float(np.sum(w.reshape(d.shape) * d * d)) for d, w in zip(diff_gradient(g, u), edge_weight_vectors(g))
+    )
+
+
+def assert_close(actual, expect, rtol):
+    np.testing.assert_allclose(actual, expect, rtol=rtol, atol=rtol * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("g", [Grid.interval(1.0, 10), Grid.rectangle((1.0, 2.0), (7, 9))], ids=["1d", "2d"])
+def test_operators_match_diff_reference(g, rng):
+    # non-dyadic spacing (1/9; 1/6 and 1/4), so the sparse products round differently
+    u = rng.standard_normal(g.shape)
+    q = random_edge_field(g, rng)
+    for got, expect in zip(gradient(NodeField(g, u)).components, diff_gradient(g, u)):
+        assert_close(got, expect, 1e-13)
+    assert_close(divergence(q).values, diff_divergence(g, q.components), 1e-13)
+    assert_close(laplacian(NodeField(g, u)).values, diff_divergence(g, diff_gradient(g, u)), 1e-13)
+    expect = diff_dirichlet_integral(g, u)
+    assert dirichlet_integral(NodeField(g, u)) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("g", [Grid.interval(1.0, 1025), Grid.rectangle((1.0, 2.0), (65, 33))], ids=["1d", "2d"])
+def test_dirichlet_integral_differences_before_squaring(g, rng):
+    # a large constant plus a small fluctuation: u^T K u would lose the
+    # fluctuation's digits to the constant's rounding, D u cancels it exactly
+    u = 1e3 + 1e-6 * rng.standard_normal(g.shape)
+    got = dirichlet_integral(NodeField(g, u))
+    assert got == pytest.approx(diff_dirichlet_integral(g, u), rel=1e-12, abs=0.0)
+
+
 def test_stiffness_matches_dirichlet_integral(rng):
     g = Grid.rectangle((1.0, 2.0), (8, 6))
     u = rng.standard_normal(g.shape)
     k = stiffness_matrix(g)
     quad = float(u.reshape(-1) @ (k @ u.reshape(-1)))
-    assert quad == pytest.approx(dirichlet_integral(NodeField(g, u)), rel=1e-13)
+    assert quad == pytest.approx(diff_dirichlet_integral(g, u), rel=1e-13)
 
 
 def test_edge_gradient_transverse_reconstruction():
@@ -161,8 +209,6 @@ def test_edge_gradient_transverse_reconstruction():
     assert np.allclose(dtx[:, 1:-1], 2.0)
     assert np.all(dtx[:, 0] == 0.0) and np.all(dtx[:, -1] == 0.0)
     assert np.allclose(dty[1:-1, :], 1.0)
-    s = edge_squared_gradient(u)
-    assert np.allclose(s[0][:, 1:-1], 5.0)
 
 
 def test_edge_gradient_transverse_is_four_point_mean(rng):
