@@ -195,7 +195,7 @@ def _ball_masses(
     for j in range(levels + 1):
         r = r_max * 0.5**j
         if np.any(x0 - r < -1e-12) or np.any(x0 + r > np.asarray(grid.extents) + 1e-12):
-            raise ValueError(f"ball of radius {r:g} around {tuple(x0)} leaves the domain")
+            raise ValueError(f"ball of radius {r:g} around {tuple(x0.tolist())} leaves the domain")
         inside = dist < r
         if int(np.sum(inside)) < min_nodes:
             continue
@@ -278,7 +278,7 @@ def classify_points(
             min(min(c, e - c) for c, e in zip(x0, grid.extents))
         )
         if fit <= 0.0:
-            raise ValueError(f"probe {tuple(x0)} lies on or outside the boundary")
+            raise ValueError(f"probe {tuple(x0.tolist())} lies on or outside the boundary")
         _, row = vanishing_order(
             rho, x0, min(r_max, (1.0 - 1e-12) * fit), levels, eps_list, min_nodes
         )

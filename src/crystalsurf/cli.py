@@ -14,8 +14,10 @@ Usage: ``crystalsurf <mode> --config <path> [--out <dir>]`` with modes
 
 Configuration is a single JSON document; unknown keys are rejected so
 typos in sweep scripts fail closed, as does a solver section (``newton``,
-``picard``) the mode does not read. Exit codes: 0 success, 2 config
-error, 3 solver non-convergence or numerical breakdown, 4 I/O error.
+``picard``) the mode does not read. ``parse`` validates the whole document
+(reading its CSV fields) before ``run`` creates the output directory or
+starts a solver. Exit codes: 0 success, 2 config error (nothing written),
+3 solver non-convergence or numerical breakdown, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +51,8 @@ from .energy import ModelParams
 from .mesh import Grid, NodeField, read_node_csv, write_edge_csv, write_node_csv
 from .solvers import NewtonConfig, SolverError
 
-__all__ = ["ConfigError", "run", "main"]
+__all__ = ["ConfigError", "parse", "run", "main"]
 
-MODES = ("stationary", "evolve", "audit", "singular", "mms")
 # Largest grid a config may request: 80 MB per node field, far beyond
 # what the sparse direct solves can factor.
 MAX_NODES = 10**7
@@ -60,7 +62,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(section: dict, allowed: set[str], required: set[str], context: str) -> None:
+def _check_keys(section, allowed: set[str], required: set[str], context: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{context} must be an object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {context}")
@@ -95,8 +99,6 @@ def _numbers(value, context: str, kind=float) -> list:
 
 
 def _build_grid(section) -> Grid:
-    if not isinstance(section, dict):
-        raise ConfigError("'grid' must be an object")
     _check_keys(section, {"dim", "extents", "cells"}, {"dim", "extents", "cells"}, "'grid'")
     dim = _number(section["dim"], "'grid.dim'", int)
     extents = _numbers(section["extents"], "'grid.extents'")
@@ -115,8 +117,6 @@ def _make_grid(dim: int, extents, cells, context: str) -> Grid:
 
 
 def _build_params(section) -> ModelParams:
-    if not isinstance(section, dict):
-        raise ConfigError("'params' must be an object")
     allowed = {"p", "beta0", "a", "tau", "delta"}
     _check_keys(section, allowed, {"p"}, "'params'")
     values = {k: _number(v, f"'params.{k}'") for k, v in section.items()}
@@ -124,14 +124,6 @@ def _build_params(section) -> ModelParams:
         return ModelParams(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid 'params': {err}") from err
-
-
-def _build_solve_params(section) -> ModelParams:
-    """Model constants of a mode that solves at params.tau, which must be > 0."""
-    params = _build_params(section)
-    if params.tau <= 0.0:
-        raise ConfigError("invalid 'params': tau must be positive to solve")
-    return params
 
 
 def _build_field(section, grid: Grid, context: str) -> NodeField:
@@ -159,8 +151,6 @@ def _build_field(section, grid: Grid, context: str) -> NodeField:
             raise ConfigError(f"{context}.patches must be a list")
         for i, patch in enumerate(section["patches"]):
             where = f"{context}.patches[{i}]"
-            if not isinstance(patch, dict):
-                raise ConfigError(f"{where} must be an object")
             _check_keys(patch, {"box", "value"}, {"box", "value"}, where)
             box = patch["box"]
             if not isinstance(box, list) or len(box) != grid.dim or not all(
@@ -179,8 +169,6 @@ def _build_field(section, grid: Grid, context: str) -> NodeField:
 def _build_dataclass(section, cls, context: str):
     if section is None:
         return cls()
-    if not isinstance(section, dict):
-        raise ConfigError(f"{context} must be an object")
     fields = {f.name: f.default for f in dataclasses.fields(cls)}
     _check_keys(section, set(fields), set(), context)
     for name, value in section.items():  # numeric fields take JSON numbers (or None where allowed)
@@ -204,132 +192,139 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-_SOLVER_KEYS = {"newton", "picard"}
-
-
-def _validate_mode_keys(config: dict, mode: str, required: set[str], optional=frozenset()) -> None:
-    required = {"grid", "params"} | required
-    _check_keys(config, {"mode"} | required | optional, required, "the config")
-    if "mode" in config and config["mode"] != mode:
+def _parse_inputs(config: dict, mode: str, required, optional=(), solvers=("newton", "picard"), solves=True):
+    """Check the keys of a ``mode`` config and build the entries modes share:
+    the grid, the params (tau > 0 if the mode ``solves`` at params.tau), the
+    ``solvers`` sections it reads (else None) and its field entry, if any."""
+    allowed = {"mode", "grid", "params", *required, *optional, *solvers}
+    _check_keys(config, allowed, {"grid", "params", *required}, "the config")
+    if config.get("mode", mode) != mode:
         raise ConfigError(f"config declares mode '{config['mode']}' but '{mode}' was requested")
-
-
-def _run_stationary(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "stationary", {"source"}, _SOLVER_KEYS)
     grid = _build_grid(config["grid"])
-    params = _build_solve_params(config["params"])
-    newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
-    picard = _build_dataclass(config.get("picard"), PicardConfig, "'picard'")
-    f = _build_field(config["source"], grid, "'source'")
-    data = ProblemData(f, params)
-    triple, report = solve_coupled(data, picard, newton)
-    write_node_csv(triple.u, out / "u.csv")
-    write_node_csv(triple.rho, out / "rho.csv")
-    write_edge_csv(triple.phi, out / "phi.csv")
-    estimates = apriori_audit(triple.u, triple.rho, data)
-    _write_json(
-        out / "report.json",
-        {
-            "mode": "stationary",
-            "grid": {"dim": grid.dim, "extents": list(grid.extents), "cells": list(grid.cells)},
-            "params": dataclasses.asdict(capped_params(params, picard)),
-            "solve": report.to_dict(),
-            "estimates": estimates.to_dict(),
-        },
-    )
+    params = _build_params(config["params"])
+    if solves and params.tau <= 0.0:
+        raise ConfigError("invalid 'params': tau must be positive to solve")
+    newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'") if "newton" in solvers else None
+    picard = _build_dataclass(config.get("picard"), PicardConfig, "'picard'") if "picard" in solvers else None
+    field = None
+    for key in {"source", "u0", "rho"} & set(required):
+        field = _build_field(config[key], grid, f"'{key}'")
+    return grid, params, newton, picard, field
 
 
-def _run_evolve(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "evolve", {"u0", "dt", "nsteps"}, {"checkpoint_every"} | _SOLVER_KEYS)
-    grid = _build_grid(config["grid"])
-    params = _build_solve_params(config["params"])
-    newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
-    picard = _build_dataclass(config.get("picard"), PicardConfig, "'picard'")
-    u0 = _build_field(config["u0"], grid, "'u0'")
+def _stationary(config: dict) -> Callable[[Path], None]:
+    grid, params, newton, picard, f = _parse_inputs(config, "stationary", {"source"})
+
+    def execute(out: Path) -> None:
+        data = ProblemData(f, params)
+        triple, report = solve_coupled(data, picard, newton)
+        write_node_csv(triple.u, out / "u.csv")
+        write_node_csv(triple.rho, out / "rho.csv")
+        write_edge_csv(triple.phi, out / "phi.csv")
+        estimates = apriori_audit(triple.u, triple.rho, data)
+        _write_json(
+            out / "report.json",
+            {
+                "mode": "stationary",
+                "grid": {"dim": grid.dim, "extents": list(grid.extents), "cells": list(grid.cells)},
+                "params": dataclasses.asdict(capped_params(params, picard)),
+                "solve": report.to_dict(),
+                "estimates": estimates.to_dict(),
+            },
+        )
+
+    return execute
+
+
+def _evolve(config: dict) -> Callable[[Path], None]:
+    required = {"u0", "dt", "nsteps"}
+    _, params, newton, picard, u0 = _parse_inputs(config, "evolve", required, {"checkpoint_every"})
     dt = _number(config["dt"], "'dt'")
     nsteps = _number(config["nsteps"], "'nsteps'", int)
     every = _number(config.get("checkpoint_every", 1), "'checkpoint_every'", int)
-    if dt <= 0 or nsteps < 1 or every < 1:
-        raise ConfigError("'dt' must be positive and 'nsteps'/'checkpoint_every' at least 1")
-    traj = evolve(u0, dt, nsteps, params, picard, newton)
-    manifest_steps = []
-    for step in traj.steps:
-        entry = {
-            "index": step.index,
-            "time": step.time,
-            "surface_energy": step.surface_energy,
-            "l2_height": step.l2_height,
-            "mean_height": step.mean_height,
-            "converged": step.converged,
-            "residuals": list(step.residuals) if step.residuals is not None else None,
-            "estimates": step.estimates.to_dict() if step.estimates is not None else None,
-        }
-        if step.index % every == 0 or step.index == len(traj.steps) - 1:
-            u_name = f"u_{step.index:05d}.csv"
-            write_node_csv(step.u, out / u_name)
-            entry["u_csv"] = u_name
-            if step.rho is not None:
-                rho_name = f"rho_{step.index:05d}.csv"
-                write_node_csv(step.rho, out / rho_name)
-                entry["rho_csv"] = rho_name
-        manifest_steps.append(entry)
-    _write_json(
-        out / "manifest.json",
-        {
-            "mode": "evolve",
-            "dt": dt,
-            "nsteps": nsteps,
-            "params": dataclasses.asdict(capped_params(params, picard)),
-            "completed": traj.completed,
-            "failure": traj.failure,
-            "energy_nonincreasing": traj.energy_nonincreasing,
-            "steps": manifest_steps,
-        },
-    )
-    if not traj.completed:
-        raise SolverError(traj.failure or "trajectory terminated early")
+    if not (dt > 0 and math.isfinite(1.0 / dt)) or nsteps < 1 or every < 1:
+        raise ConfigError("'dt' must be positive with 1/dt finite, 'nsteps'/'checkpoint_every' at least 1")
+
+    def execute(out: Path) -> None:
+        traj = evolve(u0, dt, nsteps, params, picard, newton)
+        manifest_steps = []
+        for step in traj.steps:
+            entry = {
+                "index": step.index,
+                "time": step.time,
+                "surface_energy": step.surface_energy,
+                "l2_height": step.l2_height,
+                "mean_height": step.mean_height,
+                "converged": step.converged,
+                "residuals": list(step.residuals) if step.residuals is not None else None,
+                "estimates": step.estimates.to_dict() if step.estimates is not None else None,
+            }
+            if step.index % every == 0 or step.index == len(traj.steps) - 1:
+                u_name = f"u_{step.index:05d}.csv"
+                write_node_csv(step.u, out / u_name)
+                entry["u_csv"] = u_name
+                if step.rho is not None:
+                    rho_name = f"rho_{step.index:05d}.csv"
+                    write_node_csv(step.rho, out / rho_name)
+                    entry["rho_csv"] = rho_name
+            manifest_steps.append(entry)
+        _write_json(
+            out / "manifest.json",
+            {
+                "mode": "evolve",
+                "dt": dt,
+                "nsteps": nsteps,
+                "params": dataclasses.asdict(capped_params(params, picard)),
+                "completed": traj.completed,
+                "failure": traj.failure,
+                "energy_nonincreasing": traj.energy_nonincreasing,
+                "steps": manifest_steps,
+            },
+        )
+        if not traj.completed:
+            raise SolverError(traj.failure or "trajectory terminated early")
+
+    return execute
 
 
-def _run_audit(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "audit", {"source", "tau_schedule"}, _SOLVER_KEYS)
-    grid = _build_grid(config["grid"])
-    params = _build_params(config["params"])
-    newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
-    picard = _build_dataclass(config.get("picard"), PicardConfig, "'picard'")
-    f = _build_field(config["source"], grid, "'source'")
+def _audit(config: dict) -> Callable[[Path], None]:
+    # the schedule, not params.tau, sets the smoothing of every stage
+    _, params, newton, picard, f = _parse_inputs(config, "audit", {"source", "tau_schedule"}, solves=False)
     schedule = _numbers(config["tau_schedule"], "'tau_schedule'")
     if any(t <= 0.0 for t in schedule) or any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("'tau_schedule' must be strictly decreasing and positive")
-    result = continuation_tau(ProblemData(f, params), schedule, picard, newton)
-    payload = {
-        "mode": "audit",
-        "completed": result.completed,
-        "failure": result.failure,
-        "stages": [
-            {
-                "tau": st.tau,
-                "estimates": st.estimates.to_dict(),
-                "iterations": st.report.iterations,
-            }
-            for st in result.stages
-        ],
-    }
-    _write_json(out / "estimates.json", payload)
-    if result.final is not None:
-        write_node_csv(result.final.u, out / "u.csv")
-        write_node_csv(result.final.rho, out / "rho.csv")
-        write_edge_csv(limit_flux(result.final.u, params), out / "limit_flux.csv")
-    if not result.completed:
-        raise SolverError(result.failure or "continuation terminated early")
+
+    def execute(out: Path) -> None:
+        result = continuation_tau(ProblemData(f, params), schedule, picard, newton)
+        payload = {
+            "mode": "audit",
+            "completed": result.completed,
+            "failure": result.failure,
+            "stages": [
+                {
+                    "tau": st.tau,
+                    "estimates": st.estimates.to_dict(),
+                    "iterations": st.report.iterations,
+                }
+                for st in result.stages
+            ],
+        }
+        _write_json(out / "estimates.json", payload)
+        if result.final is not None:
+            write_node_csv(result.final.u, out / "u.csv")
+            write_node_csv(result.final.rho, out / "rho.csv")
+            write_edge_csv(limit_flux(result.final.u, params), out / "limit_flux.csv")
+        if not result.completed:
+            raise SolverError(result.failure or "continuation terminated early")
+
+    return execute
 
 
-def _run_singular(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "singular", {"rho", "probes"}, {"eps_list", "r_max", "levels"})
-    grid = _build_grid(config["grid"])
-    _build_params(config["params"])  # validated for consistency even though unused
-    rho = _build_field(config["rho"], grid, "'rho'")
-    if np.min(rho.values) < 0.0:
-        raise ConfigError("'rho' must be nonnegative")
+def _singular(config: dict) -> Callable[[Path], None]:
+    # params is validated even though unused; the probes do no solve, so
+    # they run here and reject a negative rho or an unusable probe window
+    optional = {"eps_list", "r_max", "levels"}
+    grid, _, _, _, rho = _parse_inputs(config, "singular", {"rho", "probes"}, optional, (), solves=False)
     if not isinstance(config["probes"], list):
         raise ConfigError("'probes' must be a list of points")
     probes = [tuple(_numbers(pt, "'probes' point")) for pt in config["probes"]]
@@ -342,14 +337,13 @@ def _run_singular(config: dict, out: Path) -> None:
         report = classify_points(rho, probes, eps_list, r_max, levels)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    _write_json(out / "singularity.json", {"mode": "singular", **report.to_dict()})
+    payload = {"mode": "singular", **report.to_dict()}
+    return lambda out: _write_json(out / "singularity.json", payload)
 
 
-def _run_mms(config: dict, out: Path) -> None:
-    _validate_mode_keys(config, "mms", {"cells_list"}, {"amplitude", "extent", "newton"})
-    grid = _build_grid(config["grid"])
-    params = _build_solve_params(config["params"])
-    newton = _build_dataclass(config.get("newton"), NewtonConfig, "'newton'")
+def _mms(config: dict) -> Callable[[Path], None]:
+    optional = {"amplitude", "extent"}
+    grid, params, newton, _, _ = _parse_inputs(config, "mms", {"cells_list"}, optional, ("newton",))
     cells_list = _numbers(config["cells_list"], "'cells_list'", int)
     amplitude = _number(config.get("amplitude", 0.06), "'amplitude'")
     if amplitude == 0.0:
@@ -357,36 +351,45 @@ def _run_mms(config: dict, out: Path) -> None:
     extent = _number(config.get("extent", grid.extents[0]), "'extent'")
     for cells in cells_list:
         _make_grid(grid.dim, (extent,) * grid.dim, (cells,) * grid.dim, "'cells_list' or 'extent'")
-    rows = mms_convergence(grid.dim, cells_list, params, amplitude, extent, newton)
-    with open(out / "mms.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("h,err_u,order_u,err_rho,order_rho\n")
-        for r in rows:
-            ou = "" if r.order_u is None else f"{r.order_u:.17g}"
-            orho = "" if r.order_rho is None else f"{r.order_rho:.17g}"
-            fh.write(f"{r.h:.17g},{r.err_u:.17g},{ou},{r.err_rho:.17g},{orho}\n")
+
+    def execute(out: Path) -> None:
+        rows = mms_convergence(grid.dim, cells_list, params, amplitude, extent, newton)
+        with open(out / "mms.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("h,err_u,order_u,err_rho,order_rho\n")
+            for r in rows:
+                ou = "" if r.order_u is None else f"{r.order_u:.17g}"
+                orho = "" if r.order_rho is None else f"{r.order_rho:.17g}"
+                fh.write(f"{r.h:.17g},{r.err_u:.17g},{ou},{r.err_rho:.17g},{orho}\n")
+
+    return execute
 
 
-_RUNNERS = {
-    "stationary": _run_stationary,
-    "evolve": _run_evolve,
-    "audit": _run_audit,
-    "singular": _run_singular,
-    "mms": _run_mms,
-}
+# each mode's parser: validates its config and returns its execute step
+MODES = {"stationary": _stationary, "evolve": _evolve, "audit": _audit, "singular": _singular, "mms": _mms}
 
 
-def run(mode: str, config: dict, out_dir) -> None:
-    """Validate the config and execute one mode, writing files into out_dir."""
+def parse(mode: str, config) -> Callable[[Path], None]:
+    """Validate a whole config document for one mode and return its execute
+    step, a callable of the output directory. Reads only the CSV fields the
+    document names; raises ConfigError, or OSError for an unreadable CSV."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}'")
-    if not isinstance(config, dict):
-        raise ConfigError("the config document must be a JSON object")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[mode](config, out)
+    return MODES[mode](config)
+
+
+def run(mode: str, config, out_dir) -> None:
+    """Parse the config, then create out_dir and execute the mode into it,
+    so a config error creates no file or directory."""
+    execute = parse(mode, config)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    execute(Path(out_dir))
 
 
 def main(argv=None) -> int:
+    """Run one mode from the command line and return the exit code: 2 (4 for
+    an unreadable file) for an error while reading and parsing the config,
+    before anything is written; 3 for solver non-convergence or numerical
+    breakdown and 4 for an I/O error while executing."""
     parser = argparse.ArgumentParser(
         prog="crystalsurf",
         description="Finite-difference solvers for a regularized crystal-surface model",
@@ -398,19 +401,14 @@ def main(argv=None) -> int:
         mp.add_argument("--out", default=".", help="output directory (default: current)")
     args = parser.parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return 4
-    except json.JSONDecodeError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
-        run(args.mode, config, args.out)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                execute = parse(args.mode, json.load(fh))
+        except (ValueError, RecursionError) as err:  # while reading or parsing: a ConfigError or bad JSON
+            print(f"config error: {err}", file=sys.stderr)
+            return 2
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        execute(Path(args.out))
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         if err.report is not None:
@@ -418,7 +416,6 @@ def main(argv=None) -> int:
         return 3
     except (ArithmeticError, ValueError) as err:
         # overflow, division by zero or a non-finite field inside the solve
-        # of an accepted config (config errors were caught above)
         print(f"solver error: numerical breakdown: {err!r}", file=sys.stderr)
         return 3
     except OSError as err:

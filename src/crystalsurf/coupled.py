@@ -111,11 +111,12 @@ class PicardConfig:
 
 @dataclass
 class WeakSolutionTriple:
-    """Converged height, density, and total-variation subgradient selection."""
+    """Converged height, density, TV subgradient selection, and the coupled_residuals of (u, rho)."""
 
     u: NodeField
     rho: NodeField
     phi: EdgeField
+    residuals: tuple[float, float]
 
 
 def mean_height_target(data: ProblemData) -> float:
@@ -238,7 +239,7 @@ def solve_coupled(
         u = u_new
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
             report.converged = True
-            return WeakSolutionTriple(u, rho, subgradient_field(u)), report
+            return WeakSolutionTriple(u, rho, subgradient_field(u), (r1, r2)), report
         omega = min(1.0, omega * 1.2) if res < prev_res else max(1e-3, 0.5 * omega)
         prev_res = res
     raise SolverError(
@@ -343,8 +344,8 @@ def evolve(
     and source u^n/dt; per the mean identity the discrete mass satisfies
     int u^{n+1} = int u^n / (1 + tau^2 dt) exactly. Each step starts
     from the previous step's height and density. The recorded residuals
-    are those of the system solved, at the capped viscosity of
-    ``solve_coupled``. The surface energy is recorded per step as a
+    are those ``solve_coupled`` evaluated on its last outer step, of the
+    system solved at the capped viscosity. The surface energy is recorded per step as a
     diagnostic; a step failure terminates the trajectory and returns
     the prefix.
     """
@@ -386,7 +387,7 @@ def evolve(
                 mesh.norm_l2(u),
                 mesh.integrate(u) / grid.volume,
                 rep.converged,
-                residuals=coupled_residuals(u, triple.rho, data),
+                residuals=triple.residuals,
                 estimates=analysis.apriori_audit(u, triple.rho, data),
             )
         )

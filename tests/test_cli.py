@@ -52,10 +52,16 @@ def test_missing_config_file_is_io_error(tmp_path):
     assert main(["stationary", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 4
 
 
-def test_malformed_json_is_config_error(tmp_path):
+def test_malformed_json_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["stationary", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    # nesting too deep for the JSON decoder and bytes that are not UTF-8
+    for content in [b"[" * 100000 + b"]" * 100000, b"\xff\xfe"]:
+        bad.write_bytes(content)
+        assert main(["stationary", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_deterministic_outputs(tmp_path):
@@ -135,28 +141,32 @@ def test_audit_mode(tmp_path):
     assert (out / "limit_flux.csv").exists()
 
 
-def test_singular_mode(tmp_path):
+def test_singular_mode(tmp_path, capsys):
     grid = Grid.rectangle((1.0, 1.0), (65, 65))
     rho = NodeField.from_function(grid, lambda x, y: ((x - 0.5) ** 2 + (y - 0.5) ** 2) ** 2)
     write_node_csv(rho, tmp_path / "rho.csv")
-    cfg = write_config(
-        tmp_path / "c.json",
-        {
-            "grid": {"dim": 2, "extents": [1.0, 1.0], "cells": [65, 65]},
-            "params": {"p": 1.5},
-            "rho": {"kind": "csv", "path": str(tmp_path / "rho.csv")},
-            "probes": [[0.5, 0.5], [0.25, 0.25]],
-            "eps_list": [1.5],
-            "r_max": 0.49,
-            "levels": 5,
-        },
-    )
+    doc = {
+        "grid": {"dim": 2, "extents": [1.0, 1.0], "cells": [65, 65]},
+        "params": {"p": 1.5},
+        "rho": {"kind": "csv", "path": str(tmp_path / "rho.csv")},
+        "probes": [[0.5, 0.5], [0.25, 0.25]],
+        "eps_list": [1.5],
+        "r_max": 0.49,
+        "levels": 5,
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
     out = tmp_path / "out"
     assert main(["singular", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "singularity.json").read_text())
     labels = {tuple(p["point"]): p["label"] for p in payload["probes"]}
     assert labels[(0.5, 0.5)] == "suspect"
     assert labels[(0.25, 0.25)] == "regular"
+    # a probe on the boundary is a config error that names the point in plain floats
+    cfg = write_config(tmp_path / "c.json", {**doc, "probes": [[0.0, 0.5]]})
+    assert main(["singular", "--config", cfg, "--out", str(tmp_path / "out2")]) == 2
+    err = capsys.readouterr().err
+    assert "probe (0.0, 0.5) lies on or outside the boundary" in err
+    assert "np.float64" not in err
 
 
 def test_mms_mode(tmp_path):
@@ -196,6 +206,8 @@ def assert_config_error(tmp_path, capsys, mode, payload):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    # the config is parsed in full before the output directory is created
+    assert not (tmp_path / "out").exists()
     return err
 
 
@@ -409,11 +421,17 @@ def test_config_error_missing_required_key(tmp_path, capsys, mode, key):
         ("stationary", {**BASE, "grid": {"dim": 1, "extents": [1.0], "cells": [10**8]}, "source": 0.0}),
         ("mms", {**BASE, "cells_list": [17, 10**8]}),
         ("mms", {**BASE, "cells_list": [5, 9], "amplitude": 0.0}),
+        ("singular", {**BASE, "rho": 1.0, "probes": [[0.5]], "levels": 2}),
+        ("singular", {**BASE, "rho": 1.0, "probes": [[0.0]]}),
+        ("singular", {**BASE, "rho": 1.0, "probes": [[0.5]], "r_max": 0.01}),
+        ("evolve", {**BASE, "u0": 1.0, "dt": 1e-320, "nsteps": 2}),
     ],
 )
 def test_config_error_unusable_sizes(tmp_path, capsys, mode, payload):
     # oversized grids are refused before any field is allocated; a zero
-    # mms amplitude leaves the relative errors undefined
+    # mms amplitude leaves the relative errors undefined; a probe window
+    # needs 3 levels, an interior point and 2 radii holding enough nodes;
+    # a dt of 1e-320 has no finite rate 1/dt
     assert_config_error(tmp_path, capsys, mode, payload)
 
 

@@ -3,7 +3,9 @@
 Valid documents for every mode on grids of at most 9 nodes, and the same
 documents with one entry replaced by a junk value, deleted, or joined by
 an unknown key. Whatever the document, ``main`` must return 0, 2, 3 or
-4 and write no traceback to stderr.
+4 and write no traceback to stderr, and a config error (2) must leave no
+``--out`` path behind. ``parse`` alone must return an execute step or
+raise ``ConfigError`` or ``OSError``.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crystalsurf.cli import main
+from crystalsurf.cli import ConfigError, main, parse
 
 JUNK = [
     None,
@@ -130,7 +132,8 @@ def run_cli(mode, doc):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([mode, "--config", str(path), "--out", str(Path(tmp) / "out")])
-    return code, err.getvalue()
+        wrote = (Path(tmp) / "out").exists()
+    return code, err.getvalue(), wrote
 
 
 def contract(examples):
@@ -147,14 +150,27 @@ def contract(examples):
 @contract(30)
 @given(documents())
 def test_valid_documents_keep_exit_contract(case):
-    code, err = run_cli(*case)
+    code, err, wrote = run_cli(*case)
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
+    assert not (code == 2 and wrote), err
 
 
 @contract(80)
 @given(mutated_documents())
 def test_mutated_documents_keep_exit_contract(case):
-    code, err = run_cli(*case)
+    code, err, wrote = run_cli(*case)
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
+    assert not (code == 2 and wrote), err
+
+
+@contract(1000)
+@given(mutated_documents())
+def test_parse_returns_an_execute_step_or_a_config_error(case):
+    # parsing runs no solve, so it affords a larger budget than the end-to-end tests
+    try:
+        execute = parse(*case)
+    except (ConfigError, OSError):
+        return
+    assert callable(execute)

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from crystalsurf import coupled
 from crystalsurf.energy import ModelParams
 from crystalsurf.mesh import Grid, NodeField, integrate, norm_l2
 from crystalsurf.coupled import (
     PicardConfig,
     ProblemData,
+    capped_params,
     coupled_residuals,
     continuation_tau,
     evolve,
@@ -283,6 +287,29 @@ def test_evolve_residuals_of_the_solved_system(grid):
     assert traj.completed
     for step in traj.steps[1:]:
         assert max(step.residuals) <= PicardConfig().tol_residual
+
+
+def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
+    # each step records the pair that solve_coupled's last outer step
+    # evaluated, so the residuals run once per outer step and no more
+    calls, outer = [], []
+    residuals, solve = coupled.coupled_residuals, coupled.solve_coupled
+
+    def solved(*args, **kwargs):
+        triple, report = solve(*args, **kwargs)
+        outer.append(report.iterations)
+        return triple, report
+
+    monkeypatch.setattr(coupled, "coupled_residuals", lambda *args: calls.append(args) or residuals(*args))
+    monkeypatch.setattr(coupled, "solve_coupled", solved)
+    u0 = NodeField.from_function(grid, lambda x: 1.0 + 0.2 * np.cos(np.pi * x))
+    p, dt = params_with(tau=1e-2), 0.05
+    traj = coupled.evolve(u0, dt=dt, nsteps=3, params=p)
+    assert traj.completed and len(calls) == sum(outer) > 3
+    # the recorded pair is exactly what a fresh evaluation of the solved system gives
+    prev, last = traj.steps[-2:]
+    data = ProblemData(NodeField(grid, prev.u.values / dt), capped_params(replace(p, a=1.0 / dt), PicardConfig()))
+    assert last.residuals == residuals(last.u, last.rho, data)
 
 
 def test_evolve_validates_inputs(grid):
