@@ -42,10 +42,12 @@ from .coupled import (
     ProblemData,
     capped_params,
     continuation_tau,
+    energy_nonincreasing,
     evolve,
     limit_flux,
     mms_convergence,
     solve_coupled,
+    validate_tau_schedule,
 )
 from .energy import ModelParams
 from .mesh import Grid, NodeField, read_node_csv, write_edge_csv, write_node_csv
@@ -60,6 +62,10 @@ MAX_NODES = 10**7
 
 class ConfigError(ValueError):
     pass
+
+
+# the errors of a solve that exit 3: non-convergence or numerical breakdown
+_SOLVE_ERRORS = (SolverError, ArithmeticError, ValueError)
 
 
 def _check_keys(section, allowed: set[str], required: set[str], context: str) -> None:
@@ -245,29 +251,38 @@ def _evolve(config: dict) -> Callable[[Path], None]:
     if not (dt > 0 and math.isfinite(1.0 / dt)) or nsteps < 1 or every < 1:
         raise ConfigError("'dt' must be positive with 1/dt finite, 'nsteps'/'checkpoint_every' at least 1")
 
+    def checkpoint(step, entry: dict, out: Path) -> None:
+        entry["u_csv"] = f"u_{step.index:05d}.csv"
+        write_node_csv(step.u, out / entry["u_csv"])
+        if step.rho is not None:
+            entry["rho_csv"] = f"rho_{step.index:05d}.csv"
+            write_node_csv(step.rho, out / entry["rho_csv"])
+
     def execute(out: Path) -> None:
-        traj = evolve(u0, dt, nsteps, params, picard, newton)
-        manifest_steps = []
-        for step in traj.steps:
-            entry = {
-                "index": step.index,
-                "time": step.time,
-                "surface_energy": step.surface_energy,
-                "l2_height": step.l2_height,
-                "mean_height": step.mean_height,
-                "converged": step.converged,
-                "residuals": list(step.residuals) if step.residuals is not None else None,
-                "estimates": step.estimates.to_dict() if step.estimates is not None else None,
-            }
-            if step.index % every == 0 or step.index == len(traj.steps) - 1:
-                u_name = f"u_{step.index:05d}.csv"
-                write_node_csv(step.u, out / u_name)
-                entry["u_csv"] = u_name
-                if step.rho is not None:
-                    rho_name = f"rho_{step.index:05d}.csv"
-                    write_node_csv(step.rho, out / rho_name)
-                    entry["rho_csv"] = rho_name
-            manifest_steps.append(entry)
+        # each step's checkpoint is written as it arrives; the last step
+        # received is always written, also when a later step fails
+        entries, energies, step, failure = [], [], None, None
+        try:
+            for step in evolve(u0, dt, nsteps, params, picard, newton):
+                entries.append(
+                    {
+                        "index": step.index,
+                        "time": step.time,
+                        "surface_energy": step.surface_energy,
+                        "l2_height": step.l2_height,
+                        "mean_height": step.mean_height,
+                        "converged": True,
+                        "residuals": list(step.residuals) if step.residuals is not None else None,
+                        "estimates": step.estimates.to_dict() if step.estimates is not None else None,
+                    }
+                )
+                energies.append(step.surface_energy)
+                if step.index % every == 0:
+                    checkpoint(step, entries[-1], out)
+        except _SOLVE_ERRORS as err:
+            failure = err
+        if step is not None and "u_csv" not in entries[-1]:
+            checkpoint(step, entries[-1], out)
         _write_json(
             out / "manifest.json",
             {
@@ -275,14 +290,14 @@ def _evolve(config: dict) -> Callable[[Path], None]:
                 "dt": dt,
                 "nsteps": nsteps,
                 "params": dataclasses.asdict(capped_params(params, picard)),
-                "completed": traj.completed,
-                "failure": traj.failure,
-                "energy_nonincreasing": traj.energy_nonincreasing,
-                "steps": manifest_steps,
+                "completed": failure is None,
+                "failure": None if failure is None else str(failure),
+                "energy_nonincreasing": energy_nonincreasing(energies),
+                "steps": entries,
             },
         )
-        if not traj.completed:
-            raise SolverError(traj.failure or "trajectory terminated early")
+        if failure is not None:
+            raise failure
 
     return execute
 
@@ -291,31 +306,39 @@ def _audit(config: dict) -> Callable[[Path], None]:
     # the schedule, not params.tau, sets the smoothing of every stage
     _, params, newton, picard, f = _parse_inputs(config, "audit", {"source", "tau_schedule"}, solves=False)
     schedule = _numbers(config["tau_schedule"], "'tau_schedule'")
-    if any(t <= 0.0 for t in schedule) or any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError("'tau_schedule' must be strictly decreasing and positive")
+    try:
+        validate_tau_schedule(schedule)
+    except ValueError as err:
+        raise ConfigError("'tau_schedule' must be strictly decreasing and positive") from err
 
     def execute(out: Path) -> None:
-        result = continuation_tau(ProblemData(f, params), schedule, picard, newton)
+        stages, failure = [], None
+        try:
+            for stage in continuation_tau(ProblemData(f, params), schedule, picard, newton):
+                stages.append(stage)
+        except _SOLVE_ERRORS as err:
+            failure = err
         payload = {
             "mode": "audit",
-            "completed": result.completed,
-            "failure": result.failure,
+            "completed": failure is None,
+            "failure": None if failure is None else str(failure),
             "stages": [
                 {
                     "tau": st.tau,
                     "estimates": st.estimates.to_dict(),
                     "iterations": st.report.iterations,
                 }
-                for st in result.stages
+                for st in stages
             ],
         }
         _write_json(out / "estimates.json", payload)
-        if result.final is not None:
-            write_node_csv(result.final.u, out / "u.csv")
-            write_node_csv(result.final.rho, out / "rho.csv")
-            write_edge_csv(limit_flux(result.final.u, params), out / "limit_flux.csv")
-        if not result.completed:
-            raise SolverError(result.failure or "continuation terminated early")
+        if stages:
+            final = stages[-1].triple
+            write_node_csv(final.u, out / "u.csv")
+            write_node_csv(final.rho, out / "rho.csv")
+            write_edge_csv(limit_flux(final.u, params), out / "limit_flux.csv")
+        if failure is not None:
+            raise failure
 
     return execute
 

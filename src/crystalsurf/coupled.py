@@ -31,6 +31,7 @@ The drivers of ``solve_coupled`` live here too: ``continuation_tau``,
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,15 +55,15 @@ __all__ = [
     "PicardConfig",
     "WeakSolutionTriple",
     "TauStage",
-    "ContinuationResult",
     "EvolveStep",
-    "Trajectory",
     "MmsRow",
     "picard_map",
     "solve_coupled",
     "coupled_residuals",
+    "validate_tau_schedule",
     "continuation_tau",
     "evolve",
+    "energy_nonincreasing",
     "mms_convergence",
     "subgradient_field",
     "limit_flux",
@@ -159,12 +160,12 @@ def picard_map(
     try:
         rho, _ = solve_rho(g, p.tau, newton_cfg, rho0=rho0)
     except SolverError as err:
-        raise SolverError(str(err), err.report, stage="rho-stage") from err
+        raise SolverError(f"rho-stage: {err}", err.report) from err
     rhs = NodeField(data.f.grid, np.log(rho.values))
     try:
         u, _ = solve_u(rhs, p, newton_cfg, u0=u0)
     except SolverError as err:
-        raise SolverError(str(err), err.report, stage="u-stage") from err
+        raise SolverError(f"u-stage: {err}", err.report) from err
     return u, rho
 
 
@@ -255,15 +256,15 @@ class TauStage:
     report: SolveReport
 
 
-@dataclass
-class ContinuationResult:
-    stages: list[TauStage]
-    completed: bool
-    failure: str | None = None
-
-    @property
-    def final(self) -> WeakSolutionTriple | None:
-        return self.stages[-1].triple if self.stages else None
+def validate_tau_schedule(tau_schedule) -> list[float]:
+    """The schedule as floats; ValueError unless nonempty, positive and
+    strictly decreasing."""
+    schedule = [float(t) for t in tau_schedule]
+    if not schedule or any(t <= 0.0 for t in schedule) or any(
+        b >= a for a, b in zip(schedule, schedule[1:])
+    ):
+        raise ValueError("tau schedule must be strictly decreasing and positive")
+    return schedule
 
 
 def continuation_tau(
@@ -271,21 +272,16 @@ def continuation_tau(
     tau_schedule,
     picard_cfg: PicardConfig | None = None,
     newton_cfg: NewtonConfig | None = None,
-) -> ContinuationResult:
+) -> Iterator[TauStage]:
     """Warm-started sweep of the coupled solve over a decreasing tau schedule.
 
-    Each stage starts from the previous stage's height and density and
-    is audited (estimate report attached); a stage failure halts the
-    sweep and the completed prefix is returned.
+    A generator: each stage starts from the previous stage's height and
+    density and is yielded audited (estimate report attached). A stage
+    failure ends the sweep with the SolverError tagged ``tau=<tau>: ``.
+    The schedule is validated at the first ``next()``.
     """
-    schedule = [float(t) for t in tau_schedule]
-    if not schedule or any(t <= 0.0 for t in schedule) or any(
-        b >= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise ValueError("tau schedule must be strictly decreasing and positive")
-    stages: list[TauStage] = []
     prev: WeakSolutionTriple | None = None
-    for tau in schedule:
+    for tau in validate_tau_schedule(tau_schedule):
         stage_data = ProblemData(data.f, replace(data.params, tau=tau))
         try:
             triple, rep = solve_coupled(
@@ -296,12 +292,9 @@ def continuation_tau(
                 rho0=None if prev is None else prev.rho,
             )
         except SolverError as err:
-            return ContinuationResult(stages, False, failure=f"tau={tau:g}: {err}")
-        stages.append(
-            TauStage(tau, triple, analysis.apriori_audit(triple.u, triple.rho, stage_data), rep)
-        )
+            raise SolverError(f"tau={tau:g}: {err}", err.report) from err
+        yield TauStage(tau, triple, analysis.apriori_audit(triple.u, triple.rho, stage_data), rep)
         prev = triple
-    return ContinuationResult(stages, True)
 
 
 @dataclass
@@ -313,21 +306,14 @@ class EvolveStep:
     surface_energy: float
     l2_height: float
     mean_height: float
-    converged: bool
     residuals: tuple[float, float] | None = None
     estimates: analysis.EstimateReport | None = None
 
 
-@dataclass
-class Trajectory:
-    steps: list[EvolveStep]
-    completed: bool
-    failure: str | None = None
-
-    @property
-    def energy_nonincreasing(self) -> bool:
-        e = [s.surface_energy for s in self.steps]
-        return all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(e, e[1:]))
+def energy_nonincreasing(energies: list[float]) -> bool:
+    """Whether a list of surface energies never rises by more than 1e-12
+    relative."""
+    return all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(energies, energies[1:]))
 
 
 def evolve(
@@ -337,17 +323,19 @@ def evolve(
     params: ModelParams,
     picard_cfg: PicardConfig | None = None,
     newton_cfg: NewtonConfig | None = None,
-) -> Trajectory:
+) -> Iterator[EvolveStep]:
     """Implicit (backward Euler) evolution of the relaxation law.
 
-    Each step solves the stationary system with rate coefficient 1/dt
-    and source u^n/dt; per the mean identity the discrete mass satisfies
+    A generator of the steps 0 (the initial height) to ``nsteps``. Each
+    step solves the stationary system with rate coefficient 1/dt and
+    source u^n/dt; per the mean identity the discrete mass satisfies
     int u^{n+1} = int u^n / (1 + tau^2 dt) exactly. Each step starts
     from the previous step's height and density. The recorded residuals
     are those ``solve_coupled`` evaluated on its last outer step, of the
-    system solved at the capped viscosity. The surface energy is recorded per step as a
-    diagnostic; a step failure terminates the trajectory and returns
-    the prefix.
+    system solved at the capped viscosity. The surface energy is recorded
+    per step as a diagnostic. A step failure ends the trajectory with the
+    SolverError tagged ``step <n>: ``. The inputs are validated at the
+    first ``next()``.
     """
     if dt <= 0.0 or nsteps < 1:
         raise ValueError("need dt > 0 and nsteps >= 1")
@@ -356,42 +344,27 @@ def evolve(
     grid = u0.grid
     cfg = picard_cfg or PicardConfig()
     step_params = capped_params(replace(params, a=1.0 / dt), cfg)
-    u = u0
-    rho = None
-    steps = [
-        EvolveStep(
-            0,
-            0.0,
-            u0,
-            None,
-            surface_energy(u0, params),
-            mesh.norm_l2(u0),
-            mesh.integrate(u0) / grid.volume,
-            True,
+    u, rho, residuals, estimates = u0, None, None, None
+    for n in range(nsteps + 1):
+        if n > 0:
+            data = ProblemData(NodeField(grid, u.values / dt), step_params)
+            try:
+                triple, _ = solve_coupled(data, cfg, newton_cfg, u0=u, rho0=rho)
+            except SolverError as err:
+                raise SolverError(f"step {n}: {err}", err.report) from err
+            u, rho, residuals = triple.u, triple.rho, triple.residuals
+            estimates = analysis.apriori_audit(u, rho, data)
+        yield EvolveStep(
+            n,
+            n * dt,
+            u,
+            rho,
+            surface_energy(u, params),
+            mesh.norm_l2(u),
+            mesh.integrate(u) / grid.volume,
+            residuals,
+            estimates,
         )
-    ]
-    for n in range(1, nsteps + 1):
-        data = ProblemData(NodeField(grid, u.values / dt), step_params)
-        try:
-            triple, rep = solve_coupled(data, cfg, newton_cfg, u0=u, rho0=rho)
-        except SolverError as err:
-            return Trajectory(steps, False, failure=f"step {n}: {err}")
-        u, rho = triple.u, triple.rho
-        steps.append(
-            EvolveStep(
-                n,
-                n * dt,
-                u,
-                triple.rho,
-                surface_energy(u, params),
-                mesh.norm_l2(u),
-                mesh.integrate(u) / grid.volume,
-                rep.converged,
-                residuals=triple.residuals,
-                estimates=analysis.apriori_audit(u, triple.rho, data),
-            )
-        )
-    return Trajectory(steps, True)
 
 
 @dataclass

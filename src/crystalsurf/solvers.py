@@ -136,10 +136,9 @@ class SolveReport:
 class SolverError(RuntimeError):
     """Nonlinear solve failure; carries the partial iteration report."""
 
-    def __init__(self, message: str, report: SolveReport | None = None, stage: str | None = None):
-        super().__init__(message if stage is None else f"{stage}: {message}")
+    def __init__(self, message: str, report: SolveReport | None = None):
+        super().__init__(message)
         self.report = report
-        self.stage = stage
 
 
 def pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int) -> tuple[np.ndarray, int]:

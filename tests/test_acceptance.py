@@ -286,14 +286,13 @@ def test_criterion_10_evolution():
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     grid = Grid.interval(1.0, 65)
     dt = 0.05
-    traj = evolve(NodeField.constant(grid, 0.7), dt=dt, nsteps=20, params=params)
+    steps = list(evolve(NodeField.constant(grid, 0.7), dt=dt, nsteps=20, params=params))
     factor = 1.0 / (1.0 + params.tau**2 * dt)
-    ok = traj.completed
-    for s0, s1 in zip(traj.steps, traj.steps[1:]):
+    ok = len(steps) == 21
+    for s0, s1 in zip(steps, steps[1:]):
         ok = ok and abs(s1.mean_height - s0.mean_height * factor) <= 1e-9 * (1.0 + abs(s0.mean_height))
     u0 = NodeField.from_function(grid, lambda x: 0.05 * np.cos(np.pi * x))
-    traj2 = evolve(u0, dt=dt, nsteps=50, params=params)
-    l2 = [s.l2_height for s in traj2.steps]
-    ok = ok and traj2.completed and all(b <= a + 1e-12 for a, b in zip(l2, l2[1:]))
+    l2 = [s.l2_height for s in evolve(u0, dt=dt, nsteps=50, params=params)]
+    ok = ok and len(l2) == 51 and all(b <= a + 1e-12 for a, b in zip(l2, l2[1:]))
     elapsed = time.time() - t0
     report(10, f"evolution mass factor and monotone cosine decay ({elapsed:.0f}s < 300s)", ok and elapsed < 300.0)

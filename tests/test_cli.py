@@ -141,6 +141,80 @@ def test_audit_mode(tmp_path):
     assert (out / "limit_flux.csv").exists()
 
 
+# a run whose solve_coupled call FAIL_CALL fails: evolve steps 0..2 and the
+# audit stages 0.1 and 0.05 complete, then the next solve raises
+FAIL_CALL = 3
+FAILING_RUNS = {
+    "evolve": (
+        {**BASE, "u0": {"kind": "patches", "background": 1.0, "patches": [{"box": [[0.25, 0.5]], "value": 1.2}]},
+         "dt": 0.05, "nsteps": 6, "checkpoint_every": 5},
+        "step 3: ",
+    ),
+    "audit": ({**BASE, "source": 2.0, "tau_schedule": [0.1, 0.05, 0.02, 0.01]}, "tau=0.02: "),
+}
+
+
+def fail_on_call(monkeypatch, k, error, before=None):
+    """Make coupled.solve_coupled raise ``error`` on its k-th call (on none
+    when k is None); ``before`` runs at the start of every call with the
+    call's number."""
+    from crystalsurf import coupled
+
+    solve, calls = coupled.solve_coupled, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if before is not None:
+            before(len(calls))
+        if len(calls) == k:
+            raise error
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(coupled, "solve_coupled", failing)
+
+
+@pytest.mark.parametrize("mode", ["evolve", "audit"])
+@pytest.mark.parametrize("kind", ["solver", "arithmetic"])
+def test_failed_solve_writes_prefix_and_exits_3(tmp_path, capsys, monkeypatch, mode, kind):
+    from crystalsurf.solvers import SolveReport, SolverError
+
+    report = SolveReport(iterations=2, residual_history=[1.0, 0.5], converged=False)
+    error = SolverError("forced", report) if kind == "solver" else FloatingPointError("forced overflow")
+    fail_on_call(monkeypatch, FAIL_CALL, error)
+    config, tag = FAILING_RUNS[mode]
+    out = tmp_path / "out"
+    assert main([mode, "--config", write_config(tmp_path / "c.json", config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    failure = tag + "forced" if kind == "solver" else "forced overflow"
+    if kind == "solver":
+        # the failing solve's own report reaches main, which prints it
+        assert err[0] == f"solver error: {failure}"
+        assert json.loads(err[1]) == report.to_dict()
+    else:
+        assert err == ["solver error: numerical breakdown: FloatingPointError('forced overflow')"]
+    if mode == "evolve":
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [st["index"] for st in manifest["steps"]] == [0, 1, 2]
+        # checkpoint_every = 5: step 0, then the last completed step
+        assert sorted(p.name for p in out.glob("*.csv")) == ["rho_00002.csv", "u_00000.csv", "u_00002.csv"]
+        assert manifest["steps"][-1]["u_csv"] == "u_00002.csv"
+    else:
+        manifest = json.loads((out / "estimates.json").read_text())
+        assert [st["tau"] for st in manifest["stages"]] == [0.1, 0.05]
+        assert all((out / name).exists() for name in ("u.csv", "rho.csv", "limit_flux.csv"))
+    assert manifest["completed"] is False and manifest["failure"] == failure
+
+
+def test_evolve_checkpoint_written_before_the_next_step(tmp_path, monkeypatch):
+    # the checkpoint of step k - 1 is on disk when the solve of step k starts
+    out = tmp_path / "out"
+    on_disk = []
+    fail_on_call(monkeypatch, None, None, lambda k: on_disk.append((out / f"u_{k - 1:05d}.csv").exists()))
+    config = {**FAILING_RUNS["evolve"][0], "checkpoint_every": 1}
+    assert main(["evolve", "--config", write_config(tmp_path / "c.json", config), "--out", str(out)]) == 0
+    assert on_disk == [True] * config["nsteps"]
+
+
 def test_singular_mode(tmp_path, capsys):
     grid = Grid.rectangle((1.0, 1.0), (65, 65))
     rho = NodeField.from_function(grid, lambda x, y: ((x - 0.5) ** 2 + (y - 0.5) ** 2) ** 2)

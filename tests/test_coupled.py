@@ -12,6 +12,7 @@ from crystalsurf.coupled import (
     capped_params,
     coupled_residuals,
     continuation_tau,
+    energy_nonincreasing,
     evolve,
     limit_flux,
     mean_height_target,
@@ -202,17 +203,17 @@ def test_limit_flux_zero_selection(grid):
 def test_continuation_constant_source(grid):
     c = 2.0
     p = params_with()
-    res = continuation_tau(ProblemData(NodeField.constant(grid, c), p), [1e-1, 1e-2, 1e-3])
-    assert res.completed
-    for st in res.stages:
+    stages = list(continuation_tau(ProblemData(NodeField.constant(grid, c), p), [1e-1, 1e-2, 1e-3]))
+    assert len(stages) == 3
+    for st in stages:
         expect = c / (p.a + st.tau**2)
         assert np.abs(st.triple.u.values - expect).max() <= 1e-8
 
 
 def test_continuation_zero_source(grid):
     p = params_with()
-    res = continuation_tau(ProblemData(NodeField.zeros(grid), p), [1e-1, 1e-2])
-    for st in res.stages:
+    stages = list(continuation_tau(ProblemData(NodeField.zeros(grid), p), [1e-1, 1e-2]))
+    for st in stages:
         assert np.abs(st.triple.u.values).max() <= 1e-9
         assert np.abs(st.triple.rho.values - 1.0).max() <= 1e-9
 
@@ -221,25 +222,26 @@ def test_continuation_mean_decay(grid, rng):
     # zero-mean source: mean height follows int f / (a + tau^2) = 0
     f = smooth_field(grid, rng)
     f = NodeField(grid, f.values - integrate(f) / grid.volume)
-    res = continuation_tau(ProblemData(f, params_with()), [1e-1, 1e-2, 1e-3])
-    assert res.completed
-    for st in res.stages:
+    stages = list(continuation_tau(ProblemData(f, params_with()), [1e-1, 1e-2, 1e-3]))
+    assert len(stages) == 3
+    for st in stages:
         assert abs(integrate(st.triple.u)) <= 1e-9
 
 
 def test_continuation_validates_schedule(grid):
     data = ProblemData(NodeField.zeros(grid), params_with())
+    # a generator validates at its first next()
     with pytest.raises(ValueError):
-        continuation_tau(data, [1e-2, 1e-1])
+        next(continuation_tau(data, [1e-2, 1e-1]))
     with pytest.raises(ValueError):
-        continuation_tau(data, [])
+        next(continuation_tau(data, []))
 
 
 def test_continuation_estimates_attached(grid, rng):
     f = smooth_field(grid, rng, offset=0.2)
-    res = continuation_tau(ProblemData(f, params_with()), [1e-1, 1e-2])
-    assert res.completed
-    for st in res.stages:
+    stages = list(continuation_tau(ProblemData(f, params_with()), [1e-1, 1e-2]))
+    assert len(stages) == 2
+    for st in stages:
         assert st.estimates.mean_identity_residual <= 1e-12
         assert st.estimates.w1p_u > 0.0
 
@@ -250,19 +252,19 @@ def test_continuation_estimates_attached(grid, rng):
 
 
 def test_evolve_zero_initial(grid):
-    traj = evolve(NodeField.zeros(grid), dt=0.1, nsteps=3, params=params_with(tau=1e-3))
-    assert traj.completed
-    for step in traj.steps:
+    steps = list(evolve(NodeField.zeros(grid), dt=0.1, nsteps=3, params=params_with(tau=1e-3)))
+    assert [s.index for s in steps] == [0, 1, 2, 3]
+    for step in steps:
         assert np.abs(step.u.values).max() <= 1e-9
 
 
 def test_evolve_constant_mass_factor(grid):
     p = params_with(tau=1e-3)
     dt = 0.1
-    traj = evolve(NodeField.constant(grid, 0.7), dt=dt, nsteps=8, params=p)
-    assert traj.completed
+    steps = list(evolve(NodeField.constant(grid, 0.7), dt=dt, nsteps=8, params=p))
+    assert len(steps) == 9
     factor = 1.0 / (1.0 + p.tau**2 * dt)
-    for s0, s1 in zip(traj.steps, traj.steps[1:]):
+    for s0, s1 in zip(steps, steps[1:]):
         assert abs(s1.mean_height - s0.mean_height * factor) <= 1e-12
         # constant stays constant
         assert np.ptp(s1.u.values) <= 1e-10
@@ -271,21 +273,21 @@ def test_evolve_constant_mass_factor(grid):
 def test_evolve_cosine_decay(grid):
     p = params_with(tau=1e-3)
     u0 = NodeField.from_function(grid, lambda x: 0.05 * np.cos(np.pi * x))
-    traj = evolve(u0, dt=0.05, nsteps=12, params=p)
-    assert traj.completed
-    l2 = [s.l2_height for s in traj.steps]
+    steps = list(evolve(u0, dt=0.05, nsteps=12, params=p))
+    assert len(steps) == 13
+    l2 = [s.l2_height for s in steps]
     assert all(b <= a + 1e-12 for a, b in zip(l2, l2[1:]))
     assert l2[-1] < 0.5 * l2[0]
-    assert traj.energy_nonincreasing
+    assert energy_nonincreasing([s.surface_energy for s in steps])
 
 
 def test_evolve_residuals_of_the_solved_system(grid):
     # each step is solved at the capped viscosity, so its residuals meet the
     # coupled tolerance although params.delta = 1e-4 is far above the cap
     u0 = NodeField.from_function(grid, lambda x: 1.0 + 0.2 * np.cos(np.pi * x))
-    traj = evolve(u0, dt=0.05, nsteps=3, params=params_with(tau=1e-2, delta=1e-4))
-    assert traj.completed
-    for step in traj.steps[1:]:
+    steps = list(evolve(u0, dt=0.05, nsteps=3, params=params_with(tau=1e-2, delta=1e-4)))
+    assert len(steps) == 4
+    for step in steps[1:]:
         assert max(step.residuals) <= PicardConfig().tol_residual
 
 
@@ -304,19 +306,20 @@ def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
     monkeypatch.setattr(coupled, "solve_coupled", solved)
     u0 = NodeField.from_function(grid, lambda x: 1.0 + 0.2 * np.cos(np.pi * x))
     p, dt = params_with(tau=1e-2), 0.05
-    traj = coupled.evolve(u0, dt=dt, nsteps=3, params=p)
-    assert traj.completed and len(calls) == sum(outer) > 3
+    steps = list(coupled.evolve(u0, dt=dt, nsteps=3, params=p))
+    assert len(steps) == 4 and len(calls) == sum(outer) > 3
     # the recorded pair is exactly what a fresh evaluation of the solved system gives
-    prev, last = traj.steps[-2:]
+    prev, last = steps[-2:]
     data = ProblemData(NodeField(grid, prev.u.values / dt), capped_params(replace(p, a=1.0 / dt), PicardConfig()))
     assert last.residuals == residuals(last.u, last.rho, data)
 
 
 def test_evolve_validates_inputs(grid):
+    # a generator validates at its first next()
     with pytest.raises(ValueError):
-        evolve(NodeField.zeros(grid), dt=-1.0, nsteps=2, params=params_with())
+        next(evolve(NodeField.zeros(grid), dt=-1.0, nsteps=2, params=params_with()))
     with pytest.raises(ValueError):
-        evolve(NodeField.zeros(grid), dt=0.1, nsteps=0, params=params_with())
+        next(evolve(NodeField.zeros(grid), dt=0.1, nsteps=0, params=params_with()))
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +376,9 @@ def test_rounding_floor_density_1025_nodes(amplitude, tau):
 @pytest.mark.parametrize("nodes, offset", [(257, 0.5), (129, 1.0)])
 def test_rounding_floor_tau_continuation(nodes, offset):
     f = floor_source(nodes, offset)
-    result = continuation_tau(ProblemData(f, params_with(tau=0.1)), FLOOR_SCHEDULE)
-    assert result.completed, result.failure
-    assert [st.tau for st in result.stages] == FLOOR_SCHEDULE
-    for st in result.stages:
+    stages = list(continuation_tau(ProblemData(f, params_with(tau=0.1)), FLOOR_SCHEDULE))
+    assert [st.tau for st in stages] == FLOOR_SCHEDULE
+    for st in stages:
         assert np.min(st.triple.rho.values) > 0.0
         assert_mean_identity(st.triple.u, f, params_with(tau=st.tau))
         assert st.estimates.mean_identity_residual <= 1e-9 * (1.0 + abs(integrate(f)))
