@@ -64,10 +64,6 @@ class ConfigError(ValueError):
     pass
 
 
-# the errors of a solve that exit 3: non-convergence or numerical breakdown
-_SOLVE_ERRORS = (SolverError, ArithmeticError, ValueError)
-
-
 def _check_keys(section, allowed: set[str], required: set[str], context: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{context} must be an object")
@@ -261,7 +257,7 @@ def _evolve(config: dict) -> Callable[[Path], None]:
     def execute(out: Path) -> None:
         # each step's checkpoint is written as it arrives; the last step
         # received is always written, also when a later step fails
-        entries, energies, step, failure = [], [], None, None
+        entries, step, failure = [], None, None
         try:
             for step in evolve(u0, dt, nsteps, params, picard, newton):
                 entries.append(
@@ -276,10 +272,9 @@ def _evolve(config: dict) -> Callable[[Path], None]:
                         "estimates": step.estimates.to_dict() if step.estimates is not None else None,
                     }
                 )
-                energies.append(step.surface_energy)
                 if step.index % every == 0:
                     checkpoint(step, entries[-1], out)
-        except _SOLVE_ERRORS as err:
+        except (SolverError, ArithmeticError, ValueError) as err:  # exit 3, after the prefix is written
             failure = err
         if step is not None and "u_csv" not in entries[-1]:
             checkpoint(step, entries[-1], out)
@@ -292,7 +287,7 @@ def _evolve(config: dict) -> Callable[[Path], None]:
                 "params": dataclasses.asdict(capped_params(params, picard)),
                 "completed": failure is None,
                 "failure": None if failure is None else str(failure),
-                "energy_nonincreasing": energy_nonincreasing(energies),
+                "energy_nonincreasing": energy_nonincreasing([e["surface_energy"] for e in entries]),
                 "steps": entries,
             },
         )
@@ -316,7 +311,7 @@ def _audit(config: dict) -> Callable[[Path], None]:
         try:
             for stage in continuation_tau(ProblemData(f, params), schedule, picard, newton):
                 stages.append(stage)
-        except _SOLVE_ERRORS as err:
+        except (SolverError, ArithmeticError, ValueError) as err:  # exit 3, after the prefix is written
             failure = err
         payload = {
             "mode": "audit",

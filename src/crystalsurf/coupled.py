@@ -26,6 +26,9 @@ loops keep their own iteration counts.
 
 The drivers of ``solve_coupled`` live here too: ``continuation_tau``,
 ``evolve`` and the manufactured-solution study ``mms_convergence``.
+The first two are generators of the completed stages or steps that end
+with the failing solve's own tagged SolverError; what becomes of the
+completed prefix is the caller's decision (the CLI writes it, then fails).
 """
 
 from __future__ import annotations
@@ -257,8 +260,7 @@ class TauStage:
 
 
 def validate_tau_schedule(tau_schedule) -> list[float]:
-    """The schedule as floats; ValueError unless nonempty, positive and
-    strictly decreasing."""
+    """The schedule as floats; ValueError unless nonempty, positive, decreasing."""
     schedule = [float(t) for t in tau_schedule]
     if not schedule or any(t <= 0.0 for t in schedule) or any(
         b >= a for a, b in zip(schedule, schedule[1:])
@@ -280,21 +282,15 @@ def continuation_tau(
     failure ends the sweep with the SolverError tagged ``tau=<tau>: ``.
     The schedule is validated at the first ``next()``.
     """
-    prev: WeakSolutionTriple | None = None
+    u = rho = None
     for tau in validate_tau_schedule(tau_schedule):
         stage_data = ProblemData(data.f, replace(data.params, tau=tau))
         try:
-            triple, rep = solve_coupled(
-                stage_data,
-                picard_cfg,
-                newton_cfg,
-                u0=None if prev is None else prev.u,
-                rho0=None if prev is None else prev.rho,
-            )
+            triple, rep = solve_coupled(stage_data, picard_cfg, newton_cfg, u0=u, rho0=rho)
         except SolverError as err:
             raise SolverError(f"tau={tau:g}: {err}", err.report) from err
-        yield TauStage(tau, triple, analysis.apriori_audit(triple.u, triple.rho, stage_data), rep)
-        prev = triple
+        u, rho = triple.u, triple.rho
+        yield TauStage(tau, triple, analysis.apriori_audit(u, rho, stage_data), rep)
 
 
 @dataclass
@@ -311,8 +307,7 @@ class EvolveStep:
 
 
 def energy_nonincreasing(energies: list[float]) -> bool:
-    """Whether a list of surface energies never rises by more than 1e-12
-    relative."""
+    """Whether the surface energies never rise by more than 1e-12 relative."""
     return all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(energies, energies[1:]))
 
 

@@ -55,8 +55,10 @@ delta K + tau W on the cached pattern of ``_hessian_pattern``, where the
 scatter matrix B holds every product D_i[e, a] D_j[e, b] / dim of the
 edge operators.
 
-A ``SolveReport`` holds only the Newton iteration count, the merit
-history and the convergence flag, with the same meaning for every caller.
+A ``SolveReport`` holds an iteration count, a residual history and a
+convergence flag: here Newton steps and the merit before each step and at
+the end of each attempt. ``coupled.solve_coupled``'s outer report counts
+outer steps and records one equation residual after each.
 """
 
 from __future__ import annotations
@@ -292,14 +294,17 @@ def solve_rho(
 
     The unknown is s = ln rho - sigma0, with sigma0 = mean_w(g)/tau the
     log of the constant solution for the mean source and c = e^sigma0.
-    The residual c K expm1(s)/w + tau s + tau sigma0 - g differences only
-    the fluctuation expm1(s), so its rounding error does not grow like
-    rho/h^2, and rho = c e^s is strictly positive by construction. A step
-    solves the SPD system (K + diag(tau W/rho)) y = -W r and takes
-    ds = y/rho, with rho floored at sqrt(tiny) where c e^s underflows: the
-    exact Jacobian there is tau W alone, and the floor adds only
-    K sqrt(tiny). A converged density that underflows to 0 at some node
-    is a SolverError naming the underflow.
+    The residual (c K expm1(s)/w + tau s + tau sigma0 - g)/tau differences
+    only the fluctuation expm1(s), so its rounding error does not grow
+    like rho/h^2, and rho = c e^s is strictly positive by construction.
+    Divided by tau it is in units of ln rho, the height equation's
+    source, so the target tol (1 + |g/tau|_w) bounds the error of ln rho,
+    not of tau ln rho. A step solves the SPD system
+    (K + diag(tau W/rho)) y = -W tau r and takes ds = y/rho, with rho
+    floored at sqrt(tiny) where c e^s underflows: the exact Jacobian
+    there is tau W alone, and the floor adds only K sqrt(tiny). A
+    converged density that underflows to 0 at some node is a SolverError
+    naming the underflow.
 
     Newton starts from s = ln rho0 - sigma0 when ``rho0`` is strictly
     positive (typically the density of a nearby source) and from s = 0
@@ -323,16 +328,16 @@ def solve_rho(
     c = np.exp(sigma0)
     shift = tau * sigma0 - gv
 
-    def residual(s):
-        return c * (k @ np.expm1(s)) / w + tau * s + shift
+    def residual(s):  # in units of ln rho
+        return (c * (k @ np.expm1(s)) / w + tau * s + shift) / tau
 
     def solve(s, rhs):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
-        return _linear_solve(_stiffness_plus_diagonal(grid, tau * w / rho), rhs) / rho
+        return tau * _linear_solve(_stiffness_plus_diagonal(grid, tau * w / rho), rhs) / rho
 
     warm = rho0 is not None and np.min(rho0.values) > 0.0
     starts = ([np.log(rho0.flat) - sigma0] if warm else []) + [np.zeros(gv.size)]
-    s, report = _damped_newton(starts, residual, solve, w, gv, cfg, "density")
+    s, report = _damped_newton(starts, residual, solve, w, gv / tau, cfg, "density")
     if warm and s is starts[0]:  # a warm start within target is returned unchanged
         return NodeField.from_flat(grid, rho0.flat.copy()), report
     rho = c * np.exp(s)

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from crystalsurf import coupled
 from crystalsurf.cli import main
 from crystalsurf.mesh import Grid, NodeField, read_node_csv, write_node_csv
+from crystalsurf.solvers import SolveReport, SolverError
 
 
 def write_config(path, payload):
@@ -144,12 +146,9 @@ def test_audit_mode(tmp_path):
 # a run whose solve_coupled call FAIL_CALL fails: evolve steps 0..2 and the
 # audit stages 0.1 and 0.05 complete, then the next solve raises
 FAIL_CALL = 3
+PATCH = {"kind": "patches", "background": 1.0, "patches": [{"box": [[0.25, 0.5]], "value": 1.2}]}
 FAILING_RUNS = {
-    "evolve": (
-        {**BASE, "u0": {"kind": "patches", "background": 1.0, "patches": [{"box": [[0.25, 0.5]], "value": 1.2}]},
-         "dt": 0.05, "nsteps": 6, "checkpoint_every": 5},
-        "step 3: ",
-    ),
+    "evolve": ({**BASE, "u0": PATCH, "dt": 0.05, "nsteps": 6, "checkpoint_every": 5}, "step 3: "),
     "audit": ({**BASE, "source": 2.0, "tau_schedule": [0.1, 0.05, 0.02, 0.01]}, "tau=0.02: "),
 }
 
@@ -158,8 +157,6 @@ def fail_on_call(monkeypatch, k, error, before=None):
     """Make coupled.solve_coupled raise ``error`` on its k-th call (on none
     when k is None); ``before`` runs at the start of every call with the
     call's number."""
-    from crystalsurf import coupled
-
     solve, calls = coupled.solve_coupled, []
 
     def failing(*args, **kwargs):
@@ -174,24 +171,26 @@ def fail_on_call(monkeypatch, k, error, before=None):
 
 
 @pytest.mark.parametrize("mode", ["evolve", "audit"])
-@pytest.mark.parametrize("kind", ["solver", "arithmetic"])
+@pytest.mark.parametrize("kind", ["solver", "arithmetic", "value"])
 def test_failed_solve_writes_prefix_and_exits_3(tmp_path, capsys, monkeypatch, mode, kind):
-    from crystalsurf.solvers import SolveReport, SolverError
-
     report = SolveReport(iterations=2, residual_history=[1.0, 0.5], converged=False)
-    error = SolverError("forced", report) if kind == "solver" else FloatingPointError("forced overflow")
+    error = {
+        "solver": SolverError("forced", report),
+        "arithmetic": FloatingPointError("forced"),
+        "value": ValueError("forced"),
+    }[kind]
     fail_on_call(monkeypatch, FAIL_CALL, error)
     config, tag = FAILING_RUNS[mode]
     out = tmp_path / "out"
     assert main([mode, "--config", write_config(tmp_path / "c.json", config), "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
-    failure = tag + "forced" if kind == "solver" else "forced overflow"
+    failure = tag + "forced" if kind == "solver" else "forced"
     if kind == "solver":
         # the failing solve's own report reaches main, which prints it
         assert err[0] == f"solver error: {failure}"
         assert json.loads(err[1]) == report.to_dict()
     else:
-        assert err == ["solver error: numerical breakdown: FloatingPointError('forced overflow')"]
+        assert err == [f"solver error: numerical breakdown: {error!r}"]
     if mode == "evolve":
         manifest = json.loads((out / "manifest.json").read_text())
         assert [st["index"] for st in manifest["steps"]] == [0, 1, 2]

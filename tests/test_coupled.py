@@ -314,6 +314,17 @@ def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
     assert last.residuals == residuals(last.u, last.rho, data)
 
 
+def test_evolve_constant_height_keeps_converging():
+    # the density Newton stops on its residual in units of ln rho; measured
+    # in the units of tau ln rho it admitted an ln rho error of 1e-10/tau,
+    # which outer steps accepted as a warm start until the height residual,
+    # growing by tau du each step, failed the coupled solve at step 12
+    grid = Grid.interval(1.0, 9)
+    steps = list(evolve(NodeField.constant(grid, 1.0), dt=1.0, nsteps=30, params=ModelParams(p=1.5, tau=1e-3)))
+    assert len(steps) == 31
+    assert max(st.residuals[1] for st in steps[1:]) <= 1e-12
+
+
 def test_evolve_validates_inputs(grid):
     # a generator validates at its first next()
     with pytest.raises(ValueError):

@@ -267,11 +267,11 @@ def test_rho_all_attempts_failing_report_both(grid, rng):
     tau = 0.3
     with pytest.raises(SolverError, match="did not converge") as info:
         solve_rho(g, tau, cfg=NewtonConfig(max_iter=1), rho0=NodeField.constant(grid, 2.0))
-    # residual at a constant rho: tau ln rho - g
+    # residual at a constant rho, in units of ln rho: ln rho - g/tau
     w = mass_vector(grid)
     mean_g = float(np.sum(w * g.flat) / np.sum(w))
-    warm = np.sqrt(np.sum(w * (tau * np.log(2.0) - g.flat) ** 2))
-    cold = np.sqrt(np.sum(w * (mean_g - g.flat) ** 2))
+    warm = np.sqrt(np.sum(w * (tau * np.log(2.0) - g.flat) ** 2)) / tau
+    cold = np.sqrt(np.sum(w * (mean_g - g.flat) ** 2)) / tau
     assert_reports_both_attempts(info.value.report, warm, cold)
 
 
