@@ -429,8 +429,7 @@ def main(argv=None) -> int:
         execute(Path(args.out))
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
-        if err.report is not None:
-            print(json.dumps(err.report.to_dict(), sort_keys=True), file=sys.stderr)
+        print(json.dumps(err.report.to_dict(), sort_keys=True), file=sys.stderr)
         return 3
     except (ArithmeticError, ValueError) as err:
         # overflow, division by zero or a non-finite field inside the solve

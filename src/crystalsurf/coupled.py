@@ -150,10 +150,12 @@ def picard_map(
     newton_cfg: NewtonConfig | None = None,
     rho0: NodeField | None = None,
     u0: NodeField | None = None,
+    factors: dict | None = None,
 ) -> tuple[NodeField, NodeField]:
     """One composition step: density solve with source f - a v, then height solve.
 
-    ``rho0`` and ``u0`` warm-start the two inner solves (cold when None).
+    ``rho0`` and ``u0`` warm-start the two inner solves (cold when None);
+    ``factors`` is their shared linear-solve cache (``solvers._linear_solve``).
     Solver failures are re-raised tagged with the stage that failed.
     """
     p = data.params
@@ -161,12 +163,12 @@ def picard_map(
         raise ValueError("the coupled map requires tau > 0")
     g = NodeField(data.f.grid, data.f.values - p.a * v.values)
     try:
-        rho, _ = solve_rho(g, p.tau, newton_cfg, rho0=rho0)
+        rho, _ = solve_rho(g, p.tau, newton_cfg, rho0=rho0, factors=factors)
     except SolverError as err:
         raise SolverError(f"rho-stage: {err}", err.report) from err
     rhs = NodeField(data.f.grid, np.log(rho.values))
     try:
-        u, _ = solve_u(rhs, p, newton_cfg, u0=u0)
+        u, _ = solve_u(rhs, p, newton_cfg, u0=u0, factors=factors)
     except SolverError as err:
         raise SolverError(f"u-stage: {err}", err.report) from err
     return u, rho
@@ -218,7 +220,10 @@ def solve_coupled(
     solve whose warm start fails is retried in the same loop from its
     cold start (s = ln rho - mean(g)/tau = 0 for the density, the
     constant mean(rhs)/tau for the height), so warm starts change cost, not the
-    solution beyond solver tolerance.
+    solution beyond solver tolerance. On a 2D grid the inner solves share
+    one linear-solve cache for this call: each Newton family keeps its last
+    LU factor and preconditions later steps with it. In 1D every step is
+    factored afresh, which is cheaper than the iteration.
     """
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:
@@ -228,10 +233,11 @@ def solve_coupled(
     ubar = mean_height_target(data)
     u = _pin_mean(u0 if u0 is not None else NodeField.constant(data.f.grid, ubar), ubar)
     rho, u_map = rho0, None
+    factors = {} if data.f.grid.dim > 1 else None
     omega = cfg.relaxation
     prev_res = np.inf
     for _ in range(cfg.max_outer):
-        u_map, rho = picard_map(u, data, newton_cfg, rho0=rho, u0=u_map)
+        u_map, rho = picard_map(u, data, newton_cfg, rho0=rho, u0=u_map, factors=factors)
         u_new = _pin_mean(
             NodeField(u.grid, (1.0 - omega) * u.values + omega * u_map.values), ubar
         )

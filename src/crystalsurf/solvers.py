@@ -40,12 +40,16 @@ solve; each solve passes its residual and its linear solve.
 ``NewtonConfig`` sets only the tolerance and the iteration cap; the line
 search constants are fixed here.
 
-Inner linear systems are symmetric positive definite and are solved by
-SuperLU, which orders the columns by multiple minimum degree on A^T + A
-(COLAMD orders for A^T A and fills more) and keeps its default threshold
-pivoting. No solve calls ``pcg``, a Jacobi-preconditioned conjugate
-gradient that raises on nonpositive curvature; the test suite runs it on
-the Newton matrices to check that they are positive definite.
+Inner linear systems are symmetric positive definite and are factored
+by SuperLU, which orders the columns by multiple minimum degree on
+A^T + A (COLAMD orders for A^T A and fills more) and keeps its default
+threshold pivoting. Given a ``factors`` cache (``coupled.solve_coupled``
+passes one per call on 2D grids), ``_linear_solve`` keeps the last factor
+of each Newton family, "rho" and "u", and solves later steps by ``pcg``,
+conjugate gradient preconditioned with that lagged factor, to relative
+residual 1e-10 in at most ``_PCG_MAX_ITER`` iterations; when CG fails
+(the cap, or nonpositive curvature) the matrix is factored afresh and its
+factor replaces the old one. Without a cache every step is factored.
 
 Each Newton matrix is built as CSC, the format SuperLU reads, on a
 symmetric pattern fixed per grid, with no sparse products: the density
@@ -101,6 +105,7 @@ _RHO_FLOOR = float(np.sqrt(np.finfo(float).tiny))  # density floor of the Newton
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_DECREASE = 1e-4
 _MAX_BACKTRACKS = 40
+_PCG_MAX_ITER = 10  # lagged-factor CG iterations before a Newton matrix is factored afresh
 
 
 @dataclass
@@ -136,28 +141,30 @@ class SolveReport:
 
 
 class SolverError(RuntimeError):
-    """Nonlinear solve failure; carries the partial iteration report."""
+    """Nonlinear solve failure; carries the partial iteration report, an
+    empty one when the solve failed before its first iteration."""
 
     def __init__(self, message: str, report: SolveReport | None = None):
         super().__init__(message)
-        self.report = report
+        self.report = report if report is not None else SolveReport()
 
 
-def pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int) -> tuple[np.ndarray, int]:
-    """Jacobi-preconditioned conjugate gradient for SPD systems.
+def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradient for SPD systems: ``precond(r)``
+    applies the inverse of the preconditioner to a residual.
 
     Raises SolverError on nonpositive curvature, which would contradict
-    positive definiteness of the operator.
+    positive definiteness of the operator, and when ``maxiter``
+    iterations do not reach the relative residual ``tol``.
     """
     x = np.zeros_like(b)
-    r = b.copy()
-    minv = 1.0 / diag
-    z = minv * r
-    p = z.copy()
-    rz = float(r @ z)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, 0
+    r = b.copy()
+    z = precond(r)
+    p = z.copy()
+    rz = float(r @ z)
     for it in range(1, maxiter + 1):
         ap = matvec(p)
         pap = float(p @ ap)
@@ -168,18 +175,28 @@ def pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int) -> tu
         r -= alpha * ap
         if np.linalg.norm(r) <= tol * bnorm:
             return x, it
-        z = minv * r
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
 
-def _linear_solve(a: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+def _linear_solve(a: sp.csc_matrix, b: np.ndarray, factors=None, family=None) -> np.ndarray:
+    """Solve a x = b by CG preconditioned with the lagged factor of
+    ``family`` when the ``factors`` cache holds one; otherwise, or when CG
+    fails, by a fresh factor of a, which the cache keeps."""
+    if factors is not None and family in factors:
+        try:
+            return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
+        except SolverError:
+            pass  # the lagged factor has gone stale: refactor
     try:  # both Newton matrices are symmetric, so order by minimum degree on A^T + A
         lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # SuperLU reports an exactly singular factor this way
         raise SolverError(f"sparse factorization failed: {err}") from err
+    if factors is not None:
+        factors[family] = lu
     return lu.solve(b)
 
 
@@ -288,7 +305,11 @@ def solve_rho_delta(
 
 
 def solve_rho(
-    g: NodeField, tau: float, cfg: NewtonConfig | None = None, rho0: NodeField | None = None
+    g: NodeField,
+    tau: float,
+    cfg: NewtonConfig | None = None,
+    rho0: NodeField | None = None,
+    factors: dict | None = None,
 ) -> tuple[NodeField, SolveReport]:
     """Solve -lap rho + tau ln rho = g by Newton in the log variable.
 
@@ -312,6 +333,7 @@ def solve_rho(
     keeps both attempts' iterations and residuals. A warm start already
     within tolerance is returned unchanged. Raises SolverError before any
     exponential is taken when |sigma0| exceeds ln(max float).
+    ``factors`` is a linear-solve cache (``_linear_solve``), family "rho".
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
@@ -333,7 +355,8 @@ def solve_rho(
 
     def solve(s, rhs):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
-        return tau * _linear_solve(_stiffness_plus_diagonal(grid, tau * w / rho), rhs) / rho
+        jac = _stiffness_plus_diagonal(grid, tau * w / rho)
+        return tau * _linear_solve(jac, rhs, factors, "rho") / rho
 
     warm = rho0 is not None and np.min(rho0.values) > 0.0
     starts = ([np.log(rho0.flat) - sigma0] if warm else []) + [np.zeros(gv.size)]
@@ -489,6 +512,7 @@ def solve_u(
     params: ModelParams,
     cfg: NewtonConfig | None = None,
     u0: NodeField | None = None,
+    factors: dict | None = None,
 ) -> tuple[NodeField, SolveReport]:
     """Minimize the discrete height energy; Newton with Armijo backtracking.
 
@@ -504,7 +528,8 @@ def solve_u(
     proportional to |v|, not |u|, which would otherwise floor the merit
     above the tolerance at small tau and fine grids. ``u0`` is a warm
     start: Newton runs from v = u0 - ubar first and, if that fails, from
-    v = 0, with both attempts in the returned report.
+    v = 0, with both attempts in the returned report. ``factors`` is a
+    linear-solve cache (``_linear_solve``), family "u".
     """
     if params.tau <= 0.0:
         raise SolverError(
@@ -520,7 +545,8 @@ def solve_u(
         return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift
 
     def solve(vec, b):
-        return _linear_solve(_height_newton_matrix(NodeField.from_flat(grid, vec), params), b)
+        hess = _height_newton_matrix(NodeField.from_flat(grid, vec), params)
+        return _linear_solve(hess, b, factors, "u")
 
     starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]
     v, report = _damped_newton(starts, residual, solve, w, rv, cfg, "height")

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from crystalsurf import coupled
-from crystalsurf.cli import main
+from crystalsurf import coupled, solvers
+from crystalsurf.cli import main, run
 from crystalsurf.mesh import Grid, NodeField, read_node_csv, write_node_csv
 from crystalsurf.solvers import SolveReport, SolverError
 
@@ -83,6 +83,31 @@ def test_deterministic_outputs(tmp_path):
     assert main(["stationary", "--config", cfg, "--out", str(out2)]) == 0
     for name in ("u.csv", "rho.csv", "phi.csv", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_2d_stationary_runs_share_no_factor(tmp_path, monkeypatch):
+    # a 2D solve preconditions with the factors of its own call only: a
+    # factor kept from an earlier op would spare the next op its own
+    # factorizations and change its bytes
+    def config(value):
+        patch = {"box": [[0.2, 0.6], [0.1, 0.4]], "value": value}
+        return {
+            **BASE,
+            "grid": {"dim": 2, "extents": [1.0, 1.0], "cells": [17, 17]},
+            "source": {"kind": "patches", "background": 0.5, "patches": [patch]},
+        }
+
+    factored = []
+    real = solvers.spla.splu
+    monkeypatch.setattr(solvers.spla, "splu", lambda a, **kw: factored.append(a) or real(a, **kw))
+    counts = []
+    for name, value in (("o1", 1.5), ("other", 1.6), ("o2", 1.5)):
+        factored.clear()
+        run("stationary", config(value), tmp_path / name)
+        counts.append(len(factored))
+    assert counts[0] == counts[2] >= 2
+    for name in ("u.csv", "rho.csv", "phi.csv", "report.json"):
+        assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
 
 
 def test_csv_source_round_trip(tmp_path):
@@ -439,6 +464,8 @@ def test_density_overflow_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver error: rho-stage: density overflows")
     assert "RuntimeWarning" not in err and "Traceback" not in err
+    # the failure precedes any Newton iteration, so its report is empty
+    assert json.loads(err.splitlines()[1]) == {"converged": False, "iterations": 0, "residual_history": []}
 
 
 VALID_BY_MODE = {

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crystalsurf import coupled
+from crystalsurf import coupled, solvers
 from crystalsurf.energy import ModelParams
 from crystalsurf.mesh import Grid, NodeField, integrate, norm_l2
 from crystalsurf.coupled import (
@@ -156,6 +156,61 @@ def test_solve_coupled_2d(rng):
     assert rep.converged
     res = abs((p.a + p.tau**2) * integrate(triple.u) - integrate(f))
     assert res <= 1e-9 * (1.0 + abs(integrate(f)))
+
+
+def counted_linear_solves(monkeypatch, direct: bool) -> dict:
+    """Count the linear solves of each Newton family, the SuperLU factors
+    and the lagged-factor CG iterations; with ``direct`` every solve
+    factors its own matrix."""
+    counts = {"rho": 0, "u": 0, "splu": 0, "pcg": 0}
+    real_solve, real_splu, real_pcg = solvers._linear_solve, solvers.spla.splu, solvers.pcg
+
+    def linear_solve(a, b, factors=None, family=None):
+        counts[family] += 1
+        return real_solve(a, b, None if direct else factors, family)
+
+    def splu(a, **kwargs):
+        counts["splu"] += 1
+        return real_splu(a, **kwargs)
+
+    def pcg(*args):
+        x, its = real_pcg(*args)
+        counts["pcg"] += its
+        return x, its
+
+    monkeypatch.setattr(solvers, "_linear_solve", linear_solve)
+    monkeypatch.setattr(solvers.spla, "splu", splu)
+    monkeypatch.setattr(solvers, "pcg", pcg)
+    return counts
+
+
+@pytest.mark.parametrize("tau", [0.1, 1e-3])
+def test_2d_lagged_factors_match_direct_solves(tau, rng, monkeypatch):
+    # in 2D each Newton family is factored once per solve_coupled call and
+    # later steps run CG preconditioned with that factor
+    grid = Grid.rectangle((1.0, 1.0), (17, 17))
+    data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=tau))
+    results = {}
+    for direct in (True, False):
+        with monkeypatch.context() as m:
+            counts = counted_linear_solves(m, direct)
+            results[direct] = (*solve_coupled(data), counts)
+    (t_d, rep_d, c_d), (t_l, rep_l, c_l) = results[True], results[False]
+    assert rep_l.converged and rep_l.iterations <= rep_d.iterations
+    assert c_l["rho"] <= c_d["rho"] and c_l["u"] <= c_d["u"]
+    assert c_d["splu"] == c_d["rho"] + c_d["u"] and c_d["pcg"] == 0
+    assert c_l["splu"] <= 2 and c_l["pcg"] > 0
+    for x, y in zip((t_l.u, t_l.rho), (t_d.u, t_d.rho)):
+        assert np.max(np.abs(x.values - y.values)) <= 1e-10 * np.max(np.abs(y.values))
+
+
+@pytest.mark.parametrize("tau", [0.1, 1e-3])
+def test_1d_solves_factor_every_newton_step(grid, tau, rng, monkeypatch):
+    # in 1D a factor is cheaper than CG, so solve_coupled keeps no cache
+    counts = counted_linear_solves(monkeypatch, direct=False)
+    _, rep = solve_coupled(ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=tau)))
+    assert rep.converged
+    assert counts["splu"] == counts["rho"] + counts["u"] and counts["pcg"] == 0
 
 
 def test_viscosity_cap_is_one_pass(rng):

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from crystalsurf import solvers
 from crystalsurf.coupled import ProblemData, picard_map
@@ -46,7 +49,8 @@ def test_pcg_solves_spd_system(rng):
     m = rng.standard_normal((n, n))
     a = m @ m.T + n * np.eye(n)
     b = rng.standard_normal(n)
-    x, its = pcg(lambda v: a @ v, b, np.diag(a), tol=1e-12, maxiter=1000)
+    d = np.diag(a)
+    x, its = pcg(lambda v: a @ v, b, lambda r: r / d, tol=1e-12, maxiter=1000)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert 0 < its <= n + 5
 
@@ -54,7 +58,115 @@ def test_pcg_solves_spd_system(rng):
 def test_pcg_rejects_indefinite_matrix():
     a = np.diag(np.array([1.0, -1.0, 2.0]))
     with pytest.raises(SolverError, match="curvature"):
-        pcg(lambda v: a @ v, np.array([0.0, 1.0, 0.0]), np.ones(3), tol=1e-12, maxiter=100)
+        pcg(lambda v: a @ v, np.array([0.0, 1.0, 0.0]), lambda r: r, tol=1e-12, maxiter=100)
+
+
+def density_matrix(grid, tau):
+    """K + diag(tau W), the density Newton matrix at rho = 1."""
+    return solvers._stiffness_plus_diagonal(grid, tau * mass_vector(grid))
+
+
+def test_pcg_with_the_factor_of_its_own_matrix_takes_one_iteration(rng):
+    a = density_matrix(Grid.rectangle((1.0, 1.0), (17, 17)), 0.1)
+    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
+    b = rng.standard_normal(a.shape[0])
+    x, its = pcg(a.dot, b, lu.solve, tol=1e-10, maxiter=10)
+    assert its == 1
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def counting_splu(monkeypatch) -> list:
+    """Record every matrix SuperLU factors."""
+    factored = []
+    real = spla.splu
+
+    def counting(a, **kwargs):
+        factored.append(a)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(solvers.spla, "splu", counting)
+    return factored
+
+
+def pcg_failures(monkeypatch) -> list:
+    """Record the message of every SolverError that ``pcg`` raises."""
+    failures = []
+    real = solvers.pcg
+
+    def recording(*args):
+        try:
+            return real(*args)
+        except SolverError as err:
+            failures.append(str(err))
+            raise
+
+    monkeypatch.setattr(solvers, "pcg", recording)
+    return failures
+
+
+def direct_solve(a, b):
+    return spla.splu(a, permc_spec="MMD_AT_PLUS_A").solve(b)
+
+
+def test_linear_solve_refactors_when_the_lagged_factor_is_stale(rng, monkeypatch):
+    # K + 1e3 W preconditions K + 1e-3 W too poorly for the iteration cap
+    grid = Grid.rectangle((1.0, 1.0), (33, 33))
+    b = rng.standard_normal(grid.node_count)
+    factors = {}
+    solvers._linear_solve(density_matrix(grid, 1e3), b, factors, "rho")
+    stale = factors["rho"]
+    a = density_matrix(grid, 1e-3)
+    expected = direct_solve(a, b)
+    factored, failures = counting_splu(monkeypatch), pcg_failures(monkeypatch)
+    x = solvers._linear_solve(a, b, factors, "rho")
+    assert failures == [f"conjugate gradient failed to reach tolerance in {solvers._PCG_MAX_ITER} iterations"]
+    assert factored == [a] and factors["rho"] is not stale
+    np.testing.assert_array_equal(x, expected)
+
+
+def test_linear_solve_refactors_when_the_curvature_guard_fires(rng, monkeypatch):
+    # a preconditioner that returns zero makes every search direction zero
+    grid = Grid.rectangle((1.0, 1.0), (17, 17))
+    a = density_matrix(grid, 0.1)
+    b = rng.standard_normal(grid.node_count)
+    broken = SimpleNamespace(solve=np.zeros_like)
+    factors = {"u": broken}
+    failures = pcg_failures(monkeypatch)
+    x = solvers._linear_solve(a, b, factors, "u")
+    assert len(failures) == 1 and "nonpositive curvature" in failures[0]
+    assert factors["u"] is not broken
+    np.testing.assert_array_equal(x, direct_solve(a, b))
+
+
+@pytest.mark.parametrize("grid", [Grid.interval(1.0, 65), Grid.rectangle((1.0, 1.0), (17, 17))], ids=["1d", "2d"])
+@pytest.mark.parametrize("tau", [0.1, 1e-3])
+def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
+    # two outer steps' worth of density and height solves, the second warm
+    # started, with one cache against fresh factors at every Newton step
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=tau, delta=1e-6)
+    sources = [NodeField(grid, tau * smooth_field(grid, rng, offset=0.5).values) for _ in range(2)]
+    sources[1] = NodeField(grid, sources[0].values + 0.1 * sources[1].values)
+
+    def solve_pair(factors):
+        rho = u = None
+        fields, iterations = [], []
+        for g in sources:
+            rho, rep_rho = solve_rho(g, tau, rho0=rho, factors=factors)
+            u, rep_u = solve_u(NodeField(grid, np.log(rho.values)), params, u0=u, factors=factors)
+            fields += [rho.values, u.values]
+            iterations += [rep_rho.iterations, rep_u.iterations]
+        return fields, iterations
+
+    factored = counting_splu(monkeypatch)
+    direct, direct_iterations = solve_pair(None)
+    assert len(factored) == sum(direct_iterations)
+    factored.clear()
+    factors = {}
+    lagged, lagged_iterations = solve_pair(factors)
+    assert len(factored) <= 2 and set(factors) == {"rho", "u"}
+    assert all(x <= y for x, y in zip(lagged_iterations, direct_iterations))
+    for x, y in zip(lagged, direct):
+        assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +284,9 @@ def newton_matrices(monkeypatch) -> list:
     matrices = []
     real = solvers._linear_solve
 
-    def recording(a, b):
+    def recording(a, b, *rest):
         matrices.append(a)
-        return real(a, b)
+        return real(a, b, *rest)
 
     monkeypatch.setattr(solvers, "_linear_solve", recording)
     return matrices
@@ -186,7 +298,8 @@ def assert_spd_via_pcg(matrices, rng):
     assert matrices
     for a in matrices:
         b = rng.standard_normal(a.shape[0])
-        x, its = pcg(a.dot, b, a.diagonal(), tol=1e-10, maxiter=10 * a.shape[0])
+        d = a.diagonal()
+        x, its = pcg(a.dot, b, lambda r: r / d, tol=1e-10, maxiter=10 * a.shape[0])
         assert its > 0
         assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)
 
