@@ -197,8 +197,8 @@ def _ball_masses(
         if np.any(x0 - r < -1e-12) or np.any(x0 + r > np.asarray(grid.extents) + 1e-12):
             raise ValueError(f"ball of radius {r:g} around {tuple(x0.tolist())} leaves the domain")
         inside = dist < r
-        if int(np.sum(inside)) < min_nodes:
-            continue
+        if int(np.sum(inside)) < min_nodes:  # the radii shrink, so no later ball qualifies
+            break
         radii.append(r)
         masses.append(float(np.sum(w[inside] * vals[inside])))
     degenerate = any(m <= 0.0 for m in masses)

@@ -220,10 +220,9 @@ def solve_coupled(
     solve whose warm start fails is retried in the same loop from its
     cold start (s = ln rho - mean(g)/tau = 0 for the density, the
     constant mean(rhs)/tau for the height), so warm starts change cost, not the
-    solution beyond solver tolerance. On a 2D grid the inner solves share
-    one linear-solve cache for this call: each Newton family keeps its last
-    LU factor and preconditions later steps with it. In 1D every step is
-    factored afresh, which is cheaper than the iteration.
+    solution beyond solver tolerance. The inner solves share one
+    linear-solve cache for this call: each Newton family keeps its last LU
+    factor and preconditions later steps with it.
     """
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:
@@ -233,7 +232,7 @@ def solve_coupled(
     ubar = mean_height_target(data)
     u = _pin_mean(u0 if u0 is not None else NodeField.constant(data.f.grid, ubar), ubar)
     rho, u_map = rho0, None
-    factors = {} if data.f.grid.dim > 1 else None
+    factors = {}
     omega = cfg.relaxation
     prev_res = np.inf
     for _ in range(cfg.max_outer):
@@ -344,7 +343,7 @@ def evolve(
         raise ValueError("evolution requires tau > 0")
     grid = u0.grid
     cfg = picard_cfg or PicardConfig()
-    step_params = capped_params(replace(params, a=1.0 / dt), cfg)
+    step_params = replace(params, a=1.0 / dt)
     u, rho, residuals, estimates = u0, None, None, None
     for n in range(nsteps + 1):
         if n > 0:

@@ -43,13 +43,13 @@ search constants are fixed here.
 Inner linear systems are symmetric positive definite and are factored
 by SuperLU, which orders the columns by multiple minimum degree on
 A^T + A (COLAMD orders for A^T A and fills more) and keeps its default
-threshold pivoting. Given a ``factors`` cache (``coupled.solve_coupled``
-passes one per call on 2D grids), ``_linear_solve`` keeps the last factor
-of each Newton family, "rho" and "u", and solves later steps by ``pcg``,
-conjugate gradient preconditioned with that lagged factor, to relative
-residual 1e-10 in at most ``_PCG_MAX_ITER`` iterations; when CG fails
-(the cap, or nonpositive curvature) the matrix is factored afresh and its
-factor replaces the old one. Without a cache every step is factored.
+threshold pivoting. ``_linear_solve`` keeps the last factor of each
+Newton family, "rho" and "u", in a ``factors`` cache (one per
+``coupled.solve_coupled`` call or standalone solve) and solves later
+steps by ``pcg``, conjugate gradient preconditioned with that lagged
+factor, to relative residual 1e-10 in at most ``_PCG_MAX_ITER``
+iterations; when CG fails (the cap, or nonpositive curvature) the matrix
+is factored afresh and its factor replaces the old one.
 
 Each Newton matrix is built as CSC, the format SuperLU reads, on a
 symmetric pattern fixed per grid, with no sparse products: the density
@@ -182,11 +182,11 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
 
-def _linear_solve(a: sp.csc_matrix, b: np.ndarray, factors=None, family=None) -> np.ndarray:
+def _linear_solve(a: sp.csc_matrix, b: np.ndarray, factors: dict, family: str) -> np.ndarray:
     """Solve a x = b by CG preconditioned with the lagged factor of
     ``family`` when the ``factors`` cache holds one; otherwise, or when CG
     fails, by a fresh factor of a, which the cache keeps."""
-    if factors is not None and family in factors:
+    if family in factors:
         try:
             return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
         except SolverError:
@@ -195,8 +195,7 @@ def _linear_solve(a: sp.csc_matrix, b: np.ndarray, factors=None, family=None) ->
         lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # SuperLU reports an exactly singular factor this way
         raise SolverError(f"sparse factorization failed: {err}") from err
-    if factors is not None:
-        factors[family] = lu
+    factors[family] = lu
     return lu.solve(b)
 
 
@@ -292,13 +291,14 @@ def solve_rho_delta(
     gv = g.flat
     gbar = float(np.sum(w * gv) / np.sum(w))
     rho = np.full(gv.size, np.exp(np.clip(gbar / tau, -80.0, 80.0)) if tau > 0 else 1.0)
+    factors = {}
 
     def residual(r):
         return (k @ r) / w + delta * r + tau * log_barrier(r, delta) - gv
 
     def solve(r, rhs):
         jac = _stiffness_plus_diagonal(grid, w * (delta + tau * log_barrier_slope(r, delta)))
-        return _linear_solve(jac, rhs)
+        return _linear_solve(jac, rhs, factors, "rho")
 
     rho, report = _damped_newton([rho], residual, solve, w, gv, cfg, "density")
     return NodeField.from_flat(grid, rho), report
@@ -333,7 +333,8 @@ def solve_rho(
     keeps both attempts' iterations and residuals. A warm start already
     within tolerance is returned unchanged. Raises SolverError before any
     exponential is taken when |sigma0| exceeds ln(max float).
-    ``factors`` is a linear-solve cache (``_linear_solve``), family "rho".
+    ``factors`` is a linear-solve cache (``_linear_solve``), family "rho";
+    None gives the solve a cache of its own.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
@@ -349,6 +350,7 @@ def solve_rho(
         )
     c = np.exp(sigma0)
     shift = tau * sigma0 - gv
+    factors = {} if factors is None else factors
 
     def residual(s):  # in units of ln rho
         return (c * (k @ np.expm1(s)) / w + tau * s + shift) / tau
@@ -529,7 +531,8 @@ def solve_u(
     above the tolerance at small tau and fine grids. ``u0`` is a warm
     start: Newton runs from v = u0 - ubar first and, if that fails, from
     v = 0, with both attempts in the returned report. ``factors`` is a
-    linear-solve cache (``_linear_solve``), family "u".
+    linear-solve cache (``_linear_solve``), family "u"; None gives the
+    solve a cache of its own.
     """
     if params.tau <= 0.0:
         raise SolverError(
@@ -540,6 +543,7 @@ def solve_u(
     rv = rhs.flat
     ubar = float(np.sum(w * rv) / np.sum(w)) / params.tau
     shift = params.tau * ubar - rv
+    factors = {} if factors is None else factors
 
     def residual(vec):
         return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift

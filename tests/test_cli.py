@@ -1,10 +1,11 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from crystalsurf import coupled, solvers
-from crystalsurf.cli import main, run
+from crystalsurf.cli import main, parse, run
 from crystalsurf.mesh import Grid, NodeField, read_node_csv, write_node_csv
 from crystalsurf.solvers import SolveReport, SolverError
 
@@ -512,6 +513,27 @@ def test_config_error_missing_required_key(tmp_path, capsys, mode, key):
     payload = {k: v for k, v in VALID_BY_MODE[mode].items() if k != key}
     err = assert_config_error(tmp_path, capsys, mode, payload)
     assert f"missing key '{key}' in the config" in err
+
+
+def test_singular_many_levels_parse_quickly(tmp_path):
+    # the dyadic radii shrink, so the probe stops at the first ball with
+    # too few nodes: a huge level count costs what its useful levels cost
+    grid = Grid.rectangle((1.0, 1.0), (33, 33))
+    rho = NodeField.from_function(grid, lambda x, y: 0.5 + (x - 0.5) ** 2 + (y - 0.5) ** 2)
+    write_node_csv(rho, tmp_path / "rho.csv")
+    doc = {
+        "grid": {"dim": 2, "extents": [1.0, 1.0], "cells": [33, 33]},
+        "params": {"p": 1.5},
+        "rho": {"kind": "csv", "path": str(tmp_path / "rho.csv")},
+        "probes": [[0.5, 0.5], [0.25, 0.25]],
+        "r_max": 0.24,
+    }
+    start = time.process_time()
+    execute = parse("singular", {**doc, "levels": 10**5})
+    assert time.process_time() - start < 1.0
+    execute(tmp_path)
+    run("singular", {**doc, "levels": 40}, tmp_path / "few")
+    assert (tmp_path / "singularity.json").read_bytes() == (tmp_path / "few" / "singularity.json").read_bytes()
 
 
 @pytest.mark.parametrize(

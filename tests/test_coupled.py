@@ -160,14 +160,14 @@ def test_solve_coupled_2d(rng):
 
 def counted_linear_solves(monkeypatch, direct: bool) -> dict:
     """Count the linear solves of each Newton family, the SuperLU factors
-    and the lagged-factor CG iterations; with ``direct`` every solve
-    factors its own matrix."""
+    and the lagged-factor CG iterations; with ``direct`` every solve gets
+    a fresh cache, so it factors its own matrix."""
     counts = {"rho": 0, "u": 0, "splu": 0, "pcg": 0}
     real_solve, real_splu, real_pcg = solvers._linear_solve, solvers.spla.splu, solvers.pcg
 
-    def linear_solve(a, b, factors=None, family=None):
+    def linear_solve(a, b, factors, family):
         counts[family] += 1
-        return real_solve(a, b, None if direct else factors, family)
+        return real_solve(a, b, {} if direct else factors, family)
 
     def splu(a, **kwargs):
         counts["splu"] += 1
@@ -184,11 +184,11 @@ def counted_linear_solves(monkeypatch, direct: bool) -> dict:
     return counts
 
 
+@pytest.mark.parametrize("grid", [Grid.interval(1.0, 65), Grid.rectangle((1.0, 1.0), (17, 17))], ids=["1d", "2d"])
 @pytest.mark.parametrize("tau", [0.1, 1e-3])
-def test_2d_lagged_factors_match_direct_solves(tau, rng, monkeypatch):
-    # in 2D each Newton family is factored once per solve_coupled call and
-    # later steps run CG preconditioned with that factor
-    grid = Grid.rectangle((1.0, 1.0), (17, 17))
+def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
+    # each Newton family is factored once per solve_coupled call and later
+    # steps run CG preconditioned with that factor
     data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=tau))
     results = {}
     for direct in (True, False):
@@ -202,15 +202,6 @@ def test_2d_lagged_factors_match_direct_solves(tau, rng, monkeypatch):
     assert c_l["splu"] <= 2 and c_l["pcg"] > 0
     for x, y in zip((t_l.u, t_l.rho), (t_d.u, t_d.rho)):
         assert np.max(np.abs(x.values - y.values)) <= 1e-10 * np.max(np.abs(y.values))
-
-
-@pytest.mark.parametrize("tau", [0.1, 1e-3])
-def test_1d_solves_factor_every_newton_step(grid, tau, rng, monkeypatch):
-    # in 1D a factor is cheaper than CG, so solve_coupled keeps no cache
-    counts = counted_linear_solves(monkeypatch, direct=False)
-    _, rep = solve_coupled(ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=tau)))
-    assert rep.converged
-    assert counts["splu"] == counts["rho"] + counts["u"] and counts["pcg"] == 0
 
 
 def test_viscosity_cap_is_one_pass(rng):

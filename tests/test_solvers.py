@@ -43,6 +43,10 @@ def grid():
 # linear solver
 # ---------------------------------------------------------------------------
 
+ONE_AND_TWO_D = pytest.mark.parametrize(
+    "grid", [Grid.interval(1.0, 65), Grid.rectangle((1.0, 1.0), (17, 17))], ids=["1d", "2d"]
+)
+
 
 def test_pcg_solves_spd_system(rng):
     n = 40
@@ -138,11 +142,11 @@ def test_linear_solve_refactors_when_the_curvature_guard_fires(rng, monkeypatch)
     np.testing.assert_array_equal(x, direct_solve(a, b))
 
 
-@pytest.mark.parametrize("grid", [Grid.interval(1.0, 65), Grid.rectangle((1.0, 1.0), (17, 17))], ids=["1d", "2d"])
+@ONE_AND_TWO_D
 @pytest.mark.parametrize("tau", [0.1, 1e-3])
 def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
     # two outer steps' worth of density and height solves, the second warm
-    # started, with one cache against fresh factors at every Newton step
+    # started, with one cache against a fresh cache at every linear solve
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=tau, delta=1e-6)
     sources = [NodeField(grid, tau * smooth_field(grid, rng, offset=0.5).values) for _ in range(2)]
     sources[1] = NodeField(grid, sources[0].values + 0.1 * sources[1].values)
@@ -158,7 +162,10 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
         return fields, iterations
 
     factored = counting_splu(monkeypatch)
-    direct, direct_iterations = solve_pair(None)
+    real = solvers._linear_solve
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_linear_solve", lambda a, b, factors, family: real(a, b, {}, family))
+        direct, direct_iterations = solve_pair(None)
     assert len(factored) == sum(direct_iterations)
     factored.clear()
     factors = {}
@@ -167,6 +174,27 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
     assert all(x <= y for x, y in zip(lagged_iterations, direct_iterations))
     for x, y in zip(lagged, direct):
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+
+@ONE_AND_TWO_D
+def test_standalone_solves_share_no_factor(grid, rng, monkeypatch):
+    # a solve given no cache holds one of its own: it factors its first
+    # Newton matrix and iterates on that factor, and a repeated solve
+    # factors again rather than reusing a factor of the earlier call
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
+    f = smooth_field(grid, rng, offset=0.5)
+    g = NodeField(grid, params.tau * f.values)
+    rhs = smooth_field(grid, rng)
+    factored = counting_splu(monkeypatch)
+    solves = (lambda: solve_rho(g, params.tau), lambda: solve_u(rhs, params), lambda: solve_rho_delta(f, 1.0, 1e-6))
+    for solve in solves:
+        runs = []
+        for _ in range(2):
+            factored.clear()
+            _, rep = solve()
+            runs.append((len(factored), rep.iterations))
+        assert runs[0] == runs[1]
+        assert 1 <= runs[0][0] < runs[0][1]
 
 
 # ---------------------------------------------------------------------------
