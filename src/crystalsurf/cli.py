@@ -189,9 +189,9 @@ def _json_default(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _parse_inputs(config: dict, mode: str, required, optional=(), solvers=("newton", "picard"), solves=True):

@@ -11,7 +11,7 @@ with source f - a v (Newton in ln rho), then the height equation with
 source ln rho, each by the single damped Newton core of ``solvers`` and
 optionally warm-started from a previous density and height.
 
-``solve_coupled`` runs a damped iteration on B with one structural
+``solve_coupled`` runs a fixed-point iteration on B with one structural
 addition: integrating both equations shows that the discrete solution
 satisfies (a + tau^2) int u = int f exactly (the mimetic operators
 integrate to zero), so each iterate has its mean projected onto that
@@ -19,7 +19,12 @@ known value. The projection leaves the fixed point unchanged and removes
 the mean mode of B, whose amplification factor a / tau^2 makes the raw
 iteration diverge for small tau. The fluctuating modes contract at an
 O(a) rate independent of tau, and the mean identity then holds to
-rounding on every converged solve. The height viscosity is capped at
+rounding on every converged solve. Each update is Anderson mixing
+(Anderson 1965; Walker & Ni 2011) of the projected residuals
+F = pin(B(u)) - u of the last ``_ANDERSON_DEPTH`` + 1 iterates, with the
+relaxation as mixing weight; when the combined residual grows the
+history is dropped, so the next update is the plain damped step
+pin(u + w F). The height viscosity is capped at
 ``PicardConfig.delta_polish`` and the capped system solved in one pass.
 The outer report records one residual per outer step; the inner Newton
 loops keep their own iteration counts.
@@ -74,6 +79,8 @@ __all__ = [
     "capped_params",
 ]
 
+_ANDERSON_DEPTH = 3  # earlier outer steps whose differences enter the Anderson mixing
+
 
 @dataclass
 class ProblemData:
@@ -87,8 +94,11 @@ class ProblemData:
 class PicardConfig:
     """Outer fixed-point iteration controls.
 
-    The relaxation weight is adapted: halved when the combined equation
-    residual grows, grown by 1.2 (capped at 1) when it shrinks.
+    ``relaxation`` is the Anderson mixing weight of the outer update, the
+    plain damped step's weight when the mixing history is empty. It is
+    adapted: grown by 1.2 (capped at 1) when the combined equation
+    residual shrinks; halved when it grows, and then the mixing history
+    is dropped.
     ``delta_polish`` caps the height viscosity: the coupled solve runs
     at min(params.delta, delta_polish), or at params.delta when it is
     None (as the manufactured-solution study needs, whose analytic
@@ -209,7 +219,7 @@ def solve_coupled(
     u0: NodeField | None = None,
     rho0: NodeField | None = None,
 ) -> tuple[WeakSolutionTriple, SolveReport]:
-    """Solve the coupled stationary system by mean-projected damped iteration.
+    """Solve the coupled stationary system by mean-projected Anderson mixing.
 
     The height viscosity is first capped at ``PicardConfig.delta_polish``;
     the returned triple solves that capped system. ``u0`` is the first
@@ -222,7 +232,8 @@ def solve_coupled(
     constant mean(rhs)/tau for the height), so warm starts change cost, not the
     solution beyond solver tolerance. The inner solves share one
     linear-solve cache for this call: each Newton family keeps its last LU
-    factor and preconditions later steps with it.
+    factor and preconditions later steps with it. The mixing history,
+    like the cache, lives for this call only.
     """
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:
@@ -235,11 +246,19 @@ def solve_coupled(
     factors = {}
     omega = cfg.relaxation
     prev_res = np.inf
+    sqrt_w = np.sqrt(u.grid.node_weights()).ravel()
+    us, fs = [], []  # the last iterates and their residuals pin(B(u)) - u, flat
     for _ in range(cfg.max_outer):
         u_map, rho = picard_map(u, data, newton_cfg, rho0=rho, u0=u_map, factors=factors)
-        u_new = _pin_mean(
-            NodeField(u.grid, (1.0 - omega) * u.values + omega * u_map.values), ubar
-        )
+        us.append(u.flat)
+        fs.append(_pin_mean(u_map, ubar).flat - u.flat)
+        del us[: -_ANDERSON_DEPTH - 1], fs[: -_ANDERSON_DEPTH - 1]
+        step = omega * fs[-1]
+        if len(fs) > 1:  # gamma = argmin |F - dF gamma|_W; lstsq copes with rank-deficient dF
+            d_u, d_f = np.diff(us, axis=0), np.diff(fs, axis=0)
+            gamma = np.linalg.lstsq((d_f * sqrt_w).T, fs[-1] * sqrt_w, rcond=None)[0]
+            step -= gamma @ (d_u + omega * d_f)
+        u_new = _pin_mean(NodeField.from_flat(u.grid, us[-1] + step), ubar)
         change = mesh.norm_l2(NodeField(u.grid, u_new.values - u.values))
         r1, r2 = coupled_residuals(u_new, rho, data)
         res = max(r1, r2)
@@ -249,7 +268,12 @@ def solve_coupled(
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
             report.converged = True
             return WeakSolutionTriple(u, rho, subgradient_field(u), (r1, r2)), report
-        omega = min(1.0, omega * 1.2) if res < prev_res else max(1e-3, 0.5 * omega)
+        if res < prev_res:
+            omega = min(1.0, omega * 1.2)
+        else:
+            omega = max(1e-3, 0.5 * omega)
+            us.clear()
+            fs.clear()
         prev_res = res
     raise SolverError(
         f"coupled iteration did not converge in {cfg.max_outer} outer steps", report

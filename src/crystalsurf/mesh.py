@@ -371,20 +371,45 @@ def edge_adjoints(grid: Grid, axis: int) -> tuple[sp.csr_matrix, ...]:
 _AXIS_NAMES = ("x", "y")
 
 
-def _write_rows(path, names, blocks) -> None:
-    """CSV with the header ``names``. Each block is a list of equal-shape
-    columns, written row by row in C order, 17 significant digits."""
-    row = ",".join(["%.17g"] * len(names)) + "\n"
+def _row_templates(columns) -> tuple[str, ...]:
+    """One "%.17g" template per row: the ``columns`` (equal-shape, C order)
+    formatted to 17 significant digits, then the value's placeholder."""
+    row = "%.17g," * len(columns) + "%%.17g\n"
+    return tuple(row % r for r in zip(*(np.ravel(c).tolist() for c in columns)))
+
+
+@functools.lru_cache(maxsize=None)
+def _node_rows(grid: Grid) -> tuple[str, ...]:
+    """Row templates of ``write_node_csv``: the node coordinates; cached per grid."""
+    return _row_templates(grid.meshgrid())
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_rows(grid: Grid) -> tuple[str, ...]:
+    """Row templates of ``write_edge_csv``: midpoint and axis of every edge,
+    one axis family after the other; cached per grid."""
+    coords = grid.meshgrid()
+    rows = ()
+    for k in range(grid.dim):
+        lo = (slice(None),) * k + (slice(None, -1),)
+        hi = (slice(None),) * k + (slice(1, None),)
+        mids = [c[lo] for c in coords]
+        mids[k] = 0.5 * (coords[k][lo] + coords[k][hi])
+        rows += _row_templates([*mids, np.full(grid.edge_shape(k), k)])
+    return rows
+
+
+def _write_rows(path, names, rows, values) -> None:
+    """CSV with the header ``names``, then each row template filled with its value."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for columns in blocks:
-            fh.writelines(row % r for r in zip(*(np.ravel(c).tolist() for c in columns)))
+        fh.write("".join(map(str.__mod__, rows, values)))
 
 
 def write_node_csv(u: NodeField, path) -> None:
     """CSV with header x[,y],value, nodes in row-major order, 17 significant digits."""
     g = u.grid
-    _write_rows(path, [*_AXIS_NAMES[: g.dim], "value"], [[*g.meshgrid(), u.values]])
+    _write_rows(path, [*_AXIS_NAMES[: g.dim], "value"], _node_rows(g), u.flat.tolist())
 
 
 def read_node_csv(path, grid: Grid) -> NodeField:
@@ -405,14 +430,5 @@ def write_edge_csv(q: EdgeField, path) -> None:
     """CSV of edge midpoints with header x[,y],axis,value, one axis family
     after the other, each in row-major order."""
     g = q.grid
-    coords = g.meshgrid()
-
-    def block(k, comp):
-        lo = (slice(None),) * k + (slice(None, -1),)
-        hi = (slice(None),) * k + (slice(1, None),)
-        mids = [c[lo] for c in coords]
-        mids[k] = 0.5 * (coords[k][lo] + coords[k][hi])
-        return [*mids, np.full(comp.shape, k), comp]
-
-    names = [*_AXIS_NAMES[: g.dim], "axis", "value"]
-    _write_rows(path, names, (block(k, comp) for k, comp in enumerate(q.components)))
+    values = np.concatenate([np.ravel(comp) for comp in q.components]).tolist()
+    _write_rows(path, [*_AXIS_NAMES[: g.dim], "axis", "value"], _edge_rows(g), values)

@@ -204,6 +204,81 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
         assert np.max(np.abs(x.values - y.values)) <= 1e-10 * np.max(np.abs(y.values))
 
 
+def plain_damped_outer_steps(data: ProblemData, cfg: PicardConfig = PicardConfig()) -> int:
+    """Outer steps of the relaxed update u <- pin((1 - w) u + w B(u)) with
+    the adaptation and stopping test of ``solve_coupled``: the reference."""
+    data = ProblemData(data.f, capped_params(data.params, cfg))
+    ubar = mean_height_target(data)
+    u, rho, u_map, factors = NodeField.constant(data.f.grid, ubar), None, None, {}
+    omega, prev_res = cfg.relaxation, np.inf
+    for step in range(1, cfg.max_outer + 1):
+        u_map, rho = picard_map(u, data, rho0=rho, u0=u_map, factors=factors)
+        mixed = NodeField(u.grid, (1.0 - omega) * u.values + omega * u_map.values)
+        u_new = coupled._pin_mean(mixed, ubar)
+        change = norm_l2(NodeField(u.grid, u_new.values - u.values))
+        res = max(coupled_residuals(u_new, rho, data))
+        if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
+            return step
+        omega = min(1.0, omega * 1.2) if res < prev_res else max(1e-3, 0.5 * omega)
+        u, prev_res = u_new, res
+    raise AssertionError("the plain damped iteration did not converge")
+
+
+@pytest.mark.parametrize(
+    "dim, tau, a",
+    [
+        *((dim, tau, a) for dim in ("1d", "2d") for tau in (0.1, 1e-3) for a in (1.0, 20.0)),
+        ("2d", 0.1, 1000.0),
+    ],
+)
+def test_anderson_matches_the_plain_damped_iteration(dim, tau, a, rng, monkeypatch):
+    # with an empty history the update is the plain damped step, so depth 0
+    # is the reference; at a = 1000 the plain residual oscillates
+    grid = Grid.interval(1.0, 65) if dim == "1d" else Grid.rectangle((1.0, 1.0), (17, 17))
+    f = smooth_field(grid, rng, offset=0.5)
+    data = ProblemData(f, params_with(tau=tau, a=a))
+    mixed, rep = solve_coupled(data)
+    monkeypatch.setattr(coupled, "_ANDERSON_DEPTH", 0)
+    plain, rep_plain = solve_coupled(data)
+    assert rep_plain.iterations == plain_damped_outer_steps(data)
+    assert rep.converged and rep.iterations <= rep_plain.iterations
+    if a == 1000.0:
+        history = rep_plain.residual_history
+        assert any(r1 >= r0 for r0, r1 in zip(history, history[1:]))
+        assert rep.iterations < rep_plain.iterations
+    for x, y in zip((mixed.u, mixed.rho), (plain.u, plain.rho)):
+        assert np.max(np.abs(x.values - y.values)) <= 1e-8 * np.max(np.abs(y.values))
+    assert_mean_identity(mixed.u, f, data.params)
+
+
+def test_anderson_history_is_cleared_when_the_residual_grows(grid, rng, monkeypatch):
+    # the second map evaluation, the first one mixed with an earlier step, is
+    # pushed off, so the residual grows: the weight is halved and the next
+    # update is the plain damped step pin(u + w (pin(B(u)) - u)) from the
+    # same iterate, with no mixing of older steps
+    data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=0.1))
+    ubar = mean_height_target(data)
+    real_map, calls = coupled.picard_map, []
+
+    def picard_map(v, *args, **kwargs):
+        u_map, rho = real_map(v, *args, **kwargs)
+        if len(calls) == 1:
+            u_map = NodeField(grid, u_map.values + 0.1 * np.cos(np.pi * grid.meshgrid()[0]))
+        calls.append((v, u_map))
+        return u_map, rho
+
+    monkeypatch.setattr(coupled, "picard_map", picard_map)
+    _, rep = solve_coupled(data)
+    history = rep.residual_history
+    assert rep.converged
+    assert history[1] > history[0]
+    (u2, b2), (u3, _) = calls[2], calls[3]
+    omega = 0.5 * (0.5 * 1.2)
+    residual = coupled._pin_mean(b2, ubar).values - u2.values
+    plain = coupled._pin_mean(NodeField(grid, u2.values + omega * residual), ubar)
+    assert np.allclose(u3.values, plain.values, rtol=1e-14, atol=1e-15)
+
+
 def test_viscosity_cap_is_one_pass(rng):
     # the default config caps delta = 1e-6 at delta_polish = 1e-10 and
     # solves that system once: the same floating-point work as asking for

@@ -238,6 +238,40 @@ def test_node_csv_round_trip(tmp_path, rng):
         read_node_csv(path, Grid.rectangle((1.0, 2.0), (9, 6)))
 
 
+def reference_csv(names, blocks) -> bytes:
+    """Row-by-row %.17g formatting of blocks of equal-shape columns in C order."""
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    rows = (row % r for cols in blocks for r in zip(*(np.ravel(c).tolist() for c in cols)))
+    return (",".join(names) + "\n" + "".join(rows)).encode()
+
+
+def test_csv_writers_match_row_by_row_formatting(tmp_path):
+    # pairs of grids with equal node counts and different extents, written in
+    # turn: the cached coordinate columns must follow the grid, not its shape
+    special = np.array([-0.0, 5e-324, 1e-300, 1e308, 7.0, -2.0, 1.0 / 3.0, 0.0])
+    grids = [
+        Grid.interval(1.0, 9),
+        Grid.interval(2.5, 9),
+        Grid.rectangle((1.0, 0.3), (5, 4)),
+        Grid.rectangle((0.7, 2.0), (5, 4)),
+    ]
+    for i, g in enumerate(grids):
+        coords, names = g.meshgrid(), ["x", "y"][: g.dim]
+        u = NodeField(g, np.resize(special, g.shape))
+        q = EdgeField(g, tuple(np.resize(special[::-1], g.edge_shape(k)) for k in range(g.dim)))
+        edge_blocks = []
+        for k, comp in enumerate(q.components):
+            lo = (slice(None),) * k + (slice(None, -1),)
+            hi = (slice(None),) * k + (slice(1, None),)
+            mids = [c[lo] for c in coords]
+            mids[k] = 0.5 * (coords[k][lo] + coords[k][hi])
+            edge_blocks.append([*mids, np.full(comp.shape, k), comp])
+        write_node_csv(u, tmp_path / f"u{i}.csv")
+        write_edge_csv(q, tmp_path / f"q{i}.csv")
+        assert (tmp_path / f"u{i}.csv").read_bytes() == reference_csv([*names, "value"], [[*coords, u.values]])
+        assert (tmp_path / f"q{i}.csv").read_bytes() == reference_csv([*names, "axis", "value"], edge_blocks)
+
+
 def test_node_gradient_central_inside_one_sided_at_ends(rng):
     g = Grid.rectangle((1.0, 2.0), (9, 7))
     u = rng.standard_normal(g.shape)
