@@ -371,45 +371,49 @@ def edge_adjoints(grid: Grid, axis: int) -> tuple[sp.csr_matrix, ...]:
 _AXIS_NAMES = ("x", "y")
 
 
-def _row_templates(columns) -> tuple[str, ...]:
-    """One "%.17g" template per row: the ``columns`` (equal-shape, C order)
-    formatted to 17 significant digits, then the value's placeholder."""
+def _row_templates(columns) -> str:
+    """The "%.17g" template of consecutive rows: the ``columns`` (equal-shape,
+    C order) formatted to 17 significant digits, then the value's placeholder."""
     row = "%.17g," * len(columns) + "%%.17g\n"
-    return tuple(row % r for r in zip(*(np.ravel(c).tolist() for c in columns)))
+    return "".join(row % r for r in zip(*(np.ravel(c).tolist() for c in columns)))
+
+
+def _header(grid: Grid, *names: str) -> str:
+    return ",".join([*_AXIS_NAMES[: grid.dim], *names]) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
-def _node_rows(grid: Grid) -> tuple[str, ...]:
-    """Row templates of ``write_node_csv``: the node coordinates; cached per grid."""
-    return _row_templates(grid.meshgrid())
+def _node_rows(grid: Grid) -> str:
+    """Whole-file template of ``write_node_csv``: the header and the node
+    coordinates; cached per grid."""
+    return _header(grid, "value") + _row_templates(grid.meshgrid())
 
 
 @functools.lru_cache(maxsize=None)
-def _edge_rows(grid: Grid) -> tuple[str, ...]:
-    """Row templates of ``write_edge_csv``: midpoint and axis of every edge,
-    one axis family after the other; cached per grid."""
+def _edge_rows(grid: Grid) -> str:
+    """Whole-file template of ``write_edge_csv``: the header, then midpoint
+    and axis of every edge, one axis family after the other; cached per grid."""
     coords = grid.meshgrid()
-    rows = ()
+    text = _header(grid, "axis", "value")
     for k in range(grid.dim):
         lo = (slice(None),) * k + (slice(None, -1),)
         hi = (slice(None),) * k + (slice(1, None),)
         mids = [c[lo] for c in coords]
         mids[k] = 0.5 * (coords[k][lo] + coords[k][hi])
-        rows += _row_templates([*mids, np.full(grid.edge_shape(k), k)])
-    return rows
+        text += _row_templates([*mids, np.full(grid.edge_shape(k), k)])
+    return text
 
 
-def _write_rows(path, names, rows, values) -> None:
-    """CSV with the header ``names``, then each row template filled with its value."""
+def _write_rows(path, template, values) -> None:
+    """Write the whole-file ``template`` filled with one value per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.write("".join(map(str.__mod__, rows, values)))
+        fh.write(template % tuple(values))
 
 
 def write_node_csv(u: NodeField, path) -> None:
     """CSV with header x[,y],value, nodes in row-major order, 17 significant digits."""
     g = u.grid
-    _write_rows(path, [*_AXIS_NAMES[: g.dim], "value"], _node_rows(g), u.flat.tolist())
+    _write_rows(path, _node_rows(g), u.flat.tolist())
 
 
 def read_node_csv(path, grid: Grid) -> NodeField:
@@ -431,4 +435,4 @@ def write_edge_csv(q: EdgeField, path) -> None:
     after the other, each in row-major order."""
     g = q.grid
     values = np.concatenate([np.ravel(comp) for comp in q.components]).tolist()
-    _write_rows(path, [*_AXIS_NAMES[: g.dim], "axis", "value"], _edge_rows(g), values)
+    _write_rows(path, _edge_rows(g), values)

@@ -45,11 +45,19 @@ by SuperLU, which orders the columns by multiple minimum degree on
 A^T + A (COLAMD orders for A^T A and fills more) and keeps its default
 threshold pivoting. ``_linear_solve`` keeps the last factor of each
 Newton family, "rho" and "u", in a ``factors`` cache (one per
-``coupled.solve_coupled`` call or standalone solve) and solves later
-steps by ``pcg``, conjugate gradient preconditioned with that lagged
-factor, to relative residual 1e-10 in at most ``_PCG_MAX_ITER``
-iterations; when CG fails (the cap, or nonpositive curvature) the matrix
-is factored afresh and its factor replaces the old one.
+``coupled.solve_coupled`` call or standalone solve) and solves by
+``pcg``, conjugate gradient on the Newton matrix preconditioned with
+that lagged factor, to relative residual 1e-10 in at most
+``_PCG_MAX_ITER`` iterations. When CG fails (the cap, or nonpositive
+curvature), or no factor is held, the family's preconditioner is
+factored afresh and replaces the old factor. The density family
+factors its Newton matrix and solves directly with the fresh factor.
+The height family factors the Hessian's longitudinal part
+P = sum D_l^T diag(W h_ll / dim) D_l + delta K + tau W, which has the
+5-point pattern of K where the 2D Hessian has 21 points and about a
+fifth of its LU fill, and runs CG with it; when that CG fails too, the
+full Newton matrix is factored and solved directly. In 1D, P is the
+Newton matrix itself.
 
 Each Newton matrix is built as CSC, the format SuperLU reads, on a
 symmetric pattern fixed per grid, with no sparse products: the density
@@ -57,7 +65,8 @@ matrix K + diag(tau W/rho) adds to a copy of the data of K at its cached
 diagonal positions, and the height matrix is data = B concat(W h_ij) +
 delta K + tau W on the cached pattern of ``_hessian_pattern``, where the
 scatter matrix B holds every product D_i[e, a] D_j[e, b] / dim of the
-edge operators.
+edge operators. P's data on the pattern of K comes from B's (D_l, D_l)
+columns and the same energy Hessian samples.
 
 A ``SolveReport`` holds an iteration count, a residual history and a
 convergence flag: here Newton steps and the merit before each step and at
@@ -105,7 +114,7 @@ _RHO_FLOOR = float(np.sqrt(np.finfo(float).tiny))  # density floor of the Newton
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_DECREASE = 1e-4
 _MAX_BACKTRACKS = 40
-_PCG_MAX_ITER = 10  # lagged-factor CG iterations before a Newton matrix is factored afresh
+_PCG_MAX_ITER = 20  # lagged-factor CG iterations before a preconditioner is factored afresh
 
 
 @dataclass
@@ -182,21 +191,36 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
 
-def _linear_solve(a: sp.csc_matrix, b: np.ndarray, factors: dict, family: str) -> np.ndarray:
+def _linear_solve(
+    a: sp.csc_matrix, b: np.ndarray, factors: dict, family: str, p: sp.csc_matrix | None = None
+) -> np.ndarray:
     """Solve a x = b by CG preconditioned with the lagged factor of
-    ``family`` when the ``factors`` cache holds one; otherwise, or when CG
-    fails, by a fresh factor of a, which the cache keeps."""
+    ``family`` when the ``factors`` cache holds one. Otherwise, or when
+    CG fails, the cache keeps a fresh factor of ``p``, an SPD matrix
+    close to a in spectrum, and CG runs with it; when ``p`` is a (None
+    means a) or that CG fails too, the cache keeps a fresh factor of a
+    and the solve is direct."""
     if family in factors:
         try:
             return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
         except SolverError:
             pass  # the lagged factor has gone stale: refactor
-    try:  # both Newton matrices are symmetric, so order by minimum degree on A^T + A
-        lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
+    if p is not None and p is not a:
+        factors[family] = _factor(p)
+        try:
+            return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
+        except SolverError:
+            pass  # p is too far from a: solve with a factor of a itself
+    factors[family] = lu = _factor(a)
+    return lu.solve(b)
+
+
+def _factor(a: sp.csc_matrix):
+    """SuperLU factor of a symmetric matrix, ordered by minimum degree on A^T + A."""
+    try:
+        return spla.splu(a, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # SuperLU reports an exactly singular factor this way
         raise SolverError(f"sparse factorization failed: {err}") from err
-    factors[family] = lu
-    return lu.solve(b)
 
 
 def _weighted_norm(w: np.ndarray, r: np.ndarray) -> float:
@@ -408,6 +432,10 @@ class _HessianPattern(NamedTuple):
     family and operator pair (i, j) in order, to the pattern's data, with
     the 1/dim factor folded in. ``k_pos`` and ``diag`` are the positions
     of the entries of K and of the diagonal inside that data.
+    ``longitudinal`` is B's (0, 0) columns, the pair (D_l, D_l) of each
+    axis family, read at ``k_pos``: it maps concat(W h_ll) to the data of
+    sum D_l^T diag(W h_ll / dim) D_l on the pattern of K, where all of
+    that sum lies.
     """
 
     indptr: np.ndarray
@@ -415,6 +443,7 @@ class _HessianPattern(NamedTuple):
     scatter: sp.csc_matrix
     k_pos: np.ndarray
     diag: np.ndarray
+    longitudinal: sp.csc_matrix
 
 
 def _edge_pairs(di: sp.csr_matrix, dj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -456,14 +485,20 @@ def _hessian_pattern(grid: Grid) -> _HessianPattern:
         rows[start : start + ti.size] = position(di.indices[ti], dj.indices[tj])
         vals[start : start + ti.size] = di.data[ti] * dj.data[tj] / grid.dim
         start += ti.size
+    scatter = sp.csc_matrix((vals, rows, columns), shape=(pattern.nnz, per_edge.size))
     k = mesh.stiffness_matrix(grid)
     nodes = np.arange(n)
+    k_pos = position(np.repeat(nodes, np.diff(k.indptr)), k.indices)
+    # (D_l, D_l) is the first of the len(ops)^2 column blocks of each axis family, one column per edge
+    starts = np.cumsum([0] + [len(ops) ** 2 * ops[0].shape[0] for ops in stencils])
+    ll = np.concatenate([np.arange(s, s + ops[0].shape[0]) for s, ops in zip(starts, stencils)])
     return _HessianPattern(
         indptr=pattern.indptr,
         indices=pattern.indices,
-        scatter=sp.csc_matrix((vals, rows, columns), shape=(pattern.nnz, per_edge.size)),
-        k_pos=position(np.repeat(nodes, np.diff(k.indptr)), k.indices),
+        scatter=scatter,
+        k_pos=k_pos,
         diag=position(nodes, nodes),
+        longitudinal=sp.csc_matrix(scatter[:, ll][k_pos]),
     )
 
 
@@ -478,21 +513,36 @@ def _energy_gradient_vec(u: NodeField, params: ModelParams) -> np.ndarray:
     return out / grid.dim
 
 
-def _height_newton_matrix(u: NodeField, params: ModelParams) -> sp.csc_matrix:
-    """W times the Jacobian of ``apply_height_operator`` at u: the exact
-    energy Hessian sum_ij D_i^T diag(W h_ij) D_j / dim plus delta K +
-    tau W (sparse, symmetric, positive definite), assembled on the fixed
-    symmetric pattern of ``_hessian_pattern`` without sparse products."""
+def _height_newton_matrices(u: NodeField, params: ModelParams) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+    """W times the Jacobian of ``apply_height_operator`` at u, and its
+    longitudinal part, the preconditioner of ``solve_u``.
+
+    The first is the exact energy Hessian sum_ij D_i^T diag(W h_ij) D_j
+    / dim plus delta K + tau W (sparse, symmetric, positive definite),
+    assembled on the fixed symmetric pattern of ``_hessian_pattern``
+    without sparse products. The second, P = sum D_l^T diag(W h_ll / dim)
+    D_l + delta K + tau W, sits on the 5-point pattern of K and is built
+    from the same energy Hessian samples; a 1D edge family has no
+    transverse operator, so there P is the first matrix itself.
+    """
     grid = u.grid
     pat = _hessian_pattern(grid)
+    k = mesh.stiffness_matrix(grid)
+    w = mesh.mass_vector(grid)
     coef = []
     for z, wvec in zip(mesh.edge_gradients(u), mesh.edge_weight_vectors(grid)):
         h = energy_hessian(z, params).reshape(wvec.size, -1)
         coef += [wvec * h[:, m] for m in range(h.shape[1])]
     data = pat.scatter @ np.concatenate(coef)
-    data[pat.k_pos] += params.delta * mesh.stiffness_matrix(grid).data
-    data[pat.diag] += params.tau * mesh.mass_vector(grid)
-    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(grid.node_count, grid.node_count))
+    data[pat.k_pos] += params.delta * k.data
+    data[pat.diag] += params.tau * w
+    hess = sp.csc_matrix((data, pat.indices, pat.indptr), shape=k.shape)
+    if grid.dim == 1:
+        return hess, hess
+    # W h_ll is the first of the dim^2 coefficients of each axis family
+    lon = pat.longitudinal @ np.concatenate(coef[:: grid.dim**2]) + params.delta * k.data
+    lon[_stiffness_diagonal(grid)] += params.tau * w
+    return hess, sp.csc_matrix((lon, k.indices, k.indptr), shape=k.shape)
 
 
 def apply_height_operator(u: NodeField, params: ModelParams) -> NodeField:
@@ -531,8 +581,10 @@ def solve_u(
     above the tolerance at small tau and fine grids. ``u0`` is a warm
     start: Newton runs from v = u0 - ubar first and, if that fails, from
     v = 0, with both attempts in the returned report. ``factors`` is a
-    linear-solve cache (``_linear_solve``), family "u"; None gives the
-    solve a cache of its own.
+    linear-solve cache (``_linear_solve``), family "u", which holds a
+    factor of the Hessian's longitudinal part P (in 2D; in 1D P is the
+    Hessian) or, after a failed CG from a fresh factor of P, of the
+    Hessian; None gives the solve a cache of its own.
     """
     if params.tau <= 0.0:
         raise SolverError(
@@ -549,8 +601,8 @@ def solve_u(
         return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift
 
     def solve(vec, b):
-        hess = _height_newton_matrix(NodeField.from_flat(grid, vec), params)
-        return _linear_solve(hess, b, factors, "u")
+        hess, lon = _height_newton_matrices(NodeField.from_flat(grid, vec), params)
+        return _linear_solve(hess, b, factors, "u", lon)
 
     starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]
     v, report = _damped_newton(starts, residual, solve, w, rv, cfg, "height")

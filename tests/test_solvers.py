@@ -14,6 +14,7 @@ from crystalsurf.mesh import (
     edge_gradients,
     edge_stencil,
     edge_weight_vectors,
+    gradient_matrices,
     integrate,
     laplacian,
     mass_vector,
@@ -142,6 +143,84 @@ def test_linear_solve_refactors_when_the_curvature_guard_fires(rng, monkeypatch)
     np.testing.assert_array_equal(x, direct_solve(a, b))
 
 
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "stale"])
+def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fails(held, rng, monkeypatch):
+    # CG fails with the held factor, if any, and again from a fresh factor
+    # of the preconditioner P: the step factors the Newton matrix itself,
+    # keeps that factor and returns its direct solution
+    grid = Grid.rectangle((1.0, 1.0), (17, 17))
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
+    hess, lon = solvers._height_newton_matrices(smooth_field(grid, rng, amplitude=0.5), params)
+    b = rng.standard_normal(grid.node_count)
+    factors = {"u": SimpleNamespace(solve=np.zeros_like)} if held else {}
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise SolverError("conjugate gradient failed to reach tolerance")
+
+    monkeypatch.setattr(solvers, "pcg", failing)
+    factored = counting_splu(monkeypatch)
+    x = solvers._linear_solve(hess, b, factors, "u", lon)
+    assert len(calls) == 1 + held
+    assert len(factored) == 2 and factored[0] is lon and factored[1] is hess
+    expected = direct_solve(hess, b)
+    np.testing.assert_array_equal(x, expected)
+    np.testing.assert_array_equal(factors["u"].solve(b), expected)
+
+
+def parent_linear_solve(a, b, factors, family, *rest):
+    """The linear solve before preconditioning with P: CG with the held
+    factor, capped at 10 iterations, else a direct solve with a fresh
+    factor of a, which the cache keeps."""
+    if family in factors:
+        try:
+            return pcg(a.dot, b, factors[family].solve, 1e-10, 10)[0]
+        except SolverError:
+            pass
+    factors[family] = lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
+    return lu.solve(b)
+
+
+@ONE_AND_TWO_D
+def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkeypatch):
+    # 2D: every height factor is of a matrix on the 5-point pattern of K, not
+    # of the 21-point Newton matrix; 1D: of the Newton matrix itself, and the
+    # solves are bit for bit those of the linear solve without P
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
+    sources = [smooth_field(grid, rng, amplitude=0.5) for _ in range(2)]
+    sources[1] = NodeField(grid, sources[0].values + 0.1 * sources[1].values)
+
+    def solve_pair():
+        factors, u, out = {}, None, []
+        for rhs in sources:
+            u, rep = solve_u(rhs, params, u0=u, factors=factors)
+            out.append((u.values, rep.iterations, rep.residual_history))
+        return out, factors
+
+    k = stiffness_matrix(grid)
+    matrices = []
+    real = solvers._linear_solve
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_linear_solve", lambda a, *rest: matrices.append(a) or real(a, *rest))
+        factored = counting_splu(m)
+        results, factors = solve_pair()
+    assert factored and set(factors) == {"u"}
+    for a in factored:
+        assert any(a is x for x in matrices) == (grid.dim == 1)
+        if grid.dim == 2:
+            np.testing.assert_array_equal(a.indptr, k.indptr)
+            np.testing.assert_array_equal(a.indices, k.indices)
+    assert factors["u"].shape == k.shape
+    if grid.dim == 1:
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_linear_solve", parent_linear_solve)
+            parent, _ = solve_pair()
+        for (u, its, hist), (u_p, its_p, hist_p) in zip(results, parent):
+            np.testing.assert_array_equal(u, u_p)
+            assert its == its_p and hist == hist_p
+
+
 @ONE_AND_TWO_D
 @pytest.mark.parametrize("tau", [0.1, 1e-3])
 def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
@@ -162,9 +241,8 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
         return fields, iterations
 
     factored = counting_splu(monkeypatch)
-    real = solvers._linear_solve
     with monkeypatch.context() as m:
-        m.setattr(solvers, "_linear_solve", lambda a, b, factors, family: real(a, b, {}, family))
+        m.setattr(solvers, "_linear_solve", lambda a, b, *rest: direct_solve(a, b))
         direct, direct_iterations = solve_pair(None)
     assert len(factored) == sum(direct_iterations)
     factored.clear()
@@ -308,13 +386,13 @@ def test_rho_continuation_stage_stability(rng):
 
 
 def newton_matrices(monkeypatch) -> list:
-    """Record every matrix the Newton solves pass to the linear solve."""
+    """Record every matrix the Newton solves pass to the linear solve,
+    and solve with a factor of that matrix."""
     matrices = []
-    real = solvers._linear_solve
 
     def recording(a, b, *rest):
         matrices.append(a)
-        return real(a, b, *rest)
+        return direct_solve(a, b)
 
     monkeypatch.setattr(solvers, "_linear_solve", recording)
     return matrices
@@ -606,7 +684,7 @@ def test_height_hessian_matches_operator_jacobian(hess_grid, params, rng):
     g = hess_grid
     u = NodeField(g, 0.3 * rng.standard_normal(g.shape))
     w = mass_vector(g)
-    hess = solvers._height_newton_matrix(u, params).toarray()
+    hess = solvers._height_newton_matrices(u, params)[0].toarray()
     eps = 1e-6
     jac = np.empty_like(hess)
     for j in range(g.node_count):
@@ -643,8 +721,18 @@ def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
             for j, d_j in enumerate(ops):
                 ref = ref + d_i.T @ sp.diags(wvec * h[..., i, j].ravel()) @ d_j / g.dim
     ref = ref.toarray()
-    mat = solvers._height_newton_matrix(u, params).toarray()
-    np.testing.assert_allclose(mat, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    hess, lon = solvers._height_newton_matrices(u, params)
+    np.testing.assert_allclose(hess.toarray(), ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    # the preconditioner keeps the (D_l, D_l) pair of each axis family only,
+    # on the pattern of K; a 1D family has no other pair
+    k = stiffness_matrix(g)
+    ref_lon = params.delta * k + sp.diags(params.tau * mass_vector(g))
+    for z, wvec, mat in zip(edge_gradients(u), edge_weight_vectors(g), gradient_matrices(g)):
+        ref_lon = ref_lon + mat.T @ sp.diags(wvec * energy_hessian(z, params)[..., 0, 0].ravel()) @ mat / g.dim
+    assert (lon is hess) == (g.dim == 1)
+    np.testing.assert_array_equal(lon.indptr, k.indptr)
+    np.testing.assert_array_equal(lon.indices, k.indices)
+    np.testing.assert_allclose(lon.toarray(), ref_lon.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
 
 def test_newton_solves_leave_cached_operators_unchanged(params, rng):
@@ -654,6 +742,7 @@ def test_newton_solves_leave_cached_operators_unchanged(params, rng):
     pat = solvers._hessian_pattern(g)
     cached = [k.data, k.indices, k.indptr, solvers._stiffness_diagonal(g), pat.indptr, pat.indices]
     cached += [pat.scatter.data, pat.scatter.indices, pat.scatter.indptr, pat.k_pos, pat.diag]
+    cached += [pat.longitudinal.data, pat.longitudinal.indices, pat.longitudinal.indptr]
     before = [a.copy() for a in cached]
     solve_rho(smooth_field(g, rng), 0.3)
     solve_u(smooth_field(g, rng), params)
