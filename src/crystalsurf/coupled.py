@@ -232,8 +232,10 @@ def solve_coupled(
     constant mean(rhs)/tau for the height), so warm starts change cost, not the
     solution beyond solver tolerance. The inner solves share one
     linear-solve cache for this call: each Newton family keeps its last LU
-    factor and preconditions later steps with it. The mixing history,
-    like the cache, lives for this call only.
+    factor and preconditions later steps with it. A 2D density family
+    holds no factor unless its cosine-preconditioned CG fails
+    (``solvers.solve_rho``). The mixing history, like the cache, lives
+    for this call only.
     """
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:

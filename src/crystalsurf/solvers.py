@@ -40,8 +40,8 @@ solve; each solve passes its residual and its linear solve.
 ``NewtonConfig`` sets only the tolerance and the iteration cap; the line
 search constants are fixed here.
 
-Inner linear systems are symmetric positive definite and are factored
-by SuperLU, which orders the columns by multiple minimum degree on
+Inner linear systems are symmetric positive definite. Their factors
+are SuperLU's, which orders the columns by multiple minimum degree on
 A^T + A (COLAMD orders for A^T A and fills more) and keeps its default
 threshold pivoting. ``_linear_solve`` keeps the last factor of each
 Newton family, "rho" and "u", in a ``factors`` cache (one per
@@ -49,15 +49,23 @@ Newton family, "rho" and "u", in a ``factors`` cache (one per
 ``pcg``, conjugate gradient on the Newton matrix preconditioned with
 that lagged factor, to relative residual 1e-10 in at most
 ``_PCG_MAX_ITER`` iterations. When CG fails (the cap, or nonpositive
-curvature), or no factor is held, the family's preconditioner is
-factored afresh and replaces the old factor. The density family
-factors its Newton matrix and solves directly with the fresh factor.
-The height family factors the Hessian's longitudinal part
-P = sum D_l^T diag(W h_ll / dim) D_l + delta K + tau W, which has the
-5-point pattern of K where the 2D Hessian has 21 points and about a
-fifth of its LU fill, and runs CG with it; when that CG fails too, the
-full Newton matrix is factored and solved directly. In 1D, P is the
-Newton matrix itself.
+curvature), or no factor is held, the step runs CG with the family's
+own preconditioner, and when that fails too, the Newton matrix is
+factored, the solve is direct and the cache keeps the factor.
+The 1D density family has no preconditioner of its own: it factors its
+tridiagonal Newton matrix and solves directly. The 2D density family
+preconditions with ``_cosine_solver``, a solve of K + cbar W by two
+DCT-Is (real FFTs of the even extension, from ``numpy.fft``) in
+O(n log n) with no factor (Concus & Golub 1973): on this node-centred
+trapezoid grid W^-1 K is the reflective Neumann Laplacian, which the
+tensor cosine modes diagonalize exactly, and cbar = tau mean_w(1/rho)
+matches the Newton matrix K + diag(tau W/rho) on the constant mode.
+When cbar is not finite or lies below the rounding of K, the step goes
+straight to the factor. The height family factors the Hessian's
+longitudinal part P = sum D_l^T diag(W h_ll / dim) D_l + delta K +
+tau W, which has the 5-point pattern of K where the 2D Hessian has 21
+points and about a fifth of its LU fill, and runs CG with it. In 1D,
+P is the Newton matrix itself.
 
 Each Newton matrix is built as CSC, the format SuperLU reads, on a
 symmetric pattern fixed per grid, with no sparse products: the density
@@ -77,6 +85,7 @@ outer steps and records one equation residual after each.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -109,6 +118,7 @@ __all__ = [
 ]
 
 _LOG_MAX = float(np.log(np.finfo(float).max))
+_EPS = float(np.finfo(float).eps)
 _RHO_FLOOR = float(np.sqrt(np.finfo(float).tiny))  # density floor of the Newton matrix only
 # Armijo line search: step shrink factor, sufficient decrease, backtracks per step
 _ARMIJO_SHRINK = 0.5
@@ -192,23 +202,30 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
 
 
 def _linear_solve(
-    a: sp.csc_matrix, b: np.ndarray, factors: dict, family: str, p: sp.csc_matrix | None = None
+    a: sp.csc_matrix,
+    b: np.ndarray,
+    factors: dict,
+    family: str,
+    p: sp.csc_matrix | Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solve a x = b by CG preconditioned with the lagged factor of
     ``family`` when the ``factors`` cache holds one. Otherwise, or when
-    CG fails, the cache keeps a fresh factor of ``p``, an SPD matrix
-    close to a in spectrum, and CG runs with it; when ``p`` is a (None
-    means a) or that CG fails too, the cache keeps a fresh factor of a
-    and the solve is direct."""
+    CG fails, CG runs with ``p``, an SPD operator close to a in spectrum:
+    a function applying its inverse is used as is, a matrix is factored
+    and the cache keeps that factor. When ``p`` is a (None means a) or
+    that CG fails too, the cache keeps a fresh factor of a and the solve
+    is direct."""
     if family in factors:
         try:
             return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
         except SolverError:
             pass  # the lagged factor has gone stale: refactor
     if p is not None and p is not a:
-        factors[family] = _factor(p)
+        if not callable(p):
+            factors[family] = _factor(p)
+            p = factors[family].solve
         try:
-            return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
+            return pcg(a.dot, b, p, 1e-10, _PCG_MAX_ITER)[0]
         except SolverError:
             pass  # p is too far from a: solve with a factor of a itself
     factors[family] = lu = _factor(a)
@@ -298,6 +315,70 @@ def _stiffness_plus_diagonal(grid: Grid, d: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data, k.indices, k.indptr), shape=k.shape)
 
 
+@functools.lru_cache(maxsize=None)
+def _cosine_spectrum(grid: Grid) -> tuple[np.ndarray, float]:
+    """Eigenvalues of W^-1 K on the cosine modes, and the scale of ``_dct1``.
+
+    W^-1 K is the reflective Neumann Laplacian, the sum over axes of the
+    1D operator (2 u_i - u_i-1 - u_i+1)/h^2 with ghosts u_-1 = u_1 and
+    u_n = u_n-2, so the tensor cosine modes prod cos(pi i_a k_a / N_a),
+    N_a = n_a - 1, are its eigenvectors with eigenvalues
+    sum_a (2 sin(pi k_a / (2 N_a)) / h_a)^2, returned with shape
+    ``grid.shape``. ``_dct1`` applied twice is prod 2 N_a times the
+    identity."""
+    lam = np.zeros(())
+    for n, h in zip(grid.cells, grid.h):
+        lam = np.add.outer(lam, (2.0 * np.sin(0.5 * np.pi * np.arange(n) / (n - 1)) / h) ** 2)
+    return lam, float(np.prod([2 * (n - 1) for n in grid.cells]))
+
+
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I along every axis, y_k = x_0 + (-1)^k x_N +
+    2 sum_0<i<N x_i cos(pi i k / N): the real FFT of the even extension
+    x_0 .. x_N .. x_1, whose imaginary part vanishes."""
+    for axis in range(x.ndim):
+        inner = (slice(None),) * axis + (slice(-2, 0, -1),)
+        x = np.fft.rfft(np.concatenate([x, x[inner]], axis=axis), axis=axis).real
+    return x
+
+
+def _cosine_solver(grid: Grid, c: float) -> Callable[[np.ndarray], np.ndarray]:
+    """(K + cW)^-1, for c > 0, as a function applied in O(n log n) with
+    no factorization (Concus & Golub 1973).
+
+    With T the DCT-I of ``_dct1`` and L the spectrum of W^-1 K,
+    (K + cW)^-1 = T diag(1 / (prod 2 N_a (L + c))) T W^-1: the cosine
+    modes diagonalize W^-1 K (``_cosine_spectrum``) and T^2 = prod 2 N_a.
+    The operator is symmetric positive definite.
+    """
+    lam, scale = _cosine_spectrum(grid)
+    inv = 1.0 / (scale * (lam + c))
+    w = mesh.mass_vector(grid).reshape(grid.shape)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return _dct1(inv * _dct1(b.reshape(grid.shape) / w)).reshape(-1)
+
+    return solve
+
+
+def _cosine_preconditioner(grid: Grid, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+    """``_cosine_solver`` of K + cbar W, cbar = sum d / sum W, for the
+    Newton matrix K + diag(d) of a 2D grid: both have the same constant
+    mode. None in 1D, where the tridiagonal LU is cheaper, and when cbar
+    is not finite or not above eps times the largest eigenvalue of
+    W^-1 K (tau W/rho underflows to 0 for rho near e^709, and lies below
+    the rounding of K from rho near e^25 at tau 0.1 on 33^2): the
+    constant mode is then lost to rounding, CG cannot resolve it and its
+    iterates grow like 1/cbar, so the caller factors instead."""
+    if grid.dim == 1:
+        return None
+    with np.errstate(over="ignore"):
+        cbar = float(np.sum(d)) / float(np.sum(mesh.mass_vector(grid)))
+    if not _EPS * np.max(_cosine_spectrum(grid)[0]) < cbar < np.inf:
+        return None
+    return _cosine_solver(grid, cbar)
+
+
 def solve_rho_delta(
     g: NodeField, tau: float, delta: float, cfg: NewtonConfig | None = None
 ) -> tuple[NodeField, SolveReport]:
@@ -358,7 +439,11 @@ def solve_rho(
     within tolerance is returned unchanged. Raises SolverError before any
     exponential is taken when |sigma0| exceeds ln(max float).
     ``factors`` is a linear-solve cache (``_linear_solve``), family "rho";
-    None gives the solve a cache of its own.
+    None gives the solve a cache of its own. In 2D each step runs CG
+    preconditioned with the cosine solve of K + cbar W,
+    cbar = tau mean_w(1/rho) (``_cosine_preconditioner``), and the cache
+    gets a factor only when that CG fails or cbar is out of range; 1D
+    steps use the factor.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
@@ -381,8 +466,9 @@ def solve_rho(
 
     def solve(s, rhs):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
-        jac = _stiffness_plus_diagonal(grid, tau * w / rho)
-        return tau * _linear_solve(jac, rhs, factors, "rho") / rho
+        d = tau * w / rho
+        jac = _stiffness_plus_diagonal(grid, d)
+        return tau * _linear_solve(jac, rhs, factors, "rho", _cosine_preconditioner(grid, d)) / rho
 
     warm = rho0 is not None and np.min(rho0.values) > 0.0
     starts = ([np.log(rho0.flat) - sigma0] if warm else []) + [np.zeros(gv.size)]

@@ -160,13 +160,15 @@ def test_solve_coupled_2d(rng):
 
 def counted_linear_solves(monkeypatch, direct: bool) -> dict:
     """Count the linear solves of each Newton family, the SuperLU factors
-    and the lagged-factor CG iterations; with ``direct`` every solve
-    factors its own full Newton matrix and solves with that factor."""
-    counts = {"rho": 0, "u": 0, "splu": 0, "pcg": 0}
+    and the preconditioned CG iterations, and keep the last factor cache
+    (key "factors"); with ``direct`` every solve factors its own full
+    Newton matrix and solves with that factor."""
+    counts = {"rho": 0, "u": 0, "splu": 0, "pcg": 0, "factors": {}}
     real_solve, real_splu, real_pcg = solvers._linear_solve, solvers.spla.splu, solvers.pcg
 
     def linear_solve(a, b, factors, family, *rest):
         counts[family] += 1
+        counts["factors"] = factors
         if direct:
             return splu(a, permc_spec="MMD_AT_PLUS_A").solve(b)
         return real_solve(a, b, factors, family, *rest)
@@ -193,9 +195,10 @@ def counted_linear_solves(monkeypatch, direct: bool) -> dict:
 )
 @pytest.mark.parametrize("tau", [0.1, 1e-3, 1e-4])
 def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
-    # each Newton family is factored once per solve_coupled call (in 2D the
-    # height family factors the longitudinal part of its Newton matrix) and
-    # later steps run CG preconditioned with that factor
+    # each Newton family is factored at most once per solve_coupled call and
+    # later steps run CG preconditioned with that factor; in 2D the height
+    # family factors the longitudinal part of its Newton matrix and the
+    # density family factors nothing: its CG runs with the cosine solve
     data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=tau))
     results = {}
     for direct in (True, False):
@@ -207,6 +210,7 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
     assert c_l["rho"] <= c_d["rho"] and c_l["u"] <= c_d["u"]
     assert c_d["splu"] == c_d["rho"] + c_d["u"] and c_d["pcg"] == 0
     assert c_l["splu"] <= 2 and c_l["pcg"] > 0
+    assert ("rho" not in c_l["factors"]) == (grid.dim == 2) and "u" in c_l["factors"]
     for x, y in zip((t_l.u, t_l.rho), (t_d.u, t_d.rho)):
         assert np.max(np.abs(x.values - y.values)) <= 1e-10 * np.max(np.abs(y.values))
 

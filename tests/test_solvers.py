@@ -182,6 +182,84 @@ def parent_linear_solve(a, b, factors, family, *rest):
     return lu.solve(b)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.rectangle((1.0, 1.0), (17, 17)), Grid.rectangle((1.0, 2.0), (9, 17))],
+    ids=["square", "9x17"],
+)
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e3])
+def test_cosine_solve_inverts_the_shifted_stiffness(grid, c, rng):
+    # the fluctuation of b (zero plain sum, so no constant mode) and the
+    # constant mode W, whose solution is 1/c, checked apart: at c = 1e-8 a
+    # mixed b gives x ~ 1e8, whose rounding alone leaves a residual far
+    # above 1e-12, and the assembled K + cW stores c W below the rounding
+    # of K's diagonal
+    k, w = stiffness_matrix(grid), mass_vector(grid)
+    b = rng.standard_normal(grid.node_count)
+    b -= b.mean()
+    x = solvers._cosine_solver(grid, c)(b)
+    assert np.linalg.norm(k @ x + c * w * x - b) <= 1e-12 * np.linalg.norm(b)
+    np.testing.assert_allclose(solvers._cosine_solver(grid, c)(w), 1.0 / c, rtol=1e-12)
+    # symmetric, as a CG preconditioner must be
+    v = rng.standard_normal(grid.node_count)
+    v -= v.mean()
+    assert abs(v @ x - b @ solvers._cosine_solver(grid, c)(v)) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(x)
+
+
+def test_cosine_preconditioner_is_2d_only_and_guards_its_shift():
+    plane, line = Grid.rectangle((1.0, 1.0), (17, 17)), Grid.interval(1.0, 17)
+    assert solvers._cosine_preconditioner(line, mass_vector(line)) is None
+    assert solvers._cosine_preconditioner(plane, mass_vector(plane)) is not None
+    for shift in (0.0, 1e-300, np.inf, np.nan):  # underflowed, below the rounding of K, overflowed
+        assert solvers._cosine_preconditioner(plane, shift * mass_vector(plane)) is None
+
+
+@pytest.mark.parametrize(
+    "tau, sigma0, amplitude",
+    [(0.1, 60.0, 1.0), (10.0, 0.0, 10.0)],
+    ids=["constant-mode-below-rounding", "cg-fails"],
+)
+def test_2d_density_solve_falls_back_to_the_lu_path(tau, sigma0, amplitude):
+    # mean(g)/tau = 60 puts tau W/rho below the rounding of K, so the step
+    # skips the cosine CG; at tau 10 the density spans 4e-5 to 6, K + cbar W
+    # is far from the Newton matrix in spectrum and CG fails. Either
+    # way the step factors the Newton matrix, the cache keeps that factor,
+    # and the solve converges
+    grid = Grid.rectangle((1.0, 1.0), (33, 33))
+    g = NodeField.from_function(
+        grid, lambda x, y: tau * (sigma0 + amplitude * np.cos(np.pi * x) * np.cos(np.pi * y))
+    )
+    factors = {}
+    rho, rep = solve_rho(g, tau, factors=factors)
+    assert rep.converged and set(factors) == {"rho"}
+    assert np.min(rho.values) > 0.0
+    # integrating the equation: tau int ln rho = int g (rho ~ e^60 is constant
+    # to rounding, so its Laplacian residual measures nothing)
+    mean_log = integrate(NodeField(grid, np.log(rho.values))) / grid.volume
+    assert abs(mean_log - sigma0) <= 1e-10 * (1.0 + sigma0)
+
+
+def test_1d_density_steps_match_the_parent_linear_solve(rng, monkeypatch):
+    # 1D density solves keep the tridiagonal LU path bit for bit
+    grid = Grid.interval(1.0, 65)
+    tau = 1e-3
+    sources = [NodeField(grid, tau * smooth_field(grid, rng, offset=0.5).values) for _ in range(2)]
+    sources[1] = NodeField(grid, sources[0].values + 0.1 * sources[1].values)
+
+    def solve_pair():
+        factors, rho, out = {}, None, []
+        for g in sources:
+            rho, rep = solve_rho(g, tau, rho0=rho, factors=factors)
+            out.append((rho.values, rep.iterations, rep.residual_history))
+        return out
+
+    results = solve_pair()
+    monkeypatch.setattr(solvers, "_linear_solve", parent_linear_solve)
+    for (rho, its, hist), (rho_p, its_p, hist_p) in zip(results, solve_pair()):
+        np.testing.assert_array_equal(rho, rho_p)
+        assert its == its_p and hist == hist_p
+
+
 @ONE_AND_TWO_D
 def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkeypatch):
     # 2D: every height factor is of a matrix on the 5-point pattern of K, not
@@ -222,7 +300,7 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
 
 
 @ONE_AND_TWO_D
-@pytest.mark.parametrize("tau", [0.1, 1e-3])
+@pytest.mark.parametrize("tau", [0.1, 1e-3, 1e-4])
 def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
     # two outer steps' worth of density and height solves, the second warm
     # started, with one cache against a fresh cache at every linear solve
@@ -248,7 +326,8 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
     factored.clear()
     factors = {}
     lagged, lagged_iterations = solve_pair(factors)
-    assert len(factored) <= 2 and set(factors) == {"rho", "u"}
+    # in 2D the density family runs CG with the cosine solve and factors nothing
+    assert len(factored) <= 2 and set(factors) == ({"u"} if grid.dim == 2 else {"rho", "u"})
     assert all(x <= y for x, y in zip(lagged_iterations, direct_iterations))
     for x, y in zip(lagged, direct):
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
@@ -258,7 +337,8 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
 def test_standalone_solves_share_no_factor(grid, rng, monkeypatch):
     # a solve given no cache holds one of its own: it factors its first
     # Newton matrix and iterates on that factor, and a repeated solve
-    # factors again rather than reusing a factor of the earlier call
+    # factors again rather than reusing a factor of the earlier call; a 2D
+    # density solve preconditions with the cosine solve and factors nothing
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     f = smooth_field(grid, rng, offset=0.5)
     g = NodeField(grid, params.tau * f.values)
@@ -272,7 +352,10 @@ def test_standalone_solves_share_no_factor(grid, rng, monkeypatch):
             _, rep = solve()
             runs.append((len(factored), rep.iterations))
         assert runs[0] == runs[1]
-        assert 1 <= runs[0][0] < runs[0][1]
+        if solve is solves[0] and grid.dim == 2:
+            assert runs[0][0] == 0 < runs[0][1]
+        else:
+            assert 1 <= runs[0][0] < runs[0][1]
 
 
 # ---------------------------------------------------------------------------
