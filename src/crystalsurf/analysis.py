@@ -178,11 +178,11 @@ class SingularityReport:
 # operational form of "bounded away from zero": the dyadic window ratio
 # min M(R)/R^q over max of the same must not collapse below this factor
 _VANISH_RATIO = 1e-3
+# a radius enclosing fewer nodes ends the window: its mass is quadrature noise
+_MIN_BALL_NODES = 10
 
 
-def _ball_masses(
-    rho: NodeField, x0, r_max: float, levels: int, min_nodes: int
-) -> tuple[list[float], list[float], bool]:
+def _ball_masses(rho: NodeField, x0, r_max: float, levels: int) -> tuple[list[float], list[float], bool]:
     grid = rho.grid
     x0 = np.asarray(x0, dtype=float)
     if x0.size != grid.dim:
@@ -197,7 +197,7 @@ def _ball_masses(
         if np.any(x0 - r < -1e-12) or np.any(x0 + r > np.asarray(grid.extents) + 1e-12):
             raise ValueError(f"ball of radius {r:g} around {tuple(x0.tolist())} leaves the domain")
         inside = dist < r
-        if int(np.sum(inside)) < min_nodes:  # the radii shrink, so no later ball qualifies
+        if int(np.sum(inside)) < _MIN_BALL_NODES:  # the radii shrink, so no later ball qualifies
             break
         radii.append(r)
         masses.append(float(np.sum(w[inside] * vals[inside])))
@@ -211,12 +211,11 @@ def vanishing_order(
     r_max: float,
     levels: int,
     eps_list=DEFAULT_EPS_LIST,
-    min_nodes: int = 10,
 ) -> tuple[float, ProbeResult]:
     """Fit M(R) = int_{B_R(x0)} rho to R^theta over a dyadic radius window.
 
     theta is the least-squares slope of log M against log R; radii
-    enclosing fewer than ``min_nodes`` nodes are discarded to keep the
+    enclosing fewer than ``_MIN_BALL_NODES`` nodes are discarded to keep the
     fit above quadrature noise. A zero mass marks the probe degenerate
     (theta = +inf sentinel). Classification: the point is regular when,
     for some eps in the list, M(R)/R^(N+2-eps) stays bounded away from
@@ -227,7 +226,7 @@ def vanishing_order(
     if np.min(rho.values) < 0.0:
         raise ValueError("density must be nonnegative")
     grid = rho.grid
-    radii, masses, degenerate = _ball_masses(rho, x0, r_max, levels, min_nodes)
+    radii, masses, degenerate = _ball_masses(rho, x0, r_max, levels)
     if len(radii) < 2:
         raise ValueError("too few usable radii; enlarge r_max or refine the grid")
     per_eps: dict[str, bool] = {}
@@ -262,7 +261,6 @@ def classify_points(
     eps_list=DEFAULT_EPS_LIST,
     r_max: float = 0.25,
     levels: int = 5,
-    min_nodes: int = 10,
 ) -> SingularityReport:
     """Run ``vanishing_order`` over a probe set; degenerate fits become labels.
 
@@ -279,9 +277,7 @@ def classify_points(
         )
         if fit <= 0.0:
             raise ValueError(f"probe {tuple(x0.tolist())} lies on or outside the boundary")
-        _, row = vanishing_order(
-            rho, x0, min(r_max, (1.0 - 1e-12) * fit), levels, eps_list, min_nodes
-        )
+        _, row = vanishing_order(rho, x0, min(r_max, (1.0 - 1e-12) * fit), levels, eps_list)
         report.probes.append(row)
     return report
 
@@ -296,20 +292,22 @@ def degiorgi_threshold(c: float, b: float, alpha: float) -> float:
     return c ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
 
 
-def degiorgi_sequence_check(
-    y0: float, c: float, b: float, alpha: float, n_steps: int = 200
-) -> tuple[bool, np.ndarray]:
-    """Iterate y_{n+1} = c b^n y_n^(1+alpha) and test collapse to zero.
+_DEGIORGI_STEPS = 200
+
+
+def degiorgi_sequence_check(y0: float, c: float, b: float, alpha: float) -> tuple[bool, np.ndarray]:
+    """Iterate y_{n+1} = c b^n y_n^(1+alpha) ``_DEGIORGI_STEPS`` times and
+    test collapse to zero.
 
     Returns (converged, trace); converged means the final iterate fell
     below 1e-30. Overflow is reported as divergence.
     """
     if b <= 1.0 or c <= 0.0 or alpha <= 0.0 or y0 <= 0.0:
         raise ValueError("need b > 1, c > 0, alpha > 0, y0 > 0")
-    trace = np.empty(n_steps + 1)
+    trace = np.empty(_DEGIORGI_STEPS + 1)
     trace[0] = y0
     y = float(y0)
-    for n in range(n_steps):
+    for n in range(_DEGIORGI_STEPS):
         try:
             y = c * b**n * y ** (1.0 + alpha)
         except OverflowError:
@@ -327,8 +325,9 @@ def poincare_ratio(u: NodeField, subset: np.ndarray, p: float) -> float:
     ``subset`` is a boolean node mask with positive measure; u_S is the
     weighted average over it and d the domain diameter. The Sobolev
     exponent p* = Np/(N-p) applies when p < N; in low dimensions
-    (p >= N) the conservative surrogate p* = 2p is used instead. Returns
-    0 for constant fields.
+    (p >= N) the conservative surrogate p* = 2p is used instead;
+    ||grad u||_p is taken on the edge gradients
+    (``mesh.gradient_power_integral``). Returns 0 for constant fields.
     """
     grid = u.grid
     subset = np.asarray(subset, dtype=bool).reshape(-1)
@@ -342,9 +341,7 @@ def poincare_ratio(u: NodeField, subset: np.ndarray, p: float) -> float:
     pstar = n * p / (n - p) if p < n else 2.0 * p
     u_s = float(np.sum(w[subset] * u.flat[subset]) / measure)
     centered = NodeField(grid, u.values - u_s)
-    grad_p = float(
-        np.sum(grid.node_weights() * mesh.node_gradient_magnitude(u) ** p) ** (1.0 / p)
-    )
+    grad_p = mesh.gradient_power_integral(u, p) ** (1.0 / p)
     if grad_p == 0.0:
         return 0.0
     diameter = float(np.sqrt(np.sum(np.asarray(grid.extents) ** 2)))

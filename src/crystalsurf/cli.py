@@ -360,18 +360,16 @@ def _singular(config: dict) -> Callable[[Path], None]:
 
 
 def _mms(config: dict) -> Callable[[Path], None]:
-    optional = {"amplitude", "extent"}
-    grid, params, newton, _, _ = _parse_inputs(config, "mms", {"cells_list"}, optional, ("newton",))
+    grid, params, newton, _, _ = _parse_inputs(config, "mms", {"cells_list"}, {"amplitude"}, ("newton",))
     cells_list = _numbers(config["cells_list"], "'cells_list'", int)
     amplitude = _number(config.get("amplitude", 0.06), "'amplitude'")
     if amplitude == 0.0:
         raise ConfigError("'amplitude' must be nonzero (errors are relative to the exact height)")
-    extent = _number(config.get("extent", grid.extents[0]), "'extent'")
     for cells in cells_list:
-        _make_grid(grid.dim, (extent,) * grid.dim, (cells,) * grid.dim, "'cells_list' or 'extent'")
+        _make_grid(grid.dim, grid.extents, (cells,) * grid.dim, "'cells_list'")
 
     def execute(out: Path) -> None:
-        rows = mms_convergence(grid.dim, cells_list, params, amplitude, extent, newton)
+        rows = mms_convergence(grid.extents, cells_list, params, amplitude, newton)
         with open(out / "mms.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("h,err_u,order_u,err_rho,order_rho\n")
             for r in rows:

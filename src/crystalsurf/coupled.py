@@ -395,7 +395,6 @@ def evolve(
 
 @dataclass
 class MmsRow:
-    cells: int
     h: float
     err_u: float
     err_rho: float
@@ -404,30 +403,33 @@ class MmsRow:
 
 
 def mms_convergence(
-    dim: int,
+    extents,
     cells_list,
     params: ModelParams,
     amplitude: float = 0.06,
-    extent: float = 1.0,
     newton_cfg: NewtonConfig | None = None,
 ) -> list[MmsRow]:
     """Solve the coupled system against the analytic cosine solution on a
     grid sequence and tabulate relative L2 errors and observed orders.
+
+    The domain is the box of ``extents``, one entry per axis; each entry
+    of ``cells_list`` is the node count on every axis of one grid.
 
     The viscosity cap is disabled (``delta_polish=None``) so the discrete
     system keeps params.delta, as the analytic operator that generated
     the data does.
     """
     picard_cfg = PicardConfig(tol_fixed_point=1e-11, tol_residual=1e-7, delta_polish=None)
+    extents = tuple(float(e) for e in extents)
     rows: list[MmsRow] = []
     for cells in cells_list:
-        grid = Grid(dim, (float(extent),) * dim, (int(cells),) * dim)
+        grid = Grid(len(extents), extents, (int(cells),) * len(extents))
         exact = analysis.cosine_mms(grid, params, amplitude)
         data = ProblemData(exact.f, params)
         triple, _ = solve_coupled(data, picard_cfg, newton_cfg)
         err_u = mesh.norm_l2(NodeField(grid, triple.u.values - exact.u.values)) / mesh.norm_l2(exact.u)
         err_rho = mesh.norm_l2(NodeField(grid, triple.rho.values - exact.rho.values)) / mesh.norm_l2(exact.rho)
-        rows.append(MmsRow(cells=cells, h=max(grid.h), err_u=err_u, err_rho=err_rho))
+        rows.append(MmsRow(h=max(grid.h), err_u=err_u, err_rho=err_rho))
     for prev, row in zip(rows, rows[1:]):
         ratio = math.log(prev.h / row.h)
         row.order_u = math.log(prev.err_u / row.err_u) / ratio

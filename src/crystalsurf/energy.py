@@ -31,7 +31,6 @@ __all__ = [
     "energy_hessian",
     "log_barrier",
     "log_barrier_slope",
-    "barrier_zero_point",
     "subgradient_select",
 ]
 
@@ -136,7 +135,7 @@ def log_barrier(s, delta: float):
     """Shifted logarithm ln(s + delta) for s > 0, frozen at ln(delta) for s <= 0.
 
     Nondecreasing, continuous, bounded below by ln(delta), and vanishing
-    at ``barrier_zero_point(delta)``. Requires 0 < delta < 1.
+    at s = 1 - delta. Requires 0 < delta < 1.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0,1)")
@@ -149,11 +148,6 @@ def log_barrier_slope(s, delta: float):
     s = np.asarray(s, dtype=float)
     pos = s > 0.0
     return np.where(pos, 1.0 / (np.where(pos, s, 0.0) + delta), 0.0)
-
-
-def barrier_zero_point(delta: float) -> float:
-    """The unique root 1 - delta of ``log_barrier``."""
-    return 1.0 - delta
 
 
 def subgradient_select(z):

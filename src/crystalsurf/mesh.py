@@ -51,8 +51,7 @@ __all__ = [
     "norm_lp",
     "norm_l2",
     "w1p_norm",
-    "node_gradient",
-    "node_gradient_magnitude",
+    "gradient_power_integral",
     "edge_gradients",
     "dirichlet_integral",
     "stiffness_matrix",
@@ -168,9 +167,6 @@ class NodeField:
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
-    def copy(self) -> "NodeField":
-        return NodeField(self.grid, self.values.copy())
-
 
 @dataclass
 class EdgeField:
@@ -227,25 +223,24 @@ def norm_l2(u: NodeField) -> float:
     return norm_lp(u, 2.0)
 
 
-def node_gradient(u: NodeField) -> list[np.ndarray]:
-    """Per-axis derivative at nodes: central differences inside, one-sided
-    at the boundary."""
-    return [np.gradient(u.values, h, axis=k) for k, h in enumerate(u.grid.h)]
-
-
-def node_gradient_magnitude(u: NodeField) -> np.ndarray:
-    comps = node_gradient(u)
-    return np.sqrt(sum(c * c for c in comps))
-
-
 def w1p_norm(u: NodeField, p: float) -> float:
-    """(integral |u|^p + integral |grad u|^p)^(1/p) with nodal gradient magnitudes."""
+    """(integral |u|^p + integral |grad u|^p)^(1/p), the gradient term by
+    ``gradient_power_integral``."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    w = u.grid.node_weights()
-    mag = node_gradient_magnitude(u)
-    total = np.sum(w * np.abs(u.values) ** p) + np.sum(w * mag**p)
+    total = np.sum(u.grid.node_weights() * np.abs(u.values) ** p) + gradient_power_integral(u, p)
     return float(total ** (1.0 / p))
+
+
+def gradient_power_integral(u: NodeField, p: float) -> float:
+    """integral |grad u|^p with the quadrature of ``solvers.surface_energy``:
+    sum_e w_e |z_e|^p over each axis family of ``edge_gradients``, divided
+    by dim."""
+    total = sum(
+        float(np.sum(w * np.linalg.norm(z, axis=-1).ravel() ** p))
+        for z, w in zip(edge_gradients(u), edge_weight_vectors(u.grid))
+    )
+    return total / u.grid.dim
 
 
 def edge_gradients(u: NodeField) -> list[np.ndarray]:

@@ -184,12 +184,12 @@ def test_criterion_5_log_density_estimate(random_solves):
 def test_criterion_6_mms_convergence():
     t0 = time.time()
     params = ModelParams(p=1.5, beta0=0.5, a=1.0, tau=0.1, delta=1e-6)
-    rows1 = mms_convergence(1, [33, 65, 129, 257], params, amplitude=0.06)
+    rows1 = mms_convergence((1.0,), [33, 65, 129, 257], params, amplitude=0.06)
     lh = np.log([r.h for r in rows1])
     slope_u = np.polyfit(lh, np.log([r.err_u for r in rows1]), 1)[0]
     slope_rho = np.polyfit(lh, np.log([r.err_rho for r in rows1]), 1)[0]
     ok = abs(slope_u - 2.0) <= 0.2 and abs(slope_rho - 2.0) <= 0.2
-    rows2 = mms_convergence(2, [65, 129], params, amplitude=0.06)
+    rows2 = mms_convergence((1.0, 1.0), [65, 129], params, amplitude=0.06)
     ratio_u = rows2[0].err_u / rows2[1].err_u
     ratio_rho = rows2[0].err_rho / rows2[1].err_rho
     ok = ok and ratio_u >= 3.2 and ratio_rho >= 3.2

@@ -295,7 +295,7 @@ def test_cosine_mms_consistency(grid):
 
 def test_mms_convergence_1d_order_two():
     p = params_with(beta0=0.5)
-    rows = mms_convergence(1, [17, 33, 65], p, amplitude=0.06)
+    rows = mms_convergence((1.0,), [17, 33, 65], p, amplitude=0.06)
     assert rows[-1].order_u == pytest.approx(2.0, abs=0.2)
     assert rows[-1].order_rho == pytest.approx(2.0, abs=0.2)
 
@@ -309,6 +309,6 @@ def test_mms_study_builds_the_symbolic_solution_once(monkeypatch):
     lambdify = sympy.lambdify
     monkeypatch.setattr(sympy, "lambdify", lambda *a, **k: calls.append(a) or lambdify(*a, **k))
     analysis._cosine_mms_functions.cache_clear()
-    rows = mms_convergence(1, [9, 17], params_with(beta0=0.5), amplitude=0.06)
+    rows = mms_convergence((1.0,), [9, 17], params_with(beta0=0.5), amplitude=0.06)
     assert len(rows) == 2
     assert len(calls) == 3  # u, rho and f, shared by both grids

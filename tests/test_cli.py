@@ -303,6 +303,31 @@ def test_mms_mode(tmp_path):
     assert abs(float(last[4]) - 2.0) <= 0.2
 
 
+def test_mms_studies_the_configured_extents(tmp_path, monkeypatch):
+    # grid.extents sets the domain on every axis; grid.cells is ignored
+    grids = []
+    cosine_mms = coupled.analysis.cosine_mms
+    monkeypatch.setattr(coupled.analysis, "cosine_mms", lambda grid, *a: grids.append(grid) or cosine_mms(grid, *a))
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "grid": {"dim": 2, "extents": [1.0, 2.0], "cells": [33, 33]},
+            "params": {"p": 1.5, "beta0": 0.5, "a": 1.0, "tau": 0.1, "delta": 1e-6},
+            "cells_list": [5, 9],
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["mms", "--config", cfg, "--out", str(out)]) == 0
+    assert [(g.extents, g.cells) for g in grids] == [((1.0, 2.0), (5, 5)), ((1.0, 2.0), (9, 9))]
+    rows = (out / "mms.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.5, 0.25]
+
+
+def test_mms_extent_key_is_a_config_error(tmp_path, capsys):
+    err = assert_config_error(tmp_path, capsys, "mms", {**BASE, "cells_list": [5, 9], "extent": 1.0})
+    assert "unknown key 'extent'" in err
+
+
 def test_mode_mismatch_rejected(tmp_path):
     cfg = write_config(tmp_path / "c.json", {**BASE, "source": 1.0, "mode": "evolve"})
     assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from crystalsurf.energy import (
     ModelParams,
-    barrier_zero_point,
     energy_density,
     energy_gradient,
     energy_hessian,
@@ -150,7 +149,7 @@ def test_convexity_midpoint(z, y, p):
 
 
 def test_barrier_values():
-    assert log_barrier(barrier_zero_point(0.1), 0.1) == pytest.approx(0.0)
+    assert log_barrier(0.9, 0.1) == pytest.approx(0.0)  # the root s = 1 - delta
     assert log_barrier(-5.0, 0.1) == pytest.approx(np.log(0.1))
     assert log_barrier(np.e - 0.01, 0.01) == pytest.approx(1.0)
     with pytest.raises(ValueError):

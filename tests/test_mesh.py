@@ -12,9 +12,9 @@ from crystalsurf.mesh import (
     edge_weight_vectors,
     dirichlet_integral,
     gradient,
+    gradient_power_integral,
     integrate,
     laplacian,
-    node_gradient,
     norm_lp,
     read_node_csv,
     stiffness_matrix,
@@ -272,21 +272,26 @@ def test_csv_writers_match_row_by_row_formatting(tmp_path):
         assert (tmp_path / f"q{i}.csv").read_bytes() == reference_csv([*names, "axis", "value"], edge_blocks)
 
 
-def test_node_gradient_central_inside_one_sided_at_ends(rng):
-    g = Grid.rectangle((1.0, 2.0), (9, 7))
-    u = rng.standard_normal(g.shape)
-    gx, gy = node_gradient(NodeField(g, u))
-    hx, hy = g.h
-    expect_x = np.empty(g.shape)
-    expect_x[1:-1] = (u[2:] - u[:-2]) / (2.0 * hx)
-    expect_x[0] = (u[1] - u[0]) / hx
-    expect_x[-1] = (u[-1] - u[-2]) / hx
-    expect_y = np.empty(g.shape)
-    expect_y[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * hy)
-    expect_y[:, 0] = (u[:, 1] - u[:, 0]) / hy
-    expect_y[:, -1] = (u[:, -1] - u[:, -2]) / hy
-    assert np.allclose(gx, expect_x, rtol=1e-13, atol=1e-13)
-    assert np.allclose(gy, expect_y, rtol=1e-13, atol=1e-13)
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_gradient_power_integral_of_linear_fields(p):
+    alpha, beta = 0.7, -1.3
+    g1 = Grid.interval(1.0, 9)
+    u1 = NodeField.from_function(g1, lambda x: alpha * x)
+    assert gradient_power_integral(u1, p) == pytest.approx(abs(alpha) ** p * g1.volume, rel=1e-12, abs=0.0)
+    g2 = Grid.rectangle((1.0, 2.0), (9, 7))
+    (lx, ly), (hx, hy) = g2.extents, g2.h
+    for a, b in ((alpha, beta), (alpha, 0.0)):
+        u2 = NodeField.from_function(g2, lambda x, y: a * x + b * y)
+        full = np.hypot(a, b) ** p
+        # the transverse reconstruction is zero on boundary rows (reflective
+        # ghosts), so those edges see only the longitudinal difference; they
+        # carry weight lx * hy (x-edges) and ly * hx (y-edges) in all
+        expect = 0.5 * (
+            lx * (ly - hy) * full + lx * hy * abs(a) ** p
+            + ly * (lx - hx) * full + ly * hx * abs(b) ** p
+        )
+        assert gradient_power_integral(u2, p) == pytest.approx(expect, rel=1e-12, abs=0.0)
+        assert gradient_power_integral(u2, p) < full * g2.volume
 
 
 def test_node_csv_golden_interval(tmp_path):
