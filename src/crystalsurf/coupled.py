@@ -231,11 +231,12 @@ def solve_coupled(
     cold start (s = ln rho - mean(g)/tau = 0 for the density, the
     constant mean(rhs)/tau for the height), so warm starts change cost, not the
     solution beyond solver tolerance. The inner solves share one
-    linear-solve cache for this call: each Newton family keeps its last LU
-    factor and preconditions later steps with it. A 2D density family
-    holds no factor unless its cosine-preconditioned CG fails
-    (``solvers.solve_rho``). The mixing history, like the cache, lives
-    for this call only.
+    linear-solve cache for this call: in 2D each Newton family keeps its
+    last LU factor and preconditions later steps with it, and the density
+    family holds no factor unless its cosine-preconditioned CG fails
+    (``solvers.solve_rho``). In 1D every step is a direct tridiagonal
+    solve and the cache stays empty. The mixing history, like the cache,
+    lives for this call only.
     """
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:

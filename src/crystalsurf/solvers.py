@@ -40,32 +40,35 @@ solve; each solve passes its residual and its linear solve.
 ``NewtonConfig`` sets only the tolerance and the iteration cap; the line
 search constants are fixed here.
 
-Inner linear systems are symmetric positive definite. Their factors
-are SuperLU's, which orders the columns by multiple minimum degree on
-A^T + A (COLAMD orders for A^T A and fills more) and keeps its default
-threshold pivoting. ``_linear_solve`` keeps the last factor of each
-Newton family, "rho" and "u", in a ``factors`` cache (one per
-``coupled.solve_coupled`` call or standalone solve) and solves by
-``pcg``, conjugate gradient on the Newton matrix preconditioned with
-that lagged factor, to relative residual 1e-10 in at most
-``_PCG_MAX_ITER`` iterations. When CG fails (the cap, or nonpositive
-curvature), or no factor is held, the step runs CG with the family's
-own preconditioner, and when that fails too, the Newton matrix is
-factored, the solve is direct and the cache keeps the factor.
-The 1D density family has no preconditioner of its own: it factors its
-tridiagonal Newton matrix and solves directly. The 2D density family
-preconditions with ``_cosine_solver``, a solve of K + cbar W by two
-DCT-Is (real FFTs of the even extension, from ``numpy.fft``) in
-O(n log n) with no factor (Concus & Golub 1973): on this node-centred
-trapezoid grid W^-1 K is the reflective Neumann Laplacian, which the
-tensor cosine modes diagonalize exactly, and cbar = tau mean_w(1/rho)
-matches the Newton matrix K + diag(tau W/rho) on the constant mode.
-When cbar is not finite or lies below the rounding of K, the step goes
-straight to the factor. The height family factors the Hessian's
-longitudinal part P = sum D_l^T diag(W h_ll / dim) D_l + delta K +
-tau W, which has the 5-point pattern of K where the 2D Hessian has 21
-points and about a fifth of its LU fill, and runs CG with it. In 1D,
-P is the Newton matrix itself.
+Inner linear systems are symmetric positive definite. On a 1D grid
+every Newton matrix lies on the tridiagonal pattern of K, and
+``_linear_solve`` solves it directly with LAPACK's ``dptsv`` (L D L^T
+in O(n), no pivoting) and holds no factor; no 2D matrix has that
+pattern. Any other matrix goes to SuperLU, which orders the columns by
+multiple minimum degree on A^T + A (COLAMD orders for A^T A and fills
+more) and keeps its default threshold pivoting. ``_linear_solve`` keeps
+the last factor of each Newton family, "rho" and "u", in a ``factors``
+cache (one per ``coupled.solve_coupled`` call or standalone solve) and
+solves by ``pcg``, conjugate gradient on the Newton matrix
+preconditioned with that lagged factor, to relative residual 1e-10 in
+at most ``_PCG_MAX_ITER`` iterations. When CG fails (the cap, or
+nonpositive curvature), or no factor is held, the step runs CG with the
+family's own preconditioner, and when that fails too, the Newton matrix
+is factored, the solve is direct and the cache keeps the factor. A
+tridiagonal matrix on which ``dptsv`` meets a nonpositive pivot (it is
+not numerically SPD) takes that path with no preconditioner of its
+own. The 2D density family preconditions with ``_cosine_solver``, a
+solve of K + cbar W by two DCT-Is (real FFTs of the even extension,
+from ``numpy.fft``) in O(n log n) with no factor (Concus & Golub 1973):
+on this node-centred trapezoid grid W^-1 K is the reflective Neumann
+Laplacian, which the tensor cosine modes diagonalize exactly, and
+cbar = tau mean_w(1/rho) matches the Newton matrix K + diag(tau W/rho)
+on the constant mode. When cbar is not finite or lies below the
+rounding of K, the step goes straight to the factor. The 2D height
+family factors the Hessian's longitudinal part P = sum D_l^T
+diag(W h_ll / dim) D_l + delta K + tau W, which has the 5-point pattern
+of K where the 2D Hessian has 21 points and about a fifth of its LU
+fill, and runs CG with it. In 1D, P is the Newton matrix itself.
 
 Each Newton matrix is built as CSC, the format SuperLU reads, on a
 symmetric pattern fixed per grid, with no sparse products: the density
@@ -92,6 +95,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import mesh
 from .energy import (
@@ -201,6 +205,16 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
 
+@functools.lru_cache(maxsize=None)
+def _tridiagonal_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSC ``indptr`` and ``indices`` of the full n-by-n tridiagonal
+    pattern with sorted rows, the pattern of a 1D K. Its data holds the
+    diagonal at [::3] and the subdiagonal at [1::3]."""
+    cols = np.arange(n)
+    indptr = np.r_[0, 3 * cols[1:] - 1, 3 * n - 2]
+    return indptr, np.stack([cols - 1, cols, cols + 1], axis=1).ravel()[1:-1]
+
+
 def _linear_solve(
     a: sp.csc_matrix,
     b: np.ndarray,
@@ -208,13 +222,24 @@ def _linear_solve(
     family: str,
     p: sp.csc_matrix | Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Solve a x = b by CG preconditioned with the lagged factor of
-    ``family`` when the ``factors`` cache holds one. Otherwise, or when
-    CG fails, CG runs with ``p``, an SPD operator close to a in spectrum:
-    a function applying its inverse is used as is, a matrix is factored
-    and the cache keeps that factor. When ``p`` is a (None means a) or
-    that CG fails too, the cache keeps a fresh factor of a and the solve
-    is direct."""
+    """Solve a x = b for a symmetric positive definite a.
+
+    On the tridiagonal pattern of a 1D K (``_tridiagonal_pattern``) the
+    solve is LAPACK's ``dptsv``, an L D L^T factorization without
+    pivoting, and the ``factors`` cache is not touched. When ``dptsv``
+    meets a nonpositive pivot (a is not numerically SPD), or a has any
+    other pattern, CG runs preconditioned with the lagged factor of
+    ``family`` when the cache holds one. Otherwise, or when CG fails, CG
+    runs with ``p``, an SPD operator close to a in spectrum: a function
+    applying its inverse is used as is, a matrix is factored and the
+    cache keeps that factor. When ``p`` is a (None means a) or that CG
+    fails too, the cache keeps a fresh factor of a and the solve is
+    direct."""
+    indptr, indices = _tridiagonal_pattern(a.shape[0])
+    if a.nnz == indices.size and (a.indptr == indptr).all() and (a.indices == indices).all():
+        x, info = lapack.dptsv(a.data[::3], a.data[1::3], b)[2:]
+        if info == 0:
+            return x
     if family in factors:
         try:
             return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
@@ -364,12 +389,13 @@ def _cosine_solver(grid: Grid, c: float) -> Callable[[np.ndarray], np.ndarray]:
 def _cosine_preconditioner(grid: Grid, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     """``_cosine_solver`` of K + cbar W, cbar = sum d / sum W, for the
     Newton matrix K + diag(d) of a 2D grid: both have the same constant
-    mode. None in 1D, where the tridiagonal LU is cheaper, and when cbar
-    is not finite or not above eps times the largest eigenvalue of
-    W^-1 K (tau W/rho underflows to 0 for rho near e^709, and lies below
-    the rounding of K from rho near e^25 at tau 0.1 on 33^2): the
-    constant mode is then lost to rounding, CG cannot resolve it and its
-    iterates grow like 1/cbar, so the caller factors instead."""
+    mode. None in 1D, where a Newton matrix that ``dptsv`` rejects is
+    factored, and when cbar is not finite or not above eps times the
+    largest eigenvalue of W^-1 K (tau W/rho underflows to 0 for rho near
+    e^709, and lies below the rounding of K from rho near e^25 at tau 0.1
+    on 33^2): the constant mode is then lost to rounding, CG cannot
+    resolve it and its iterates grow like 1/cbar, so the caller factors
+    instead."""
     if grid.dim == 1:
         return None
     with np.errstate(over="ignore"):
@@ -442,8 +468,9 @@ def solve_rho(
     None gives the solve a cache of its own. In 2D each step runs CG
     preconditioned with the cosine solve of K + cbar W,
     cbar = tau mean_w(1/rho) (``_cosine_preconditioner``), and the cache
-    gets a factor only when that CG fails or cbar is out of range; 1D
-    steps use the factor.
+    gets a factor only when that CG fails or cbar is out of range. A 1D
+    step solves its tridiagonal matrix with ``dptsv`` and factors only
+    when that meets a nonpositive pivot.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
@@ -667,10 +694,11 @@ def solve_u(
     above the tolerance at small tau and fine grids. ``u0`` is a warm
     start: Newton runs from v = u0 - ubar first and, if that fails, from
     v = 0, with both attempts in the returned report. ``factors`` is a
-    linear-solve cache (``_linear_solve``), family "u", which holds a
-    factor of the Hessian's longitudinal part P (in 2D; in 1D P is the
-    Hessian) or, after a failed CG from a fresh factor of P, of the
-    Hessian; None gives the solve a cache of its own.
+    linear-solve cache (``_linear_solve``), family "u", which in 2D
+    holds a factor of the Hessian's longitudinal part P or, after a
+    failed CG from a fresh factor of P, of the Hessian; None gives the
+    solve a cache of its own. A 1D step solves its tridiagonal Hessian
+    with ``dptsv`` and factors only when that meets a nonpositive pivot.
     """
     if params.tau <= 0.0:
         raise SolverError(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalsurf import solvers
 from crystalsurf.coupled import ProblemData, picard_map
@@ -93,6 +95,19 @@ def counting_splu(monkeypatch) -> list:
     return factored
 
 
+def counting_pcg(monkeypatch) -> list:
+    """Record the right-hand side of every ``pcg`` call."""
+    calls = []
+    real = solvers.pcg
+
+    def counting(matvec, b, *rest):
+        calls.append(b)
+        return real(matvec, b, *rest)
+
+    monkeypatch.setattr(solvers, "pcg", counting)
+    return calls
+
+
 def pcg_failures(monkeypatch) -> list:
     """Record the message of every SolverError that ``pcg`` raises."""
     failures = []
@@ -169,6 +184,83 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
     np.testing.assert_array_equal(factors["u"].solve(b), expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 1025), seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([1e-3, 1.0, 1e4]))
+def test_tridiagonal_solves_use_dptsv_and_match_superlu(n, seed, scale):
+    # random diagonally dominant SPD tridiagonal matrices, stored as CSC on
+    # the full pattern: no SuperLU factor, no CG, the cache stays empty and
+    # x matches a SuperLU solve
+    rng = np.random.default_rng(seed)
+    e = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.1, 1.0, n - 1)
+    d = np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)] + rng.uniform(1e-3, 1.0, n)
+    a = scale * sp.diags([e, d, e], [-1, 0, 1], format="csc")
+    b = rng.standard_normal(n)
+    expected = direct_solve(a, b)
+    factors = {}
+    with pytest.MonkeyPatch.context() as m:
+        factored, cg = counting_splu(m), counting_pcg(m)
+        x = solvers._linear_solve(a, b, factors, "rho")
+    assert factored == [] and cg == [] and factors == {}
+    assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def recording_dptsv(monkeypatch) -> list:
+    """Record the diagonal of every ``dptsv`` call."""
+    calls = []
+    real = solvers.lapack.dptsv
+
+    def recording(d, e, b):
+        calls.append(d)
+        return real(d, e, b)
+
+    monkeypatch.setattr(solvers, "lapack", SimpleNamespace(dptsv=recording))
+    return calls
+
+
+def test_matrices_off_the_tridiagonal_pattern_never_reach_dptsv(rng, monkeypatch):
+    # 2D density and height Newton matrices, and a 1D pentadiagonal matrix
+    plane, line = Grid.rectangle((1.0, 1.0), (17, 17)), Grid.interval(1.0, 65)
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
+    hess, lon = solvers._height_newton_matrices(smooth_field(plane, rng, amplitude=0.5), params)
+    k = stiffness_matrix(line)
+    penta = sp.csc_matrix(k @ k + density_matrix(line, 1.0))
+    calls = recording_dptsv(monkeypatch)
+    for a, p in ((density_matrix(plane, 0.1), None), (hess, lon), (penta, None)):
+        b = rng.standard_normal(a.shape[0])
+        x = solvers._linear_solve(a, b, {}, "u", p)
+        assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)
+    assert calls == []
+    solvers._linear_solve(density_matrix(line, 0.1), rng.standard_normal(line.node_count), {}, "rho")
+    assert len(calls) == 1
+
+
+def test_tridiagonal_matrix_with_a_nonpositive_pivot_takes_the_superlu_path(rng, monkeypatch):
+    # dptsv meets the negative diagonal entry and reports it; the step then
+    # factors the matrix with SuperLU, and the cache keeps that factor
+    grid = Grid.interval(1.0, 65)
+    a = density_matrix(grid, 0.1)
+    a.data[3 * 20] = -1.0  # the diagonal entry of column 20
+    assert a[20, 20] == -1.0
+    b = rng.standard_normal(grid.node_count)
+    factors = {}
+    calls, factored = recording_dptsv(monkeypatch), counting_splu(monkeypatch)
+    x = solvers._linear_solve(a, b, factors, "rho")
+    assert len(calls) == 1 and factored == [a] and set(factors) == {"rho"}
+    np.testing.assert_array_equal(x, direct_solve(a, b))
+
+
+def test_1d_density_solve_with_a_singular_newton_matrix_still_fails_in_superlu(monkeypatch):
+    # mean(g)/tau = 30 on the 65-node interval: tau W/rho lies below the
+    # rounding of K, so dptsv meets a nonpositive pivot and SuperLU an
+    # exactly zero one
+    grid = Grid.interval(1.0, 65)
+    g = NodeField.from_function(grid, lambda x: 0.03 + 1e-3 * np.cos(np.pi * x))
+    calls, factored = recording_dptsv(monkeypatch), counting_splu(monkeypatch)
+    with pytest.raises(SolverError, match="sparse factorization failed: Factor is exactly singular"):
+        solve_rho(g, 1e-3)
+    assert len(calls) == 1 and len(factored) == 1
+
+
 def parent_linear_solve(a, b, factors, family, *rest):
     """The linear solve before preconditioning with P: CG with the held
     factor, capped at 10 iterations, else a direct solve with a fresh
@@ -240,7 +332,9 @@ def test_2d_density_solve_falls_back_to_the_lu_path(tau, sigma0, amplitude):
 
 
 def test_1d_density_steps_match_the_parent_linear_solve(rng, monkeypatch):
-    # 1D density solves keep the tridiagonal LU path bit for bit
+    # 1D density steps solve their tridiagonal Newton matrix with dptsv:
+    # no SuperLU factor, no CG and an empty cache, with the densities of the
+    # lagged-LU linear solve to 1e-10 in as many Newton steps
     grid = Grid.interval(1.0, 65)
     tau = 1e-3
     sources = [NodeField(grid, tau * smooth_field(grid, rng, offset=0.5).values) for _ in range(2)]
@@ -250,21 +344,27 @@ def test_1d_density_steps_match_the_parent_linear_solve(rng, monkeypatch):
         factors, rho, out = {}, None, []
         for g in sources:
             rho, rep = solve_rho(g, tau, rho0=rho, factors=factors)
-            out.append((rho.values, rep.iterations, rep.residual_history))
-        return out
+            out.append((rho.values, rep.iterations))
+        return out, factors
 
-    results = solve_pair()
+    with monkeypatch.context() as m:
+        factored, cg = counting_splu(m), counting_pcg(m)
+        results, factors = solve_pair()
+    assert factored == [] and cg == [] and factors == {}
     monkeypatch.setattr(solvers, "_linear_solve", parent_linear_solve)
-    for (rho, its, hist), (rho_p, its_p, hist_p) in zip(results, solve_pair()):
-        np.testing.assert_array_equal(rho, rho_p)
-        assert its == its_p and hist == hist_p
+    parent, _ = solve_pair()
+    for (rho, its), (rho_p, its_p) in zip(results, parent):
+        assert np.max(np.abs(rho - rho_p)) <= 1e-10 * np.max(np.abs(rho_p))
+        assert its == its_p
 
 
 @ONE_AND_TWO_D
 def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkeypatch):
     # 2D: every height factor is of a matrix on the 5-point pattern of K, not
-    # of the 21-point Newton matrix; 1D: of the Newton matrix itself, and the
-    # solves are bit for bit those of the linear solve without P
+    # of the 21-point Newton matrix; 1D: the tridiagonal Newton matrix is
+    # solved with dptsv, so nothing is factored and CG never runs, and the
+    # heights are those of the linear solve without P to 1e-10 in as many
+    # Newton steps
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     sources = [smooth_field(grid, rng, amplitude=0.5) for _ in range(2)]
     sources[1] = NodeField(grid, sources[0].values + 0.1 * sources[1].values)
@@ -273,7 +373,7 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
         factors, u, out = {}, None, []
         for rhs in sources:
             u, rep = solve_u(rhs, params, u0=u, factors=factors)
-            out.append((u.values, rep.iterations, rep.residual_history))
+            out.append((u.values, rep.iterations))
         return out, factors
 
     k = stiffness_matrix(grid)
@@ -281,22 +381,23 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
     real = solvers._linear_solve
     with monkeypatch.context() as m:
         m.setattr(solvers, "_linear_solve", lambda a, *rest: matrices.append(a) or real(a, *rest))
-        factored = counting_splu(m)
+        factored, cg = counting_splu(m), counting_pcg(m)
         results, factors = solve_pair()
-    assert factored and set(factors) == {"u"}
-    for a in factored:
-        assert any(a is x for x in matrices) == (grid.dim == 1)
-        if grid.dim == 2:
-            np.testing.assert_array_equal(a.indptr, k.indptr)
-            np.testing.assert_array_equal(a.indices, k.indices)
-    assert factors["u"].shape == k.shape
     if grid.dim == 1:
+        assert matrices and factored == [] and cg == [] and factors == {}
         with monkeypatch.context() as m:
             m.setattr(solvers, "_linear_solve", parent_linear_solve)
             parent, _ = solve_pair()
-        for (u, its, hist), (u_p, its_p, hist_p) in zip(results, parent):
-            np.testing.assert_array_equal(u, u_p)
-            assert its == its_p and hist == hist_p
+        for (u, its), (u_p, its_p) in zip(results, parent):
+            assert np.max(np.abs(u - u_p)) <= 1e-10 * np.max(np.abs(u_p))
+            assert its == its_p
+        return
+    assert factored and set(factors) == {"u"}
+    for a in factored:
+        assert not any(a is x for x in matrices)
+        np.testing.assert_array_equal(a.indptr, k.indptr)
+        np.testing.assert_array_equal(a.indices, k.indices)
+    assert factors["u"].shape == k.shape
 
 
 @ONE_AND_TWO_D
@@ -325,9 +426,12 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
     assert len(factored) == sum(direct_iterations)
     factored.clear()
     factors = {}
+    cg = counting_pcg(monkeypatch)
     lagged, lagged_iterations = solve_pair(factors)
-    # in 2D the density family runs CG with the cosine solve and factors nothing
-    assert len(factored) <= 2 and set(factors) == ({"u"} if grid.dim == 2 else {"rho", "u"})
+    if grid.dim == 1:  # every Newton matrix is tridiagonal: dptsv, no factor, no CG
+        assert factored == [] and cg == [] and factors == {}
+    else:  # the density family runs CG with the cosine solve and factors nothing
+        assert len(factored) <= 2 and set(factors) == {"u"}
     assert all(x <= y for x, y in zip(lagged_iterations, direct_iterations))
     for x, y in zip(lagged, direct):
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
@@ -335,27 +439,31 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
 
 @ONE_AND_TWO_D
 def test_standalone_solves_share_no_factor(grid, rng, monkeypatch):
-    # a solve given no cache holds one of its own: it factors its first
+    # a 2D solve given no cache holds one of its own: it factors its first
     # Newton matrix and iterates on that factor, and a repeated solve
     # factors again rather than reusing a factor of the earlier call; a 2D
-    # density solve preconditions with the cosine solve and factors nothing
+    # density solve preconditions with the cosine solve and factors nothing,
+    # and every 1D solve is direct with dptsv, with no factor and no CG
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     f = smooth_field(grid, rng, offset=0.5)
     g = NodeField(grid, params.tau * f.values)
     rhs = smooth_field(grid, rng)
-    factored = counting_splu(monkeypatch)
+    factored, cg = counting_splu(monkeypatch), counting_pcg(monkeypatch)
     solves = (lambda: solve_rho(g, params.tau), lambda: solve_u(rhs, params), lambda: solve_rho_delta(f, 1.0, 1e-6))
     for solve in solves:
         runs = []
         for _ in range(2):
             factored.clear()
+            cg.clear()
             _, rep = solve()
-            runs.append((len(factored), rep.iterations))
+            runs.append((len(factored), len(cg) > 0, rep.iterations))
         assert runs[0] == runs[1]
-        if solve is solves[0] and grid.dim == 2:
-            assert runs[0][0] == 0 < runs[0][1]
+        if grid.dim == 1:
+            assert runs[0][:2] == (0, False) and runs[0][2] > 0
+        elif solve is solves[0]:
+            assert runs[0][0] == 0 < runs[0][2]
         else:
-            assert 1 <= runs[0][0] < runs[0][1]
+            assert 1 <= runs[0][0] < runs[0][2]
 
 
 # ---------------------------------------------------------------------------
