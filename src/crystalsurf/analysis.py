@@ -84,16 +84,11 @@ class EstimateReport:
         return asdict(self)
 
 
-def _sup_ratio(part: np.ndarray, fpart: NodeField, p: float, tau: float) -> float:
-    grid = fpart.grid
+def _sup_ratio(ops: mesh.GridOperators, part: np.ndarray, fpart: np.ndarray, p: float, tau: float) -> float:
     sup = float(np.max(part))
     if sup == 0.0:
         return 0.0
-    denom = (
-        float(np.sum(grid.node_weights() * part))
-        + mesh.norm_lp(fpart, _SUP_BOUND_S) ** (1.0 / (p - 1.0))
-        + math.sqrt(tau)
-    )
+    denom = ops.integral(part) + ops.norm_lp(fpart, _SUP_BOUND_S) ** (1.0 / (p - 1.0)) + math.sqrt(tau)
     return sup / denom if denom > 0.0 else math.inf
 
 
@@ -102,33 +97,31 @@ def apriori_audit(u: NodeField, rho: NodeField, data: ProblemData) -> EstimateRe
     if np.min(rho.values) <= 0.0:
         raise ValueError("audit requires a strictly positive density")
     p = data.params
-    grid = u.grid
-    log_rho = np.log(rho.values)
-    sqrt_rho = NodeField(grid, np.sqrt(rho.values))
-    source = NodeField(grid, data.f.values - p.a * u.values)
-    tau_log = NodeField(grid, p.tau * log_rho)
+    ops = mesh.operators(u.grid)
+    uf, f = u.flat, data.f.flat
+    log_rho = np.log(rho.flat)
+    source = f - p.a * uf
+    tau_log = p.tau * log_rho
     pairs = {
         str(int(lam)): {
-            "tau_log_rho": mesh.norm_lp(tau_log, lam),
-            "source": mesh.norm_lp(source, lam),
+            "tau_log_rho": ops.norm_lp(tau_log, lam),
+            "source": ops.norm_lp(source, lam),
         }
         for lam in (1.0, 2.0)
     }
-    mean_res = abs((p.a + p.tau**2) * mesh.integrate(u) - mesh.integrate(data.f))
-    u_plus = np.maximum(u.values, 0.0)
-    u_minus = np.maximum(-u.values, 0.0)
-    f_plus = NodeField(grid, np.maximum(data.f.values, 0.0))
-    f_minus = NodeField(grid, np.maximum(-data.f.values, 0.0))
+    mean_res = abs((p.a + p.tau**2) * ops.integral(uf) - ops.integral(f))
+    u_plus = np.maximum(uf, 0.0)
+    u_minus = np.maximum(-uf, 0.0)
     return EstimateReport(
-        dirichlet_sqrt_rho=mesh.dirichlet_integral(sqrt_rho),
-        w1p_u=mesh.w1p_norm(u, p.p),
-        l1_log_rho=mesh.integrate(NodeField(grid, np.abs(log_rho))),
+        dirichlet_sqrt_rho=ops.dirichlet_integral(np.sqrt(rho.flat)),
+        w1p_u=ops.w1p_norm(uf, p.p),
+        l1_log_rho=ops.integral(np.abs(log_rho)),
         tau_log_vs_f=pairs,
         mean_identity_residual=mean_res,
         sup_u_plus=float(np.max(u_plus)),
         sup_u_minus=float(np.max(u_minus)),
-        sup_bound_ratio_plus=_sup_ratio(u_plus, f_plus, p.p, p.tau),
-        sup_bound_ratio_minus=_sup_ratio(u_minus, f_minus, p.p, p.tau),
+        sup_bound_ratio_plus=_sup_ratio(ops, u_plus, np.maximum(f, 0.0), p.p, p.tau),
+        sup_bound_ratio_minus=_sup_ratio(ops, u_minus, np.maximum(-f, 0.0), p.p, p.tau),
     )
 
 

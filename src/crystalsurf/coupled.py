@@ -187,21 +187,19 @@ def picard_map(
 def coupled_residuals(u: NodeField, rho: NodeField, data: ProblemData) -> tuple[float, float]:
     """Relative residuals of the density and height equations for a pair."""
     p = data.params
-    grid = u.grid
-    log_rho = np.log(rho.values)
-    r1 = NodeField(
-        grid,
-        -mesh.laplacian(rho).values + p.tau * log_rho - (data.f.values - p.a * u.values),
-    )
-    r2 = NodeField(grid, apply_height_operator(u, p).values - log_rho)
-    s1 = mesh.norm_l2(r1) / (1.0 + mesh.norm_l2(data.f))
-    s2 = mesh.norm_l2(r2) / (1.0 + mesh.norm_l2(NodeField(grid, log_rho)))
+    ops = mesh.operators(u.grid)
+    uf, f = u.flat, data.f.flat
+    log_rho = np.log(rho.flat)
+    r1 = -ops.laplacian(rho.flat) + p.tau * log_rho - (f - p.a * uf)
+    r2 = apply_height_operator((ops, uf), p) - log_rho
+    s1 = ops.norm_lp(r1, 2.0) / (1.0 + ops.norm_lp(f, 2.0))
+    s2 = ops.norm_lp(r2, 2.0) / (1.0 + ops.norm_lp(log_rho, 2.0))
     return s1, s2
 
 
-def _pin_mean(u: NodeField, target: float) -> NodeField:
-    grid = u.grid
-    return NodeField(grid, u.values + (target - mesh.integrate(u) / grid.volume))
+def _pin_mean(u: np.ndarray, ops: mesh.GridOperators, target: float) -> np.ndarray:
+    """The flat heights u shifted to the mean ``target``."""
+    return u + (target - ops.integral(u) / ops.grid.volume)
 
 
 def capped_params(params: ModelParams, cfg: PicardConfig) -> ModelParams:
@@ -236,38 +234,48 @@ def solve_coupled(
     family holds no factor unless its cosine-preconditioned CG fails
     (``solvers.solve_rho``). In 1D every step is a direct tridiagonal
     solve and the cache stays empty. The mixing history, like the cache,
-    lives for this call only.
+    lives for this call only. The mixing, the mean pin and the change
+    run on flat arrays; each outer iterate becomes one NodeField, for
+    the public ``picard_map`` and ``coupled_residuals``, after a check
+    that it is finite (a ValueError, as NodeField raises, before the
+    pin spreads a non-finite value to every node).
     """
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:
         raise ValueError("the coupled solve requires tau > 0")
     data = ProblemData(data.f, capped_params(data.params, cfg))
+    grid = data.f.grid
+    ops = mesh.operators(grid)
     report = SolveReport()
     ubar = mean_height_target(data)
-    u = _pin_mean(u0 if u0 is not None else NodeField.constant(data.f.grid, ubar), ubar)
+    uf = _pin_mean(u0.flat if u0 is not None else np.full(grid.node_count, ubar), ops, ubar)
+    u = NodeField.from_flat(grid, uf)
     rho, u_map = rho0, None
     factors = {}
     omega = cfg.relaxation
     prev_res = np.inf
-    sqrt_w = np.sqrt(u.grid.node_weights()).ravel()
+    sqrt_w = np.sqrt(ops.w)
     us, fs = [], []  # the last iterates and their residuals pin(B(u)) - u, flat
     for _ in range(cfg.max_outer):
         u_map, rho = picard_map(u, data, newton_cfg, rho0=rho, u0=u_map, factors=factors)
-        us.append(u.flat)
-        fs.append(_pin_mean(u_map, ubar).flat - u.flat)
+        us.append(uf)
+        fs.append(_pin_mean(u_map.flat, ops, ubar) - uf)
         del us[: -_ANDERSON_DEPTH - 1], fs[: -_ANDERSON_DEPTH - 1]
         step = omega * fs[-1]
         if len(fs) > 1:  # gamma = argmin |F - dF gamma|_W; lstsq copes with rank-deficient dF
             d_u, d_f = np.diff(us, axis=0), np.diff(fs, axis=0)
             gamma = np.linalg.lstsq((d_f * sqrt_w).T, fs[-1] * sqrt_w, rcond=None)[0]
             step -= gamma @ (d_u + omega * d_f)
-        u_new = _pin_mean(NodeField.from_flat(u.grid, us[-1] + step), ubar)
-        change = mesh.norm_l2(NodeField(u.grid, u_new.values - u.values))
-        r1, r2 = coupled_residuals(u_new, rho, data)
+        u_new = us[-1] + step
+        if not np.isfinite(u_new).all():
+            raise ValueError("node values must be finite")
+        u_new = _pin_mean(u_new, ops, ubar)
+        change = ops.norm_lp(u_new - uf, 2.0)
+        u, uf = NodeField.from_flat(grid, u_new), u_new
+        r1, r2 = coupled_residuals(u, rho, data)
         res = max(r1, r2)
         report.iterations += 1
         report.residual_history.append(res)
-        u = u_new
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
             report.converged = True
             return WeakSolutionTriple(u, rho, subgradient_field(u), (r1, r2)), report

@@ -25,7 +25,12 @@ four neighboring transverse differences (zero on boundary rows, where
 the reflective ghosts cancel), and ``edge_adjoints`` caches their
 transposes. ``gradient`` is D_k u, ``divergence`` -W^-1 sum_k D_k^T
 (w_k q_k), and ``edge_gradients`` samples the full gradient at the
-edges of each family as one ``(*edges, dim)`` array. The Laplacian and
+edges of each family as one ``(*edges, dim)`` array. ``operators``
+returns all of a grid's cached operators with one cache lookup, as a
+``GridOperators`` whose methods act on flat node values: the solvers,
+the coupled layer and the audit fetch it once per call and work on flat
+arrays below the ``NodeField`` API, and the public functions here wrap
+the same methods, so both give the same bits. The Laplacian and
 the Dirichlet integral difference first, never multiplying by K: for
 u = 1e3 + 1e-6 xi, u^T K u loses the fluctuation to the rounding of
 the constant (relative error of order one at 65x33 nodes), while D_k u
@@ -59,6 +64,8 @@ __all__ = [
     "edge_weight_vectors",
     "edge_stencil",
     "edge_adjoints",
+    "GridOperators",
+    "operators",
     "write_node_csv",
     "read_node_csv",
     "write_edge_csv",
@@ -133,7 +140,13 @@ class Grid:
 
 @dataclass
 class NodeField:
-    """One scalar value per grid node, shape ``grid.shape``."""
+    """One scalar value per grid node, shape ``grid.shape``; every value finite.
+
+    The type of the public API: fields go into and come out of the
+    solvers, the coupled layer, the audit and the CSV writers as
+    ``NodeField``s, each checked once on construction. Below that API the
+    Newton and outer loops run on flat float64 arrays
+    (``GridOperators``)."""
 
     grid: Grid
     values: np.ndarray
@@ -206,17 +219,17 @@ def divergence(q: EdgeField) -> NodeField:
 
 def laplacian(u: NodeField) -> NodeField:
     """divergence(gradient(u)); reflective-ghost Neumann stencil."""
-    return divergence(gradient(u))
+    return NodeField.from_flat(u.grid, operators(u.grid).laplacian(u.flat))
 
 
 def integrate(u: NodeField) -> float:
-    return float(np.sum(u.values * u.grid.node_weights()))
+    return operators(u.grid).integral(u.flat)
 
 
 def norm_lp(u: NodeField, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
-    return float(np.sum(u.grid.node_weights() * np.abs(u.values) ** p) ** (1.0 / p))
+    return operators(u.grid).norm_lp(u.flat, p)
 
 
 def norm_l2(u: NodeField) -> float:
@@ -228,19 +241,14 @@ def w1p_norm(u: NodeField, p: float) -> float:
     ``gradient_power_integral``."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    total = np.sum(u.grid.node_weights() * np.abs(u.values) ** p) + gradient_power_integral(u, p)
-    return float(total ** (1.0 / p))
+    return operators(u.grid).w1p_norm(u.flat, p)
 
 
 def gradient_power_integral(u: NodeField, p: float) -> float:
     """integral |grad u|^p with the quadrature of ``solvers.surface_energy``:
     sum_e w_e |z_e|^p over each axis family of ``edge_gradients``, divided
     by dim."""
-    total = sum(
-        float(np.sum(w * np.linalg.norm(z, axis=-1).ravel() ** p))
-        for z, w in zip(edge_gradients(u), edge_weight_vectors(u.grid))
-    )
-    return total / u.grid.dim
+    return operators(u.grid).gradient_power_integral(u.flat, p)
 
 
 def edge_gradients(u: NodeField) -> list[np.ndarray]:
@@ -251,17 +259,14 @@ def edge_gradients(u: NodeField) -> list[np.ndarray]:
     transverse reconstructions of ``edge_stencil``, in its order.
     """
     g = u.grid
-    return [
-        np.array([d @ u.flat for d in edge_stencil(g, k)]).T.reshape(*g.edge_shape(k), g.dim)
-        for k in range(g.dim)
-    ]
+    samples = operators(g).edge_samples(u.flat)
+    return [z.reshape(*g.edge_shape(k), g.dim) for k, z in enumerate(samples)]
 
 
 def dirichlet_integral(u: NodeField) -> float:
     """integral |grad u|^2 = sum_k sum(w_k (D_k u)^2), the edgewise pairing
     of u^T K u evaluated on the differences."""
-    flat = (c.ravel() for c in gradient(u).components)
-    return sum(float(np.sum(w * d * d)) for d, w in zip(flat, edge_weight_vectors(u.grid)))
+    return operators(u.grid).dirichlet_integral(u.flat)
 
 
 def _trapezoid(n: int, h: float) -> np.ndarray:
@@ -361,6 +366,69 @@ def edge_stencil(grid: Grid, axis: int) -> tuple[sp.csr_matrix, ...]:
 def edge_adjoints(grid: Grid, axis: int) -> tuple[sp.csr_matrix, ...]:
     """CSR transposes of ``edge_stencil(grid, axis)``, in its order."""
     return tuple(sp.csr_matrix(d.T) for d in edge_stencil(grid, axis))
+
+
+@dataclass(frozen=True, eq=False)
+class GridOperators:
+    """The cached operators of one grid, and the quadratures and
+    differences built from them, on flat node values (C order).
+
+    ``w`` is ``mass_vector`` and ``k`` ``stiffness_matrix``; ``stencils``,
+    ``adjoints`` and ``edge_weights`` hold ``edge_stencil``,
+    ``edge_adjoints`` and ``edge_weight_vectors`` per axis family, so
+    ``stencils[k][0]`` is D_k. The methods are the bodies of the public
+    ``NodeField`` functions of the same names.
+    """
+
+    grid: Grid
+    w: np.ndarray
+    k: sp.csr_matrix
+    stencils: tuple[tuple[sp.csr_matrix, ...], ...]
+    adjoints: tuple[tuple[sp.csr_matrix, ...], ...]
+    edge_weights: tuple[np.ndarray, ...]
+
+    def integral(self, v: np.ndarray) -> float:
+        return float(np.sum(v * self.w))
+
+    def norm_lp(self, v: np.ndarray, p: float) -> float:
+        return float(np.sum(self.w * np.abs(v) ** p) ** (1.0 / p))
+
+    def w1p_norm(self, v: np.ndarray, p: float) -> float:
+        return float((np.sum(self.w * np.abs(v) ** p) + self.gradient_power_integral(v, p)) ** (1.0 / p))
+
+    def laplacian(self, v: np.ndarray) -> np.ndarray:
+        """-W^-1 sum_k D_k^T (w_k D_k v)."""
+        flux = sum(adj[0] @ (we * (ops[0] @ v)) for ops, adj, we in zip(self.stencils, self.adjoints, self.edge_weights))
+        return -flux / self.w
+
+    def edge_samples(self, v: np.ndarray) -> list[np.ndarray]:
+        """``edge_gradients`` with the edges of each family flattened:
+        one ``(edges, dim)`` array per axis family."""
+        return [np.array([d @ v for d in ops]).T for ops in self.stencils]
+
+    def gradient_power_integral(self, v: np.ndarray, p: float) -> float:
+        total = sum(
+            float(np.sum(we * np.linalg.norm(z, axis=-1).ravel() ** p))
+            for z, we in zip(self.edge_samples(v), self.edge_weights)
+        )
+        return total / self.grid.dim
+
+    def dirichlet_integral(self, v: np.ndarray) -> float:
+        return sum(float(np.sum(we * d * d)) for d, we in zip((ops[0] @ v for ops in self.stencils), self.edge_weights))
+
+
+@functools.lru_cache(maxsize=None)
+def operators(grid: Grid) -> GridOperators:
+    """Every cached operator of ``grid`` in one ``GridOperators``; cached."""
+    axes = range(grid.dim)
+    return GridOperators(
+        grid=grid,
+        w=mass_vector(grid),
+        k=stiffness_matrix(grid),
+        stencils=tuple(edge_stencil(grid, axis) for axis in axes),
+        adjoints=tuple(edge_adjoints(grid, axis) for axis in axes),
+        edge_weights=edge_weight_vectors(grid),
+    )
 
 
 _AXIS_NAMES = ("x", "y")

@@ -70,14 +70,20 @@ diag(W h_ll / dim) D_l + delta K + tau W, which has the 5-point pattern
 of K where the 2D Hessian has 21 points and about a fifth of its LU
 fill, and runs CG with it. In 1D, P is the Newton matrix itself.
 
-Each Newton matrix is built as CSC, the format SuperLU reads, on a
-symmetric pattern fixed per grid, with no sparse products: the density
-matrix K + diag(tau W/rho) adds to a copy of the data of K at its cached
-diagonal positions, and the height matrix is data = B concat(W h_ij) +
-delta K + tau W on the cached pattern of ``_hessian_pattern``, where the
-scatter matrix B holds every product D_i[e, a] D_j[e, b] / dim of the
-edge operators. P's data on the pattern of K comes from B's (D_l, D_l)
-columns and the same energy Hessian samples.
+Below the public ``NodeField`` API the solvers run on flat float64
+arrays. Each solve fetches its grid's operators (``mesh.operators``)
+and patterns once, so its Newton loop wraps no field and makes no
+per-grid cache lookup. Each Newton matrix is its data on a symmetric
+pattern cached per grid (``_Matrix`` on a ``_Pattern``), assembled with
+no sparse products: the density matrix K + diag(tau W/rho) adds to a
+copy of the data of K at its cached diagonal positions, and the height
+matrix is data = B concat(W h_ij) + delta K + tau W on the cached
+pattern of ``_hessian_pattern``, where the scatter matrix B holds every
+product D_i[e, a] D_j[e, b] / dim of the edge operators. P's data on
+the pattern of K comes from B's (D_l, D_l) columns and the same energy
+Hessian samples. ``_linear_solve`` hands a tridiagonal matrix's data
+straight to ``dptsv`` and builds the CSC matrix that SuperLU and CG read
+only on their paths, so a 1D solve builds none.
 
 A ``SolveReport`` holds an iteration count, a residual history and a
 convergence flag: here Newton steps and the merit before each step and at
@@ -205,49 +211,74 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
 
-@functools.lru_cache(maxsize=None)
-def _tridiagonal_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSC ``indptr`` and ``indices`` of the full n-by-n tridiagonal
-    pattern with sorted rows, the pattern of a 1D K. Its data holds the
-    diagonal at [::3] and the subdiagonal at [1::3]."""
+class _Pattern(NamedTuple):
+    """CSC ``indptr`` and ``indices`` of a symmetric n-by-n sparse
+    pattern, and whether it is the full tridiagonal pattern with sorted
+    rows, the pattern of a 1D K, whose data holds the diagonal at [::3]
+    and the subdiagonal at [1::3]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    tridiagonal: bool
+
+
+def _pattern(indptr: np.ndarray, indices: np.ndarray) -> _Pattern:
+    """The ``_Pattern`` of a CSC pattern; built once per grid and family."""
+    n = indptr.size - 1
     cols = np.arange(n)
-    indptr = np.r_[0, 3 * cols[1:] - 1, 3 * n - 2]
-    return indptr, np.stack([cols - 1, cols, cols + 1], axis=1).ravel()[1:-1]
+    tri_ptr = np.r_[0, 3 * cols[1:] - 1, 3 * n - 2]
+    tri_ind = np.stack([cols - 1, cols, cols + 1], axis=1).ravel()[1:-1]
+    tridiagonal = indices.size == tri_ind.size and (indptr == tri_ptr).all() and (indices == tri_ind).all()
+    return _Pattern(indptr, indices, bool(tridiagonal))
+
+
+class _Matrix(NamedTuple):
+    """A Newton matrix as its CSC data on a cached ``_Pattern``."""
+
+    data: np.ndarray
+    pattern: _Pattern
+
+    def csc(self) -> sp.csc_matrix:
+        n = self.pattern.indptr.size - 1
+        return sp.csc_matrix((self.data, self.pattern.indices, self.pattern.indptr), shape=(n, n))
 
 
 def _linear_solve(
-    a: sp.csc_matrix,
+    a: _Matrix,
     b: np.ndarray,
     factors: dict,
     family: str,
-    p: sp.csc_matrix | Callable[[np.ndarray], np.ndarray] | None = None,
+    p: _Matrix | Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solve a x = b for a symmetric positive definite a.
 
-    On the tridiagonal pattern of a 1D K (``_tridiagonal_pattern``) the
-    solve is LAPACK's ``dptsv``, an L D L^T factorization without
-    pivoting, and the ``factors`` cache is not touched. When ``dptsv``
-    meets a nonpositive pivot (a is not numerically SPD), or a has any
-    other pattern, CG runs preconditioned with the lagged factor of
-    ``family`` when the cache holds one. Otherwise, or when CG fails, CG
-    runs with ``p``, an SPD operator close to a in spectrum: a function
-    applying its inverse is used as is, a matrix is factored and the
-    cache keeps that factor. When ``p`` is a (None means a) or that CG
-    fails too, the cache keeps a fresh factor of a and the solve is
-    direct."""
-    indptr, indices = _tridiagonal_pattern(a.shape[0])
-    if a.nnz == indices.size and (a.indptr == indptr).all() and (a.indices == indices).all():
+    On the tridiagonal pattern of a 1D K the solve is LAPACK's ``dptsv``
+    on the diagonal and subdiagonal read straight from ``a.data``, an
+    L D L^T factorization without pivoting; no CSC matrix is built and
+    the ``factors`` cache is not touched. When ``dptsv`` meets a
+    nonpositive pivot (a is not numerically SPD), or a has any other
+    pattern, a is built as CSC and CG runs preconditioned with the lagged
+    factor of ``family`` when the cache holds one. Otherwise, or when CG
+    fails, CG runs with ``p``, an SPD operator close to a in spectrum: a
+    function applying its inverse is used as is, a matrix is factored
+    and the cache keeps that factor. When ``p`` is a (None means a) or
+    that CG fails too, the cache keeps a fresh factor of a and the solve
+    is direct."""
+    if a.pattern.tridiagonal:
         x, info = lapack.dptsv(a.data[::3], a.data[1::3], b)[2:]
         if info == 0:
             return x
+    if p is a:
+        p = None
+    a = a.csc()
     if family in factors:
         try:
             return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
         except SolverError:
             pass  # the lagged factor has gone stale: refactor
-    if p is not None and p is not a:
+    if p is not None:
         if not callable(p):
-            factors[family] = _factor(p)
+            factors[family] = _factor(p.csc())
             p = factors[family].solve
         try:
             return pcg(a.dot, b, p, 1e-10, _PCG_MAX_ITER)[0]
@@ -324,20 +355,29 @@ def _newton_attempt(x, residual, solve, w, target, cfg, report, name) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+class _Stiffness(NamedTuple):
+    """K of one grid as a Newton matrix base: its data (K is symmetric,
+    so its CSR arrays are also its CSC arrays), its ``_Pattern``, which
+    holds every diagonal entry, and the positions of the diagonal in the
+    data."""
+
+    data: np.ndarray
+    pattern: _Pattern
+    diagonal: np.ndarray
+
+
 @functools.lru_cache(maxsize=None)
-def _stiffness_diagonal(grid: Grid) -> np.ndarray:
-    """Positions of the diagonal inside ``mesh.stiffness_matrix(grid).data``."""
+def _stiffness(grid: Grid) -> _Stiffness:
     k = mesh.stiffness_matrix(grid)
-    return np.flatnonzero(k.indices == np.repeat(np.arange(grid.node_count), np.diff(k.indptr)))
+    diagonal = np.flatnonzero(k.indices == np.repeat(np.arange(grid.node_count), np.diff(k.indptr)))
+    return _Stiffness(k.data, _pattern(k.indptr, k.indices), diagonal)
 
 
-def _stiffness_plus_diagonal(grid: Grid, d: np.ndarray) -> sp.csc_matrix:
-    """K + diag(d) on the pattern of K, which holds every diagonal entry
-    (K is symmetric, so its CSR arrays are also its CSC arrays)."""
-    k = mesh.stiffness_matrix(grid)
+def _stiffness_plus_diagonal(k: _Stiffness, d: np.ndarray) -> _Matrix:
+    """K + diag(d) on the pattern of K, in fresh data."""
     data = k.data.copy()
-    data[_stiffness_diagonal(grid)] += d
-    return sp.csc_matrix((data, k.indices, k.indptr), shape=k.shape)
+    data[k.diagonal] += d
+    return _Matrix(data, k.pattern)
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,9 +456,8 @@ def solve_rho_delta(
     """
     if tau < 0.0 or not 0.0 < delta < 1.0:
         raise ValueError("need tau >= 0 and delta in (0,1)")
-    grid = g.grid
-    k = mesh.stiffness_matrix(grid)
-    w = mesh.mass_vector(grid)
+    ops, stiff = mesh.operators(g.grid), _stiffness(g.grid)
+    k, w = ops.k, ops.w
     gv = g.flat
     gbar = float(np.sum(w * gv) / np.sum(w))
     rho = np.full(gv.size, np.exp(np.clip(gbar / tau, -80.0, 80.0)) if tau > 0 else 1.0)
@@ -428,11 +467,11 @@ def solve_rho_delta(
         return (k @ r) / w + delta * r + tau * log_barrier(r, delta) - gv
 
     def solve(r, rhs):
-        jac = _stiffness_plus_diagonal(grid, w * (delta + tau * log_barrier_slope(r, delta)))
+        jac = _stiffness_plus_diagonal(stiff, w * (delta + tau * log_barrier_slope(r, delta)))
         return _linear_solve(jac, rhs, factors, "rho")
 
     rho, report = _damped_newton([rho], residual, solve, w, gv, cfg, "density")
-    return NodeField.from_flat(grid, rho), report
+    return NodeField.from_flat(g.grid, rho), report
 
 
 def solve_rho(
@@ -475,8 +514,8 @@ def solve_rho(
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
     grid = g.grid
-    k = mesh.stiffness_matrix(grid)
-    w = mesh.mass_vector(grid)
+    ops, stiff = mesh.operators(grid), _stiffness(grid)
+    k, w = ops.k, ops.w
     gv = g.flat
     sigma0 = float(np.sum(w * gv) / np.sum(w)) / tau
     if not abs(sigma0) <= _LOG_MAX:
@@ -494,7 +533,7 @@ def solve_rho(
     def solve(s, rhs):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
         d = tau * w / rho
-        jac = _stiffness_plus_diagonal(grid, d)
+        jac = _stiffness_plus_diagonal(stiff, d)
         return tau * _linear_solve(jac, rhs, factors, "rho", _cosine_preconditioner(grid, d)) / rho
 
     warm = rho0 is not None and np.min(rho0.values) > 0.0
@@ -519,11 +558,11 @@ def solve_rho(
 
 def surface_energy(u: NodeField, params: ModelParams) -> float:
     """Discrete integral of the smoothed energy density of grad u."""
-    grid = u.grid
+    ops = mesh.operators(u.grid)
     total = 0.0
-    for z, wvec in zip(mesh.edge_gradients(u), mesh.edge_weight_vectors(grid)):
-        total += float(np.sum(wvec * energy_density(z, params).ravel()))
-    return total / grid.dim
+    for z, wvec in zip(ops.edge_samples(u.flat), ops.edge_weights):
+        total += float(np.sum(wvec * energy_density(z, params)))
+    return total / u.grid.dim
 
 
 def height_energy(u: NodeField, params: ModelParams, rhs: NodeField) -> float:
@@ -539,7 +578,7 @@ def height_energy(u: NodeField, params: ModelParams, rhs: NodeField) -> float:
 
 
 class _HessianPattern(NamedTuple):
-    """Fixed CSR pattern of the height Newton matrix on one grid.
+    """Fixed symmetric pattern of the height Newton matrix on one grid.
 
     ``scatter`` (B) maps the edge coefficients concat(W h_ij), per axis
     family and operator pair (i, j) in order, to the pattern's data, with
@@ -548,15 +587,16 @@ class _HessianPattern(NamedTuple):
     ``longitudinal`` is B's (0, 0) columns, the pair (D_l, D_l) of each
     axis family, read at ``k_pos``: it maps concat(W h_ll) to the data of
     sum D_l^T diag(W h_ll / dim) D_l on the pattern of K, where all of
-    that sum lies.
+    that sum lies. ``stiffness`` is the grid's ``_Stiffness``, the base
+    of that longitudinal part.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    pattern: _Pattern
     scatter: sp.csc_matrix
     k_pos: np.ndarray
     diag: np.ndarray
     longitudinal: sp.csc_matrix
+    stiffness: _Stiffness
 
 
 def _edge_pairs(di: sp.csr_matrix, dj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -606,56 +646,60 @@ def _hessian_pattern(grid: Grid) -> _HessianPattern:
     starts = np.cumsum([0] + [len(ops) ** 2 * ops[0].shape[0] for ops in stencils])
     ll = np.concatenate([np.arange(s, s + ops[0].shape[0]) for s, ops in zip(starts, stencils)])
     return _HessianPattern(
-        indptr=pattern.indptr,
-        indices=pattern.indices,
+        pattern=_pattern(pattern.indptr, pattern.indices),
         scatter=scatter,
         k_pos=k_pos,
         diag=position(nodes, nodes),
         longitudinal=sp.csc_matrix(scatter[:, ll][k_pos]),
+        stiffness=_stiffness(grid),
     )
 
 
-def _energy_gradient_vec(u: NodeField, params: ModelParams) -> np.ndarray:
-    """Exact gradient of the edge-energy sum: sum over operators D^T (W F z)."""
-    grid = u.grid
-    out = np.zeros(grid.node_count)
-    for axis, (z, wvec) in enumerate(zip(mesh.edge_gradients(u), mesh.edge_weight_vectors(grid))):
+def _energy_gradient(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Exact gradient of the edge-energy sum at the flat heights v: sum
+    over operators D^T (W F z)."""
+    out = np.zeros(v.size)
+    for z, wvec, adjoints in zip(ops.edge_samples(v), ops.edge_weights, ops.adjoints):
         f = flux_coefficient(np.sum(z * z, axis=-1), params)
-        for i, dt in enumerate(mesh.edge_adjoints(grid, axis)):
-            out += dt @ (wvec * (f * z[..., i]).ravel())
-    return out / grid.dim
+        for i, dt in enumerate(adjoints):
+            out += dt @ (wvec * (f * z[:, i]))
+    return out / ops.grid.dim
 
 
-def _height_newton_matrices(u: NodeField, params: ModelParams) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-    """W times the Jacobian of ``apply_height_operator`` at u, and its
-    longitudinal part, the preconditioner of ``solve_u``.
+def _height_newton_matrices(
+    ops: mesh.GridOperators, pat: _HessianPattern, v: np.ndarray, params: ModelParams
+) -> tuple[_Matrix, _Matrix]:
+    """W times the Jacobian of ``apply_height_operator`` at the flat
+    heights v, and its longitudinal part, the preconditioner of
+    ``solve_u``.
 
     The first is the exact energy Hessian sum_ij D_i^T diag(W h_ij) D_j
     / dim plus delta K + tau W (sparse, symmetric, positive definite),
-    assembled on the fixed symmetric pattern of ``_hessian_pattern``
+    assembled on the fixed symmetric pattern ``pat`` of ``_hessian_pattern``
     without sparse products. The second, P = sum D_l^T diag(W h_ll / dim)
     D_l + delta K + tau W, sits on the 5-point pattern of K and is built
     from the same energy Hessian samples; a 1D edge family has no
     transverse operator, so there P is the first matrix itself.
     """
-    grid = u.grid
-    pat = _hessian_pattern(grid)
-    k = mesh.stiffness_matrix(grid)
-    w = mesh.mass_vector(grid)
     coef = []
-    for z, wvec in zip(mesh.edge_gradients(u), mesh.edge_weight_vectors(grid)):
+    for z, wvec in zip(ops.edge_samples(v), ops.edge_weights):
         h = energy_hessian(z, params).reshape(wvec.size, -1)
         coef += [wvec * h[:, m] for m in range(h.shape[1])]
     data = pat.scatter @ np.concatenate(coef)
-    data[pat.k_pos] += params.delta * k.data
-    data[pat.diag] += params.tau * w
-    hess = sp.csc_matrix((data, pat.indices, pat.indptr), shape=k.shape)
-    if grid.dim == 1:
+    data[pat.k_pos] += params.delta * ops.k.data
+    data[pat.diag] += params.tau * ops.w
+    hess = _Matrix(data, pat.pattern)
+    dim = ops.grid.dim
+    if dim == 1:
         return hess, hess
     # W h_ll is the first of the dim^2 coefficients of each axis family
-    lon = pat.longitudinal @ np.concatenate(coef[:: grid.dim**2]) + params.delta * k.data
-    lon[_stiffness_diagonal(grid)] += params.tau * w
-    return hess, sp.csc_matrix((lon, k.indices, k.indptr), shape=k.shape)
+    lon = pat.longitudinal @ np.concatenate(coef[:: dim**2]) + params.delta * ops.k.data
+    lon[pat.stiffness.diagonal] += params.tau * ops.w
+    return hess, _Matrix(lon, pat.stiffness.pattern)
+
+
+def _height_operator(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> np.ndarray:
+    return (_energy_gradient(ops, v, params) + params.delta * (ops.k @ v)) / ops.w + params.tau * v
 
 
 def apply_height_operator(u: NodeField, params: ModelParams) -> NodeField:
@@ -664,12 +708,15 @@ def apply_height_operator(u: NodeField, params: ModelParams) -> NodeField:
     The divergence-form term is the weighted dual of the edge-energy
     gradient, so its weighted node sum vanishes identically; manufactured
     sources built from this function are recovered exactly by ``solve_u``.
+
+    Below the public API ``u`` may also be a pair (``mesh.GridOperators``,
+    flat heights), and the result is then flat too: ``solve_u``
+    evaluates each residual with one such call, which is the count
+    ``bench/tracing.py`` reads as ``solvers.u_residual_evals``.
     """
-    grid = u.grid
-    k = mesh.stiffness_matrix(grid)
-    w = mesh.mass_vector(grid)
-    vals = (_energy_gradient_vec(u, params) + params.delta * (k @ u.flat)) / w + params.tau * u.flat
-    return NodeField.from_flat(grid, vals)
+    if isinstance(u, NodeField):
+        return NodeField.from_flat(u.grid, _height_operator(mesh.operators(u.grid), u.flat, params))
+    return _height_operator(*u, params)
 
 
 def solve_u(
@@ -705,17 +752,18 @@ def solve_u(
             "the height solve requires tau > 0 (flux coefficient is singular at flat states)"
         )
     grid = rhs.grid
-    w = mesh.mass_vector(grid)
+    ops, pat = mesh.operators(grid), _hessian_pattern(grid)
+    w = ops.w
     rv = rhs.flat
     ubar = float(np.sum(w * rv) / np.sum(w)) / params.tau
     shift = params.tau * ubar - rv
     factors = {} if factors is None else factors
 
     def residual(vec):
-        return apply_height_operator(NodeField.from_flat(grid, vec), params).flat + shift
+        return apply_height_operator((ops, vec), params) + shift
 
     def solve(vec, b):
-        hess, lon = _height_newton_matrices(NodeField.from_flat(grid, vec), params)
+        hess, lon = _height_newton_matrices(ops, pat, vec, params)
         return _linear_solve(hess, b, factors, "u", lon)
 
     starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]

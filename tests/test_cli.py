@@ -496,6 +496,24 @@ def test_singular_jacobian_is_solver_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+def test_non_finite_outer_iterate_is_numerical_breakdown(tmp_path, capsys, monkeypatch, weight):
+    # an Anderson mixing whose least-squares weights come back NaN or inf
+    # makes the next outer iterate non-finite: the outer loop stops it with
+    # the error a NodeField raises, before the mean pin sums inf - inf
+    # (warnings are errors here), and the CLI exits 3 without a traceback
+    def lstsq(a, b, rcond=None):
+        return np.full(a.shape[1], weight), np.empty(0), a.shape[1], np.ones(a.shape[1])
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    source = {"kind": "patches", "background": 0.5, "patches": [{"box": [[0.25, 0.5]], "value": 1.0}]}
+    cfg = write_config(tmp_path / "c.json", {**BASE, "source": source})
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "solver error: numerical breakdown: ValueError('node values must be finite')\n"
+
+
+@pytest.mark.filterwarnings("error")
 def test_density_overflow_is_named(tmp_path, capsys):
     # the first density source has mean ~100 at tau = 0.1, so mean ln rho
     # ~1000 lies beyond ln(max float); the solve says so before any

@@ -1,11 +1,13 @@
+import collections
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crystalsurf import coupled, solvers
 from crystalsurf.energy import ModelParams
-from crystalsurf.mesh import Grid, NodeField, integrate, norm_l2
+from crystalsurf.mesh import Grid, NodeField, integrate, norm_l2, operators
 from crystalsurf.coupled import (
     PicardConfig,
     ProblemData,
@@ -162,7 +164,7 @@ def counted_linear_solves(monkeypatch, direct: bool) -> dict:
     """Count the linear solves of each Newton family, the SuperLU factors
     and the preconditioned CG iterations, and keep the last factor cache
     (key "factors"); with ``direct`` every solve factors its own full
-    Newton matrix and solves with that factor."""
+    Newton matrix, built as CSC from its data, and solves with that factor."""
     counts = {"rho": 0, "u": 0, "splu": 0, "pcg": 0, "factors": {}}
     real_solve, real_splu, real_pcg = solvers._linear_solve, solvers.spla.splu, solvers.pcg
 
@@ -170,7 +172,7 @@ def counted_linear_solves(monkeypatch, direct: bool) -> dict:
         counts[family] += 1
         counts["factors"] = factors
         if direct:
-            return splu(a, permc_spec="MMD_AT_PLUS_A").solve(b)
+            return splu(a.csc(), permc_spec="MMD_AT_PLUS_A").solve(b)
         return real_solve(a, b, factors, family, *rest)
 
     def splu(a, **kwargs):
@@ -220,6 +222,64 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
         assert np.max(np.abs(x.values - y.values)) <= 1e-10 * np.max(np.abs(y.values))
 
 
+def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkeypatch):
+    # below the NodeField API the outer and Newton loops run on flat arrays:
+    # every 1D Newton matrix reaches dptsv as data on its cached pattern, so
+    # no CSC matrix is built, and the NodeFields are those of the public
+    # calls of each outer step (picard_map's source, density, log-density
+    # and height, and the mixed iterate), however many Newton steps and
+    # residual evaluations the inner solves take
+    grid = Grid.interval(1.0, 129)
+    f = NodeField.from_function(
+        grid, lambda x: 0.5 + 0.8 * np.cos(np.pi * x) - 0.4 * np.cos(2 * np.pi * x) + 0.25 * np.cos(3 * np.pi * x)
+    )
+    data = ProblemData(f, params_with(tau=1e-3))
+    solve_coupled(data)  # builds the per-grid operator caches
+    counts = collections.Counter()
+    real_init, real_post_init = sp.csc_matrix.__init__, NodeField.__post_init__
+
+    def csc_init(self, *args, **kwargs):
+        counts["csc"] += 1
+        real_init(self, *args, **kwargs)
+
+    def post_init(self):
+        counts["node_fields"] += 1
+        real_post_init(self)
+
+    def counting(name):
+        real = getattr(coupled, name)
+
+        def solve(*args, **kwargs):
+            out = real(*args, **kwargs)
+            counts["newton"] += out[1].iterations
+            return out
+
+        return solve
+
+    monkeypatch.setattr(sp.csc_matrix, "__init__", csc_init)
+    monkeypatch.setattr(NodeField, "__post_init__", post_init)
+    for name in ("solve_rho", "solve_u"):
+        monkeypatch.setattr(coupled, name, counting(name))
+    triple, rep = solve_coupled(data)
+    assert rep.converged and counts["csc"] == 0
+    # the first iterate, then five per outer step, whose two inner solves
+    # take more than one Newton step each on average
+    assert counts["node_fields"] == 1 + 5 * rep.iterations
+    assert counts["newton"] > 2 * rep.iterations
+
+
+@pytest.mark.parametrize("grid", [Grid.interval(1.0, 65), Grid.rectangle((1.0, 1.0), (17, 17))], ids=["1d", "2d"])
+def test_outer_residuals_are_the_public_coupled_residuals(grid, rng):
+    # the flat outer loop records exactly what the public function gives on
+    # the returned pair, for the system solved at the capped viscosity
+    data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=1e-3))
+    triple, rep = solve_coupled(data)
+    solved = ProblemData(data.f, capped_params(data.params, PicardConfig()))
+    assert rep.converged
+    assert triple.residuals == coupled_residuals(triple.u, triple.rho, solved)
+    assert rep.residual_history[-1] == max(triple.residuals)
+
+
 def plain_damped_outer_steps(data: ProblemData, cfg: PicardConfig = PicardConfig()) -> int:
     """Outer steps of the relaxed update u <- pin((1 - w) u + w B(u)) with
     the adaptation and stopping test of ``solve_coupled``: the reference."""
@@ -229,8 +289,8 @@ def plain_damped_outer_steps(data: ProblemData, cfg: PicardConfig = PicardConfig
     omega, prev_res = cfg.relaxation, np.inf
     for step in range(1, cfg.max_outer + 1):
         u_map, rho = picard_map(u, data, rho0=rho, u0=u_map, factors=factors)
-        mixed = NodeField(u.grid, (1.0 - omega) * u.values + omega * u_map.values)
-        u_new = coupled._pin_mean(mixed, ubar)
+        mixed = (1.0 - omega) * u.flat + omega * u_map.flat
+        u_new = NodeField.from_flat(u.grid, coupled._pin_mean(mixed, operators(u.grid), ubar))
         change = norm_l2(NodeField(u.grid, u_new.values - u.values))
         res = max(coupled_residuals(u_new, rho, data))
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
@@ -290,9 +350,10 @@ def test_anderson_history_is_cleared_when_the_residual_grows(grid, rng, monkeypa
     assert history[1] > history[0]
     (u2, b2), (u3, _) = calls[2], calls[3]
     omega = 0.5 * (0.5 * 1.2)
-    residual = coupled._pin_mean(b2, ubar).values - u2.values
-    plain = coupled._pin_mean(NodeField(grid, u2.values + omega * residual), ubar)
-    assert np.allclose(u3.values, plain.values, rtol=1e-14, atol=1e-15)
+    ops = operators(grid)
+    residual = coupled._pin_mean(b2.flat, ops, ubar) - u2.flat
+    plain = coupled._pin_mean(u2.flat + omega * residual, ops, ubar)
+    assert np.allclose(u3.flat, plain, rtol=1e-14, atol=1e-15)
 
 
 def test_viscosity_cap_is_one_pass(rng):

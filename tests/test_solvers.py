@@ -22,6 +22,7 @@ from crystalsurf.mesh import (
     mass_vector,
     norm_l2,
     norm_lp,
+    operators,
     stiffness_matrix,
 )
 from crystalsurf.solvers import (
@@ -69,12 +70,31 @@ def test_pcg_rejects_indefinite_matrix():
 
 
 def density_matrix(grid, tau):
-    """K + diag(tau W), the density Newton matrix at rho = 1."""
-    return solvers._stiffness_plus_diagonal(grid, tau * mass_vector(grid))
+    """K + diag(tau W), the density Newton matrix at rho = 1, as its data
+    on the cached pattern of K (the linear solve's argument)."""
+    return solvers._stiffness_plus_diagonal(solvers._stiffness(grid), tau * mass_vector(grid))
+
+
+def as_newton_matrix(a):
+    """A CSC matrix as its data on its pattern, the linear solve's argument."""
+    return solvers._Matrix(a.data, solvers._pattern(a.indptr, a.indices))
+
+
+def height_newton_matrices(u, params):
+    """The height Newton matrix and its longitudinal part at the field u."""
+    g = u.grid
+    return solvers._height_newton_matrices(operators(g), solvers._hessian_pattern(g), u.flat, params)
+
+
+def assert_built_from(csc, a):
+    """The CSC matrix is a's data on a's pattern."""
+    np.testing.assert_array_equal(csc.indptr, a.pattern.indptr)
+    np.testing.assert_array_equal(csc.indices, a.pattern.indices)
+    np.testing.assert_array_equal(csc.data, a.data)
 
 
 def test_pcg_with_the_factor_of_its_own_matrix_takes_one_iteration(rng):
-    a = density_matrix(Grid.rectangle((1.0, 1.0), (17, 17)), 0.1)
+    a = density_matrix(Grid.rectangle((1.0, 1.0), (17, 17)), 0.1).csc()
     lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
     b = rng.standard_normal(a.shape[0])
     x, its = pcg(a.dot, b, lu.solve, tol=1e-10, maxiter=10)
@@ -136,11 +156,12 @@ def test_linear_solve_refactors_when_the_lagged_factor_is_stale(rng, monkeypatch
     solvers._linear_solve(density_matrix(grid, 1e3), b, factors, "rho")
     stale = factors["rho"]
     a = density_matrix(grid, 1e-3)
-    expected = direct_solve(a, b)
+    expected = direct_solve(a.csc(), b)
     factored, failures = counting_splu(monkeypatch), pcg_failures(monkeypatch)
     x = solvers._linear_solve(a, b, factors, "rho")
     assert failures == [f"conjugate gradient failed to reach tolerance in {solvers._PCG_MAX_ITER} iterations"]
-    assert factored == [a] and factors["rho"] is not stale
+    assert len(factored) == 1 and factors["rho"] is not stale
+    assert_built_from(factored[0], a)
     np.testing.assert_array_equal(x, expected)
 
 
@@ -155,7 +176,7 @@ def test_linear_solve_refactors_when_the_curvature_guard_fires(rng, monkeypatch)
     x = solvers._linear_solve(a, b, factors, "u")
     assert len(failures) == 1 and "nonpositive curvature" in failures[0]
     assert factors["u"] is not broken
-    np.testing.assert_array_equal(x, direct_solve(a, b))
+    np.testing.assert_array_equal(x, direct_solve(a.csc(), b))
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["fresh", "stale"])
@@ -165,7 +186,7 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
     # keeps that factor and returns its direct solution
     grid = Grid.rectangle((1.0, 1.0), (17, 17))
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
-    hess, lon = solvers._height_newton_matrices(smooth_field(grid, rng, amplitude=0.5), params)
+    hess, lon = height_newton_matrices(smooth_field(grid, rng, amplitude=0.5), params)
     b = rng.standard_normal(grid.node_count)
     factors = {"u": SimpleNamespace(solve=np.zeros_like)} if held else {}
     calls = []
@@ -178,8 +199,10 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
     factored = counting_splu(monkeypatch)
     x = solvers._linear_solve(hess, b, factors, "u", lon)
     assert len(calls) == 1 + held
-    assert len(factored) == 2 and factored[0] is lon and factored[1] is hess
-    expected = direct_solve(hess, b)
+    assert len(factored) == 2
+    assert_built_from(factored[0], lon)
+    assert_built_from(factored[1], hess)
+    expected = direct_solve(hess.csc(), b)
     np.testing.assert_array_equal(x, expected)
     np.testing.assert_array_equal(factors["u"].solve(b), expected)
 
@@ -187,9 +210,9 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 1025), seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([1e-3, 1.0, 1e4]))
 def test_tridiagonal_solves_use_dptsv_and_match_superlu(n, seed, scale):
-    # random diagonally dominant SPD tridiagonal matrices, stored as CSC on
-    # the full pattern: no SuperLU factor, no CG, the cache stays empty and
-    # x matches a SuperLU solve
+    # random diagonally dominant SPD tridiagonal matrices, given as their
+    # CSC data on the full pattern: no SuperLU factor, no CG, the cache
+    # stays empty and x matches a SuperLU solve
     rng = np.random.default_rng(seed)
     e = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.1, 1.0, n - 1)
     d = np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)] + rng.uniform(1e-3, 1.0, n)
@@ -199,7 +222,7 @@ def test_tridiagonal_solves_use_dptsv_and_match_superlu(n, seed, scale):
     factors = {}
     with pytest.MonkeyPatch.context() as m:
         factored, cg = counting_splu(m), counting_pcg(m)
-        x = solvers._linear_solve(a, b, factors, "rho")
+        x = solvers._linear_solve(as_newton_matrix(a), b, factors, "rho")
     assert factored == [] and cg == [] and factors == {}
     assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
@@ -221,14 +244,14 @@ def test_matrices_off_the_tridiagonal_pattern_never_reach_dptsv(rng, monkeypatch
     # 2D density and height Newton matrices, and a 1D pentadiagonal matrix
     plane, line = Grid.rectangle((1.0, 1.0), (17, 17)), Grid.interval(1.0, 65)
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
-    hess, lon = solvers._height_newton_matrices(smooth_field(plane, rng, amplitude=0.5), params)
+    hess, lon = height_newton_matrices(smooth_field(plane, rng, amplitude=0.5), params)
     k = stiffness_matrix(line)
-    penta = sp.csc_matrix(k @ k + density_matrix(line, 1.0))
+    penta = as_newton_matrix(sp.csc_matrix(k @ k + density_matrix(line, 1.0).csc()))
     calls = recording_dptsv(monkeypatch)
     for a, p in ((density_matrix(plane, 0.1), None), (hess, lon), (penta, None)):
-        b = rng.standard_normal(a.shape[0])
+        b = rng.standard_normal(a.pattern.indptr.size - 1)
         x = solvers._linear_solve(a, b, {}, "u", p)
-        assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)
+        assert np.linalg.norm(a.csc() @ x - b) <= 1e-9 * np.linalg.norm(b)
     assert calls == []
     solvers._linear_solve(density_matrix(line, 0.1), rng.standard_normal(line.node_count), {}, "rho")
     assert len(calls) == 1
@@ -240,13 +263,14 @@ def test_tridiagonal_matrix_with_a_nonpositive_pivot_takes_the_superlu_path(rng,
     grid = Grid.interval(1.0, 65)
     a = density_matrix(grid, 0.1)
     a.data[3 * 20] = -1.0  # the diagonal entry of column 20
-    assert a[20, 20] == -1.0
+    assert a.csc()[20, 20] == -1.0
     b = rng.standard_normal(grid.node_count)
     factors = {}
     calls, factored = recording_dptsv(monkeypatch), counting_splu(monkeypatch)
     x = solvers._linear_solve(a, b, factors, "rho")
-    assert len(calls) == 1 and factored == [a] and set(factors) == {"rho"}
-    np.testing.assert_array_equal(x, direct_solve(a, b))
+    assert len(calls) == 1 and len(factored) == 1 and set(factors) == {"rho"}
+    assert_built_from(factored[0], a)
+    np.testing.assert_array_equal(x, direct_solve(a.csc(), b))
 
 
 def test_1d_density_solve_with_a_singular_newton_matrix_still_fails_in_superlu(monkeypatch):
@@ -262,9 +286,10 @@ def test_1d_density_solve_with_a_singular_newton_matrix_still_fails_in_superlu(m
 
 
 def parent_linear_solve(a, b, factors, family, *rest):
-    """The linear solve before preconditioning with P: CG with the held
-    factor, capped at 10 iterations, else a direct solve with a fresh
-    factor of a, which the cache keeps."""
+    """The linear solve before preconditioning with P, on the CSC matrix
+    of a's data: CG with the held factor, capped at 10 iterations, else a
+    direct solve with a fresh factor of a, which the cache keeps."""
+    a = a.csc()
     if family in factors:
         try:
             return pcg(a.dot, b, factors[family].solve, 1e-10, 10)[0]
@@ -394,7 +419,7 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
         return
     assert factored and set(factors) == {"u"}
     for a in factored:
-        assert not any(a is x for x in matrices)
+        assert not any(a.nnz == x.data.size for x in matrices)
         np.testing.assert_array_equal(a.indptr, k.indptr)
         np.testing.assert_array_equal(a.indices, k.indices)
     assert factors["u"].shape == k.shape
@@ -421,7 +446,7 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
 
     factored = counting_splu(monkeypatch)
     with monkeypatch.context() as m:
-        m.setattr(solvers, "_linear_solve", lambda a, b, *rest: direct_solve(a, b))
+        m.setattr(solvers, "_linear_solve", lambda a, b, *rest: direct_solve(a.csc(), b))
         direct, direct_iterations = solve_pair(None)
     assert len(factored) == sum(direct_iterations)
     factored.clear()
@@ -577,13 +602,13 @@ def test_rho_continuation_stage_stability(rng):
 
 
 def newton_matrices(monkeypatch) -> list:
-    """Record every matrix the Newton solves pass to the linear solve,
-    and solve with a factor of that matrix."""
+    """Record every matrix the Newton solves pass to the linear solve, as
+    the CSC matrix of its data, and solve with a factor of that matrix."""
     matrices = []
 
     def recording(a, b, *rest):
-        matrices.append(a)
-        return direct_solve(a, b)
+        matrices.append(a.csc())
+        return direct_solve(matrices[-1], b)
 
     monkeypatch.setattr(solvers, "_linear_solve", recording)
     return matrices
@@ -875,7 +900,7 @@ def test_height_hessian_matches_operator_jacobian(hess_grid, params, rng):
     g = hess_grid
     u = NodeField(g, 0.3 * rng.standard_normal(g.shape))
     w = mass_vector(g)
-    hess = solvers._height_newton_matrices(u, params)[0].toarray()
+    hess = height_newton_matrices(u, params)[0].csc().toarray()
     eps = 1e-6
     jac = np.empty_like(hess)
     for j in range(g.node_count):
@@ -912,8 +937,8 @@ def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
             for j, d_j in enumerate(ops):
                 ref = ref + d_i.T @ sp.diags(wvec * h[..., i, j].ravel()) @ d_j / g.dim
     ref = ref.toarray()
-    hess, lon = solvers._height_newton_matrices(u, params)
-    np.testing.assert_allclose(hess.toarray(), ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    hess, lon = height_newton_matrices(u, params)
+    np.testing.assert_allclose(hess.csc().toarray(), ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
     # the preconditioner keeps the (D_l, D_l) pair of each axis family only,
     # on the pattern of K; a 1D family has no other pair
     k = stiffness_matrix(g)
@@ -921,9 +946,9 @@ def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
     for z, wvec, mat in zip(edge_gradients(u), edge_weight_vectors(g), gradient_matrices(g)):
         ref_lon = ref_lon + mat.T @ sp.diags(wvec * energy_hessian(z, params)[..., 0, 0].ravel()) @ mat / g.dim
     assert (lon is hess) == (g.dim == 1)
-    np.testing.assert_array_equal(lon.indptr, k.indptr)
-    np.testing.assert_array_equal(lon.indices, k.indices)
-    np.testing.assert_allclose(lon.toarray(), ref_lon.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    np.testing.assert_array_equal(lon.pattern.indptr, k.indptr)
+    np.testing.assert_array_equal(lon.pattern.indices, k.indices)
+    np.testing.assert_allclose(lon.csc().toarray(), ref_lon.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
 
 def test_newton_solves_leave_cached_operators_unchanged(params, rng):
@@ -931,7 +956,7 @@ def test_newton_solves_leave_cached_operators_unchanged(params, rng):
     g = Grid.rectangle((1.0, 2.0), (9, 7))
     k = stiffness_matrix(g)
     pat = solvers._hessian_pattern(g)
-    cached = [k.data, k.indices, k.indptr, solvers._stiffness_diagonal(g), pat.indptr, pat.indices]
+    cached = [k.data, k.indices, k.indptr, solvers._stiffness(g).diagonal, pat.pattern.indptr, pat.pattern.indices]
     cached += [pat.scatter.data, pat.scatter.indices, pat.scatter.indptr, pat.k_pos, pat.diag]
     cached += [pat.longitudinal.data, pat.longitudinal.indices, pat.longitudinal.indptr]
     before = [a.copy() for a in cached]
