@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -81,7 +81,10 @@ class EstimateReport:
     sup_bound_ratio_minus: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as ``dataclasses.asdict`` gives them, without its deep copy."""
+        out = dict(vars(self))
+        out["tau_log_vs_f"] = {lam: dict(pair) for lam, pair in self.tau_log_vs_f.items()}
+        return out
 
 
 def _sup_ratio(ops: mesh.GridOperators, part: np.ndarray, fpart: np.ndarray, p: float, tau: float) -> float:

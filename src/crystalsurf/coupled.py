@@ -29,6 +29,31 @@ pin(u + w F). The height viscosity is capped at
 The outer report records one residual per outer step; the inner Newton
 loops keep their own iteration counts.
 
+A warm-started 1D solve (a positive ``rho0`` given: every
+``continuation_tau`` stage and every ``evolve`` step after the first)
+first runs ``_joint_newton``, the single damped Newton core of
+``solvers`` on both equations at once.
+Its unknowns are the fluctuations v = u - ubar and s = ln rho - tau ubar,
+with ubar the known mean height, c = e^(tau ubar) and the residuals
+
+    R1 = c K expm1(s)/w + tau s + a v - (f - mean_w(f)),   R2 = A(v) - s,
+
+A the height operator. W times their Jacobian,
+[[aW, c K diag(e^s) + tau W], [H(v), -W]] with H the height Newton
+matrix, is block tridiagonal; with (v_i, s_i) interleaved it is banded
+(kl = ku = 3), and each step is one LAPACK ``dgbsv``, a banded LU with
+partial pivoting in O(n). The result is accepted only if it passes the
+Anderson loop's stopping test: ``coupled_residuals`` within
+``tol_residual`` and a last step in u within ``tol_fixed_point`` (when
+the core's last step is larger, or it took none, one more full step is
+taken and measured). On any failure (line search, iteration cap, a
+singular band matrix, a non-finite iterate, or that test) the Anderson
+loop runs unchanged from the caller's warm start, so a failing solve
+fails, and reports, as the Anderson loop does. Cold starts and 2D
+solves run the Anderson loop only: from a cold start the joint Newton
+needs many damped steps, and a 2D joint Jacobian would need a
+nonsymmetric sparse solve.
+
 The drivers of ``solve_coupled`` live here too: ``continuation_tau``,
 ``evolve`` and the manufactured-solution study ``mms_convergence``.
 The first two are generators of the completed stages or steps that end
@@ -43,8 +68,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
-from . import analysis, mesh
+from . import analysis, mesh, solvers
 from .energy import ModelParams, energy_gradient, subgradient_select
 from .mesh import EdgeField, Grid, NodeField
 from .solvers import (
@@ -210,6 +236,73 @@ def capped_params(params: ModelParams, cfg: PicardConfig) -> ModelParams:
     return replace(params, delta=min(params.delta, cfg.delta_polish))
 
 
+def _joint_newton(
+    data: ProblemData,
+    cfg: PicardConfig,
+    newton_cfg: NewtonConfig | None,
+    ubar: float,
+    uf: np.ndarray,
+    rho0: NodeField,
+) -> tuple[WeakSolutionTriple, SolveReport]:
+    """The joint Newton of a warm 1D solve (see the module docstring) from
+    the pinned heights ``uf`` and ``rho0``: the triple and a report that
+    counts the joint steps, or a SolverError. The report's history holds
+    the joint merit before each damped step and at the core's end, then
+    the larger ``coupled_residuals`` of the returned pair."""
+    p = data.params
+    grid = data.f.grid
+    ops, stiff, pat = mesh.operators(grid), solvers._stiffness(grid), solvers._hessian_pattern(grid)
+    w, n = ops.w, grid.node_count
+    c = np.exp(p.tau * ubar)
+    fluct = data.f.flat - (p.a + p.tau**2) * ubar  # f - mean_w(f), by the mean identity
+    kd, ke = stiff.data[::3], stiff.data[1::3]
+    # the latest residual, which the core evaluates last at the point it
+    # returns, and the latest point a step was solved at
+    last = {}
+
+    def residual(x):
+        v, s = x[0::2], x[1::2]
+        r = np.empty_like(x)
+        r[0::2] = c * (ops.k @ np.expm1(s)) / w + p.tau * s + p.a * v - fluct
+        r[1::2] = apply_height_operator((ops, v), p) - s
+        last["r"] = r
+        return r
+
+    def solve(x, b):
+        last["x"] = x
+        h = solvers._height_newton_matrices(ops, pat, x[0::2], p)[0].data
+        rho = c * np.exp(x[1::2])
+        ab = np.zeros((10, 2 * n))  # A[i, j] at ab[6 + i - j, j]; rows 0-2 hold the LU fill
+        ab[6, 0::2], ab[7, 0::2] = p.a * w, h[::3]
+        ab[9, 0:-2:2] = ab[5, 2::2] = h[1::3]
+        ab[6, 1::2], ab[5, 1::2] = -w, kd * rho + p.tau * w
+        ab[7, 1:-2:2], ab[3, 3::2] = ke * rho[:-1], ke * rho[1:]
+        step, info = lapack.dgbsv(3, 3, ab, b, overwrite_ab=1)[2:]
+        if info != 0:
+            raise SolverError(f"coupled Newton matrix is singular (dgbsv info {info})")
+        return step
+
+    x = np.column_stack([uf - ubar, np.log(rho0.flat) - p.tau * ubar]).ravel()
+    source, ww = np.column_stack([data.f.flat, np.zeros(n)]).ravel(), np.repeat(w, 2)
+    with np.errstate(all="ignore"):  # a non-finite iterate fails the test below
+        x, report = solvers._damped_newton([x], residual, solve, ww, source, newton_cfg, "coupled")
+        change = ops.norm_lp(x[0::2] - last["x"][0::2], 2.0) if report.iterations else np.inf
+        if not change <= cfg.tol_fixed_point:  # one more full step, whose size the test bounds
+            step = solve(x, -ww * last["r"])
+            x, change = x + step, ops.norm_lp(step[0::2], 2.0)
+            report.iterations += 1
+        rho = c * np.exp(x[1::2])
+        finite = np.isfinite(x).all() and np.isfinite(np.log(rho)).all()
+    if finite and change <= cfg.tol_fixed_point:
+        u = NodeField.from_flat(grid, _pin_mean(ubar + x[0::2], ops, ubar))
+        rho = NodeField.from_flat(grid, rho)
+        r1, r2 = coupled_residuals(u, rho, data)
+        report.residual_history.append(max(r1, r2))
+        if max(r1, r2) <= cfg.tol_residual:
+            return WeakSolutionTriple(u, rho, subgradient_field(u), (r1, r2)), report
+    raise SolverError("coupled Newton result fails the outer stopping test", report)
+
+
 def solve_coupled(
     data: ProblemData,
     picard_cfg: PicardConfig | None = None,
@@ -217,28 +310,34 @@ def solve_coupled(
     u0: NodeField | None = None,
     rho0: NodeField | None = None,
 ) -> tuple[WeakSolutionTriple, SolveReport]:
-    """Solve the coupled stationary system by mean-projected Anderson mixing.
+    """Solve the coupled stationary system by mean-projected Anderson
+    mixing, or, for a warm-started 1D solve, by the joint Newton on
+    (u, ln rho) with the Anderson loop as its fallback.
 
     The height viscosity is first capped at ``PicardConfig.delta_polish``;
-    the returned triple solves that capped system. ``u0`` is the first
-    outer iterate (default: the constant with the known mean). ``rho0``
-    warm-starts the first density solve, e.g. from the density of a
-    nearby problem; each later outer step warm-starts its inner solves
-    from the previous step's density and height map. An inner Newton
-    solve whose warm start fails is retried in the same loop from its
-    cold start (s = ln rho - mean(g)/tau = 0 for the density, the
-    constant mean(rhs)/tau for the height), so warm starts change cost, not the
+    the returned triple solves that capped system. ``u0`` is the first outer
+    iterate (default: the constant with the known mean). ``rho0``
+    warm-starts the first density solve, e.g. from the density of a nearby
+    problem; on a 1D grid a strictly positive ``rho0`` and the mean-pinned
+    ``u0`` are first the start of the joint Newton, whose accepted result is
+    returned with a report counting joint steps (see the module docstring).
+    In the Anderson loop each later outer step warm-starts its inner solves
+    from the previous step's density and height map. An inner Newton solve
+    whose warm start fails is retried in the same loop from its cold start
+    (s = ln rho - mean(g)/tau = 0 for the density, the constant
+    mean(rhs)/tau for the height), so warm starts change cost, not the
     solution beyond solver tolerance. The inner solves share one
     linear-solve cache for this call: in 2D each Newton family keeps its
     last LU factor and preconditions later steps with it, and the density
     family holds no factor unless its cosine-preconditioned CG fails
-    (``solvers.solve_rho``). In 1D every step is a direct tridiagonal
-    solve and the cache stays empty. The mixing history, like the cache,
-    lives for this call only. The mixing, the mean pin and the change
-    run on flat arrays; each outer iterate becomes one NodeField, for
-    the public ``picard_map`` and ``coupled_residuals``, after a check
-    that it is finite (a ValueError, as NodeField raises, before the
-    pin spreads a non-finite value to every node).
+    (``solvers.solve_rho``). In 1D every inner Newton step is a direct
+    tridiagonal solve (``dptsv``), every joint step a direct banded one
+    (``dgbsv``), and the cache stays empty. The mixing history, like the
+    cache, lives for this call only. The mixing, the mean pin and the change
+    run on flat arrays; each outer iterate becomes one NodeField, for the
+    public ``picard_map`` and ``coupled_residuals``, after a check that it
+    is finite (a ValueError, as NodeField raises, before the pin spreads a
+    non-finite value to every node).
     """
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:
@@ -249,6 +348,11 @@ def solve_coupled(
     report = SolveReport()
     ubar = mean_height_target(data)
     uf = _pin_mean(u0.flat if u0 is not None else np.full(grid.node_count, ubar), ops, ubar)
+    if grid.dim == 1 and rho0 is not None and np.min(rho0.values) > 0.0:
+        try:
+            return _joint_newton(data, cfg, newton_cfg, ubar, uf, rho0)
+        except SolverError:
+            pass  # the Anderson loop runs from the same warm start
     u = NodeField.from_flat(grid, uf)
     rho, u_map = rho0, None
     factors = {}

@@ -36,12 +36,16 @@ fluctuation.
 One Newton core, ``_damped_newton``, owns the starts (a warm start, when
 given, then the cold one), the target, the Armijo line search on the
 quadrature-weighted residual norm and the ``SolveReport`` of every
-solve; each solve passes its residual and its linear solve.
+solve; each solve passes its residual and its linear solve. The joint
+Newton on (u, ln rho) of a warm-started 1D ``coupled.solve_coupled``
+runs on this core too, with its own residual and banded linear solve.
 ``NewtonConfig`` sets only the tolerance and the iteration cap; the line
 search constants are fixed here.
 
-Inner linear systems are symmetric positive definite. On a 1D grid
-every Newton matrix lies on the tridiagonal pattern of K, and
+The scalar problems' linear systems are symmetric positive definite
+(``coupled`` solves the joint Newton's nonsymmetric banded one with
+``dgbsv``). On a 1D grid every Newton matrix lies on the tridiagonal
+pattern of K, and
 ``_linear_solve`` solves it directly with LAPACK's ``dptsv`` (L D L^T
 in O(n), no pivoting) and holds no factor; no 2D matrix has that
 pattern. Any other matrix goes to SuperLU, which orders the columns by
@@ -88,14 +92,15 @@ only on their paths, so a 1D solve builds none.
 A ``SolveReport`` holds an iteration count, a residual history and a
 convergence flag: here Newton steps and the merit before each step and at
 the end of each attempt. ``coupled.solve_coupled``'s outer report counts
-outer steps and records one equation residual after each.
+outer steps and records one equation residual after each; when its
+joint Newton is accepted, the report counts joint steps instead.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -166,7 +171,12 @@ class SolveReport:
     converged: bool = False
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as ``dataclasses.asdict`` gives them, without its deep copy."""
+        return {
+            "iterations": self.iterations,
+            "residual_history": list(self.residual_history),
+            "converged": self.converged,
+        }
 
 
 class SolverError(RuntimeError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from crystalsurf import coupled
 from crystalsurf.mesh import Grid, NodeField
+from crystalsurf.solvers import SolverError
 
 
 @pytest.fixture
@@ -24,3 +26,17 @@ def smooth_field(grid: Grid, rng, n_modes: int = 4, amplitude: float = 1.0, offs
             for k, (c, d) in enumerate(zip(coef, coef2))
         )
     return NodeField.from_function(grid, fn)
+
+
+def anderson_only(monkeypatch) -> None:
+    """Make every joint Newton fail, so solve_coupled runs the Anderson loop."""
+
+    def fail(*args, **kwargs):
+        raise SolverError("joint Newton switched off")
+
+    monkeypatch.setattr(coupled, "_joint_newton", fail)
+
+
+def failing_dgbsv(kl, ku, ab, b, **kwargs):
+    """LAPACK's dgbsv reporting an exactly singular U (info > 0)."""
+    return ab, np.zeros(b.size, dtype=np.int32), b, 1

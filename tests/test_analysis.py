@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -94,6 +96,20 @@ def test_audit_log_source_bound(grid, rng):
     rep = apriori_audit(triple.u, triple.rho, data)
     for lam in ("1", "2"):
         assert rep.tau_log_vs_f[lam]["tau_log_rho"] <= 1.05 * rep.tau_log_vs_f[lam]["source"]
+
+
+def test_estimate_report_dict_is_asdict_without_sharing_state(grid, rng):
+    # to_dict builds the dict directly; the JSON the CLI writes must not change
+    data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with())
+    triple, _ = solve_coupled(data)
+    rep = apriori_audit(triple.u, triple.rho, data)
+    out = rep.to_dict()
+    assert out == dataclasses.asdict(rep)
+    assert json.dumps(out, sort_keys=True) == json.dumps(dataclasses.asdict(rep), sort_keys=True)
+    assert list(out) == [f.name for f in dataclasses.fields(rep)]
+    out["tau_log_vs_f"]["1"]["source"] = -1.0
+    out["w1p_u"] = -1.0
+    assert rep.to_dict() == dataclasses.asdict(rep) != out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from crystalsurf import coupled, solvers
 from crystalsurf.cli import main, parse, run
 from crystalsurf.mesh import Grid, NodeField, read_node_csv, write_node_csv
 from crystalsurf.solvers import SolveReport, SolverError
+from conftest import anderson_only, failing_dgbsv
 
 
 def write_config(path, payload):
@@ -244,6 +245,39 @@ def test_failed_solve_writes_prefix_and_exits_3(tmp_path, capsys, monkeypatch, m
         assert [st["tau"] for st in manifest["stages"]] == [0.1, 0.05]
         assert all((out / name).exists() for name in ("u.csv", "rho.csv", "limit_flux.csv"))
     assert manifest["completed"] is False and manifest["failure"] == failure
+
+
+@pytest.mark.parametrize(
+    "schedule, code",
+    [([0.1, 0.01], 0), ([0.1, 1e-8], 3)],
+    ids=["completes", "anderson-fails"],
+)
+def test_dgbsv_failure_gives_the_anderson_exit_code_stderr_and_outputs(tmp_path, capsys, monkeypatch, schedule, code):
+    # the warm 1D stage tries the joint Newton first; when its banded solve
+    # fails, the run is the Anderson loop's: at tau = 1e-8 that loop runs
+    # out of outer steps, and the exit code, stderr and files are its own
+    cfg = write_config(tmp_path / "c.json", {**BASE, "source": 2.0, "tau_schedule": schedule})
+    runs, attempts = [], []
+    real_joint = coupled._joint_newton
+
+    def joint(*args, **kwargs):
+        attempts.append(None)
+        return real_joint(*args, **kwargs)
+
+    for name in ("dgbsv", "anderson"):
+        with monkeypatch.context() as m:
+            if name == "dgbsv":
+                m.setattr(coupled, "_joint_newton", joint)
+                m.setattr(coupled.lapack, "dgbsv", failing_dgbsv)
+            else:
+                anderson_only(m)
+            out = tmp_path / name
+            status = main(["audit", "--config", cfg, "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((status, capsys.readouterr().err, files))
+    assert attempts == [None] * (len(schedule) - 1)
+    assert runs[0] == runs[1] and runs[0][0] == code
+    assert ("Traceback" not in runs[0][1]) and (runs[0][1] == "") == (code == 0)
 
 
 def test_evolve_checkpoint_written_before_the_next_step(tmp_path, monkeypatch):

@@ -22,9 +22,9 @@ from crystalsurf.coupled import (
     solve_coupled,
     subgradient_field,
 )
-from crystalsurf.solvers import apply_height_operator
+from crystalsurf.solvers import SolverError, apply_height_operator
 from crystalsurf.analysis import manufactured_problem
-from conftest import smooth_field
+from conftest import anderson_only, failing_dgbsv, smooth_field
 
 
 @pytest.fixture
@@ -490,14 +490,18 @@ def test_evolve_residuals_of_the_solved_system(grid):
 
 
 def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
-    # each step records the pair that solve_coupled's last outer step
-    # evaluated, so the residuals run once per outer step and no more
+    # each step records the pair that solve_coupled evaluated last, so the
+    # residuals run once per Anderson outer step (step 1, a cold start) and
+    # once per accepted joint Newton solve (the warm steps 2 and 3), and
+    # evolve adds no evaluation of its own
     calls, outer = [], []
     residuals, solve = coupled.coupled_residuals, coupled.solve_coupled
+    joint = joint_calls(monkeypatch)
 
     def solved(*args, **kwargs):
+        accepted = len(joint)
         triple, report = solve(*args, **kwargs)
-        outer.append(report.iterations)
+        outer.append(0 if len(joint) > accepted else report.iterations)
         return triple, report
 
     monkeypatch.setattr(coupled, "coupled_residuals", lambda *args: calls.append(args) or residuals(*args))
@@ -505,7 +509,9 @@ def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
     u0 = NodeField.from_function(grid, lambda x: 1.0 + 0.2 * np.cos(np.pi * x))
     p, dt = params_with(tau=1e-2), 0.05
     steps = list(coupled.evolve(u0, dt=dt, nsteps=3, params=p))
-    assert len(steps) == 4 and len(calls) == sum(outer) > 3
+    assert len(steps) == 4 and len(joint) == 2 and None not in joint
+    assert outer[0] > 3 and outer[1:] == [0, 0]
+    assert len(calls) == sum(outer) + len(joint)
     # the recorded pair is exactly what a fresh evaluation of the solved system gives
     prev, last = steps[-2:]
     data = ProblemData(NodeField(grid, prev.u.values / dt), capped_params(replace(p, a=1.0 / dt), PicardConfig()))
@@ -591,3 +597,132 @@ def test_rounding_floor_tau_continuation(nodes, offset):
         assert np.min(st.triple.rho.values) > 0.0
         assert_mean_identity(st.triple.u, f, params_with(tau=st.tau))
         assert st.estimates.mean_identity_residual <= 1e-9 * (1.0 + abs(integrate(f)))
+
+
+# ---------------------------------------------------------------------------
+# the joint Newton on (u, ln rho) of warm-started 1D solves
+# ---------------------------------------------------------------------------
+
+
+def joint_calls(monkeypatch) -> list:
+    """Record every ``_joint_newton`` call: its report when accepted, None
+    when it raised (and solve_coupled ran the Anderson loop)."""
+    real, calls = coupled._joint_newton, []
+
+    def joint(*args, **kwargs):
+        try:
+            out = real(*args, **kwargs)
+        except SolverError:
+            calls.append(None)
+            raise
+        calls.append(out[1])
+        return out
+
+    monkeypatch.setattr(coupled, "_joint_newton", joint)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "nodes, tau, a",
+    [(17, 1e-1, 1.0), (33, 1e-2, 0.1), (65, 1e-3, 20.0), (100, 1e-4, 1.0), (129, 1e-3, 5.0), (200, 1e-2, 20.0), (257, 1e-4, 0.5)],
+)
+def test_joint_newton_matches_the_anderson_loop_from_the_same_warm_start(nodes, tau, a, rng, monkeypatch):
+    # a continuation stage: warm-started from the solution at 2 tau, the
+    # joint Newton is accepted and reaches the Anderson loop's fixed point
+    grid = Grid.interval(1.0, nodes)
+    f = smooth_field(grid, rng, offset=0.5)
+    start, _ = solve_coupled(ProblemData(f, params_with(tau=2 * tau, a=a)))
+    data = ProblemData(f, params_with(tau=tau, a=a))
+    calls = joint_calls(monkeypatch)
+    joint, rep = solve_coupled(data, u0=start.u, rho0=start.rho)
+    # Newton from a warm start: quadratic convergence, no more steps than
+    # the Anderson loop takes here (3 or 4)
+    assert calls == [rep] and rep.converged and 1 <= rep.iterations <= 4
+    solved = ProblemData(f, capped_params(data.params, PicardConfig()))
+    assert joint.residuals == coupled_residuals(joint.u, joint.rho, solved)
+    assert rep.residual_history[-1] == max(joint.residuals) <= PicardConfig().tol_residual
+    assert_mean_identity(joint.u, f, data.params)
+    anderson_only(monkeypatch)
+    ref, _ = solve_coupled(data, u0=start.u, rho0=start.rho)
+    assert np.abs(joint.u.values - ref.u.values).max() <= 1e-10
+    assert np.abs(np.log(joint.rho.values) - np.log(ref.rho.values)).max() <= 1e-9
+
+
+def test_evolve_joint_steps_match_the_anderson_loop(monkeypatch):
+    # late in a relaxation each step starts within the Newton target, and
+    # the one full step taken to measure the change still moves ln rho by
+    # about 2e-9: without it the step would return its start
+    grid = Grid.interval(1.0, 129)
+    u0 = NodeField.from_function(grid, lambda x: 1.0 + 0.2 * np.cos(np.pi * x) - 0.1 * np.cos(2 * np.pi * x))
+    solve, gaps, reports = coupled.solve_coupled, [], []
+
+    def compared(data, picard_cfg, newton_cfg, u0=None, rho0=None):
+        triple, rep = solve(data, picard_cfg, newton_cfg, u0=u0, rho0=rho0)
+        if rho0 is not None:
+            with monkeypatch.context() as m:
+                anderson_only(m)
+                ref, _ = solve(data, picard_cfg, newton_cfg, u0=u0, rho0=rho0)
+            gaps.append((np.abs(triple.u.values - ref.u.values).max(), np.abs(np.log(triple.rho.values / ref.rho.values)).max()))
+            reports.append(rep)
+        return triple, rep
+
+    monkeypatch.setattr(coupled, "solve_coupled", compared)
+    calls = joint_calls(monkeypatch)
+    steps = list(evolve(u0, dt=0.05, nsteps=40, params=params_with(tau=1e-3)))
+    assert len(steps) == 41 and calls == reports and len(reports) == 39
+    # starts within the Newton target: one merit, one step, then the residual
+    assert sum(len(r.residual_history) == 2 and r.iterations == 1 for r in reports) > 20
+    assert max(du for du, _ in gaps) <= 1e-10 and max(dl for _, dl in gaps) <= 1e-9
+
+
+def test_dgbsv_failure_gives_the_anderson_result_bit_for_bit(grid, rng, monkeypatch):
+    f = smooth_field(grid, rng, offset=0.5)
+    start, _ = solve_coupled(ProblemData(f, params_with(tau=0.02)))
+    data = ProblemData(f, params_with(tau=0.01))
+    calls, maps = joint_calls(monkeypatch), []
+    real_map = coupled.picard_map
+    monkeypatch.setattr(coupled, "picard_map", lambda v, *a, **k: maps.append((v, k["rho0"])) or real_map(v, *a, **k))
+    monkeypatch.setattr(coupled.lapack, "dgbsv", failing_dgbsv)
+    fell_back, rep = solve_coupled(data, u0=start.u, rho0=start.rho)
+    assert calls == [None]
+    # the Anderson loop starts from the caller's warm start: the mean-pinned
+    # height and the density itself
+    ubar = mean_height_target(ProblemData(f, capped_params(data.params, PicardConfig())))
+    assert np.array_equal(maps[0][0].flat, coupled._pin_mean(start.u.flat, operators(grid), ubar))
+    assert maps[0][1] is start.rho
+    anderson_only(monkeypatch)
+    ref, ref_rep = solve_coupled(data, u0=start.u, rho0=start.rho)
+    assert np.array_equal(fell_back.u.values, ref.u.values)
+    assert np.array_equal(fell_back.rho.values, ref.rho.values)
+    assert all(np.array_equal(x, y) for x, y in zip(fell_back.phi.components, ref.phi.components))
+    assert fell_back.residuals == ref.residuals and rep.to_dict() == ref_rep.to_dict()
+
+
+def test_joint_result_outside_the_residual_tolerance_falls_back(grid, rng, monkeypatch):
+    # no solve reaches a residual of 1e-16: the joint result is refused and
+    # the run fails as the Anderson loop does, with its own report
+    f = smooth_field(grid, rng, offset=0.5)
+    start, _ = solve_coupled(ProblemData(f, params_with(tau=0.02)))
+    cfg = PicardConfig(tol_residual=1e-16, max_outer=5)
+    calls = joint_calls(monkeypatch)
+    with pytest.raises(SolverError, match="did not converge in 5 outer steps") as err:
+        solve_coupled(ProblemData(f, params_with(tau=0.01)), cfg, u0=start.u, rho0=start.rho)
+    assert calls == [None] and err.value.report.iterations == 5
+
+
+def test_2d_and_cold_solves_never_enter_the_joint_path(rng, monkeypatch):
+    def entered(*args, **kwargs):
+        raise AssertionError("the joint Newton ran")
+
+    monkeypatch.setattr(coupled, "_joint_newton", entered)
+    square = Grid.rectangle((1.0, 1.0), (17, 17))
+    f = smooth_field(square, rng, offset=0.5)
+    start, _ = solve_coupled(ProblemData(f, params_with(tau=0.1)))
+    _, rep = solve_coupled(ProblemData(f, params_with(tau=0.05)), u0=start.u, rho0=start.rho)
+    assert rep.converged
+    line = Grid.interval(1.0, 33)
+    f = smooth_field(line, rng, offset=0.5)
+    _, rep = solve_coupled(ProblemData(f, params_with(tau=0.05)), u0=NodeField(line, f.values))
+    assert rep.converged
+    # an evolve step 1 has a height but no density to start from
+    assert len(list(evolve(NodeField(line, 1.0 + 0.1 * f.values), dt=0.05, nsteps=1, params=params_with()))) == 2

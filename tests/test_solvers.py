@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +29,7 @@ from crystalsurf.mesh import (
 )
 from crystalsurf.solvers import (
     NewtonConfig,
+    SolveReport,
     SolverError,
     apply_height_operator,
     pcg,
@@ -996,3 +999,13 @@ def test_surface_energy_of_flat_states(grid, params):
     assert flat == pytest.approx(expect * grid.volume)
     tilted = surface_energy(NodeField.from_function(grid, lambda x: x), params)
     assert tilted > flat
+
+
+def test_solve_report_dict_is_asdict_without_sharing_state():
+    rep = SolveReport(iterations=3, residual_history=[1.0, 1e-3, 1e-9], converged=True)
+    out = rep.to_dict()
+    assert out == dataclasses.asdict(rep)
+    assert json.dumps(out, sort_keys=True) == json.dumps(dataclasses.asdict(rep), sort_keys=True)
+    assert list(out) == [f.name for f in dataclasses.fields(rep)]
+    out["residual_history"].append(0.0)
+    assert rep.residual_history == [1.0, 1e-3, 1e-9]
