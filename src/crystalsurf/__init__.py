@@ -41,7 +41,6 @@ from .analysis import (
     classify_points,
     degiorgi_sequence_check,
     manufactured_problem,
-    poincare_ratio,
     vanishing_order,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "vanishing_order",
     "classify_points",
     "degiorgi_sequence_check",
-    "poincare_ratio",
     "manufactured_problem",
     "__version__",
 ]

@@ -48,7 +48,6 @@ __all__ = [
     "classify_points",
     "degiorgi_sequence_check",
     "degiorgi_threshold",
-    "poincare_ratio",
     "manufactured_problem",
     "CosineMms",
     "cosine_mms",
@@ -279,7 +278,7 @@ def classify_points(
 
 
 # ---------------------------------------------------------------------------
-# recursive-sequence checker and Poincare diagnostic
+# recursive-sequence checker
 # ---------------------------------------------------------------------------
 
 
@@ -313,36 +312,6 @@ def degiorgi_sequence_check(y0: float, c: float, b: float, alpha: float) -> tupl
             return False, trace
         trace[n + 1] = y
     return bool(trace[-1] < 1e-30), trace
-
-
-def poincare_ratio(u: NodeField, subset: np.ndarray, p: float) -> float:
-    """Diagnostic ratio ||u - u_S||_{p*} / (d^(N+1-p/N) |S|^(-1/p) ||grad u||_p).
-
-    ``subset`` is a boolean node mask with positive measure; u_S is the
-    weighted average over it and d the domain diameter. The Sobolev
-    exponent p* = Np/(N-p) applies when p < N; in low dimensions
-    (p >= N) the conservative surrogate p* = 2p is used instead;
-    ||grad u||_p is taken on the edge gradients
-    (``mesh.gradient_power_integral``). Returns 0 for constant fields.
-    """
-    grid = u.grid
-    subset = np.asarray(subset, dtype=bool).reshape(-1)
-    if subset.shape != (grid.node_count,):
-        raise ValueError("subset mask must have one entry per node")
-    w = mesh.mass_vector(grid)
-    measure = float(np.sum(w[subset]))
-    if measure <= 0.0:
-        raise ValueError("subset must have positive measure")
-    n = grid.dim
-    pstar = n * p / (n - p) if p < n else 2.0 * p
-    u_s = float(np.sum(w[subset] * u.flat[subset]) / measure)
-    centered = NodeField(grid, u.values - u_s)
-    grad_p = mesh.gradient_power_integral(u, p) ** (1.0 / p)
-    if grad_p == 0.0:
-        return 0.0
-    diameter = float(np.sqrt(np.sum(np.asarray(grid.extents) ** 2)))
-    scale = diameter ** (n + 1.0 - p / n) / measure ** (1.0 / p)
-    return mesh.norm_lp(centered, pstar) / (scale * grad_p)
 
 
 # ---------------------------------------------------------------------------

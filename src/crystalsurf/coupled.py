@@ -251,7 +251,7 @@ def _joint_newton(
     the larger ``coupled_residuals`` of the returned pair."""
     p = data.params
     grid = data.f.grid
-    ops, stiff, pat = mesh.operators(grid), solvers._stiffness(grid), solvers._hessian_pattern(grid)
+    ops, stiff = mesh.operators(grid), solvers._stiffness(grid)
     w, n = ops.w, grid.node_count
     c = np.exp(p.tau * ubar)
     fluct = data.f.flat - (p.a + p.tau**2) * ubar  # f - mean_w(f), by the mean identity
@@ -270,7 +270,7 @@ def _joint_newton(
 
     def solve(x, b):
         last["x"] = x
-        h = solvers._height_newton_matrices(ops, pat, x[0::2], p)[0].data
+        h = solvers._height_newton_matrices(ops, stiff, x[0::2], p)[1].data  # P, the Hessian in 1D
         rho = c * np.exp(x[1::2])
         ab = np.zeros((10, 2 * n))  # A[i, j] at ab[6 + i - j, j]; rows 0-2 hold the LU fill
         ab[6, 0::2], ab[7, 0::2] = p.a * w, h[::3]

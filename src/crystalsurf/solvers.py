@@ -20,7 +20,7 @@ solved by minimizing the discrete energy
     J(u) = (1/dim) sum_edges W_e e(g_e) + (delta/2) |grad u|^2
            + (tau/2) u^2 - rhs u,
 
-whose exact gradient and Hessian are assembled from the sparse edge
+whose exact gradient and Hessian are given by the sparse edge
 operators D_i of ``mesh.edge_stencil`` (the longitudinal D_l, then in
 2D the transverse D_t) and the edge gradient samples z of
 ``mesh.edge_gradients``: the gradient is sum_i D_i^T (W F z_i) and the
@@ -72,22 +72,28 @@ rounding of K, the step goes straight to the factor. The 2D height
 family factors the Hessian's longitudinal part P = sum D_l^T
 diag(W h_ll / dim) D_l + delta K + tau W, which has the 5-point pattern
 of K where the 2D Hessian has 21 points and about a fifth of its LU
-fill, and runs CG with it. In 1D, P is the Newton matrix itself.
+fill, and runs CG on the Hessian's product with it. In 1D, P is the
+Newton matrix itself.
 
 Below the public ``NodeField`` API the solvers run on flat float64
 arrays. Each solve fetches its grid's operators (``mesh.operators``)
-and patterns once, so its Newton loop wraps no field and makes no
-per-grid cache lookup. Each Newton matrix is its data on a symmetric
-pattern cached per grid (``_Matrix`` on a ``_Pattern``), assembled with
-no sparse products: the density matrix K + diag(tau W/rho) adds to a
-copy of the data of K at its cached diagonal positions, and the height
-matrix is data = B concat(W h_ij) + delta K + tau W on the cached
-pattern of ``_hessian_pattern``, where the scatter matrix B holds every
-product D_i[e, a] D_j[e, b] / dim of the edge operators. P's data on
-the pattern of K comes from B's (D_l, D_l) columns and the same energy
-Hessian samples. ``_linear_solve`` hands a tridiagonal matrix's data
-straight to ``dptsv`` and builds the CSC matrix that SuperLU and CG read
-only on their paths, so a 1D solve builds none.
+and K's pattern once, so its Newton loop wraps no field and makes no
+per-grid cache lookup. The density matrix K + diag(tau W/rho) is its
+data on the cached pattern of K (``_Matrix`` on a ``_Pattern``): a copy
+of the data of K plus tau W/rho at its cached diagonal positions. The
+2D height Newton matrix is never assembled on a step: CG needs only its
+products, and ``_HeightHessian`` applies H v = sum_families sum_i
+D_i^T (sum_j c_ij D_j v) + tau W v, c_ij = W h_ij / dim with delta W on
+c_ll, from the edge operators and the step's energy Hessian samples.
+Its longitudinal part P lies on the pattern of K, where its data is
+one small linear map per grid (``_Stiffness.edge_map``, four entries
+per edge, built straight from the two nonzeros of each row of D_l)
+applied to the (D_l, D_l) coefficients, plus delta K, plus tau W on the
+diagonal. In 1D, P is the height matrix. Only the rare fallback that
+factors the height matrix itself builds it as CSC, by sparse products
+of the edge operators. ``_linear_solve`` hands a tridiagonal matrix's
+data straight to ``dptsv`` and builds the CSC matrix that SuperLU and CG
+read only on their paths, so a 1D solve builds none.
 
 A ``SolveReport`` holds an iteration count, a residual history and a
 convergence flag: here Newton steps and the merit before each step and at
@@ -254,7 +260,7 @@ class _Matrix(NamedTuple):
 
 
 def _linear_solve(
-    a: _Matrix,
+    a: _Matrix | _HeightHessian,
     b: np.ndarray,
     factors: dict,
     family: str,
@@ -267,20 +273,22 @@ def _linear_solve(
     L D L^T factorization without pivoting; no CSC matrix is built and
     the ``factors`` cache is not touched. When ``dptsv`` meets a
     nonpositive pivot (a is not numerically SPD), or a has any other
-    pattern, a is built as CSC and CG runs preconditioned with the lagged
-    factor of ``family`` when the cache holds one. Otherwise, or when CG
-    fails, CG runs with ``p``, an SPD operator close to a in spectrum: a
-    function applying its inverse is used as is, a matrix is factored
-    and the cache keeps that factor. When ``p`` is a (None means a) or
-    that CG fails too, the cache keeps a fresh factor of a and the solve
-    is direct."""
-    if a.pattern.tridiagonal:
-        x, info = lapack.dptsv(a.data[::3], a.data[1::3], b)[2:]
-        if info == 0:
-            return x
+    pattern, a is built as CSC, and a ``_HeightHessian`` is applied
+    matrix-free. CG runs preconditioned with the lagged factor of
+    ``family`` when the cache holds one. Otherwise, or when CG fails, CG
+    runs with ``p``, an SPD operator close to a in spectrum: a function
+    applying its inverse is used as is, a matrix is factored and the
+    cache keeps that factor. When ``p`` is a (None means a) or that CG
+    fails too, the cache keeps a fresh factor of a, the one place a
+    ``_HeightHessian`` is assembled, and the solve is direct."""
     if p is a:
         p = None
-    a = a.csc()
+    if isinstance(a, _Matrix):
+        if a.pattern.tridiagonal:
+            x, info = lapack.dptsv(a.data[::3], a.data[1::3], b)[2:]
+            if info == 0:
+                return x
+        a = a.csc()
     if family in factors:
         try:
             return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
@@ -294,7 +302,7 @@ def _linear_solve(
             return pcg(a.dot, b, p, 1e-10, _PCG_MAX_ITER)[0]
         except SolverError:
             pass  # p is too far from a: solve with a factor of a itself
-    factors[family] = lu = _factor(a)
+    factors[family] = lu = _factor(a.csc() if isinstance(a, _HeightHessian) else a)
     return lu.solve(b)
 
 
@@ -368,19 +376,38 @@ def _newton_attempt(x, residual, solve, w, target, cfg, report, name) -> np.ndar
 class _Stiffness(NamedTuple):
     """K of one grid as a Newton matrix base: its data (K is symmetric,
     so its CSR arrays are also its CSC arrays), its ``_Pattern``, which
-    holds every diagonal entry, and the positions of the diagonal in the
-    data."""
+    holds every diagonal entry, the positions of the diagonal in the
+    data, and ``edge_map``, the linear map from edge coefficients c,
+    concatenated over the axis families, to the data of
+    sum D_l^T diag(c) D_l on that pattern (of K itself when c is the
+    edge weights)."""
 
     data: np.ndarray
     pattern: _Pattern
     diagonal: np.ndarray
+    edge_map: sp.csc_matrix
 
 
 @functools.lru_cache(maxsize=None)
 def _stiffness(grid: Grid) -> _Stiffness:
     k = mesh.stiffness_matrix(grid)
-    diagonal = np.flatnonzero(k.indices == np.repeat(np.arange(grid.node_count), np.diff(k.indptr)))
-    return _Stiffness(k.data, _pattern(k.indptr, k.indices), diagonal)
+    n = grid.node_count
+    rows = np.repeat(np.arange(n), np.diff(k.indptr))
+    diagonal = np.flatnonzero(k.indices == rows)
+    # row e of D_l has two nonzeros, at the edge's end nodes a and b, so
+    # column e of the map holds D_l[e, x] D_l[e, y] at the position of
+    # (x, y) in K's data for each x, y in {a, b}; K's rows are sorted, and
+    # the keys x n + y pass int32 beyond 46341 nodes
+    mats = mesh.gradient_matrices(grid)
+    ends = np.concatenate([d.indices.reshape(-1, 2) for d in mats]).astype(np.int64)
+    vals = np.concatenate([d.data.reshape(-1, 2) for d in mats])
+    x, y = [0, 0, 1, 1], [0, 1, 0, 1]
+    pos = np.searchsorted(rows * n + k.indices, ends[:, x] * n + ends[:, y])
+    edge_map = sp.csc_matrix(
+        ((vals[:, x] * vals[:, y]).ravel(), pos.ravel(), np.arange(0, pos.size + 1, 4)),
+        shape=(k.nnz, len(ends)),
+    )
+    return _Stiffness(k.data, _pattern(k.indptr, k.indices), diagonal, edge_map)
 
 
 def _stiffness_plus_diagonal(k: _Stiffness, d: np.ndarray) -> _Matrix:
@@ -587,84 +614,6 @@ def height_energy(u: NodeField, params: ModelParams, rhs: NodeField) -> float:
     return surface_energy(u, params) + quad - float(np.sum(w * rhs.flat * uf))
 
 
-class _HessianPattern(NamedTuple):
-    """Fixed symmetric pattern of the height Newton matrix on one grid.
-
-    ``scatter`` (B) maps the edge coefficients concat(W h_ij), per axis
-    family and operator pair (i, j) in order, to the pattern's data, with
-    the 1/dim factor folded in. ``k_pos`` and ``diag`` are the positions
-    of the entries of K and of the diagonal inside that data.
-    ``longitudinal`` is B's (0, 0) columns, the pair (D_l, D_l) of each
-    axis family, read at ``k_pos``: it maps concat(W h_ll) to the data of
-    sum D_l^T diag(W h_ll / dim) D_l on the pattern of K, where all of
-    that sum lies. ``stiffness`` is the grid's ``_Stiffness``, the base
-    of that longitudinal part.
-    """
-
-    pattern: _Pattern
-    scatter: sp.csc_matrix
-    k_pos: np.ndarray
-    diag: np.ndarray
-    longitudinal: sp.csc_matrix
-    stiffness: _Stiffness
-
-
-def _edge_pairs(di: sp.csr_matrix, dj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of D_i^T diag(c) D_j: for each edge e, every pair of a
-    nonzero of row e of D_i with one of row e of D_j, grouped by edge.
-    Returns the positions of the pairs' entries in ``di.data`` and
-    ``dj.data``."""
-    ni = np.diff(di.indptr)
-    reps = np.repeat(np.diff(dj.indptr), ni)
-    first = np.cumsum(reps) - reps
-    return (
-        np.repeat(np.arange(di.nnz), reps),
-        np.repeat(np.repeat(dj.indptr[:-1], ni) - first, reps) + np.arange(reps.sum()),
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _hessian_pattern(grid: Grid) -> _HessianPattern:
-    """Pattern and scatter matrix of the height Newton matrix, built at
-    the first height solve on a grid, one operator pair at a time with
-    int32 positions."""
-    n = grid.node_count
-    stencils = [mesh.edge_stencil(grid, axis) for axis in range(grid.dim)]
-    blocks = [(di, dj) for ops in stencils for di in ops for dj in ops]
-    # sum |D_i|^T |D_j| adds positive terms only, so no entry cancels out of the pattern
-    pattern = sp.csr_matrix(sum(abs(di).T @ abs(dj) for di, dj in blocks)).sorted_indices()
-    flat = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr)) * n + pattern.indices
-
-    def position(rows, cols):  # index of each entry (rows, cols) in the pattern's data
-        return np.searchsorted(flat, rows.astype(np.int64) * n + cols)
-
-    per_edge = np.concatenate([np.diff(di.indptr) * np.diff(dj.indptr) for di, dj in blocks])
-    columns = np.r_[0, np.cumsum(per_edge)].astype(np.int32)  # one column of B per edge of each pair
-    rows = np.empty(columns[-1], dtype=np.int32)
-    vals = np.empty(columns[-1])
-    start = 0
-    for di, dj in blocks:
-        ti, tj = _edge_pairs(di, dj)
-        rows[start : start + ti.size] = position(di.indices[ti], dj.indices[tj])
-        vals[start : start + ti.size] = di.data[ti] * dj.data[tj] / grid.dim
-        start += ti.size
-    scatter = sp.csc_matrix((vals, rows, columns), shape=(pattern.nnz, per_edge.size))
-    k = mesh.stiffness_matrix(grid)
-    nodes = np.arange(n)
-    k_pos = position(np.repeat(nodes, np.diff(k.indptr)), k.indices)
-    # (D_l, D_l) is the first of the len(ops)^2 column blocks of each axis family, one column per edge
-    starts = np.cumsum([0] + [len(ops) ** 2 * ops[0].shape[0] for ops in stencils])
-    ll = np.concatenate([np.arange(s, s + ops[0].shape[0]) for s, ops in zip(starts, stencils)])
-    return _HessianPattern(
-        pattern=_pattern(pattern.indptr, pattern.indices),
-        scatter=scatter,
-        k_pos=k_pos,
-        diag=position(nodes, nodes),
-        longitudinal=sp.csc_matrix(scatter[:, ll][k_pos]),
-        stiffness=_stiffness(grid),
-    )
-
-
 def _energy_gradient(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> np.ndarray:
     """Exact gradient of the edge-energy sum at the flat heights v: sum
     over operators D^T (W F z)."""
@@ -676,36 +625,66 @@ def _energy_gradient(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams
     return out / ops.grid.dim
 
 
+class _HeightHessian(NamedTuple):
+    """The 2D height Newton matrix H = sum over axis families of
+    sum_ij D_i^T diag(c_ij) D_j + tau W, kept as its edge coefficients:
+    ``coef[k][i, j]`` is c_ij = W h_ij / dim on the edges of family k,
+    with delta W added to c_ll, which carries delta K (K is
+    sum D_l^T diag(W) D_l); each c is a (dim, dim, edges) array.
+    ``dot`` applies H with four sparse products per family, and ``csc``
+    assembles it by sparse products of the edge operators, which only a
+    factor of H needs."""
+
+    ops: mesh.GridOperators
+    coef: list[np.ndarray]
+    tau_w: np.ndarray
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        out = self.tau_w * v
+        for c, stencil, adjoints in zip(self.coef, self.ops.stencils, self.ops.adjoints):
+            flux = np.einsum("ije,je->ie", c, [d @ v for d in stencil])  # D_j v once per family
+            for dt, f in zip(adjoints, flux):
+                out += dt @ f
+        return out
+
+    def csc(self) -> sp.csc_matrix:
+        h = sp.diags(self.tau_w)
+        for c, stencil in zip(self.coef, self.ops.stencils):
+            for di, ci in zip(stencil, c):
+                for dj, cij in zip(stencil, ci):
+                    h = h + di.T @ sp.diags(cij) @ dj
+        return sp.csc_matrix(h)
+
+
 def _height_newton_matrices(
-    ops: mesh.GridOperators, pat: _HessianPattern, v: np.ndarray, params: ModelParams
-) -> tuple[_Matrix, _Matrix]:
+    ops: mesh.GridOperators, stiff: _Stiffness, v: np.ndarray, params: ModelParams
+) -> tuple[_HeightHessian | _Matrix, _Matrix]:
     """W times the Jacobian of ``apply_height_operator`` at the flat
     heights v, and its longitudinal part, the preconditioner of
     ``solve_u``.
 
     The first is the exact energy Hessian sum_ij D_i^T diag(W h_ij) D_j
-    / dim plus delta K + tau W (sparse, symmetric, positive definite),
-    assembled on the fixed symmetric pattern ``pat`` of ``_hessian_pattern``
-    without sparse products. The second, P = sum D_l^T diag(W h_ll / dim)
-    D_l + delta K + tau W, sits on the 5-point pattern of K and is built
-    from the same energy Hessian samples; a 1D edge family has no
-    transverse operator, so there P is the first matrix itself.
+    / dim plus delta K + tau W (symmetric positive definite), as the
+    matrix-free ``_HeightHessian`` of the energy Hessian samples. The
+    second, P = sum D_l^T diag(W h_ll / dim) D_l + delta K + tau W, is
+    its data on the pattern of K: ``stiff.edge_map`` applied to the
+    (D_l, D_l) coefficients, plus delta K, plus tau W on the diagonal. A 1D
+    edge family has no transverse operator, so there P is the first matrix
+    itself.
     """
-    coef = []
-    for z, wvec in zip(ops.edge_samples(v), ops.edge_weights):
-        h = energy_hessian(z, params).reshape(wvec.size, -1)
-        coef += [wvec * h[:, m] for m in range(h.shape[1])]
-    data = pat.scatter @ np.concatenate(coef)
-    data[pat.k_pos] += params.delta * ops.k.data
-    data[pat.diag] += params.tau * ops.w
-    hess = _Matrix(data, pat.pattern)
     dim = ops.grid.dim
+    coef = [
+        np.multiply(energy_hessian(z, params).transpose(1, 2, 0), wvec, order="C") / dim
+        for z, wvec in zip(ops.edge_samples(v), ops.edge_weights)
+    ]
+    data = stiff.edge_map @ np.concatenate([c[0, 0] for c in coef]) + params.delta * ops.k.data
+    data[stiff.diagonal] += params.tau * ops.w
+    lon = _Matrix(data, stiff.pattern)
     if dim == 1:
-        return hess, hess
-    # W h_ll is the first of the dim^2 coefficients of each axis family
-    lon = pat.longitudinal @ np.concatenate(coef[:: dim**2]) + params.delta * ops.k.data
-    lon[pat.stiffness.diagonal] += params.tau * ops.w
-    return hess, _Matrix(lon, pat.stiffness.pattern)
+        return lon, lon
+    for c, wvec in zip(coef, ops.edge_weights):
+        c[0, 0] += params.delta * wvec
+    return _HeightHessian(ops, coef, params.tau * ops.w), lon
 
 
 def _height_operator(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -754,15 +733,17 @@ def solve_u(
     linear-solve cache (``_linear_solve``), family "u", which in 2D
     holds a factor of the Hessian's longitudinal part P or, after a
     failed CG from a fresh factor of P, of the Hessian; None gives the
-    solve a cache of its own. A 1D step solves its tridiagonal Hessian
-    with ``dptsv`` and factors only when that meets a nonpositive pivot.
+    solve a cache of its own. A 2D step runs CG on the matrix-free
+    Hessian (``_HeightHessian``) and assembles it only for that factor.
+    A 1D step solves its tridiagonal Hessian, which is P, with ``dptsv``
+    and factors only when that meets a nonpositive pivot.
     """
     if params.tau <= 0.0:
         raise SolverError(
             "the height solve requires tau > 0 (flux coefficient is singular at flat states)"
         )
     grid = rhs.grid
-    ops, pat = mesh.operators(grid), _hessian_pattern(grid)
+    ops, stiff = mesh.operators(grid), _stiffness(grid)
     w = ops.w
     rv = rhs.flat
     ubar = float(np.sum(w * rv) / np.sum(w)) / params.tau
@@ -773,7 +754,7 @@ def solve_u(
         return apply_height_operator((ops, vec), params) + shift
 
     def solve(vec, b):
-        hess, lon = _height_newton_matrices(ops, pat, vec, params)
+        hess, lon = _height_newton_matrices(ops, stiff, vec, params)
         return _linear_solve(hess, b, factors, "u", lon)
 
     starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]

@@ -18,7 +18,6 @@ from crystalsurf.analysis import (
     degiorgi_sequence_check,
     degiorgi_threshold,
     manufactured_problem,
-    poincare_ratio,
     vanishing_order,
 )
 from conftest import smooth_field
@@ -226,41 +225,6 @@ def test_degiorgi_hypothesis_region_converges(b, alpha, c, frac):
     y0 = frac * degiorgi_threshold(c, b, alpha)
     ok, _ = degiorgi_sequence_check(y0, c, b, alpha)
     assert ok
-
-
-# ---------------------------------------------------------------------------
-# Poincare diagnostic
-# ---------------------------------------------------------------------------
-
-
-def test_poincare_constant_is_zero(grid):
-    full = np.ones(grid.node_count, dtype=bool)
-    assert poincare_ratio(NodeField.constant(grid, 3.0), full, 1.5) == 0.0
-
-
-def test_poincare_linear_stable_under_refinement():
-    vals = []
-    for n in (101, 201, 401):
-        g = Grid.interval(1.0, n)
-        u = NodeField.from_function(g, lambda x: x)
-        vals.append(poincare_ratio(u, np.ones(g.node_count, dtype=bool), 1.5))
-    assert abs(vals[-1] - vals[0]) <= 0.02 * vals[0]
-
-
-def test_poincare_shrinking_subsets_bounded(grid):
-    u = NodeField.from_function(grid, lambda x: x)
-    x = grid.axis_coords(0)
-    ratios = [
-        poincare_ratio(u, x <= frac, 1.5) for frac in (1.0, 0.5, 0.25)
-    ]
-    assert all(r > 0.0 for r in ratios)
-    assert max(ratios) <= 5.0 * min(ratios)
-
-
-def test_poincare_validates(grid):
-    u = NodeField.from_function(grid, lambda x: x)
-    with pytest.raises(ValueError):
-        poincare_ratio(u, np.zeros(grid.node_count, dtype=bool), 1.5)
 
 
 # ---------------------------------------------------------------------------

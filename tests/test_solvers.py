@@ -86,7 +86,7 @@ def as_newton_matrix(a):
 def height_newton_matrices(u, params):
     """The height Newton matrix and its longitudinal part at the field u."""
     g = u.grid
-    return solvers._height_newton_matrices(operators(g), solvers._hessian_pattern(g), u.flat, params)
+    return solvers._height_newton_matrices(operators(g), solvers._stiffness(g), u.flat, params)
 
 
 def assert_built_from(csc, a):
@@ -189,7 +189,8 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
     # keeps that factor and returns its direct solution
     grid = Grid.rectangle((1.0, 1.0), (17, 17))
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
-    hess, lon = height_newton_matrices(smooth_field(grid, rng, amplitude=0.5), params)
+    u = smooth_field(grid, rng, amplitude=0.5)
+    hess, lon = height_newton_matrices(u, params)
     b = rng.standard_normal(grid.node_count)
     factors = {"u": SimpleNamespace(solve=np.zeros_like)} if held else {}
     calls = []
@@ -204,7 +205,9 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
     assert len(calls) == 1 + held
     assert len(factored) == 2
     assert_built_from(factored[0], lon)
-    assert_built_from(factored[1], hess)
+    np.testing.assert_array_equal(factored[1].toarray(), hess.csc().toarray())
+    ref = hess_formula(grid, u, params).toarray()
+    np.testing.assert_allclose(factored[1].toarray(), ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
     expected = direct_solve(hess.csc(), b)
     np.testing.assert_array_equal(x, expected)
     np.testing.assert_array_equal(factors["u"].solve(b), expected)
@@ -252,7 +255,7 @@ def test_matrices_off_the_tridiagonal_pattern_never_reach_dptsv(rng, monkeypatch
     penta = as_newton_matrix(sp.csc_matrix(k @ k + density_matrix(line, 1.0).csc()))
     calls = recording_dptsv(monkeypatch)
     for a, p in ((density_matrix(plane, 0.1), None), (hess, lon), (penta, None)):
-        b = rng.standard_normal(a.pattern.indptr.size - 1)
+        b = rng.standard_normal(a.csc().shape[0])
         x = solvers._linear_solve(a, b, {}, "u", p)
         assert np.linalg.norm(a.csc() @ x - b) <= 1e-9 * np.linalg.norm(b)
     assert calls == []
@@ -388,11 +391,11 @@ def test_1d_density_steps_match_the_parent_linear_solve(rng, monkeypatch):
 
 @ONE_AND_TWO_D
 def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkeypatch):
-    # 2D: every height factor is of a matrix on the 5-point pattern of K, not
-    # of the 21-point Newton matrix; 1D: the tridiagonal Newton matrix is
-    # solved with dptsv, so nothing is factored and CG never runs, and the
-    # heights are those of the linear solve without P to 1e-10 in as many
-    # Newton steps
+    # 2D: every height factor is of a matrix on the 5-point pattern of K, and
+    # none has the 21-point pattern of a Newton matrix; 1D: the tridiagonal
+    # Newton matrix is solved with dptsv, so nothing is factored and CG
+    # never runs, and the heights are those of the linear solve without P
+    # to 1e-10 in as many Newton steps
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     sources = [smooth_field(grid, rng, amplitude=0.5) for _ in range(2)]
     sources[1] = NodeField(grid, sources[0].values + 0.1 * sources[1].values)
@@ -421,8 +424,9 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
             assert its == its_p
         return
     assert factored and set(factors) == {"u"}
+    newton_nnz = {x.csc().nnz for x in matrices}
     for a in factored:
-        assert not any(a.nnz == x.data.size for x in matrices)
+        assert a.nnz not in newton_nnz
         np.testing.assert_array_equal(a.indptr, k.indptr)
         np.testing.assert_array_equal(a.indices, k.indices)
     assert factors["u"].shape == k.shape
@@ -803,7 +807,9 @@ def params():
 
 
 HESS_GRIDS = pytest.mark.parametrize(
-    "hess_grid", [Grid.interval(2.0, 11), Grid.rectangle((1.0, 2.0), (9, 7))], ids=["1d", "2d"]
+    "hess_grid",
+    [Grid.interval(2.0, 11), Grid.rectangle((1.0, 2.0), (9, 7)), Grid.rectangle((1.0, 2.0), (9, 17))],
+    ids=["1d", "2d", "2d-9x17"],
 )
 
 
@@ -927,11 +933,8 @@ def test_height_newton_matrices_are_spd_via_pcg(hess_grid, tau, rng, monkeypatch
     assert_spd_via_pcg(matrices, rng)
 
 
-@HESS_GRIDS
-def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
-    # the fixed-pattern assembly equals sum_ij D_i^T diag(W h_ij) D_j / dim + delta K + tau W
-    g = hess_grid
-    u = NodeField(g, 0.3 * rng.standard_normal(g.shape))
+def hess_formula(g, u, params):
+    """sum_ij D_i^T diag(W h_ij) D_j / dim + delta K + tau W at the field u."""
     ref = params.delta * stiffness_matrix(g) + sp.diags(params.tau * mass_vector(g))
     for axis, (z, wvec) in enumerate(zip(edge_gradients(u), edge_weight_vectors(g))):
         h = energy_hessian(z, params)
@@ -939,9 +942,22 @@ def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
         for i, d_i in enumerate(ops):
             for j, d_j in enumerate(ops):
                 ref = ref + d_i.T @ sp.diags(wvec * h[..., i, j].ravel()) @ d_j / g.dim
-    ref = ref.toarray()
+    return ref
+
+
+@HESS_GRIDS
+def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
+    # the Newton matrix's CSC build and its matrix-free product equal
+    # sum_ij D_i^T diag(W h_ij) D_j / dim + delta K + tau W
+    g = hess_grid
+    u = NodeField(g, 0.3 * rng.standard_normal(g.shape))
+    ref = hess_formula(g, u, params)
     hess, lon = height_newton_matrices(u, params)
-    np.testing.assert_allclose(hess.csc().toarray(), ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    np.testing.assert_allclose(hess.csc().toarray(), ref.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    product = hess.csc().dot if g.dim == 1 else hess.dot  # a 1D Newton matrix is its data on K's pattern
+    for v in rng.standard_normal((3, g.node_count)):
+        expected = ref @ v
+        assert np.linalg.norm(product(v) - expected) <= 1e-14 * np.linalg.norm(expected)
     # the preconditioner keeps the (D_l, D_l) pair of each axis family only,
     # on the pattern of K; a 1D family has no other pair
     k = stiffness_matrix(g)
@@ -952,20 +968,35 @@ def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
     np.testing.assert_array_equal(lon.pattern.indptr, k.indptr)
     np.testing.assert_array_equal(lon.pattern.indices, k.indices)
     np.testing.assert_allclose(lon.csc().toarray(), ref_lon.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    assert_edge_map_reproduces_stiffness(g)
+
+
+def assert_edge_map_reproduces_stiffness(g):
+    """P's edge map takes the edge weights to the data of K itself."""
+    k = stiffness_matrix(g)
+    edge_map = solvers._stiffness(g).edge_map
+    np.testing.assert_allclose(
+        edge_map @ np.concatenate(edge_weight_vectors(g)), k.data, rtol=0.0, atol=1e-14 * np.abs(k.data).max()
+    )
+
+
+def test_edge_map_reproduces_stiffness_past_int32_position_keys():
+    # node pairs (a, b) are found in K's data by the key a n + b, which
+    # exceeds 2^31 from 46342 nodes on
+    assert_edge_map_reproduces_stiffness(Grid.interval(1.0, 50_001))
 
 
 def test_newton_solves_leave_cached_operators_unchanged(params, rng):
     # both assemblies copy into fresh data arrays, never into a cached one
     g = Grid.rectangle((1.0, 2.0), (9, 7))
     k = stiffness_matrix(g)
-    pat = solvers._hessian_pattern(g)
-    cached = [k.data, k.indices, k.indptr, solvers._stiffness(g).diagonal, pat.pattern.indptr, pat.pattern.indices]
-    cached += [pat.scatter.data, pat.scatter.indices, pat.scatter.indptr, pat.k_pos, pat.diag]
-    cached += [pat.longitudinal.data, pat.longitudinal.indices, pat.longitudinal.indptr]
+    stiff = solvers._stiffness(g)
+    cached = [k.data, k.indices, k.indptr, stiff.diagonal, stiff.pattern.indptr, stiff.pattern.indices]
+    cached += [stiff.edge_map.data, stiff.edge_map.indices, stiff.edge_map.indptr]
     before = [a.copy() for a in cached]
     solve_rho(smooth_field(g, rng), 0.3)
     solve_u(smooth_field(g, rng), params)
-    assert stiffness_matrix(g) is k and solvers._hessian_pattern(g) is pat
+    assert stiffness_matrix(g) is k and solvers._stiffness(g) is stiff
     for a, b in zip(cached, before):
         np.testing.assert_array_equal(a, b)
 
