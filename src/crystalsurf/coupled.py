@@ -63,6 +63,7 @@ completed prefix is the caller's decision (the CLI writes it, then fails).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -151,12 +152,16 @@ class PicardConfig:
 
 @dataclass
 class WeakSolutionTriple:
-    """Converged height, density, TV subgradient selection, and the coupled_residuals of (u, rho)."""
+    """Converged height, density, the coupled_residuals of (u, rho), and
+    the TV subgradient selection ``phi``, built from u on first read."""
 
     u: NodeField
     rho: NodeField
-    phi: EdgeField
     residuals: tuple[float, float]
+
+    @functools.cached_property
+    def phi(self) -> EdgeField:
+        return subgradient_field(self.u)
 
 
 def mean_height_target(data: ProblemData) -> float:
@@ -251,11 +256,11 @@ def _joint_newton(
     the larger ``coupled_residuals`` of the returned pair."""
     p = data.params
     grid = data.f.grid
-    ops, stiff = mesh.operators(grid), solvers._stiffness(grid)
+    ops = mesh.operators(grid)
     w, n = ops.w, grid.node_count
     c = np.exp(p.tau * ubar)
     fluct = data.f.flat - (p.a + p.tau**2) * ubar  # f - mean_w(f), by the mean identity
-    kd, ke = stiff.data[::3], stiff.data[1::3]
+    kd, ke = ops.k.data[::3], ops.k.data[1::3]
     # the latest residual, which the core evaluates last at the point it
     # returns, and the latest point a step was solved at
     last = {}
@@ -270,7 +275,7 @@ def _joint_newton(
 
     def solve(x, b):
         last["x"] = x
-        h = solvers._height_newton_matrices(ops, stiff, x[0::2], p)[1].data  # P, the Hessian in 1D
+        h = solvers._height_newton_matrices(ops, x[0::2], p)[1].data  # P, the Hessian in 1D
         rho = c * np.exp(x[1::2])
         ab = np.zeros((10, 2 * n))  # A[i, j] at ab[6 + i - j, j]; rows 0-2 hold the LU fill
         ab[6, 0::2], ab[7, 0::2] = p.a * w, h[::3]
@@ -299,7 +304,7 @@ def _joint_newton(
         r1, r2 = coupled_residuals(u, rho, data)
         report.residual_history.append(max(r1, r2))
         if max(r1, r2) <= cfg.tol_residual:
-            return WeakSolutionTriple(u, rho, subgradient_field(u), (r1, r2)), report
+            return WeakSolutionTriple(u, rho, (r1, r2)), report
     raise SolverError("coupled Newton result fails the outer stopping test", report)
 
 
@@ -382,7 +387,7 @@ def solve_coupled(
         report.residual_history.append(res)
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
             report.converged = True
-            return WeakSolutionTriple(u, rho, subgradient_field(u), (r1, r2)), report
+            return WeakSolutionTriple(u, rho, (r1, r2)), report
         if res < prev_res:
             omega = min(1.0, omega * 1.2)
         else:

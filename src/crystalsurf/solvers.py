@@ -45,10 +45,9 @@ search constants are fixed here.
 The scalar problems' linear systems are symmetric positive definite
 (``coupled`` solves the joint Newton's nonsymmetric banded one with
 ``dgbsv``). On a 1D grid every Newton matrix lies on the tridiagonal
-pattern of K, and
-``_linear_solve`` solves it directly with LAPACK's ``dptsv`` (L D L^T
-in O(n), no pivoting) and holds no factor; no 2D matrix has that
-pattern. Any other matrix goes to SuperLU, which orders the columns by
+pattern of K, and ``_linear_solve`` solves it directly with LAPACK's
+``dptsv`` (L D L^T in O(n), no pivoting) and holds no factor. A 2D
+matrix goes to SuperLU, which orders the columns by
 multiple minimum degree on A^T + A (COLAMD orders for A^T A and fills
 more) and keeps its default threshold pivoting. ``_linear_solve`` keeps
 the last factor of each Newton family, "rho" and "u", in a ``factors``
@@ -76,23 +75,24 @@ fill, and runs CG on the Hessian's product with it. In 1D, P is the
 Newton matrix itself.
 
 Below the public ``NodeField`` API the solvers run on flat float64
-arrays. Each solve fetches its grid's operators (``mesh.operators``)
-and K's pattern once, so its Newton loop wraps no field and makes no
-per-grid cache lookup. The density matrix K + diag(tau W/rho) is its
-data on the cached pattern of K (``_Matrix`` on a ``_Pattern``): a copy
-of the data of K plus tau W/rho at its cached diagonal positions. The
+arrays. Each solve fetches its grid's record, ``mesh.operators``, once,
+so its Newton loop wraps no field and makes no per-grid cache lookup.
+A Newton matrix on the pattern of K is a ``_Matrix``, its data on that
+record, so it can only be data on its own grid's K. The density matrix
+K + diag(tau W/rho) is a copy of the data of K plus tau W/rho at K's
+diagonal positions (``GridOperators.diagonal``). The
 2D height Newton matrix is never assembled on a step: CG needs only its
 products, and ``_HeightHessian`` applies H v = sum_families sum_i
 D_i^T (sum_j c_ij D_j v) + tau W v, c_ij = W h_ij / dim with delta W on
 c_ll, from the edge operators and the step's energy Hessian samples.
 Its longitudinal part P lies on the pattern of K, where its data is
-one small linear map per grid (``_Stiffness.edge_map``, four entries
+one small linear map per grid (``GridOperators.stiffness_map``, four entries
 per edge, built straight from the two nonzeros of each row of D_l)
 applied to the (D_l, D_l) coefficients, plus delta K, plus tau W on the
 diagonal. In 1D, P is the height matrix. Only the rare fallback that
 factors the height matrix itself builds it as CSC, by sparse products
-of the edge operators. ``_linear_solve`` hands a tridiagonal matrix's
-data straight to ``dptsv`` and builds the CSC matrix that SuperLU and CG
+of the edge operators. ``_linear_solve`` hands a 1D matrix's data
+straight to ``dptsv`` and builds the CSC matrix that SuperLU and CG
 read only on their paths, so a 1D solve builds none.
 
 A ``SolveReport`` holds an iteration count, a residual history and a
@@ -104,7 +104,6 @@ joint Newton is accepted, the report counts joint steps instead.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -123,7 +122,7 @@ from .energy import (
     log_barrier,
     log_barrier_slope,
 )
-from .mesh import Grid, NodeField
+from .mesh import NodeField
 
 __all__ = [
     "NewtonConfig",
@@ -227,36 +226,16 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
 
-class _Pattern(NamedTuple):
-    """CSC ``indptr`` and ``indices`` of a symmetric n-by-n sparse
-    pattern, and whether it is the full tridiagonal pattern with sorted
-    rows, the pattern of a 1D K, whose data holds the diagonal at [::3]
-    and the subdiagonal at [1::3]."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    tridiagonal: bool
-
-
-def _pattern(indptr: np.ndarray, indices: np.ndarray) -> _Pattern:
-    """The ``_Pattern`` of a CSC pattern; built once per grid and family."""
-    n = indptr.size - 1
-    cols = np.arange(n)
-    tri_ptr = np.r_[0, 3 * cols[1:] - 1, 3 * n - 2]
-    tri_ind = np.stack([cols - 1, cols, cols + 1], axis=1).ravel()[1:-1]
-    tridiagonal = indices.size == tri_ind.size and (indptr == tri_ptr).all() and (indices == tri_ind).all()
-    return _Pattern(indptr, indices, bool(tridiagonal))
-
-
 class _Matrix(NamedTuple):
-    """A Newton matrix as its CSC data on a cached ``_Pattern``."""
+    """A Newton matrix as its CSC data on the pattern of its own grid's K
+    (``mesh.GridOperators``)."""
 
     data: np.ndarray
-    pattern: _Pattern
+    ops: mesh.GridOperators
 
     def csc(self) -> sp.csc_matrix:
-        n = self.pattern.indptr.size - 1
-        return sp.csc_matrix((self.data, self.pattern.indices, self.pattern.indptr), shape=(n, n))
+        k = self.ops.k
+        return sp.csc_matrix((self.data, k.indices, k.indptr), shape=k.shape)
 
 
 def _linear_solve(
@@ -268,12 +247,13 @@ def _linear_solve(
 ) -> np.ndarray:
     """Solve a x = b for a symmetric positive definite a.
 
-    On the tridiagonal pattern of a 1D K the solve is LAPACK's ``dptsv``
-    on the diagonal and subdiagonal read straight from ``a.data``, an
-    L D L^T factorization without pivoting; no CSC matrix is built and
-    the ``factors`` cache is not touched. When ``dptsv`` meets a
-    nonpositive pivot (a is not numerically SPD), or a has any other
-    pattern, a is built as CSC, and a ``_HeightHessian`` is applied
+    A ``_Matrix`` of a 1D grid lies on the tridiagonal pattern of its K,
+    and the solve is LAPACK's ``dptsv`` on the diagonal and subdiagonal
+    read straight from ``a.data``, an L D L^T factorization without
+    pivoting; no CSC matrix is built and the ``factors`` cache is not
+    touched. When ``dptsv`` meets a nonpositive pivot (a is not
+    numerically SPD), or the grid is 2D, a is built as CSC, and a
+    ``_HeightHessian`` is applied
     matrix-free. CG runs preconditioned with the lagged factor of
     ``family`` when the cache holds one. Otherwise, or when CG fails, CG
     runs with ``p``, an SPD operator close to a in spectrum: a function
@@ -284,7 +264,7 @@ def _linear_solve(
     if p is a:
         p = None
     if isinstance(a, _Matrix):
-        if a.pattern.tridiagonal:
+        if a.ops.grid.dim == 1:
             x, info = lapack.dptsv(a.data[::3], a.data[1::3], b)[2:]
             if info == 0:
                 return x
@@ -373,65 +353,11 @@ def _newton_attempt(x, residual, solve, w, target, cfg, report, name) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-class _Stiffness(NamedTuple):
-    """K of one grid as a Newton matrix base: its data (K is symmetric,
-    so its CSR arrays are also its CSC arrays), its ``_Pattern``, which
-    holds every diagonal entry, the positions of the diagonal in the
-    data, and ``edge_map``, the linear map from edge coefficients c,
-    concatenated over the axis families, to the data of
-    sum D_l^T diag(c) D_l on that pattern (of K itself when c is the
-    edge weights)."""
-
-    data: np.ndarray
-    pattern: _Pattern
-    diagonal: np.ndarray
-    edge_map: sp.csc_matrix
-
-
-@functools.lru_cache(maxsize=None)
-def _stiffness(grid: Grid) -> _Stiffness:
-    k = mesh.stiffness_matrix(grid)
-    n = grid.node_count
-    rows = np.repeat(np.arange(n), np.diff(k.indptr))
-    diagonal = np.flatnonzero(k.indices == rows)
-    # row e of D_l has two nonzeros, at the edge's end nodes a and b, so
-    # column e of the map holds D_l[e, x] D_l[e, y] at the position of
-    # (x, y) in K's data for each x, y in {a, b}; K's rows are sorted, and
-    # the keys x n + y pass int32 beyond 46341 nodes
-    mats = mesh.gradient_matrices(grid)
-    ends = np.concatenate([d.indices.reshape(-1, 2) for d in mats]).astype(np.int64)
-    vals = np.concatenate([d.data.reshape(-1, 2) for d in mats])
-    x, y = [0, 0, 1, 1], [0, 1, 0, 1]
-    pos = np.searchsorted(rows * n + k.indices, ends[:, x] * n + ends[:, y])
-    edge_map = sp.csc_matrix(
-        ((vals[:, x] * vals[:, y]).ravel(), pos.ravel(), np.arange(0, pos.size + 1, 4)),
-        shape=(k.nnz, len(ends)),
-    )
-    return _Stiffness(k.data, _pattern(k.indptr, k.indices), diagonal, edge_map)
-
-
-def _stiffness_plus_diagonal(k: _Stiffness, d: np.ndarray) -> _Matrix:
+def _stiffness_plus_diagonal(ops: mesh.GridOperators, d: np.ndarray) -> _Matrix:
     """K + diag(d) on the pattern of K, in fresh data."""
-    data = k.data.copy()
-    data[k.diagonal] += d
-    return _Matrix(data, k.pattern)
-
-
-@functools.lru_cache(maxsize=None)
-def _cosine_spectrum(grid: Grid) -> tuple[np.ndarray, float]:
-    """Eigenvalues of W^-1 K on the cosine modes, and the scale of ``_dct1``.
-
-    W^-1 K is the reflective Neumann Laplacian, the sum over axes of the
-    1D operator (2 u_i - u_i-1 - u_i+1)/h^2 with ghosts u_-1 = u_1 and
-    u_n = u_n-2, so the tensor cosine modes prod cos(pi i_a k_a / N_a),
-    N_a = n_a - 1, are its eigenvectors with eigenvalues
-    sum_a (2 sin(pi k_a / (2 N_a)) / h_a)^2, returned with shape
-    ``grid.shape``. ``_dct1`` applied twice is prod 2 N_a times the
-    identity."""
-    lam = np.zeros(())
-    for n, h in zip(grid.cells, grid.h):
-        lam = np.add.outer(lam, (2.0 * np.sin(0.5 * np.pi * np.arange(n) / (n - 1)) / h) ** 2)
-    return lam, float(np.prod([2 * (n - 1) for n in grid.cells]))
+    data = ops.k.data.copy()
+    data[ops.diagonal] += d
+    return _Matrix(data, ops)
 
 
 def _dct1(x: np.ndarray) -> np.ndarray:
@@ -444,26 +370,26 @@ def _dct1(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cosine_solver(grid: Grid, c: float) -> Callable[[np.ndarray], np.ndarray]:
+def _cosine_solver(ops: mesh.GridOperators, c: float) -> Callable[[np.ndarray], np.ndarray]:
     """(K + cW)^-1, for c > 0, as a function applied in O(n log n) with
     no factorization (Concus & Golub 1973).
 
     With T the DCT-I of ``_dct1`` and L the spectrum of W^-1 K,
     (K + cW)^-1 = T diag(1 / (prod 2 N_a (L + c))) T W^-1: the cosine
-    modes diagonalize W^-1 K (``_cosine_spectrum``) and T^2 = prod 2 N_a.
+    modes diagonalize W^-1 K (``ops.cosine_spectrum``) and T^2 = prod 2 N_a.
     The operator is symmetric positive definite.
     """
-    lam, scale = _cosine_spectrum(grid)
+    lam, scale = ops.cosine_spectrum
     inv = 1.0 / (scale * (lam + c))
-    w = mesh.mass_vector(grid).reshape(grid.shape)
+    w = ops.w.reshape(ops.grid.shape)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        return _dct1(inv * _dct1(b.reshape(grid.shape) / w)).reshape(-1)
+        return _dct1(inv * _dct1(b.reshape(w.shape) / w)).reshape(-1)
 
     return solve
 
 
-def _cosine_preconditioner(grid: Grid, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+def _cosine_preconditioner(ops: mesh.GridOperators, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     """``_cosine_solver`` of K + cbar W, cbar = sum d / sum W, for the
     Newton matrix K + diag(d) of a 2D grid: both have the same constant
     mode. None in 1D, where a Newton matrix that ``dptsv`` rejects is
@@ -473,13 +399,13 @@ def _cosine_preconditioner(grid: Grid, d: np.ndarray) -> Callable[[np.ndarray], 
     on 33^2): the constant mode is then lost to rounding, CG cannot
     resolve it and its iterates grow like 1/cbar, so the caller factors
     instead."""
-    if grid.dim == 1:
+    if ops.grid.dim == 1:
         return None
     with np.errstate(over="ignore"):
-        cbar = float(np.sum(d)) / float(np.sum(mesh.mass_vector(grid)))
-    if not _EPS * np.max(_cosine_spectrum(grid)[0]) < cbar < np.inf:
+        cbar = float(np.sum(d)) / float(np.sum(ops.w))
+    if not _EPS * np.max(ops.cosine_spectrum[0]) < cbar < np.inf:
         return None
-    return _cosine_solver(grid, cbar)
+    return _cosine_solver(ops, cbar)
 
 
 def solve_rho_delta(
@@ -493,7 +419,7 @@ def solve_rho_delta(
     """
     if tau < 0.0 or not 0.0 < delta < 1.0:
         raise ValueError("need tau >= 0 and delta in (0,1)")
-    ops, stiff = mesh.operators(g.grid), _stiffness(g.grid)
+    ops = mesh.operators(g.grid)
     k, w = ops.k, ops.w
     gv = g.flat
     gbar = float(np.sum(w * gv) / np.sum(w))
@@ -504,7 +430,7 @@ def solve_rho_delta(
         return (k @ r) / w + delta * r + tau * log_barrier(r, delta) - gv
 
     def solve(r, rhs):
-        jac = _stiffness_plus_diagonal(stiff, w * (delta + tau * log_barrier_slope(r, delta)))
+        jac = _stiffness_plus_diagonal(ops, w * (delta + tau * log_barrier_slope(r, delta)))
         return _linear_solve(jac, rhs, factors, "rho")
 
     rho, report = _damped_newton([rho], residual, solve, w, gv, cfg, "density")
@@ -551,7 +477,7 @@ def solve_rho(
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
     grid = g.grid
-    ops, stiff = mesh.operators(grid), _stiffness(grid)
+    ops = mesh.operators(grid)
     k, w = ops.k, ops.w
     gv = g.flat
     sigma0 = float(np.sum(w * gv) / np.sum(w)) / tau
@@ -570,8 +496,8 @@ def solve_rho(
     def solve(s, rhs):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
         d = tau * w / rho
-        jac = _stiffness_plus_diagonal(stiff, d)
-        return tau * _linear_solve(jac, rhs, factors, "rho", _cosine_preconditioner(grid, d)) / rho
+        jac = _stiffness_plus_diagonal(ops, d)
+        return tau * _linear_solve(jac, rhs, factors, "rho", _cosine_preconditioner(ops, d)) / rho
 
     warm = rho0 is not None and np.min(rho0.values) > 0.0
     starts = ([np.log(rho0.flat) - sigma0] if warm else []) + [np.zeros(gv.size)]
@@ -604,14 +530,9 @@ def surface_energy(u: NodeField, params: ModelParams) -> float:
 
 def height_energy(u: NodeField, params: ModelParams, rhs: NodeField) -> float:
     """Objective minimized by ``solve_u``."""
-    grid = u.grid
-    k = mesh.stiffness_matrix(grid)
-    w = mesh.mass_vector(grid)
-    uf = u.flat
-    quad = 0.5 * params.delta * float(uf @ (k @ uf)) + 0.5 * params.tau * float(
-        np.sum(w * uf * uf)
-    )
-    return surface_energy(u, params) + quad - float(np.sum(w * rhs.flat * uf))
+    ops, uf = mesh.operators(u.grid), u.flat
+    quad = 0.5 * params.delta * float(uf @ (ops.k @ uf)) + 0.5 * params.tau * float(np.sum(ops.w * uf * uf))
+    return surface_energy(u, params) + quad - float(np.sum(ops.w * rhs.flat * uf))
 
 
 def _energy_gradient(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -657,7 +578,7 @@ class _HeightHessian(NamedTuple):
 
 
 def _height_newton_matrices(
-    ops: mesh.GridOperators, stiff: _Stiffness, v: np.ndarray, params: ModelParams
+    ops: mesh.GridOperators, v: np.ndarray, params: ModelParams
 ) -> tuple[_HeightHessian | _Matrix, _Matrix]:
     """W times the Jacobian of ``apply_height_operator`` at the flat
     heights v, and its longitudinal part, the preconditioner of
@@ -667,7 +588,7 @@ def _height_newton_matrices(
     / dim plus delta K + tau W (symmetric positive definite), as the
     matrix-free ``_HeightHessian`` of the energy Hessian samples. The
     second, P = sum D_l^T diag(W h_ll / dim) D_l + delta K + tau W, is
-    its data on the pattern of K: ``stiff.edge_map`` applied to the
+    its data on the pattern of K: ``ops.stiffness_map`` applied to the
     (D_l, D_l) coefficients, plus delta K, plus tau W on the diagonal. A 1D
     edge family has no transverse operator, so there P is the first matrix
     itself.
@@ -677,9 +598,9 @@ def _height_newton_matrices(
         np.multiply(energy_hessian(z, params).transpose(1, 2, 0), wvec, order="C") / dim
         for z, wvec in zip(ops.edge_samples(v), ops.edge_weights)
     ]
-    data = stiff.edge_map @ np.concatenate([c[0, 0] for c in coef]) + params.delta * ops.k.data
-    data[stiff.diagonal] += params.tau * ops.w
-    lon = _Matrix(data, stiff.pattern)
+    data = ops.stiffness_map @ np.concatenate([c[0, 0] for c in coef]) + params.delta * ops.k.data
+    data[ops.diagonal] += params.tau * ops.w
+    lon = _Matrix(data, ops)
     if dim == 1:
         return lon, lon
     for c, wvec in zip(coef, ops.edge_weights):
@@ -743,7 +664,7 @@ def solve_u(
             "the height solve requires tau > 0 (flux coefficient is singular at flat states)"
         )
     grid = rhs.grid
-    ops, stiff = mesh.operators(grid), _stiffness(grid)
+    ops = mesh.operators(grid)
     w = ops.w
     rv = rhs.flat
     ubar = float(np.sum(w * rv) / np.sum(w)) / params.tau
@@ -754,7 +675,7 @@ def solve_u(
         return apply_height_operator((ops, vec), params) + shift
 
     def solve(vec, b):
-        hess, lon = _height_newton_matrices(ops, stiff, vec, params)
+        hess, lon = _height_newton_matrices(ops, vec, params)
         return _linear_solve(hess, b, factors, "u", lon)
 
     starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]

@@ -186,6 +186,67 @@ def test_audit_mode(tmp_path):
     assert (out / "limit_flux.csv").exists()
 
 
+SMALLEST_RUNS = {
+    "stationary": ({"tau": 0.1}, {}),
+    "audit": ({"tau": 0.1}, {"tau_schedule": [0.1, 0.01, 1e-3]}),
+    "evolve": ({"tau": 1e-3}, {"dt": 0.05, "nsteps": 5}),
+}
+
+
+@pytest.mark.parametrize("mode", list(SMALLEST_RUNS))
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.interval(1.0, 3), Grid.rectangle((1.0, 1.0), (3, 3)), Grid.rectangle((1.0, 2.0), (3, 5))],
+    ids=["3", "3x3", "1x2-3x5"],
+)
+def test_smallest_grids_run_every_solving_mode(tmp_path, monkeypatch, grid, mode):
+    # three nodes per axis: the least a grid may have, the boundary of the
+    # 1D paths (dptsv, and the joint Newton's band at n = 3) and of the 2D
+    # cosine preconditioner's DCT-I at N = 2
+    f = NodeField.from_function(grid, lambda *xs: 0.5 + sum(0.2 * np.cos(np.pi * x) for x in xs))
+    write_node_csv(f, tmp_path / "f.csv")
+    params, entries = SMALLEST_RUNS[mode]
+    field = {"kind": "csv", "path": str(tmp_path / "f.csv")}
+    config = {
+        "grid": {"dim": grid.dim, "extents": list(grid.extents), "cells": list(grid.cells)},
+        "params": {"p": 1.5, "beta0": 1.0, "a": 1.0, "delta": 1e-6, **params},
+        "u0" if mode == "evolve" else "source": field,
+        **entries,
+    }
+    accepted = []
+    real_joint = coupled._joint_newton
+
+    def joint(*args, **kwargs):
+        try:
+            out = real_joint(*args, **kwargs)
+        except SolverError:
+            accepted.append(False)
+            raise
+        accepted.append(True)
+        return out
+
+    monkeypatch.setattr(coupled, "_joint_newton", joint)
+    out = tmp_path / "out"
+    assert main([mode, "--config", write_config(tmp_path / "c.json", config), "--out", str(out)]) == 0
+    if mode == "stationary":
+        solves = [(json.loads((out / "report.json").read_text())["estimates"], f.values, "rho.csv")]
+    elif mode == "audit":
+        stages = json.loads((out / "estimates.json").read_text())["stages"]
+        solves = [(st["estimates"], f.values, "rho.csv") for st in stages]
+    else:
+        steps = json.loads((out / "manifest.json").read_text())["steps"]
+        solves = [
+            (st["estimates"], read_node_csv(out / prev["u_csv"], grid).values / 0.05, st["rho_csv"])
+            for prev, st in zip(steps, steps[1:])
+        ]
+    for estimates, source, rho_csv in solves:
+        # (a + tau^2) int u = int f to rounding
+        assert estimates["mean_identity_residual"] <= 1e-13 * (1.0 + np.abs(source).max() * grid.volume)
+        assert np.min(read_node_csv(out / rho_csv, grid).values) > 0.0
+    # every warm-started 1D stage or step is the joint Newton's
+    assert accepted == ([True] * (len(solves) - 1) if grid.dim == 1 and mode != "stationary" else [])
+
+
 # a run whose solve_coupled call FAIL_CALL fails: evolve steps 0..2 and the
 # audit stages 0.1 and 0.05 complete, then the next solve raises
 FAIL_CALL = 3

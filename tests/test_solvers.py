@@ -74,25 +74,29 @@ def test_pcg_rejects_indefinite_matrix():
 
 def density_matrix(grid, tau):
     """K + diag(tau W), the density Newton matrix at rho = 1, as its data
-    on the cached pattern of K (the linear solve's argument)."""
-    return solvers._stiffness_plus_diagonal(solvers._stiffness(grid), tau * mass_vector(grid))
+    on the pattern of the grid's K (the linear solve's argument)."""
+    ops = operators(grid)
+    return solvers._stiffness_plus_diagonal(ops, tau * ops.w)
 
 
-def as_newton_matrix(a):
-    """A CSC matrix as its data on its pattern, the linear solve's argument."""
-    return solvers._Matrix(a.data, solvers._pattern(a.indptr, a.indices))
+def as_newton_matrix(a, grid):
+    """A CSC matrix on the pattern of the grid's K as its data there, the
+    linear solve's argument."""
+    ops = operators(grid)
+    np.testing.assert_array_equal(a.indptr, ops.k.indptr)
+    np.testing.assert_array_equal(a.indices, ops.k.indices)
+    return solvers._Matrix(a.data, ops)
 
 
 def height_newton_matrices(u, params):
     """The height Newton matrix and its longitudinal part at the field u."""
-    g = u.grid
-    return solvers._height_newton_matrices(operators(g), solvers._stiffness(g), u.flat, params)
+    return solvers._height_newton_matrices(operators(u.grid), u.flat, params)
 
 
 def assert_built_from(csc, a):
-    """The CSC matrix is a's data on a's pattern."""
-    np.testing.assert_array_equal(csc.indptr, a.pattern.indptr)
-    np.testing.assert_array_equal(csc.indices, a.pattern.indices)
+    """The CSC matrix is a's data on the pattern of a's K."""
+    np.testing.assert_array_equal(csc.indptr, a.ops.k.indptr)
+    np.testing.assert_array_equal(csc.indices, a.ops.k.indices)
     np.testing.assert_array_equal(csc.data, a.data)
 
 
@@ -217,8 +221,8 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
 @given(n=st.integers(3, 1025), seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([1e-3, 1.0, 1e4]))
 def test_tridiagonal_solves_use_dptsv_and_match_superlu(n, seed, scale):
     # random diagonally dominant SPD tridiagonal matrices, given as their
-    # CSC data on the full pattern: no SuperLU factor, no CG, the cache
-    # stays empty and x matches a SuperLU solve
+    # CSC data on the pattern of an n-node 1D K: no SuperLU factor, no CG,
+    # the cache stays empty and x matches a SuperLU solve
     rng = np.random.default_rng(seed)
     e = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.1, 1.0, n - 1)
     d = np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)] + rng.uniform(1e-3, 1.0, n)
@@ -228,7 +232,7 @@ def test_tridiagonal_solves_use_dptsv_and_match_superlu(n, seed, scale):
     factors = {}
     with pytest.MonkeyPatch.context() as m:
         factored, cg = counting_splu(m), counting_pcg(m)
-        x = solvers._linear_solve(as_newton_matrix(a), b, factors, "rho")
+        x = solvers._linear_solve(as_newton_matrix(a, Grid.interval(1.0, n)), b, factors, "rho")
     assert factored == [] and cg == [] and factors == {}
     assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
@@ -247,14 +251,13 @@ def recording_dptsv(monkeypatch) -> list:
 
 
 def test_matrices_off_the_tridiagonal_pattern_never_reach_dptsv(rng, monkeypatch):
-    # 2D density and height Newton matrices, and a 1D pentadiagonal matrix
+    # 2D density and height Newton matrices; a matrix off the pattern of
+    # its own grid's K cannot be built
     plane, line = Grid.rectangle((1.0, 1.0), (17, 17)), Grid.interval(1.0, 65)
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     hess, lon = height_newton_matrices(smooth_field(plane, rng, amplitude=0.5), params)
-    k = stiffness_matrix(line)
-    penta = as_newton_matrix(sp.csc_matrix(k @ k + density_matrix(line, 1.0).csc()))
     calls = recording_dptsv(monkeypatch)
-    for a, p in ((density_matrix(plane, 0.1), None), (hess, lon), (penta, None)):
+    for a, p in ((density_matrix(plane, 0.1), None), (hess, lon)):
         b = rng.standard_normal(a.csc().shape[0])
         x = solvers._linear_solve(a, b, {}, "u", p)
         assert np.linalg.norm(a.csc() @ x - b) <= 1e-9 * np.linalg.norm(b)
@@ -320,21 +323,22 @@ def test_cosine_solve_inverts_the_shifted_stiffness(grid, c, rng):
     k, w = stiffness_matrix(grid), mass_vector(grid)
     b = rng.standard_normal(grid.node_count)
     b -= b.mean()
-    x = solvers._cosine_solver(grid, c)(b)
+    x = solvers._cosine_solver(operators(grid), c)(b)
     assert np.linalg.norm(k @ x + c * w * x - b) <= 1e-12 * np.linalg.norm(b)
-    np.testing.assert_allclose(solvers._cosine_solver(grid, c)(w), 1.0 / c, rtol=1e-12)
+    np.testing.assert_allclose(solvers._cosine_solver(operators(grid), c)(w), 1.0 / c, rtol=1e-12)
     # symmetric, as a CG preconditioner must be
     v = rng.standard_normal(grid.node_count)
     v -= v.mean()
-    assert abs(v @ x - b @ solvers._cosine_solver(grid, c)(v)) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(x)
+    assert abs(v @ x - b @ solvers._cosine_solver(operators(grid), c)(v)) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(x)
 
 
 def test_cosine_preconditioner_is_2d_only_and_guards_its_shift():
     plane, line = Grid.rectangle((1.0, 1.0), (17, 17)), Grid.interval(1.0, 17)
-    assert solvers._cosine_preconditioner(line, mass_vector(line)) is None
-    assert solvers._cosine_preconditioner(plane, mass_vector(plane)) is not None
+    line_ops, plane_ops = operators(line), operators(plane)
+    assert solvers._cosine_preconditioner(line_ops, mass_vector(line)) is None
+    assert solvers._cosine_preconditioner(plane_ops, mass_vector(plane)) is not None
     for shift in (0.0, 1e-300, np.inf, np.nan):  # underflowed, below the rounding of K, overflowed
-        assert solvers._cosine_preconditioner(plane, shift * mass_vector(plane)) is None
+        assert solvers._cosine_preconditioner(plane_ops, shift * mass_vector(plane)) is None
 
 
 @pytest.mark.parametrize(
@@ -965,38 +969,26 @@ def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
     for z, wvec, mat in zip(edge_gradients(u), edge_weight_vectors(g), gradient_matrices(g)):
         ref_lon = ref_lon + mat.T @ sp.diags(wvec * energy_hessian(z, params)[..., 0, 0].ravel()) @ mat / g.dim
     assert (lon is hess) == (g.dim == 1)
-    np.testing.assert_array_equal(lon.pattern.indptr, k.indptr)
-    np.testing.assert_array_equal(lon.pattern.indices, k.indices)
+    assert lon.ops is operators(g) and lon.ops.k is k
     np.testing.assert_allclose(lon.csc().toarray(), ref_lon.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
-    assert_edge_map_reproduces_stiffness(g)
-
-
-def assert_edge_map_reproduces_stiffness(g):
-    """P's edge map takes the edge weights to the data of K itself."""
-    k = stiffness_matrix(g)
-    edge_map = solvers._stiffness(g).edge_map
-    np.testing.assert_allclose(
-        edge_map @ np.concatenate(edge_weight_vectors(g)), k.data, rtol=0.0, atol=1e-14 * np.abs(k.data).max()
-    )
-
-
-def test_edge_map_reproduces_stiffness_past_int32_position_keys():
-    # node pairs (a, b) are found in K's data by the key a n + b, which
-    # exceeds 2^31 from 46342 nodes on
-    assert_edge_map_reproduces_stiffness(Grid.interval(1.0, 50_001))
 
 
 def test_newton_solves_leave_cached_operators_unchanged(params, rng):
-    # both assemblies copy into fresh data arrays, never into a cached one
+    # both assemblies copy into fresh data arrays, never into a cached one,
+    # and no solve replaces a member of the grid's record
     g = Grid.rectangle((1.0, 2.0), (9, 7))
-    k = stiffness_matrix(g)
-    stiff = solvers._stiffness(g)
-    cached = [k.data, k.indices, k.indptr, stiff.diagonal, stiff.pattern.indptr, stiff.pattern.indices]
-    cached += [stiff.edge_map.data, stiff.edge_map.indices, stiff.edge_map.indptr]
+    ops = operators(g)
+    k, diagonal, stiffness_map = ops.k, ops.diagonal, ops.stiffness_map
+    cached = [k.data, k.indices, k.indptr, diagonal, stiffness_map.data, stiffness_map.indices, stiffness_map.indptr]
     before = [a.copy() for a in cached]
     solve_rho(smooth_field(g, rng), 0.3)
+    spectrum = ops.cosine_spectrum[0]  # built by the 2D density solve's preconditioner
+    cached.append(spectrum)
+    before.append(spectrum.copy())
+    solve_rho(smooth_field(g, rng), 0.3)
     solve_u(smooth_field(g, rng), params)
-    assert stiffness_matrix(g) is k and solvers._stiffness(g) is stiff
+    assert operators(g) is ops and stiffness_matrix(g) is k
+    assert ops.diagonal is diagonal and ops.stiffness_map is stiffness_map and ops.cosine_spectrum[0] is spectrum
     for a, b in zip(cached, before):
         np.testing.assert_array_equal(a, b)
 
