@@ -29,10 +29,14 @@ pin(u + w F). The height viscosity is capped at
 The outer report records one residual per outer step; the inner Newton
 loops keep their own iteration counts.
 
-A warm-started 1D solve (a positive ``rho0`` given: every
-``continuation_tau`` stage and every ``evolve`` step after the first)
-first runs ``_joint_newton``, the single damped Newton core of
-``solvers`` on both equations at once.
+Every 1D solve first runs ``_joint_newton``, the single damped Newton
+core of ``solvers`` on both equations at once. A warm-started solve (a
+positive ``rho0`` given: every ``continuation_tau`` stage and every
+``evolve`` step after the first) runs it from its start. A cold one
+first takes one ``picard_map`` from its start, the Anderson loop's own
+first step (its SolverError is raised as the loop would raise it), and
+runs it from the pinned map and its density: from the cold start itself
+the joint Newton needs many damped steps.
 Its unknowns are the fluctuations v = u - ubar and s = ln rho - tau ubar,
 with ubar the known mean height, c = e^(tau ubar) and the residuals
 
@@ -48,11 +52,10 @@ Anderson loop's stopping test: ``coupled_residuals`` within
 the core's last step is larger, or it took none, one more full step is
 taken and measured). On any failure (line search, iteration cap, a
 singular band matrix, a non-finite iterate, or that test) the Anderson
-loop runs unchanged from the caller's warm start, so a failing solve
-fails, and reports, as the Anderson loop does. Cold starts and 2D
-solves run the Anderson loop only: from a cold start the joint Newton
-needs many damped steps, and a 2D joint Jacobian would need a
-nonsymmetric sparse solve.
+loop runs unchanged from the caller's start, a cold one evaluating that
+first map again, so a failing solve fails, and reports, as the Anderson
+loop does. 2D solves run the Anderson loop only: a 2D joint Jacobian
+would need a nonsymmetric sparse solve.
 
 The drivers of ``solve_coupled`` live here too: ``continuation_tau``,
 ``evolve`` and the manufactured-solution study ``mms_convergence``.
@@ -249,11 +252,12 @@ def _joint_newton(
     uf: np.ndarray,
     rho0: NodeField,
 ) -> tuple[WeakSolutionTriple, SolveReport]:
-    """The joint Newton of a warm 1D solve (see the module docstring) from
-    the pinned heights ``uf`` and ``rho0``: the triple and a report that
-    counts the joint steps, or a SolverError. The report's history holds
-    the joint merit before each damped step and at the core's end, then
-    the larger ``coupled_residuals`` of the returned pair."""
+    """The joint Newton of a 1D solve (see the module docstring) from the
+    pinned heights ``uf`` and the positive density ``rho0``: the triple and
+    a report that counts the joint steps, or a SolverError. The report's
+    history holds the joint merit before each damped step and at the
+    core's end, then the larger ``coupled_residuals`` of the returned
+    pair."""
     p = data.params
     grid = data.f.grid
     ops = mesh.operators(grid)
@@ -316,16 +320,19 @@ def solve_coupled(
     rho0: NodeField | None = None,
 ) -> tuple[WeakSolutionTriple, SolveReport]:
     """Solve the coupled stationary system by mean-projected Anderson
-    mixing, or, for a warm-started 1D solve, by the joint Newton on
-    (u, ln rho) with the Anderson loop as its fallback.
+    mixing, or, in 1D, by the joint Newton on (u, ln rho) with the
+    Anderson loop as its fallback.
 
     The height viscosity is first capped at ``PicardConfig.delta_polish``;
     the returned triple solves that capped system. ``u0`` is the first outer
     iterate (default: the constant with the known mean). ``rho0``
     warm-starts the first density solve, e.g. from the density of a nearby
-    problem; on a 1D grid a strictly positive ``rho0`` and the mean-pinned
-    ``u0`` are first the start of the joint Newton, whose accepted result is
-    returned with a report counting joint steps (see the module docstring).
+    problem. On a 1D grid a strictly positive ``rho0`` and the mean-pinned
+    ``u0`` are first the start of the joint Newton; without one, its start
+    is one ``picard_map`` of the first outer iterate: the pinned height and
+    its density. An accepted joint result is returned with a report
+    counting the joint steps, plus one for that map (see the module
+    docstring).
     In the Anderson loop each later outer step warm-starts its inner solves
     from the previous step's density and height map. An inner Newton solve
     whose warm start fails is retried in the same loop from its cold start
@@ -353,11 +360,18 @@ def solve_coupled(
     report = SolveReport()
     ubar = mean_height_target(data)
     uf = _pin_mean(u0.flat if u0 is not None else np.full(grid.node_count, ubar), ops, ubar)
-    if grid.dim == 1 and rho0 is not None and np.min(rho0.values) > 0.0:
+    if grid.dim == 1:
+        start, rho_start, maps = uf, rho0, 0
+        if rho0 is None or not np.min(rho0.values) > 0.0:  # cold: the Anderson loop's first map
+            u_map, rho_start = picard_map(NodeField.from_flat(grid, uf), data, newton_cfg, rho0=rho0, factors={})
+            start, maps = _pin_mean(u_map.flat, ops, ubar), 1
         try:
-            return _joint_newton(data, cfg, newton_cfg, ubar, uf, rho0)
+            triple, joint = _joint_newton(data, cfg, newton_cfg, ubar, start, rho_start)
         except SolverError:
-            pass  # the Anderson loop runs from the same warm start
+            pass  # the Anderson loop runs from the caller's start
+        else:
+            joint.iterations += maps
+            return triple, joint
     u = NodeField.from_flat(grid, uf)
     rho, u_map = rho0, None
     factors = {}

@@ -37,7 +37,7 @@ One Newton core, ``_damped_newton``, owns the starts (a warm start, when
 given, then the cold one), the target, the Armijo line search on the
 quadrature-weighted residual norm and the ``SolveReport`` of every
 solve; each solve passes its residual and its linear solve. The joint
-Newton on (u, ln rho) of a warm-started 1D ``coupled.solve_coupled``
+Newton on (u, ln rho) of a 1D ``coupled.solve_coupled``
 runs on this core too, with its own residual and banded linear solve.
 ``NewtonConfig`` sets only the tolerance and the iteration cap; the line
 search constants are fixed here.

@@ -243,8 +243,9 @@ def test_smallest_grids_run_every_solving_mode(tmp_path, monkeypatch, grid, mode
         # (a + tau^2) int u = int f to rounding
         assert estimates["mean_identity_residual"] <= 1e-13 * (1.0 + np.abs(source).max() * grid.volume)
         assert np.min(read_node_csv(out / rho_csv, grid).values) > 0.0
-    # every warm-started 1D stage or step is the joint Newton's
-    assert accepted == ([True] * (len(solves) - 1) if grid.dim == 1 and mode != "stationary" else [])
+    # every 1D solve is the joint Newton's: a warm stage or step from its
+    # start, a cold one after one Picard map
+    assert accepted == ([True] * len(solves) if grid.dim == 1 else [])
 
 
 # a run whose solve_coupled call FAIL_CALL fails: evolve steps 0..2 and the
@@ -314,9 +315,10 @@ def test_failed_solve_writes_prefix_and_exits_3(tmp_path, capsys, monkeypatch, m
     ids=["completes", "anderson-fails"],
 )
 def test_dgbsv_failure_gives_the_anderson_exit_code_stderr_and_outputs(tmp_path, capsys, monkeypatch, schedule, code):
-    # the warm 1D stage tries the joint Newton first; when its banded solve
-    # fails, the run is the Anderson loop's: at tau = 1e-8 that loop runs
-    # out of outer steps, and the exit code, stderr and files are its own
+    # every 1D stage tries the joint Newton first, the cold one after one
+    # Picard map; when its banded solve fails, the run is the Anderson
+    # loop's: at tau = 1e-8 that loop runs out of outer steps, and the exit
+    # code, stderr and files are its own
     cfg = write_config(tmp_path / "c.json", {**BASE, "source": 2.0, "tau_schedule": schedule})
     runs, attempts = [], []
     real_joint = coupled._joint_newton
@@ -336,7 +338,7 @@ def test_dgbsv_failure_gives_the_anderson_exit_code_stderr_and_outputs(tmp_path,
             status = main(["audit", "--config", cfg, "--out", str(out)])
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         runs.append((status, capsys.readouterr().err, files))
-    assert attempts == [None] * (len(schedule) - 1)
+    assert attempts == [None] * len(schedule)
     assert runs[0] == runs[1] and runs[0][0] == code
     assert ("Traceback" not in runs[0][1]) and (runs[0][1] == "") == (code == 0)
 
@@ -596,7 +598,10 @@ def test_non_finite_outer_iterate_is_numerical_breakdown(tmp_path, capsys, monke
     # an Anderson mixing whose least-squares weights come back NaN or inf
     # makes the next outer iterate non-finite: the outer loop stops it with
     # the error a NodeField raises, before the mean pin sums inf - inf
-    # (warnings are errors here), and the CLI exits 3 without a traceback
+    # (warnings are errors here), and the CLI exits 3 without a traceback;
+    # the joint Newton is made to fail, so this cold 1D solve runs the loop
+    anderson_only(monkeypatch)
+
     def lstsq(a, b, rcond=None):
         return np.full(a.shape[1], weight), np.empty(0), a.shape[1], np.ones(a.shape[1])
 

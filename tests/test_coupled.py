@@ -224,11 +224,12 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
 
 def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkeypatch):
     # below the NodeField API the outer and Newton loops run on flat arrays:
-    # every 1D Newton matrix reaches dptsv as data on its cached pattern, so
-    # no CSC matrix is built, and the NodeFields are those of the public
-    # calls of each outer step (picard_map's source, density, log-density
-    # and height, and the mixed iterate), however many Newton steps and
-    # residual evaluations the inner solves take
+    # every 1D Newton matrix reaches dptsv (inner steps) or dgbsv (joint
+    # steps) as data on its cached pattern, so no CSC matrix is built, and
+    # the NodeFields are those of the public calls of each outer step
+    # (picard_map's source, density, log-density and height, and the mixed
+    # iterate), however many Newton steps and residual evaluations the
+    # inner solves and the joint Newton take
     grid = Grid.interval(1.0, 129)
     f = NodeField.from_function(
         grid, lambda x: 0.5 + 0.8 * np.cos(np.pi * x) - 0.4 * np.cos(2 * np.pi * x) + 0.25 * np.cos(3 * np.pi * x)
@@ -260,12 +261,21 @@ def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkey
     monkeypatch.setattr(NodeField, "__post_init__", post_init)
     for name in ("solve_rho", "solve_u"):
         monkeypatch.setattr(coupled, name, counting(name))
+    # the joint path: the first iterate and the four of its one map, then
+    # the accepted height and density, over more than one joint step
+    joint = joint_calls(monkeypatch)
+    triple, rep = solve_coupled(data)
+    assert joint == [rep] and rep.converged and rep.iterations > 2 and counts["csc"] == 0
+    assert counts["node_fields"] == 1 + 4 + 2
+    # the Anderson fallback: the same five, then the loop's first iterate
+    # and five per outer step, whose two inner solves take more than one
+    # Newton step each on average
+    anderson_only(monkeypatch)
+    counts.clear()
     triple, rep = solve_coupled(data)
     assert rep.converged and counts["csc"] == 0
-    # the first iterate, then five per outer step, whose two inner solves
-    # take more than one Newton step each on average
-    assert counts["node_fields"] == 1 + 5 * rep.iterations
-    assert counts["newton"] > 2 * rep.iterations
+    assert counts["node_fields"] == 1 + 4 + 1 + 5 * rep.iterations
+    assert counts["newton"] > 2 * (1 + rep.iterations)
 
 
 @pytest.mark.parametrize("grid", [Grid.interval(1.0, 65), Grid.rectangle((1.0, 1.0), (17, 17))], ids=["1d", "2d"])
@@ -309,7 +319,9 @@ def plain_damped_outer_steps(data: ProblemData, cfg: PicardConfig = PicardConfig
 )
 def test_anderson_matches_the_plain_damped_iteration(dim, tau, a, rng, monkeypatch):
     # with an empty history the update is the plain damped step, so depth 0
-    # is the reference; at a = 1000 the plain residual oscillates
+    # is the reference; at a = 1000 the plain residual oscillates. The joint
+    # Newton is made to fail, so the 1D cold solves run the Anderson loop
+    anderson_only(monkeypatch)
     grid = Grid.interval(1.0, 65) if dim == "1d" else Grid.rectangle((1.0, 1.0), (17, 17))
     f = smooth_field(grid, rng, offset=0.5)
     data = ProblemData(f, params_with(tau=tau, a=a))
@@ -328,17 +340,20 @@ def test_anderson_matches_the_plain_damped_iteration(dim, tau, a, rng, monkeypat
 
 
 def test_anderson_history_is_cleared_when_the_residual_grows(grid, rng, monkeypatch):
-    # the second map evaluation, the first one mixed with an earlier step, is
-    # pushed off, so the residual grows: the weight is halved and the next
-    # update is the plain damped step pin(u + w (pin(B(u)) - u)) from the
-    # same iterate, with no mixing of older steps
+    # the second map evaluation of the loop, the first one mixed with an
+    # earlier step, is pushed off, so the residual grows: the weight is
+    # halved and the next update is the plain damped step
+    # pin(u + w (pin(B(u)) - u)) from the same iterate, with no mixing of
+    # older steps. The joint Newton is made to fail, so this cold solve's
+    # first map is evaluated again as the loop's first step
+    anderson_only(monkeypatch)
     data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=0.1))
     ubar = mean_height_target(data)
     real_map, calls = coupled.picard_map, []
 
     def picard_map(v, *args, **kwargs):
         u_map, rho = real_map(v, *args, **kwargs)
-        if len(calls) == 1:
+        if len(calls) == 2:
             u_map = NodeField(grid, u_map.values + 0.1 * np.cos(np.pi * grid.meshgrid()[0]))
         calls.append((v, u_map))
         return u_map, rho
@@ -348,7 +363,8 @@ def test_anderson_history_is_cleared_when_the_residual_grows(grid, rng, monkeypa
     history = rep.residual_history
     assert rep.converged
     assert history[1] > history[0]
-    (u2, b2), (u3, _) = calls[2], calls[3]
+    assert np.array_equal(calls[0][0].flat, calls[1][0].flat) and np.array_equal(calls[0][1].flat, calls[1][1].flat)
+    (u2, b2), (u3, _) = calls[3], calls[4]
     omega = 0.5 * (0.5 * 1.2)
     ops = operators(grid)
     residual = coupled._pin_mean(b2.flat, ops, ubar) - u2.flat
@@ -491,12 +507,21 @@ def test_evolve_residuals_of_the_solved_system(grid):
 
 def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
     # each step records the pair that solve_coupled evaluated last, so the
-    # residuals run once per Anderson outer step (step 1, a cold start) and
-    # once per accepted joint Newton solve (the warm steps 2 and 3), and
-    # evolve adds no evaluation of its own
+    # residuals run once per Anderson outer step (step 1, whose joint Newton
+    # is made to fail) and once per accepted joint Newton solve (steps 2
+    # and 3), and evolve adds no evaluation of its own
     calls, outer = [], []
     residuals, solve = coupled.coupled_residuals, coupled.solve_coupled
     joint = joint_calls(monkeypatch)
+    spy, failed = coupled._joint_newton, []
+
+    def first_fails(*args, **kwargs):
+        if not failed:
+            failed.append(True)
+            raise SolverError("joint Newton switched off")
+        return spy(*args, **kwargs)
+
+    monkeypatch.setattr(coupled, "_joint_newton", first_fails)
 
     def solved(*args, **kwargs):
         accepted = len(joint)
@@ -651,28 +676,30 @@ def test_joint_newton_matches_the_anderson_loop_from_the_same_warm_start(nodes, 
 def test_evolve_joint_steps_match_the_anderson_loop(monkeypatch):
     # late in a relaxation each step starts within the Newton target, and
     # the one full step taken to measure the change still moves ln rho by
-    # about 2e-9: without it the step would return its start
+    # about 2e-9: without it the step would return its start. Step 1, cold,
+    # runs the joint Newton after one Picard map
     grid = Grid.interval(1.0, 129)
     u0 = NodeField.from_function(grid, lambda x: 1.0 + 0.2 * np.cos(np.pi * x) - 0.1 * np.cos(2 * np.pi * x))
     solve, gaps, reports = coupled.solve_coupled, [], []
 
     def compared(data, picard_cfg, newton_cfg, u0=None, rho0=None):
         triple, rep = solve(data, picard_cfg, newton_cfg, u0=u0, rho0=rho0)
-        if rho0 is not None:
-            with monkeypatch.context() as m:
-                anderson_only(m)
-                ref, _ = solve(data, picard_cfg, newton_cfg, u0=u0, rho0=rho0)
-            gaps.append((np.abs(triple.u.values - ref.u.values).max(), np.abs(np.log(triple.rho.values / ref.rho.values)).max()))
-            reports.append(rep)
+        with monkeypatch.context() as m:
+            anderson_only(m)
+            ref, _ = solve(data, picard_cfg, newton_cfg, u0=u0, rho0=rho0)
+        gaps.append((np.abs(triple.u.values - ref.u.values).max(), np.abs(np.log(triple.rho.values / ref.rho.values)).max()))
+        reports.append(rep)
         return triple, rep
 
     monkeypatch.setattr(coupled, "solve_coupled", compared)
     calls = joint_calls(monkeypatch)
     steps = list(evolve(u0, dt=0.05, nsteps=40, params=params_with(tau=1e-3)))
-    assert len(steps) == 41 and calls == reports and len(reports) == 39
+    assert len(steps) == 41 and calls == reports and len(reports) == 40
     # starts within the Newton target: one merit, one step, then the residual
     assert sum(len(r.residual_history) == 2 and r.iterations == 1 for r in reports) > 20
-    assert max(du for du, _ in gaps) <= 1e-10 and max(dl for _, dl in gaps) <= 1e-9
+    assert max(du for du, _ in gaps) <= 1e-10 and max(dl for _, dl in gaps[1:]) <= 1e-9
+    # the cold step 1 within the bound of the cold sweep (measured 1.9e-9)
+    assert gaps[0][1] <= 1e-8
 
 
 def test_dgbsv_failure_gives_the_anderson_result_bit_for_bit(grid, rng, monkeypatch):
@@ -710,19 +737,113 @@ def test_joint_result_outside_the_residual_tolerance_falls_back(grid, rng, monke
     assert calls == [None] and err.value.report.iterations == 5
 
 
-def test_2d_and_cold_solves_never_enter_the_joint_path(rng, monkeypatch):
+def test_2d_solves_never_enter_the_joint_path_and_1d_cold_solves_enter_after_one_map(rng, monkeypatch):
     def entered(*args, **kwargs):
         raise AssertionError("the joint Newton ran")
 
-    monkeypatch.setattr(coupled, "_joint_newton", entered)
-    square = Grid.rectangle((1.0, 1.0), (17, 17))
-    f = smooth_field(square, rng, offset=0.5)
-    start, _ = solve_coupled(ProblemData(f, params_with(tau=0.1)))
-    _, rep = solve_coupled(ProblemData(f, params_with(tau=0.05)), u0=start.u, rho0=start.rho)
-    assert rep.converged
+    with monkeypatch.context() as m:
+        m.setattr(coupled, "_joint_newton", entered)
+        square = Grid.rectangle((1.0, 1.0), (17, 17))
+        f = smooth_field(square, rng, offset=0.5)
+        start, _ = solve_coupled(ProblemData(f, params_with(tau=0.1)))
+        _, rep = solve_coupled(ProblemData(f, params_with(tau=0.05)), u0=start.u, rho0=start.rho)
+        assert rep.converged
+    # a cold 1D solve (no density, or one that is not strictly positive)
+    # runs one Picard map from the caller's start, the Anderson loop's first
+    # step, then the joint Newton from the pinned map and its density
     line = Grid.interval(1.0, 33)
     f = smooth_field(line, rng, offset=0.5)
-    _, rep = solve_coupled(ProblemData(f, params_with(tau=0.05)), u0=NodeField(line, f.values))
-    assert rep.converged
+    data = ProblemData(f, params_with(tau=0.05))
+    ops, ubar = operators(line), mean_height_target(data)
+    real_map, real_joint, events = coupled.picard_map, coupled._joint_newton, []
+
+    def picard_map(v, *args, **kwargs):
+        out = real_map(v, *args, **kwargs)
+        events.append(("map", v, kwargs, out))
+        return out
+
+    def joint(data, cfg, newton_cfg, ubar, uf, rho0):
+        out = real_joint(data, cfg, newton_cfg, ubar, uf, rho0)
+        events.append(("joint", uf, rho0, out[1].iterations))
+        return out
+
+    monkeypatch.setattr(coupled, "picard_map", picard_map)
+    monkeypatch.setattr(coupled, "_joint_newton", joint)
+    for u0, rho0 in ((None, None), (NodeField(line, f.values), None), (None, NodeField.zeros(line))):
+        events.clear()
+        _, rep = solve_coupled(data, u0=u0, rho0=rho0)
+        assert [e[0] for e in events] == ["map", "joint"] and rep.converged
+        (_, v, kwargs, (u_map, rho)), (_, uf, rho_start, joint_steps) = events
+        start = u0.flat if u0 is not None else np.full(line.node_count, ubar)
+        assert np.array_equal(v.flat, coupled._pin_mean(start, ops, ubar))
+        assert kwargs["rho0"] is rho0 and kwargs.get("u0") is None
+        assert np.array_equal(uf, coupled._pin_mean(u_map.flat, ops, ubar)) and rho_start is rho
+        # the report counts the map as one step ahead of the joint steps
+        assert rep.iterations == 1 + joint_steps and joint_steps >= 1
     # an evolve step 1 has a height but no density to start from
+    events.clear()
     assert len(list(evolve(NodeField(line, 1.0 + 0.1 * f.values), dt=0.05, nsteps=1, params=params_with()))) == 2
+    assert [e[0] for e in events] == ["map", "joint"]
+
+
+COLD_SWEEP = [(nodes, tau, a) for nodes in (33, 129, 257) for tau in (1e-1, 1e-3) for a in (1.0, 20.0)]
+
+
+@pytest.mark.parametrize("nodes, tau, a", COLD_SWEEP)
+def test_cold_1d_solves_are_the_joint_newtons_and_match_the_anderson_loop(nodes, tau, a, rng, monkeypatch):
+    # a cold 1D solve runs one Picard map, then the joint Newton, which is
+    # accepted; the Anderson loop it falls back to reaches the same answer
+    grid = Grid.interval(1.0, nodes)
+    for offset, amplitude in ((0.5, 0.3), (0.5, 1.0), (1.0, 3.0)):
+        f = smooth_field(grid, rng, amplitude=amplitude, offset=offset)
+        data = ProblemData(f, params_with(tau=tau, a=a))
+        with monkeypatch.context() as m:
+            calls = joint_calls(m)
+            joint, rep = solve_coupled(data)
+            assert calls == [rep] and rep.converged and rep.iterations >= 2
+            anderson_only(m)
+            ref, _ = solve_coupled(data)
+        assert rep.residual_history[-1] == max(joint.residuals) <= PicardConfig().tol_residual
+        assert_mean_identity(joint.u, f, data.params)
+        # the Anderson loop stops on an absolute change of 1e-9, so u is
+        # compared relative to its size or to 1, whichever is larger: at
+        # a = 20 u is near 0.025 and the gap reads up to 3.7e-11
+        assert np.abs(joint.u.values - ref.u.values).max() <= 1e-9 * max(1.0, np.abs(ref.u.values).max())
+        assert np.abs(np.log(joint.rho.values / ref.rho.values)).max() <= 1e-8
+
+
+def test_cold_first_map_failure_raises_the_anderson_loops_error(monkeypatch):
+    # the singular density case of the solver tests, mean(g)/tau = 30 on 65
+    # nodes, as the first map of a cold solve: g = f - a ubar with a = tau^2
+    # leaves g = 0.03 + 1e-3 cos(pi x). The map is the Anderson loop's first
+    # step, so its error is raised unchanged and the joint Newton never runs
+    grid = Grid.interval(1.0, 65)
+    f = NodeField.from_function(grid, lambda x: 0.06 + 1e-3 * np.cos(np.pi * x))
+    data = ProblemData(f, params_with(tau=1e-3, a=1e-6))
+    solved = ProblemData(f, capped_params(data.params, PicardConfig()))
+    ubar = mean_height_target(solved)
+    with pytest.raises(SolverError) as direct:
+        picard_map(NodeField.constant(grid, ubar), solved, factors={})
+    calls = joint_calls(monkeypatch)
+    with pytest.raises(SolverError) as err:
+        solve_coupled(data)
+    assert str(err.value) == str(direct.value)
+    assert str(err.value).startswith("rho-stage: sparse factorization failed: Factor is exactly singular")
+    assert err.value.report.to_dict() == direct.value.report.to_dict() and calls == []
+
+
+def test_cold_dgbsv_failure_gives_the_anderson_result_bit_for_bit(grid, rng, monkeypatch):
+    # a banded solve that fails in the joint Newton after the cold map: the
+    # solve returns the Anderson loop's triple and report, the loop run from
+    # the caller's start (it evaluates that first map again)
+    data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=0.01))
+    calls = joint_calls(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(coupled.lapack, "dgbsv", failing_dgbsv)
+        fell_back, rep = solve_coupled(data)
+    assert calls == [None] and rep.converged
+    anderson_only(monkeypatch)
+    ref, ref_rep = solve_coupled(data)
+    assert np.array_equal(fell_back.u.values, ref.u.values)
+    assert np.array_equal(fell_back.rho.values, ref.rho.values)
+    assert fell_back.residuals == ref.residuals and rep.to_dict() == ref_rep.to_dict()
