@@ -29,33 +29,35 @@ pin(u + w F). The height viscosity is capped at
 The outer report records one residual per outer step; the inner Newton
 loops keep their own iteration counts.
 
-Every 1D solve first runs ``_joint_newton``, the single damped Newton
-core of ``solvers`` on both equations at once. A warm-started solve (a
-positive ``rho0`` given: every ``continuation_tau`` stage and every
-``evolve`` step after the first) runs it from its start. A cold one
-first takes one ``picard_map`` from its start, the Anderson loop's own
-first step (its SolverError is raised as the loop would raise it), and
-runs it from the pinned map and its density: from the cold start itself
-the joint Newton needs many damped steps.
-Its unknowns are the fluctuations v = u - ubar and s = ln rho - tau ubar,
-with ubar the known mean height, c = e^(tau ubar) and the residuals
+The coupled residuals are written once, in the fluctuations
+v = u - ubar and s = ln rho - tau ubar about the known mean height ubar:
 
     R1 = c K expm1(s)/w + tau s + a v - (f - mean_w(f)),   R2 = A(v) - s,
 
-A the height operator. W times their Jacobian,
+with c = e^(tau ubar) and A the height operator. ``coupled_residuals``
+normalizes them, and the Anderson loop stops on it with v and s formed
+from its u and rho. A ``WeakSolutionTriple`` carries (ubar, v, s), so
+rounding in u = ubar + v sets no floor under a residual.
+
+Every 1D solve first runs ``_joint_newton``, the damped Newton core of
+``solvers`` on (v, s), whose merit interleaves R1 and R2: from a warm
+start (a positive ``rho0``, as in every ``continuation_tau`` stage and
+``evolve`` step after the first), or from a cold one after one
+``picard_map``, the Anderson loop's own first step, whose SolverError is
+raised as the loop raises it (from the cold start itself the joint
+Newton needs many damped steps). W times the Jacobian,
 [[aW, c K diag(e^s) + tau W], [H(v), -W]] with H the height Newton
-matrix, is block tridiagonal; with (v_i, s_i) interleaved it is banded
-(kl = ku = 3), and each step is one LAPACK ``dgbsv``, a banded LU with
-partial pivoting in O(n). The result is accepted only if it passes the
-Anderson loop's stopping test: ``coupled_residuals`` within
-``tol_residual`` and a last step in u within ``tol_fixed_point`` (when
-the core's last step is larger, or it took none, one more full step is
-taken and measured). On any failure (line search, iteration cap, a
-singular band matrix, a non-finite iterate, or that test) the Anderson
-loop runs unchanged from the caller's start, a cold one evaluating that
-first map again, so a failing solve fails, and reports, as the Anderson
-loop does. 2D solves run the Anderson loop only: a 2D joint Jacobian
-would need a nonsymmetric sparse solve.
+matrix, is banded with (v_i, s_i) interleaved (kl = ku = 3); each step
+is one LAPACK ``dgbsv``. The result is accepted only if its own
+mean-pinned v and its s pass the Anderson loop's stopping test:
+``coupled_residuals`` within ``tol_residual`` and a last step in v
+within ``tol_fixed_point`` (one more full step is taken to measure it
+when needed). On any failure (line search, iteration cap, a singular
+band matrix, a non-finite iterate, or that test) the Anderson loop runs
+unchanged from the caller's start, a cold one evaluating that first map
+again, so a failing solve fails, and reports, as the Anderson loop does.
+2D solves run the Anderson loop only: a 2D joint Jacobian would need a
+nonsymmetric sparse solve.
 
 The drivers of ``solve_coupled`` live here too: ``continuation_tau``,
 ``evolve`` and the manufactured-solution study ``mms_convergence``.
@@ -155,12 +157,23 @@ class PicardConfig:
 
 @dataclass
 class WeakSolutionTriple:
-    """Converged height, density, the coupled_residuals of (u, rho), and
-    the TV subgradient selection ``phi``, built from u on first read."""
+    """A converged solution as (ubar, v, s) and the coupled_residuals of
+    (v, s); u = ubar + v, rho = e^(tau ubar + s) and the TV selection ``phi``
+    are built on first read (an Anderson triple keeps the loop's u and rho)."""
 
-    u: NodeField
-    rho: NodeField
+    ubar: float
+    v: NodeField
+    s: NodeField
+    tau: float
     residuals: tuple[float, float]
+
+    @functools.cached_property
+    def u(self) -> NodeField:
+        return NodeField(self.v.grid, self.ubar + self.v.values)
+
+    @functools.cached_property
+    def rho(self) -> NodeField:
+        return NodeField(self.s.grid, np.exp(self.tau * self.ubar + self.s.values))
 
     @functools.cached_property
     def phi(self) -> EdgeField:
@@ -218,16 +231,22 @@ def picard_map(
     return u, rho
 
 
-def coupled_residuals(u: NodeField, rho: NodeField, data: ProblemData) -> tuple[float, float]:
-    """Relative residuals of the density and height equations for a pair."""
+def _residual_fields(ops: mesh.GridOperators, data: ProblemData, ubar: float, v: np.ndarray, s: np.ndarray) -> tuple:
+    """R1 and R2 (module docstring) at the flat fluctuations v and s."""
     p = data.params
-    ops = mesh.operators(u.grid)
-    uf, f = u.flat, data.f.flat
-    log_rho = np.log(rho.flat)
-    r1 = -ops.laplacian(rho.flat) + p.tau * log_rho - (f - p.a * uf)
-    r2 = apply_height_operator((ops, uf), p) - log_rho
-    s1 = ops.norm_lp(r1, 2.0) / (1.0 + ops.norm_lp(f, 2.0))
-    s2 = ops.norm_lp(r2, 2.0) / (1.0 + ops.norm_lp(log_rho, 2.0))
+    fluct = data.f.flat - (p.a + p.tau**2) * ubar  # f - mean_w(f), by the mean identity
+    r1 = np.exp(p.tau * ubar) * (ops.k @ np.expm1(s)) / ops.w + p.tau * s + p.a * v - fluct
+    return r1, apply_height_operator((ops, v), p) - s
+
+
+def coupled_residuals(v: NodeField, s: NodeField, data: ProblemData) -> tuple[float, float]:
+    """|R1| / (1 + |f|) and |R2| / (1 + |ln rho|), weighted L2, at v = u - ubar
+    and s = ln rho - tau ubar, with ubar = ``mean_height_target(data)``."""
+    ops = mesh.operators(v.grid)
+    ubar = mean_height_target(data)
+    r1, r2 = _residual_fields(ops, data, ubar, v.flat, s.flat)
+    s1 = ops.norm_lp(r1, 2.0) / (1.0 + ops.norm_lp(data.f.flat, 2.0))
+    s2 = ops.norm_lp(r2, 2.0) / (1.0 + ops.norm_lp(data.params.tau * ubar + s.flat, 2.0))
     return s1, s2
 
 
@@ -253,34 +272,30 @@ def _joint_newton(
     rho0: NodeField,
 ) -> tuple[WeakSolutionTriple, SolveReport]:
     """The joint Newton of a 1D solve (see the module docstring) from the
-    pinned heights ``uf`` and the positive density ``rho0``: the triple and
-    a report that counts the joint steps, or a SolverError. The report's
-    history holds the joint merit before each damped step and at the
-    core's end, then the larger ``coupled_residuals`` of the returned
-    pair."""
+    pinned heights ``uf`` and the positive density ``rho0``: the triple of
+    its mean-pinned v and its s and a report that counts the joint steps,
+    or a SolverError. The report's history holds the joint merit before
+    each damped step and at the core's end, then the larger
+    ``coupled_residuals`` of (v, s)."""
     p = data.params
     grid = data.f.grid
     ops = mesh.operators(grid)
     w, n = ops.w, grid.node_count
-    c = np.exp(p.tau * ubar)
-    fluct = data.f.flat - (p.a + p.tau**2) * ubar  # f - mean_w(f), by the mean identity
     kd, ke = ops.k.data[::3], ops.k.data[1::3]
     # the latest residual, which the core evaluates last at the point it
     # returns, and the latest point a step was solved at
     last = {}
 
     def residual(x):
-        v, s = x[0::2], x[1::2]
         r = np.empty_like(x)
-        r[0::2] = c * (ops.k @ np.expm1(s)) / w + p.tau * s + p.a * v - fluct
-        r[1::2] = apply_height_operator((ops, v), p) - s
+        r[0::2], r[1::2] = _residual_fields(ops, data, ubar, x[0::2], x[1::2])
         last["r"] = r
         return r
 
     def solve(x, b):
         last["x"] = x
         h = solvers._height_newton_matrices(ops, x[0::2], p)[1].data  # P, the Hessian in 1D
-        rho = c * np.exp(x[1::2])
+        rho = np.exp(p.tau * ubar + x[1::2])
         ab = np.zeros((10, 2 * n))  # A[i, j] at ab[6 + i - j, j]; rows 0-2 hold the LU fill
         ab[6, 0::2], ab[7, 0::2] = p.a * w, h[::3]
         ab[9, 0:-2:2] = ab[5, 2::2] = h[1::3]
@@ -300,15 +315,14 @@ def _joint_newton(
             step = solve(x, -ww * last["r"])
             x, change = x + step, ops.norm_lp(step[0::2], 2.0)
             report.iterations += 1
-        rho = c * np.exp(x[1::2])
+        rho = np.exp(p.tau * ubar + x[1::2])  # the triple's density must be positive and finite
         finite = np.isfinite(x).all() and np.isfinite(np.log(rho)).all()
     if finite and change <= cfg.tol_fixed_point:
-        u = NodeField.from_flat(grid, _pin_mean(ubar + x[0::2], ops, ubar))
-        rho = NodeField.from_flat(grid, rho)
-        r1, r2 = coupled_residuals(u, rho, data)
+        v, s = NodeField.from_flat(grid, _pin_mean(x[0::2], ops, 0.0)), NodeField.from_flat(grid, x[1::2])
+        r1, r2 = coupled_residuals(v, s, data)
         report.residual_history.append(max(r1, r2))
         if max(r1, r2) <= cfg.tol_residual:
-            return WeakSolutionTriple(u, rho, (r1, r2)), report
+            return WeakSolutionTriple(ubar, v, s, p.tau, (r1, r2)), report
     raise SolverError("coupled Newton result fails the outer stopping test", report)
 
 
@@ -320,19 +334,17 @@ def solve_coupled(
     rho0: NodeField | None = None,
 ) -> tuple[WeakSolutionTriple, SolveReport]:
     """Solve the coupled stationary system by mean-projected Anderson
-    mixing, or, in 1D, by the joint Newton on (u, ln rho) with the
-    Anderson loop as its fallback.
+    mixing, or, in 1D, by the joint Newton on (v, s) with the Anderson loop
+    as its fallback (see the module docstring).
 
     The height viscosity is first capped at ``PicardConfig.delta_polish``;
     the returned triple solves that capped system. ``u0`` is the first outer
     iterate (default: the constant with the known mean). ``rho0``
     warm-starts the first density solve, e.g. from the density of a nearby
     problem. On a 1D grid a strictly positive ``rho0`` and the mean-pinned
-    ``u0`` are first the start of the joint Newton; without one, its start
-    is one ``picard_map`` of the first outer iterate: the pinned height and
-    its density. An accepted joint result is returned with a report
-    counting the joint steps, plus one for that map (see the module
-    docstring).
+    ``u0`` are the joint Newton's start; without one, its start is one
+    ``picard_map`` of the first outer iterate, and an accepted result's
+    report counts that map as one step ahead of the joint steps.
     In the Anderson loop each later outer step warm-starts its inner solves
     from the previous step's density and height map. An inner Newton solve
     whose warm start fails is retried in the same loop from its cold start
@@ -346,10 +358,10 @@ def solve_coupled(
     tridiagonal solve (``dptsv``), every joint step a direct banded one
     (``dgbsv``), and the cache stays empty. The mixing history, like the
     cache, lives for this call only. The mixing, the mean pin and the change
-    run on flat arrays; each outer iterate becomes one NodeField, for the
-    public ``picard_map`` and ``coupled_residuals``, after a check that it
-    is finite (a ValueError, as NodeField raises, before the pin spreads a
-    non-finite value to every node).
+    run on flat arrays; each outer iterate becomes one NodeField for
+    ``picard_map``, after a check that it is finite (a ValueError, as
+    NodeField raises, before the pin spreads a non-finite value to every
+    node), and its v and s two more for ``coupled_residuals``.
     """
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:
@@ -395,13 +407,16 @@ def solve_coupled(
         u_new = _pin_mean(u_new, ops, ubar)
         change = ops.norm_lp(u_new - uf, 2.0)
         u, uf = NodeField.from_flat(grid, u_new), u_new
-        r1, r2 = coupled_residuals(u, rho, data)
+        v, s = (NodeField.from_flat(grid, x) for x in (uf - ubar, np.log(rho.flat) - data.params.tau * ubar))
+        r1, r2 = coupled_residuals(v, s, data)
         res = max(r1, r2)
         report.iterations += 1
         report.residual_history.append(res)
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
             report.converged = True
-            return WeakSolutionTriple(u, rho, (r1, r2)), report
+            triple = WeakSolutionTriple(ubar, v, s, data.params.tau, (r1, r2))
+            triple.u, triple.rho = u, rho  # the loop's own fields, not rebuilt from (v, s)
+            return triple, report
         if res < prev_res:
             omega = min(1.0, omega * 1.2)
         else:

@@ -186,6 +186,33 @@ def test_audit_mode(tmp_path):
     assert (out / "limit_flux.csv").exists()
 
 
+def test_audit_at_1025_nodes_clears_the_former_residual_floor(tmp_path):
+    # the audit_1d benchmark's source family (seed 2, input 1) on 1025
+    # nodes: the tau = 1e-4 stage's joint Newton reached a merit near 1e-11,
+    # but its result was refused because the height residual of u = ubar + v
+    # read 1.2e-8, and the Anderson fallback stalled on that floor (exit 3)
+    grid = Grid.interval(1.0, 1025)
+    source = np.full(grid.shape, 0.5)
+    coefs = (0.8160160841545047, -0.41828484214494355, 0.23439505366833016, -0.13665439881999203)
+    for k, c in enumerate(coefs, start=1):
+        source = source + c * np.cos(k * np.pi * grid.meshgrid()[0])
+    write_node_csv(NodeField(grid, source), tmp_path / "f.csv")
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "grid": {"dim": 1, "extents": [1.0], "cells": [1025]},
+            "params": {**BASE["params"], "tau": 0.1},
+            "source": {"kind": "csv", "path": str(tmp_path / "f.csv")},
+            "tau_schedule": [1e-1, 1e-2, 1e-3, 1e-4],
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "estimates.json").read_text())
+    assert payload["completed"] is True
+    assert [st["tau"] for st in payload["stages"]] == [1e-1, 1e-2, 1e-3, 1e-4]
+
+
 SMALLEST_RUNS = {
     "stationary": ({"tau": 0.1}, {}),
     "audit": ({"tau": 0.1}, {"tau_schedule": [0.1, 0.01, 1e-3]}),

@@ -93,7 +93,7 @@ def test_coupled_residuals_small_at_convergence(grid, rng):
     p = params_with()
     data = ProblemData(smooth_field(grid, rng), p)
     triple, _ = solve_coupled(data)
-    r1, r2 = coupled_residuals(triple.u, triple.rho, data)
+    r1, r2 = coupled_residuals(triple.v, triple.s, data)
     assert r1 <= 1e-8 and r2 <= 1e-8
 
 
@@ -227,9 +227,10 @@ def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkey
     # every 1D Newton matrix reaches dptsv (inner steps) or dgbsv (joint
     # steps) as data on its cached pattern, so no CSC matrix is built, and
     # the NodeFields are those of the public calls of each outer step
-    # (picard_map's source, density, log-density and height, and the mixed
-    # iterate), however many Newton steps and residual evaluations the
-    # inner solves and the joint Newton take
+    # (picard_map's source, density, log-density and height, the mixed
+    # iterate, and its fluctuations v and s for coupled_residuals), however
+    # many Newton steps and residual evaluations the inner solves and the
+    # joint Newton take
     grid = Grid.interval(1.0, 129)
     f = NodeField.from_function(
         grid, lambda x: 0.5 + 0.8 * np.cos(np.pi * x) - 0.4 * np.cos(2 * np.pi * x) + 0.25 * np.cos(3 * np.pi * x)
@@ -262,20 +263,38 @@ def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkey
     for name in ("solve_rho", "solve_u"):
         monkeypatch.setattr(coupled, name, counting(name))
     # the joint path: the first iterate and the four of its one map, then
-    # the accepted height and density, over more than one joint step
+    # the accepted fluctuations v and s, over more than one joint step
     joint = joint_calls(monkeypatch)
     triple, rep = solve_coupled(data)
     assert joint == [rep] and rep.converged and rep.iterations > 2 and counts["csc"] == 0
     assert counts["node_fields"] == 1 + 4 + 2
     # the Anderson fallback: the same five, then the loop's first iterate
-    # and five per outer step, whose two inner solves take more than one
+    # and seven per outer step, whose two inner solves take more than one
     # Newton step each on average
     anderson_only(monkeypatch)
     counts.clear()
     triple, rep = solve_coupled(data)
     assert rep.converged and counts["csc"] == 0
-    assert counts["node_fields"] == 1 + 4 + 1 + 5 * rep.iterations
+    assert counts["node_fields"] == 1 + 4 + 1 + 7 * rep.iterations
     assert counts["newton"] > 2 * (1 + rep.iterations)
+
+
+def test_triple_carries_the_mean_height_and_the_fluctuations(grid, rng, monkeypatch):
+    # a joint triple forms u and rho from its mean-pinned v and its s; an
+    # Anderson triple keeps the loop's own u and rho and formed v and s from them
+    data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=1e-2))
+    ubar = mean_height_target(ProblemData(data.f, capped_params(data.params, PicardConfig())))
+    joint, _ = solve_coupled(data)
+    assert joint.ubar == ubar and joint.tau == data.params.tau
+    assert abs(integrate(joint.v)) <= 1e-15
+    assert np.array_equal(joint.u.values, ubar + joint.v.values)
+    assert np.array_equal(joint.rho.values, np.exp(data.params.tau * ubar + joint.s.values))
+    anderson_only(monkeypatch)
+    loop, _ = solve_coupled(data)
+    assert loop.ubar == ubar
+    assert np.array_equal(loop.v.values, loop.u.values - ubar)
+    assert np.array_equal(loop.s.values, np.log(loop.rho.values) - data.params.tau * ubar)
+    assert np.abs(joint.u.values - loop.u.values).max() <= 1e-9
 
 
 @pytest.mark.parametrize("grid", [Grid.interval(1.0, 65), Grid.rectangle((1.0, 1.0), (17, 17))], ids=["1d", "2d"])
@@ -286,7 +305,7 @@ def test_outer_residuals_are_the_public_coupled_residuals(grid, rng):
     triple, rep = solve_coupled(data)
     solved = ProblemData(data.f, capped_params(data.params, PicardConfig()))
     assert rep.converged
-    assert triple.residuals == coupled_residuals(triple.u, triple.rho, solved)
+    assert triple.residuals == coupled_residuals(triple.v, triple.s, solved)
     assert rep.residual_history[-1] == max(triple.residuals)
 
 
@@ -302,7 +321,9 @@ def plain_damped_outer_steps(data: ProblemData, cfg: PicardConfig = PicardConfig
         mixed = (1.0 - omega) * u.flat + omega * u_map.flat
         u_new = NodeField.from_flat(u.grid, coupled._pin_mean(mixed, operators(u.grid), ubar))
         change = norm_l2(NodeField(u.grid, u_new.values - u.values))
-        res = max(coupled_residuals(u_new, rho, data))
+        v = NodeField(u.grid, u_new.values - ubar)
+        s = NodeField(u.grid, np.log(rho.values) - data.params.tau * ubar)
+        res = max(coupled_residuals(v, s, data))
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
             return step
         omega = min(1.0, omega * 1.2) if res < prev_res else max(1e-3, 0.5 * omega)
@@ -510,7 +531,7 @@ def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
     # residuals run once per Anderson outer step (step 1, whose joint Newton
     # is made to fail) and once per accepted joint Newton solve (steps 2
     # and 3), and evolve adds no evaluation of its own
-    calls, outer = [], []
+    calls, outer, triples = [], [], []
     residuals, solve = coupled.coupled_residuals, coupled.solve_coupled
     joint = joint_calls(monkeypatch)
     spy, failed = coupled._joint_newton, []
@@ -527,6 +548,7 @@ def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
         accepted = len(joint)
         triple, report = solve(*args, **kwargs)
         outer.append(0 if len(joint) > accepted else report.iterations)
+        triples.append(triple)
         return triple, report
 
     monkeypatch.setattr(coupled, "coupled_residuals", lambda *args: calls.append(args) or residuals(*args))
@@ -537,10 +559,11 @@ def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
     assert len(steps) == 4 and len(joint) == 2 and None not in joint
     assert outer[0] > 3 and outer[1:] == [0, 0]
     assert len(calls) == sum(outer) + len(joint)
-    # the recorded pair is exactly what a fresh evaluation of the solved system gives
+    # the recorded pair is exactly what a fresh evaluation of the solved
+    # system gives on the solve's fluctuations
     prev, last = steps[-2:]
     data = ProblemData(NodeField(grid, prev.u.values / dt), capped_params(replace(p, a=1.0 / dt), PicardConfig()))
-    assert last.residuals == residuals(last.u, last.rho, data)
+    assert last.u is triples[-1].u and last.residuals == residuals(triples[-1].v, triples[-1].s, data)
 
 
 def test_evolve_constant_height_keeps_converging():
@@ -664,7 +687,7 @@ def test_joint_newton_matches_the_anderson_loop_from_the_same_warm_start(nodes, 
     # the Anderson loop takes here (3 or 4)
     assert calls == [rep] and rep.converged and 1 <= rep.iterations <= 4
     solved = ProblemData(f, capped_params(data.params, PicardConfig()))
-    assert joint.residuals == coupled_residuals(joint.u, joint.rho, solved)
+    assert joint.residuals == coupled_residuals(joint.v, joint.s, solved)
     assert rep.residual_history[-1] == max(joint.residuals) <= PicardConfig().tol_residual
     assert_mean_identity(joint.u, f, data.params)
     anderson_only(monkeypatch)
@@ -847,3 +870,65 @@ def test_cold_dgbsv_failure_gives_the_anderson_result_bit_for_bit(grid, rng, mon
     assert np.array_equal(fell_back.u.values, ref.u.values)
     assert np.array_equal(fell_back.rho.values, ref.rho.values)
     assert fell_back.residuals == ref.residuals and rep.to_dict() == ref_rep.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the coupled residual in fluctuation form: cold 1D solves up to ubar = 200
+# ---------------------------------------------------------------------------
+#
+# Evaluated on u = ubar + v, the height residual kept a floor from the bits
+# of v that the addition rounds away (1.2e-8 at ubar = 49.5 on 513 nodes,
+# against a tolerance of 1e-8), so joint results with merits near 1e-11
+# were refused and the Anderson fallback stalled on the same floor.
+
+
+def cosine_source(nodes: int, mean: float, amplitude: float) -> NodeField:
+    grid = Grid.interval(1.0, nodes)
+    return NodeField.from_function(
+        grid, lambda x: mean + amplitude * (0.8 * np.cos(np.pi * x) - 0.4 * np.cos(2 * np.pi * x) + 0.25 * np.cos(3 * np.pi * x))
+    )
+
+
+def assert_accepted_on_the_joint_path(monkeypatch, cases) -> None:
+    """Each (nodes, mean, amplitude, tau, a) case solves cold without an
+    error, on the joint Newton, within the outer tolerance and with the
+    mean identity holding to rounding."""
+    calls, failures = joint_calls(monkeypatch), []
+    for nodes, mean, amplitude, tau, a in cases:
+        f = cosine_source(nodes, mean, amplitude)
+        data = ProblemData(f, params_with(tau=tau, a=a))
+        calls.clear()
+        try:
+            triple, rep = solve_coupled(data)
+        except SolverError as err:
+            failures.append(((nodes, mean, amplitude, tau, a), str(err)))
+            continue
+        assert calls == [rep] and rep.converged, (nodes, mean, amplitude, tau, a)
+        assert max(triple.residuals) <= PicardConfig().tol_residual
+        int_f = integrate(f)
+        assert abs((data.params.a + tau**2) * integrate(triple.u) - int_f) <= 1e-12 * (1.0 + abs(int_f))
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("nodes", [33, 129, 513, 1025])
+def test_cold_1d_sweep_is_accepted_on_the_joint_path(nodes, monkeypatch):
+    # 96 inputs per grid, 384 in all: the coupled residual of (v, s) has no
+    # rounding floor, so every joint result is accepted (51 of these inputs
+    # ended "did not converge in 200 outer steps" with the residual of u)
+    cases = [
+        (nodes, mean, amplitude, tau, a)
+        for tau in (1e-1, 1e-2, 1e-3, 1e-4)
+        for a in (0.01, 1.0, 20.0, 200.0)
+        for mean in (0.5, 2.0)
+        for amplitude in (0.3, 1.0, 3.0)
+    ]
+    assert_accepted_on_the_joint_path(monkeypatch, cases)
+
+
+@pytest.mark.parametrize(
+    "nodes, mean, tau, a",
+    [(513, 0.5, 1e-2, 1e-2), (1025, 0.5, 1e-2, 1e-3), (257, 0.5, 1e-3, 1e-4), (257, 2.0, 1e-1, 1e-2), (257, 3.0, 0.1, 0.01)],
+)
+def test_former_outer_floor_cases_converge_on_the_joint_path(nodes, mean, tau, a, monkeypatch):
+    # these stalled at residuals of 1.1e-8 to 7.4e-6, with ubar from 49.5 to 4950
+    assert_accepted_on_the_joint_path(monkeypatch, [(nodes, mean, 1.0, tau, a)])
