@@ -11,7 +11,7 @@ with source f - a v (Newton in ln rho), then the height equation with
 source ln rho, each by the single damped Newton core of ``solvers`` and
 optionally warm-started from a previous density and height.
 
-``solve_coupled`` runs a fixed-point iteration on B with one structural
+A 2D ``solve_coupled`` runs a fixed-point iteration on B with one structural
 addition: integrating both equations shows that the discrete solution
 satisfies (a + tau^2) int u = int f exactly (the mimetic operators
 integrate to zero), so each iterate has its mean projected onto that
@@ -39,25 +39,20 @@ normalizes them, and the Anderson loop stops on it with v and s formed
 from its u and rho. A ``WeakSolutionTriple`` carries (ubar, v, s), so
 rounding in u = ubar + v sets no floor under a residual.
 
-Every 1D solve first runs ``_joint_newton``, the damped Newton core of
-``solvers`` on (v, s), whose merit interleaves R1 and R2: from a warm
-start (a positive ``rho0``, as in every ``continuation_tau`` stage and
-``evolve`` step after the first), or from a cold one after one
-``picard_map``, the Anderson loop's own first step, whose SolverError is
-raised as the loop raises it (from the cold start itself the joint
-Newton needs many damped steps). W times the Jacobian,
-[[aW, c K diag(e^s) + tau W], [H(v), -W]] with H the height Newton
-matrix, is banded with (v_i, s_i) interleaved (kl = ku = 3); each step
-is one LAPACK ``dgbsv``. The result is accepted only if its own
-mean-pinned v and its s pass the Anderson loop's stopping test:
-``coupled_residuals`` within ``tol_residual`` and a last step in v
-within ``tol_fixed_point`` (one more full step is taken to measure it
-when needed). On any failure (line search, iteration cap, a singular
-band matrix, a non-finite iterate, or that test) the Anderson loop runs
-unchanged from the caller's start, a cold one evaluating that first map
-again, so a failing solve fails, and reports, as the Anderson loop does.
-2D solves run the Anderson loop only: a 2D joint Jacobian would need a
-nonsymmetric sparse solve.
+A 1D solve is ``_joint_newton``, the damped Newton core of ``solvers``
+on (v, s), whose merit interleaves R1 and R2: from a warm start (a
+positive ``rho0``, as in every ``continuation_tau`` stage and ``evolve``
+step after the first), or from a cold one after one ``picard_map`` (from
+the cold start itself the joint Newton needs many damped steps). W times
+the Jacobian, [[aW, c K diag(e^s) + tau W], [H(v), -W]] with H the
+height Newton matrix, is banded with (v_i, s_i) interleaved
+(kl = ku = 3); each step is one LAPACK ``dgbsv``. The result is accepted
+only if its own mean-pinned v and its s pass the Anderson loop's
+stopping test: ``coupled_residuals`` within ``tol_residual`` and a last
+step in v within ``tol_fixed_point`` (one more full step is taken to
+measure it when needed). A failing map or joint Newton fails the solve
+with its own SolverError. In 1D the Anderson loop is only the tests'
+reference; in 2D a joint Jacobian would need a nonsymmetric sparse solve.
 
 The drivers of ``solve_coupled`` live here too: ``continuation_tau``,
 ``evolve`` and the manufactured-solution study ``mms_convergence``.
@@ -274,9 +269,9 @@ def _joint_newton(
     """The joint Newton of a 1D solve (see the module docstring) from the
     pinned heights ``uf`` and the positive density ``rho0``: the triple of
     its mean-pinned v and its s and a report that counts the joint steps,
-    or a SolverError. The report's history holds the joint merit before
-    each damped step and at the core's end, then the larger
-    ``coupled_residuals`` of (v, s)."""
+    or a SolverError, which for a refused result names the check it failed.
+    The report's history holds the joint merit before each damped step and
+    at the core's end, then the larger ``coupled_residuals`` of (v, s)."""
     p = data.params
     grid = data.f.grid
     ops = mesh.operators(grid)
@@ -308,22 +303,35 @@ def _joint_newton(
 
     x = np.column_stack([uf - ubar, np.log(rho0.flat) - p.tau * ubar]).ravel()
     source, ww = np.column_stack([data.f.flat, np.zeros(n)]).ravel(), np.repeat(w, 2)
-    with np.errstate(all="ignore"):  # a non-finite iterate fails the test below
+    with np.errstate(all="ignore"):  # a non-finite iterate is refused below
         x, report = solvers._damped_newton([x], residual, solve, ww, source, newton_cfg, "coupled")
+        report.converged = False  # until the result is accepted
         change = ops.norm_lp(x[0::2] - last["x"][0::2], 2.0) if report.iterations else np.inf
         if not change <= cfg.tol_fixed_point:  # one more full step, whose size the test bounds
-            step = solve(x, -ww * last["r"])
+            try:
+                step = solve(x, -ww * last["r"])
+            except SolverError as err:
+                raise SolverError(str(err), report) from err
             x, change = x + step, ops.norm_lp(step[0::2], 2.0)
             report.iterations += 1
-        rho = np.exp(p.tau * ubar + x[1::2])  # the triple's density must be positive and finite
-        finite = np.isfinite(x).all() and np.isfinite(np.log(rho)).all()
-    if finite and change <= cfg.tol_fixed_point:
+        log_rho = p.tau * ubar + x[1::2]
+        rho = np.exp(log_rho)  # the triple's density must be positive and finite
+    if not (np.isfinite(x).all() and np.isfinite(rho).all()):
+        refusal = "the iterate is not finite"
+    elif not np.min(rho) > 0.0:  # solve_rho's wording
+        nz = np.count_nonzero(rho == 0.0)
+        refusal = f"density underflows: rho = e^{np.min(log_rho):.6g} is below the smallest float at {nz} of {n} nodes"
+    elif not change <= cfg.tol_fixed_point:
+        refusal = f"last step in v {change:.3g} exceeds tol_fixed_point {cfg.tol_fixed_point:g}"
+    else:
         v, s = NodeField.from_flat(grid, _pin_mean(x[0::2], ops, 0.0)), NodeField.from_flat(grid, x[1::2])
         r1, r2 = coupled_residuals(v, s, data)
         report.residual_history.append(max(r1, r2))
         if max(r1, r2) <= cfg.tol_residual:
+            report.converged = True
             return WeakSolutionTriple(ubar, v, s, p.tau, (r1, r2)), report
-    raise SolverError("coupled Newton result fails the outer stopping test", report)
+        refusal = f"coupled residual {max(r1, r2):.3g} exceeds tol_residual {cfg.tol_residual:g}"
+    raise SolverError(f"coupled Newton result fails the outer stopping test: {refusal}", report)
 
 
 def solve_coupled(
@@ -333,35 +341,19 @@ def solve_coupled(
     u0: NodeField | None = None,
     rho0: NodeField | None = None,
 ) -> tuple[WeakSolutionTriple, SolveReport]:
-    """Solve the coupled stationary system by mean-projected Anderson
-    mixing, or, in 1D, by the joint Newton on (v, s) with the Anderson loop
-    as its fallback (see the module docstring).
+    """Solve the coupled stationary system: in 1D by the joint Newton on
+    (v, s), in 2D by the Anderson loop (see the module docstring).
 
     The height viscosity is first capped at ``PicardConfig.delta_polish``;
-    the returned triple solves that capped system. ``u0`` is the first outer
-    iterate (default: the constant with the known mean). ``rho0``
-    warm-starts the first density solve, e.g. from the density of a nearby
-    problem. On a 1D grid a strictly positive ``rho0`` and the mean-pinned
-    ``u0`` are the joint Newton's start; without one, its start is one
-    ``picard_map`` of the first outer iterate, and an accepted result's
-    report counts that map as one step ahead of the joint steps.
-    In the Anderson loop each later outer step warm-starts its inner solves
-    from the previous step's density and height map. An inner Newton solve
-    whose warm start fails is retried in the same loop from its cold start
-    (s = ln rho - mean(g)/tau = 0 for the density, the constant
-    mean(rhs)/tau for the height), so warm starts change cost, not the
-    solution beyond solver tolerance. The inner solves share one
-    linear-solve cache for this call: in 2D each Newton family keeps its
-    last LU factor and preconditions later steps with it, and the density
-    family holds no factor unless its cosine-preconditioned CG fails
-    (``solvers.solve_rho``). In 1D every inner Newton step is a direct
-    tridiagonal solve (``dptsv``), every joint step a direct banded one
-    (``dgbsv``), and the cache stays empty. The mixing history, like the
-    cache, lives for this call only. The mixing, the mean pin and the change
-    run on flat arrays; each outer iterate becomes one NodeField for
-    ``picard_map``, after a check that it is finite (a ValueError, as
-    NodeField raises, before the pin spreads a non-finite value to every
-    node), and its v and s two more for ``coupled_residuals``.
+    the returned triple solves that capped system. ``u0`` is the first
+    iterate (default: the constant with the known mean), pinned to that
+    mean; ``rho0`` warm-starts the first density solve. In 1D a strictly
+    positive ``rho0`` and the pinned ``u0`` are the joint Newton's start;
+    otherwise its start is one ``picard_map`` of the first iterate, which
+    an accepted result's report counts as one step ahead of the joint
+    steps. In 1D every inner step is one ``dptsv`` solve and every joint
+    step one ``dgbsv``; in 2D the inner solves share one linear-solve
+    cache for the call (``solvers._linear_solve``).
     """
     cfg = picard_cfg or PicardConfig()
     if data.params.tau <= 0.0:
@@ -369,21 +361,28 @@ def solve_coupled(
     data = ProblemData(data.f, capped_params(data.params, cfg))
     grid = data.f.grid
     ops = mesh.operators(grid)
-    report = SolveReport()
     ubar = mean_height_target(data)
     uf = _pin_mean(u0.flat if u0 is not None else np.full(grid.node_count, ubar), ops, ubar)
-    if grid.dim == 1:
-        start, rho_start, maps = uf, rho0, 0
-        if rho0 is None or not np.min(rho0.values) > 0.0:  # cold: the Anderson loop's first map
-            u_map, rho_start = picard_map(NodeField.from_flat(grid, uf), data, newton_cfg, rho0=rho0, factors={})
-            start, maps = _pin_mean(u_map.flat, ops, ubar), 1
-        try:
-            triple, joint = _joint_newton(data, cfg, newton_cfg, ubar, start, rho_start)
-        except SolverError:
-            pass  # the Anderson loop runs from the caller's start
-        else:
-            joint.iterations += maps
-            return triple, joint
+    if grid.dim != 1:
+        return _anderson_loop(data, cfg, newton_cfg, ubar, uf, rho0)
+    if rho0 is not None and np.min(rho0.values) > 0.0:
+        return _joint_newton(data, cfg, newton_cfg, ubar, uf, rho0)
+    u_map, rho_map = picard_map(NodeField.from_flat(grid, uf), data, newton_cfg, rho0=rho0, factors={})
+    triple, report = _joint_newton(data, cfg, newton_cfg, ubar, _pin_mean(u_map.flat, ops, ubar), rho_map)
+    report.iterations += 1
+    return triple, report
+
+
+def _anderson_loop(data: ProblemData, cfg: PicardConfig, newton_cfg, ubar: float, uf: np.ndarray, rho0) -> tuple:
+    """The Anderson loop (see the module docstring) on the capped ``data``
+    from the pinned heights ``uf`` and the density ``rho0`` (cold when None).
+    Each later outer step warm-starts its inner solves from the previous
+    step's density and height map. The mixing history and the linear-solve
+    cache live for this call. A non-finite outer iterate is a ValueError,
+    as NodeField raises, before the mean pin spreads it to every node."""
+    grid = data.f.grid
+    ops = mesh.operators(grid)
+    report = SolveReport()
     u = NodeField.from_flat(grid, uf)
     rho, u_map = rho0, None
     factors = {}

@@ -97,9 +97,8 @@ read only on their paths, so a 1D solve builds none.
 
 A ``SolveReport`` holds an iteration count, a residual history and a
 convergence flag: here Newton steps and the merit before each step and at
-the end of each attempt. ``coupled.solve_coupled``'s outer report counts
-outer steps and records one equation residual after each; when its
-joint Newton is accepted, the report counts joint steps instead.
+the end of each attempt. ``coupled.solve_coupled``'s report counts joint
+steps in 1D and outer steps, with one equation residual after each, in 2D.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from crystalsurf import coupled
-from crystalsurf.mesh import Grid, NodeField
-from crystalsurf.solvers import SolverError
+from crystalsurf.mesh import Grid, NodeField, operators
 
 
 @pytest.fixture
@@ -28,13 +27,15 @@ def smooth_field(grid: Grid, rng, n_modes: int = 4, amplitude: float = 1.0, offs
     return NodeField.from_function(grid, fn)
 
 
-def anderson_only(monkeypatch) -> None:
-    """Make every joint Newton fail, so solve_coupled runs the Anderson loop."""
-
-    def fail(*args, **kwargs):
-        raise SolverError("joint Newton switched off")
-
-    monkeypatch.setattr(coupled, "_joint_newton", fail)
+def anderson_loop(data, picard_cfg=None, newton_cfg=None, u0=None, rho0=None):
+    """The Anderson loop from solve_coupled's start (the capped viscosity and
+    the pinned first iterate), in any dimension: a 1D solve's reference."""
+    cfg = picard_cfg or coupled.PicardConfig()
+    data = coupled.ProblemData(data.f, coupled.capped_params(data.params, cfg))
+    ubar, grid = coupled.mean_height_target(data), data.f.grid
+    start = u0.flat if u0 is not None else np.full(grid.node_count, ubar)
+    uf = coupled._pin_mean(start, operators(grid), ubar)
+    return coupled._anderson_loop(data, cfg, newton_cfg, ubar, uf, rho0)
 
 
 def failing_dgbsv(kl, ku, ab, b, **kwargs):

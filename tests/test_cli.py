@@ -13,7 +13,7 @@ from crystalsurf import coupled, solvers
 from crystalsurf.cli import main, parse, run
 from crystalsurf.mesh import Grid, NodeField, read_node_csv, write_node_csv
 from crystalsurf.solvers import SolveReport, SolverError
-from conftest import anderson_only, failing_dgbsv
+from conftest import failing_dgbsv
 
 
 def write_config(path, payload):
@@ -336,38 +336,62 @@ def test_failed_solve_writes_prefix_and_exits_3(tmp_path, capsys, monkeypatch, m
     assert manifest["completed"] is False and manifest["failure"] == failure
 
 
-@pytest.mark.parametrize(
-    "schedule, code",
-    [([0.1, 0.01], 0), ([0.1, 1e-8], 3)],
-    ids=["completes", "anderson-fails"],
-)
-def test_dgbsv_failure_gives_the_anderson_exit_code_stderr_and_outputs(tmp_path, capsys, monkeypatch, schedule, code):
-    # every 1D stage tries the joint Newton first, the cold one after one
-    # Picard map; when its banded solve fails, the run is the Anderson
-    # loop's: at tau = 1e-8 that loop runs out of outer steps, and the exit
-    # code, stderr and files are its own
-    cfg = write_config(tmp_path / "c.json", {**BASE, "source": 2.0, "tau_schedule": schedule})
-    runs, attempts = [], []
-    real_joint = coupled._joint_newton
+def test_dgbsv_failure_exits_3_with_the_joint_newtons_error_and_report(tmp_path, capsys, monkeypatch):
+    # every 1D stage is the joint Newton, the cold first one after one
+    # Picard map: when its banded solve fails, the run exits 3 with that
+    # error and the joint Newton's report, after that one map, with no
+    # stage written
+    cfg = write_config(tmp_path / "c.json", {**BASE, "source": 2.0, "tau_schedule": [0.1, 0.01]})
+    maps, real_map = [], coupled.picard_map
+    monkeypatch.setattr(coupled, "picard_map", lambda *a, **k: maps.append(None) or real_map(*a, **k))
+    monkeypatch.setattr(coupled.lapack, "dgbsv", failing_dgbsv)
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "solver error: tau=0.1: coupled Newton matrix is singular (dgbsv info 1)" and len(err) == 2
+    report = json.loads(err[1])
+    assert report["converged"] is False and report["iterations"] == 0 and len(report["residual_history"]) == 1
+    assert len(maps) == 1
+    payload = json.loads((out / "estimates.json").read_text())
+    assert payload["completed"] is False and payload["stages"] == []
+    assert payload["failure"] == "tau=0.1: coupled Newton matrix is singular (dgbsv info 1)"
 
-    def joint(*args, **kwargs):
-        attempts.append(None)
-        return real_joint(*args, **kwargs)
 
-    for name in ("dgbsv", "anderson"):
-        with monkeypatch.context() as m:
-            if name == "dgbsv":
-                m.setattr(coupled, "_joint_newton", joint)
-                m.setattr(coupled.lapack, "dgbsv", failing_dgbsv)
-            else:
-                anderson_only(m)
-            out = tmp_path / name
-            status = main(["audit", "--config", cfg, "--out", str(out)])
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        runs.append((status, capsys.readouterr().err, files))
-    assert attempts == [None] * len(schedule)
-    assert runs[0] == runs[1] and runs[0][0] == code
-    assert ("Traceback" not in runs[0][1]) and (runs[0][1] == "") == (code == 0)
+def test_evolve_step_whose_density_underflows_exits_3_naming_it(tmp_path, capsys):
+    # step 1 of the evolve_1d benchmark's seed-1 input at dt 0.005 on 513
+    # nodes: ln rho = -div(...) reaches -975 at x = 1 and scales like -1/h.
+    # The joint Newton converges, to a density below the float range, and
+    # the result is refused with solve_rho's wording
+    grid = Grid.interval(1.0, 513)
+    coefs = (0.20047286498801029, -0.10900927392651871, 0.055729915352635606, -0.04358919557709795)
+    u0 = 1.0 + sum(c * np.cos(k * np.pi * grid.meshgrid()[0]) for k, c in enumerate(coefs, 1))
+    write_node_csv(NodeField(grid, u0), tmp_path / "u0.csv")
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "grid": {"dim": 1, "extents": [1.0], "cells": [513]},
+            "params": {**BASE["params"], "tau": 1e-3},
+            "u0": {"kind": "csv", "path": str(tmp_path / "u0.csv")},
+            "dt": 0.005,
+            "nsteps": 1,
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 2 and "Traceback" not in err
+    assert lines[0].startswith(
+        "solver error: step 1: coupled Newton result fails the outer stopping test: density underflows: rho = e^-975."
+    )
+    assert lines[0].endswith(" is below the smallest float at 1 of 513 nodes")
+    # the joint Newton's own report: its merit converged (3.4e-10 after 18
+    # joint steps), its result refused
+    report = json.loads(lines[1])
+    assert report["converged"] is False and report["iterations"] <= 30
+    assert report["residual_history"][-1] <= 1e-9
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["completed"] is False and [st["index"] for st in manifest["steps"]] == [0]
 
 
 def test_evolve_checkpoint_written_before_the_next_step(tmp_path, monkeypatch):
@@ -625,16 +649,16 @@ def test_non_finite_outer_iterate_is_numerical_breakdown(tmp_path, capsys, monke
     # an Anderson mixing whose least-squares weights come back NaN or inf
     # makes the next outer iterate non-finite: the outer loop stops it with
     # the error a NodeField raises, before the mean pin sums inf - inf
-    # (warnings are errors here), and the CLI exits 3 without a traceback;
-    # the joint Newton is made to fail, so this cold 1D solve runs the loop
-    anderson_only(monkeypatch)
+    # (warnings are errors here), and the CLI exits 3 without a traceback.
+    # A 2D solve runs the loop
 
     def lstsq(a, b, rcond=None):
         return np.full(a.shape[1], weight), np.empty(0), a.shape[1], np.ones(a.shape[1])
 
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-    source = {"kind": "patches", "background": 0.5, "patches": [{"box": [[0.25, 0.5]], "value": 1.0}]}
-    cfg = write_config(tmp_path / "c.json", {**BASE, "source": source})
+    source = {"kind": "patches", "background": 0.5, "patches": [{"box": [[0.25, 0.5], [0.0, 1.0]], "value": 1.0}]}
+    grid = {"dim": 2, "extents": [1.0, 1.0], "cells": [17, 17]}
+    cfg = write_config(tmp_path / "c.json", {**BASE, "grid": grid, "source": source})
     assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err == "solver error: numerical breakdown: ValueError('node values must be finite')\n"

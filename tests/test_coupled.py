@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalsurf import coupled, solvers
 from crystalsurf.energy import ModelParams
@@ -24,7 +26,7 @@ from crystalsurf.coupled import (
 )
 from crystalsurf.solvers import SolverError, apply_height_operator
 from crystalsurf.analysis import manufactured_problem
-from conftest import anderson_only, failing_dgbsv, smooth_field
+from conftest import anderson_loop, failing_dgbsv, smooth_field
 
 
 @pytest.fixture
@@ -226,11 +228,10 @@ def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkey
     # below the NodeField API the outer and Newton loops run on flat arrays:
     # every 1D Newton matrix reaches dptsv (inner steps) or dgbsv (joint
     # steps) as data on its cached pattern, so no CSC matrix is built, and
-    # the NodeFields are those of the public calls of each outer step
-    # (picard_map's source, density, log-density and height, the mixed
-    # iterate, and its fluctuations v and s for coupled_residuals), however
-    # many Newton steps and residual evaluations the inner solves and the
-    # joint Newton take
+    # the NodeFields are those of the public calls (picard_map's source,
+    # density, log-density and height, an iterate, and its fluctuations v
+    # and s for coupled_residuals), however many Newton steps and residual
+    # evaluations the inner solves and the joint Newton take
     grid = Grid.interval(1.0, 129)
     f = NodeField.from_function(
         grid, lambda x: 0.5 + 0.8 * np.cos(np.pi * x) - 0.4 * np.cos(2 * np.pi * x) + 0.25 * np.cos(3 * np.pi * x)
@@ -268,18 +269,17 @@ def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkey
     triple, rep = solve_coupled(data)
     assert joint == [rep] and rep.converged and rep.iterations > 2 and counts["csc"] == 0
     assert counts["node_fields"] == 1 + 4 + 2
-    # the Anderson fallback: the same five, then the loop's first iterate
-    # and seven per outer step, whose two inner solves take more than one
-    # Newton step each on average
-    anderson_only(monkeypatch)
+    # the Anderson loop, the 1D reference: its first iterate and seven per
+    # outer step, whose two inner solves take more than one Newton step
+    # each on average
     counts.clear()
-    triple, rep = solve_coupled(data)
+    triple, rep = anderson_loop(data)
     assert rep.converged and counts["csc"] == 0
-    assert counts["node_fields"] == 1 + 4 + 1 + 7 * rep.iterations
-    assert counts["newton"] > 2 * (1 + rep.iterations)
+    assert counts["node_fields"] == 1 + 7 * rep.iterations
+    assert counts["newton"] > 2 * rep.iterations
 
 
-def test_triple_carries_the_mean_height_and_the_fluctuations(grid, rng, monkeypatch):
+def test_triple_carries_the_mean_height_and_the_fluctuations(grid, rng):
     # a joint triple forms u and rho from its mean-pinned v and its s; an
     # Anderson triple keeps the loop's own u and rho and formed v and s from them
     data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=1e-2))
@@ -289,8 +289,7 @@ def test_triple_carries_the_mean_height_and_the_fluctuations(grid, rng, monkeypa
     assert abs(integrate(joint.v)) <= 1e-15
     assert np.array_equal(joint.u.values, ubar + joint.v.values)
     assert np.array_equal(joint.rho.values, np.exp(data.params.tau * ubar + joint.s.values))
-    anderson_only(monkeypatch)
-    loop, _ = solve_coupled(data)
+    loop, _ = anderson_loop(data)
     assert loop.ubar == ubar
     assert np.array_equal(loop.v.values, loop.u.values - ubar)
     assert np.array_equal(loop.s.values, np.log(loop.rho.values) - data.params.tau * ubar)
@@ -340,15 +339,15 @@ def plain_damped_outer_steps(data: ProblemData, cfg: PicardConfig = PicardConfig
 )
 def test_anderson_matches_the_plain_damped_iteration(dim, tau, a, rng, monkeypatch):
     # with an empty history the update is the plain damped step, so depth 0
-    # is the reference; at a = 1000 the plain residual oscillates. The joint
-    # Newton is made to fail, so the 1D cold solves run the Anderson loop
-    anderson_only(monkeypatch)
+    # is the reference; at a = 1000 the plain residual oscillates. A 2D
+    # solve is the Anderson loop; in 1D the loop runs as the reference
     grid = Grid.interval(1.0, 65) if dim == "1d" else Grid.rectangle((1.0, 1.0), (17, 17))
+    solve = anderson_loop if dim == "1d" else solve_coupled
     f = smooth_field(grid, rng, offset=0.5)
     data = ProblemData(f, params_with(tau=tau, a=a))
-    mixed, rep = solve_coupled(data)
+    mixed, rep = solve(data)
     monkeypatch.setattr(coupled, "_ANDERSON_DEPTH", 0)
-    plain, rep_plain = solve_coupled(data)
+    plain, rep_plain = solve(data)
     assert rep_plain.iterations == plain_damped_outer_steps(data)
     assert rep.converged and rep.iterations <= rep_plain.iterations
     if a == 1000.0:
@@ -365,27 +364,24 @@ def test_anderson_history_is_cleared_when_the_residual_grows(grid, rng, monkeypa
     # earlier step, is pushed off, so the residual grows: the weight is
     # halved and the next update is the plain damped step
     # pin(u + w (pin(B(u)) - u)) from the same iterate, with no mixing of
-    # older steps. The joint Newton is made to fail, so this cold solve's
-    # first map is evaluated again as the loop's first step
-    anderson_only(monkeypatch)
+    # older steps. The loop runs as the 1D reference
     data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=0.1))
     ubar = mean_height_target(data)
     real_map, calls = coupled.picard_map, []
 
     def picard_map(v, *args, **kwargs):
         u_map, rho = real_map(v, *args, **kwargs)
-        if len(calls) == 2:
+        if len(calls) == 1:
             u_map = NodeField(grid, u_map.values + 0.1 * np.cos(np.pi * grid.meshgrid()[0]))
         calls.append((v, u_map))
         return u_map, rho
 
     monkeypatch.setattr(coupled, "picard_map", picard_map)
-    _, rep = solve_coupled(data)
+    _, rep = anderson_loop(data)
     history = rep.residual_history
     assert rep.converged
     assert history[1] > history[0]
-    assert np.array_equal(calls[0][0].flat, calls[1][0].flat) and np.array_equal(calls[0][1].flat, calls[1][1].flat)
-    (u2, b2), (u3, _) = calls[3], calls[4]
+    (u2, b2), (u3, _) = calls[2], calls[3]
     omega = 0.5 * (0.5 * 1.2)
     ops = operators(grid)
     residual = coupled._pin_mean(b2.flat, ops, ubar) - u2.flat
@@ -526,23 +522,15 @@ def test_evolve_residuals_of_the_solved_system(grid):
         assert max(step.residuals) <= PicardConfig().tol_residual
 
 
-def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
-    # each step records the pair that solve_coupled evaluated last, so the
-    # residuals run once per Anderson outer step (step 1, whose joint Newton
-    # is made to fail) and once per accepted joint Newton solve (steps 2
-    # and 3), and evolve adds no evaluation of its own
+def evolve_residual_calls(grid, monkeypatch) -> tuple[list, list]:
+    """Evolve three steps, and check that each records the pair that
+    solve_coupled evaluated last, and that the residuals run once per
+    accepted joint Newton solve and once per Anderson outer step, with no
+    evaluation by evolve itself; return the accepted joint reports and the
+    outer steps of each solve (0 for a joint one)."""
     calls, outer, triples = [], [], []
     residuals, solve = coupled.coupled_residuals, coupled.solve_coupled
     joint = joint_calls(monkeypatch)
-    spy, failed = coupled._joint_newton, []
-
-    def first_fails(*args, **kwargs):
-        if not failed:
-            failed.append(True)
-            raise SolverError("joint Newton switched off")
-        return spy(*args, **kwargs)
-
-    monkeypatch.setattr(coupled, "_joint_newton", first_fails)
 
     def solved(*args, **kwargs):
         accepted = len(joint)
@@ -553,17 +541,29 @@ def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
 
     monkeypatch.setattr(coupled, "coupled_residuals", lambda *args: calls.append(args) or residuals(*args))
     monkeypatch.setattr(coupled, "solve_coupled", solved)
-    u0 = NodeField.from_function(grid, lambda x: 1.0 + 0.2 * np.cos(np.pi * x))
+    u0 = NodeField.from_function(grid, lambda x, *y: 1.0 + 0.2 * np.cos(np.pi * x))
     p, dt = params_with(tau=1e-2), 0.05
     steps = list(coupled.evolve(u0, dt=dt, nsteps=3, params=p))
-    assert len(steps) == 4 and len(joint) == 2 and None not in joint
-    assert outer[0] > 3 and outer[1:] == [0, 0]
+    assert len(steps) == 4 and None not in joint
     assert len(calls) == sum(outer) + len(joint)
     # the recorded pair is exactly what a fresh evaluation of the solved
     # system gives on the solve's fluctuations
     prev, last = steps[-2:]
     data = ProblemData(NodeField(grid, prev.u.values / dt), capped_params(replace(p, a=1.0 / dt), PicardConfig()))
     assert last.u is triples[-1].u and last.residuals == residuals(triples[-1].v, triples[-1].s, data)
+    return joint, outer
+
+
+def test_evolve_reuses_the_last_outer_residuals(grid, monkeypatch):
+    # every 1D step is one accepted joint Newton solve
+    joint, outer = evolve_residual_calls(grid, monkeypatch)
+    assert len(joint) == 3 and outer == [0, 0, 0]
+
+
+def test_2d_evolve_reuses_the_last_outer_residuals(monkeypatch):
+    # every 2D step is the Anderson loop, of more than one outer step
+    joint, outer = evolve_residual_calls(Grid.rectangle((1.0, 1.0), (17, 17)), monkeypatch)
+    assert joint == [] and min(outer) > 1
 
 
 def test_evolve_constant_height_keeps_converging():
@@ -654,7 +654,7 @@ def test_rounding_floor_tau_continuation(nodes, offset):
 
 def joint_calls(monkeypatch) -> list:
     """Record every ``_joint_newton`` call: its report when accepted, None
-    when it raised (and solve_coupled ran the Anderson loop)."""
+    when it raised."""
     real, calls = coupled._joint_newton, []
 
     def joint(*args, **kwargs):
@@ -690,8 +690,7 @@ def test_joint_newton_matches_the_anderson_loop_from_the_same_warm_start(nodes, 
     assert joint.residuals == coupled_residuals(joint.v, joint.s, solved)
     assert rep.residual_history[-1] == max(joint.residuals) <= PicardConfig().tol_residual
     assert_mean_identity(joint.u, f, data.params)
-    anderson_only(monkeypatch)
-    ref, _ = solve_coupled(data, u0=start.u, rho0=start.rho)
+    ref, _ = anderson_loop(data, u0=start.u, rho0=start.rho)
     assert np.abs(joint.u.values - ref.u.values).max() <= 1e-10
     assert np.abs(np.log(joint.rho.values) - np.log(ref.rho.values)).max() <= 1e-9
 
@@ -707,9 +706,7 @@ def test_evolve_joint_steps_match_the_anderson_loop(monkeypatch):
 
     def compared(data, picard_cfg, newton_cfg, u0=None, rho0=None):
         triple, rep = solve(data, picard_cfg, newton_cfg, u0=u0, rho0=rho0)
-        with monkeypatch.context() as m:
-            anderson_only(m)
-            ref, _ = solve(data, picard_cfg, newton_cfg, u0=u0, rho0=rho0)
+        ref, _ = anderson_loop(data, picard_cfg, newton_cfg, u0=u0, rho0=rho0)
         gaps.append((np.abs(triple.u.values - ref.u.values).max(), np.abs(np.log(triple.rho.values / ref.rho.values)).max()))
         reports.append(rep)
         return triple, rep
@@ -725,55 +722,70 @@ def test_evolve_joint_steps_match_the_anderson_loop(monkeypatch):
     assert gaps[0][1] <= 1e-8
 
 
-def test_dgbsv_failure_gives_the_anderson_result_bit_for_bit(grid, rng, monkeypatch):
+def counted_maps(monkeypatch) -> list:
+    """Record the start of every ``picard_map`` call."""
+    real, calls = coupled.picard_map, []
+    monkeypatch.setattr(coupled, "picard_map", lambda v, *a, **k: calls.append(v) or real(v, *a, **k))
+    return calls
+
+
+def test_warm_dgbsv_failure_raises_the_joint_newtons_error(grid, rng, monkeypatch):
+    # a warm 1D solve is the joint Newton alone: a banded solve that fails
+    # fails the solve with the joint Newton's own error and report, and no
+    # Picard map runs
     f = smooth_field(grid, rng, offset=0.5)
     start, _ = solve_coupled(ProblemData(f, params_with(tau=0.02)))
     data = ProblemData(f, params_with(tau=0.01))
-    calls, maps = joint_calls(monkeypatch), []
-    real_map = coupled.picard_map
-    monkeypatch.setattr(coupled, "picard_map", lambda v, *a, **k: maps.append((v, k["rho0"])) or real_map(v, *a, **k))
+    solved = ProblemData(f, capped_params(data.params, PicardConfig()))
+    ubar = mean_height_target(solved)
+    uf = coupled._pin_mean(start.u.flat, operators(grid), ubar)
     monkeypatch.setattr(coupled.lapack, "dgbsv", failing_dgbsv)
-    fell_back, rep = solve_coupled(data, u0=start.u, rho0=start.rho)
-    assert calls == [None]
-    # the Anderson loop starts from the caller's warm start: the mean-pinned
-    # height and the density itself
-    ubar = mean_height_target(ProblemData(f, capped_params(data.params, PicardConfig())))
-    assert np.array_equal(maps[0][0].flat, coupled._pin_mean(start.u.flat, operators(grid), ubar))
-    assert maps[0][1] is start.rho
-    anderson_only(monkeypatch)
-    ref, ref_rep = solve_coupled(data, u0=start.u, rho0=start.rho)
-    assert np.array_equal(fell_back.u.values, ref.u.values)
-    assert np.array_equal(fell_back.rho.values, ref.rho.values)
-    assert all(np.array_equal(x, y) for x, y in zip(fell_back.phi.components, ref.phi.components))
-    assert fell_back.residuals == ref.residuals and rep.to_dict() == ref_rep.to_dict()
+    with pytest.raises(SolverError) as direct:
+        coupled._joint_newton(solved, PicardConfig(), None, ubar, uf, start.rho)
+    calls, maps = joint_calls(monkeypatch), counted_maps(monkeypatch)
+    with pytest.raises(SolverError) as err:
+        solve_coupled(data, u0=start.u, rho0=start.rho)
+    assert calls == [None] and maps == []
+    assert str(err.value) == str(direct.value) == "coupled Newton matrix is singular (dgbsv info 1)"
+    # the merit at the start, and no step taken
+    report = err.value.report
+    assert report.to_dict() == direct.value.report.to_dict()
+    assert not report.converged and report.iterations == 0 and len(report.residual_history) == 1
 
 
-def test_joint_result_outside_the_residual_tolerance_falls_back(grid, rng, monkeypatch):
-    # no solve reaches a residual of 1e-16: the joint result is refused and
-    # the run fails as the Anderson loop does, with its own report
+@pytest.mark.parametrize(
+    "cfg, refusal",
+    [
+        (PicardConfig(tol_residual=1e-16), r"coupled residual \S+ exceeds tol_residual 1e-16$"),
+        (PicardConfig(tol_fixed_point=1e-30), r"last step in v \S+ exceeds tol_fixed_point 1e-30$"),
+    ],
+    ids=["residual", "change"],
+)
+def test_joint_result_outside_the_stopping_test_is_refused(grid, rng, monkeypatch, cfg, refusal):
+    # no solve reaches a residual of 1e-16 or a last step of 1e-30: the
+    # joint result is refused with the check it failed and the joint
+    # Newton's report, and no Picard map runs
     f = smooth_field(grid, rng, offset=0.5)
     start, _ = solve_coupled(ProblemData(f, params_with(tau=0.02)))
-    cfg = PicardConfig(tol_residual=1e-16, max_outer=5)
-    calls = joint_calls(monkeypatch)
-    with pytest.raises(SolverError, match="did not converge in 5 outer steps") as err:
+    calls, maps = joint_calls(monkeypatch), counted_maps(monkeypatch)
+    with pytest.raises(SolverError, match="^coupled Newton result fails the outer stopping test: " + refusal) as err:
         solve_coupled(ProblemData(f, params_with(tau=0.01)), cfg, u0=start.u, rho0=start.rho)
-    assert calls == [None] and err.value.report.iterations == 5
+    report = err.value.report
+    assert calls == [None] and maps == []
+    assert not report.converged and 1 <= report.iterations <= 4
 
 
 def test_2d_solves_never_enter_the_joint_path_and_1d_cold_solves_enter_after_one_map(rng, monkeypatch):
-    def entered(*args, **kwargs):
-        raise AssertionError("the joint Newton ran")
-
     with monkeypatch.context() as m:
-        m.setattr(coupled, "_joint_newton", entered)
+        calls = joint_calls(m)
         square = Grid.rectangle((1.0, 1.0), (17, 17))
         f = smooth_field(square, rng, offset=0.5)
         start, _ = solve_coupled(ProblemData(f, params_with(tau=0.1)))
         _, rep = solve_coupled(ProblemData(f, params_with(tau=0.05)), u0=start.u, rho0=start.rho)
-        assert rep.converged
+        assert rep.converged and calls == []
     # a cold 1D solve (no density, or one that is not strictly positive)
-    # runs one Picard map from the caller's start, the Anderson loop's first
-    # step, then the joint Newton from the pinned map and its density
+    # runs one Picard map from the caller's start, then the joint Newton
+    # from the pinned map and its density
     line = Grid.interval(1.0, 33)
     f = smooth_field(line, rng, offset=0.5)
     data = ProblemData(f, params_with(tau=0.05))
@@ -815,17 +827,16 @@ COLD_SWEEP = [(nodes, tau, a) for nodes in (33, 129, 257) for tau in (1e-1, 1e-3
 @pytest.mark.parametrize("nodes, tau, a", COLD_SWEEP)
 def test_cold_1d_solves_are_the_joint_newtons_and_match_the_anderson_loop(nodes, tau, a, rng, monkeypatch):
     # a cold 1D solve runs one Picard map, then the joint Newton, which is
-    # accepted; the Anderson loop it falls back to reaches the same answer
+    # accepted; the Anderson loop from the same start reaches the same answer
     grid = Grid.interval(1.0, nodes)
+    calls = joint_calls(monkeypatch)
     for offset, amplitude in ((0.5, 0.3), (0.5, 1.0), (1.0, 3.0)):
         f = smooth_field(grid, rng, amplitude=amplitude, offset=offset)
         data = ProblemData(f, params_with(tau=tau, a=a))
-        with monkeypatch.context() as m:
-            calls = joint_calls(m)
-            joint, rep = solve_coupled(data)
-            assert calls == [rep] and rep.converged and rep.iterations >= 2
-            anderson_only(m)
-            ref, _ = solve_coupled(data)
+        calls.clear()
+        joint, rep = solve_coupled(data)
+        assert calls == [rep] and rep.converged and rep.iterations >= 2
+        ref, _ = anderson_loop(data)
         assert rep.residual_history[-1] == max(joint.residuals) <= PicardConfig().tol_residual
         assert_mean_identity(joint.u, f, data.params)
         # the Anderson loop stops on an absolute change of 1e-9, so u is
@@ -835,11 +846,36 @@ def test_cold_1d_solves_are_the_joint_newtons_and_match_the_anderson_loop(nodes,
         assert np.abs(np.log(joint.rho.values / ref.rho.values)).max() <= 1e-8
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    nodes=st.integers(17, 257),
+    log_tau=st.floats(-4.0, -1.0),
+    log_a=st.floats(-2.0, np.log10(200.0)),
+    mean=st.floats(0.2, 2.0),
+    coefs=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+)
+def test_the_1d_solve_loses_no_answer_of_the_anderson_loop(nodes, log_tau, log_a, mean, coefs):
+    # wherever the Anderson loop converges from solve_coupled's start, the
+    # 1D solve (one map, then the joint Newton) converges too, to the same
+    # answer within the cold sweep's bounds
+    grid = Grid.interval(1.0, nodes)
+    f = NodeField.from_function(grid, lambda x: mean + sum(c * np.cos(k * np.pi * x) for k, c in enumerate(coefs, 1)))
+    data = ProblemData(f, params_with(tau=10.0**log_tau, a=10.0**log_a))
+    try:
+        ref, _ = anderson_loop(data)
+    except (SolverError, ValueError):
+        return
+    triple, rep = solve_coupled(data)
+    assert rep.converged
+    assert np.abs(triple.u.values - ref.u.values).max() <= 1e-9 * max(1.0, np.abs(ref.u.values).max())
+    assert np.abs(np.log(triple.rho.values / ref.rho.values)).max() <= 1e-8
+
+
 def test_cold_first_map_failure_raises_the_anderson_loops_error(monkeypatch):
     # the singular density case of the solver tests, mean(g)/tau = 30 on 65
     # nodes, as the first map of a cold solve: g = f - a ubar with a = tau^2
-    # leaves g = 0.03 + 1e-3 cos(pi x). The map is the Anderson loop's first
-    # step, so its error is raised unchanged and the joint Newton never runs
+    # leaves g = 0.03 + 1e-3 cos(pi x). The map's error is raised unchanged
+    # and the joint Newton never runs
     grid = Grid.interval(1.0, 65)
     f = NodeField.from_function(grid, lambda x: 0.06 + 1e-3 * np.cos(np.pi * x))
     data = ProblemData(f, params_with(tau=1e-3, a=1e-6))
@@ -855,21 +891,19 @@ def test_cold_first_map_failure_raises_the_anderson_loops_error(monkeypatch):
     assert err.value.report.to_dict() == direct.value.report.to_dict() and calls == []
 
 
-def test_cold_dgbsv_failure_gives_the_anderson_result_bit_for_bit(grid, rng, monkeypatch):
-    # a banded solve that fails in the joint Newton after the cold map: the
-    # solve returns the Anderson loop's triple and report, the loop run from
-    # the caller's start (it evaluates that first map again)
+def test_cold_dgbsv_failure_raises_the_joint_newtons_error_after_one_map(grid, rng, monkeypatch):
+    # a banded solve that fails in the joint Newton after the cold map
+    # fails the solve with the joint Newton's error and report; the map is
+    # not evaluated again
     data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=0.01))
-    calls = joint_calls(monkeypatch)
-    with monkeypatch.context() as m:
-        m.setattr(coupled.lapack, "dgbsv", failing_dgbsv)
-        fell_back, rep = solve_coupled(data)
-    assert calls == [None] and rep.converged
-    anderson_only(monkeypatch)
-    ref, ref_rep = solve_coupled(data)
-    assert np.array_equal(fell_back.u.values, ref.u.values)
-    assert np.array_equal(fell_back.rho.values, ref.rho.values)
-    assert fell_back.residuals == ref.residuals and rep.to_dict() == ref_rep.to_dict()
+    calls, maps = joint_calls(monkeypatch), counted_maps(monkeypatch)
+    monkeypatch.setattr(coupled.lapack, "dgbsv", failing_dgbsv)
+    with pytest.raises(SolverError) as err:
+        solve_coupled(data)
+    assert str(err.value) == "coupled Newton matrix is singular (dgbsv info 1)"
+    assert calls == [None] and len(maps) == 1
+    report = err.value.report
+    assert not report.converged and report.iterations == 0 and len(report.residual_history) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +913,7 @@ def test_cold_dgbsv_failure_gives_the_anderson_result_bit_for_bit(grid, rng, mon
 # Evaluated on u = ubar + v, the height residual kept a floor from the bits
 # of v that the addition rounds away (1.2e-8 at ubar = 49.5 on 513 nodes,
 # against a tolerance of 1e-8), so joint results with merits near 1e-11
-# were refused and the Anderson fallback stalled on the same floor.
+# were refused and the Anderson loop stalled on the same floor.
 
 
 def cosine_source(nodes: int, mean: float, amplitude: float) -> NodeField:
