@@ -336,12 +336,13 @@ def test_failed_solve_writes_prefix_and_exits_3(tmp_path, capsys, monkeypatch, m
     assert manifest["completed"] is False and manifest["failure"] == failure
 
 
-def test_dgbsv_failure_exits_3_with_the_joint_newtons_error_and_report(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("schedule", [[0.1, 0.01], [0.1, 1e-8]], ids=["then-0.01", "then-1e-8"])
+def test_dgbsv_failure_exits_3_with_the_joint_newtons_error_and_report(tmp_path, capsys, monkeypatch, schedule):
     # every 1D stage is the joint Newton, the cold first one after one
     # Picard map: when its banded solve fails, the run exits 3 with that
     # error and the joint Newton's report, after that one map, with no
-    # stage written
-    cfg = write_config(tmp_path / "c.json", {**BASE, "source": 2.0, "tau_schedule": [0.1, 0.01]})
+    # stage written, whatever the later stages of the schedule
+    cfg = write_config(tmp_path / "c.json", {**BASE, "source": 2.0, "tau_schedule": schedule})
     maps, real_map = [], coupled.picard_map
     monkeypatch.setattr(coupled, "picard_map", lambda *a, **k: maps.append(None) or real_map(*a, **k))
     monkeypatch.setattr(coupled.lapack, "dgbsv", failing_dgbsv)
