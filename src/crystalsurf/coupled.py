@@ -287,7 +287,7 @@ def _joint_newton(
         last["r"] = r
         return r
 
-    def solve(x, b):
+    def solve(x, b, eta=None):  # dgbsv is direct: no forcing term
         last["x"] = x
         h = solvers._height_newton_matrices(ops, x[0::2], p)[1].data  # P, the Hessian in 1D
         rho = np.exp(p.tau * ubar + x[1::2])

@@ -53,8 +53,12 @@ more) and keeps its default threshold pivoting. ``_linear_solve`` keeps
 the last factor of each Newton family, "rho" and "u", in a ``factors``
 cache (one per ``coupled.solve_coupled`` call or standalone solve) and
 solves by ``pcg``, conjugate gradient on the Newton matrix
-preconditioned with that lagged factor, to relative residual 1e-10 in
-at most ``_PCG_MAX_ITER`` iterations. When CG fails (the cap, or
+preconditioned with that lagged factor, in at most ``_PCG_MAX_ITER``
+iterations to the relative residual eta = clamp(0.5 target / merit,
+1e-10, 0.1), the forcing term of the Newton step (``_forcing``; cf.
+Eisenstat & Walker 1996): each step solves only as accurately as
+landing within the Newton target needs, and the direct 1D solves
+ignore it. When CG fails (the cap, or
 nonpositive curvature), or no factor is held, the step runs CG with the
 family's own preconditioner, and when that fails too, the Newton matrix
 is factored, the solve is direct and the cache keeps the factor. A
@@ -144,6 +148,9 @@ _ARMIJO_SHRINK = 0.5
 _ARMIJO_DECREASE = 1e-4
 _MAX_BACKTRACKS = 40
 _PCG_MAX_ITER = 20  # lagged-factor CG iterations before a preconditioner is factored afresh
+# forcing term of a Newton step's linear solve: bounds of 0.5 target / merit
+_ETA_MIN = 1e-10
+_ETA_MAX = 0.1
 
 
 @dataclass
@@ -196,6 +203,12 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
     """Preconditioned conjugate gradient for SPD systems: ``precond(r)``
     applies the inverse of the preconditioner to a residual.
 
+    Stops at |b - A x|_2 <= tol |b|_2, the Euclidean norm. A Newton step
+    passes b = -W res and its forcing term as ``tol`` (``_forcing``),
+    while the Newton merit is the W-weighted norm of res; the factor
+    0.5 in the forcing term covers the mismatch, at most
+    sqrt(max w / min w) = 2 on the trapezoid weights.
+
     Raises SolverError on nonpositive curvature, which would contradict
     positive definiteness of the operator, and when ``maxiter``
     iterations do not reach the relative residual ``tol``.
@@ -242,9 +255,12 @@ def _linear_solve(
     b: np.ndarray,
     factors: dict,
     family: str,
+    eta: float,
     p: _Matrix | Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Solve a x = b for a symmetric positive definite a.
+    """Solve a x = b for a symmetric positive definite a, by CG to the
+    relative residual ``eta``, the Newton step's forcing term
+    (``_forcing``), or directly.
 
     A ``_Matrix`` of a 1D grid lies on the tridiagonal pattern of its K,
     and the solve is LAPACK's ``dptsv`` on the diagonal and subdiagonal
@@ -270,7 +286,7 @@ def _linear_solve(
         a = a.csc()
     if family in factors:
         try:
-            return pcg(a.dot, b, factors[family].solve, 1e-10, _PCG_MAX_ITER)[0]
+            return pcg(a.dot, b, factors[family].solve, eta, _PCG_MAX_ITER)[0]
         except SolverError:
             pass  # the lagged factor has gone stale: refactor
     if p is not None:
@@ -278,7 +294,7 @@ def _linear_solve(
             factors[family] = _factor(p.csc())
             p = factors[family].solve
         try:
-            return pcg(a.dot, b, p, 1e-10, _PCG_MAX_ITER)[0]
+            return pcg(a.dot, b, p, eta, _PCG_MAX_ITER)[0]
         except SolverError:
             pass  # p is too far from a: solve with a factor of a itself
     factors[family] = lu = _factor(a.csc() if isinstance(a, _HeightHessian) else a)
@@ -313,13 +329,27 @@ def _damped_newton(starts, residual, solve, w, source, cfg, name) -> tuple:
     raise failure
 
 
+def _forcing(merit: float, target: float) -> float:
+    """Forcing term of a Newton step from ``merit`` toward ``target``:
+    the relative residual 0.5 target / merit of its linear solve, clamped
+    to [1e-10, 0.1]."""
+    return min(_ETA_MAX, max(_ETA_MIN, 0.5 * target / merit))
+
+
 def _newton_attempt(x, residual, solve, w, target, cfg, report, name) -> np.ndarray:
     """Damped Newton with Armijo backtracking on the merit |residual|_w.
 
-    Each step is ``solve(x, -w residual(x))``, the solve with W times
-    the Jacobian of ``residual`` at x. Converged once the merit is at
-    most ``target``, so a start within target is returned as is.
-    Iterations and merits are appended to ``report``.
+    Each step is ``solve(x, -w residual(x), eta)``, the solve with W
+    times the Jacobian of ``residual`` at x to the relative Euclidean
+    residual eta = ``_forcing(merit, target)``; direct solves ignore
+    eta. With A that matrix and b = -W res, the step's linear residual
+    leaves W^-1 (A step - b) in the linearized next residual, whose
+    W-norm is at most eta sqrt(max w / min w) |res|_w = 2 eta merit on
+    the trapezoid weights: the factor 0.5 keeps it within ``target``, so
+    each step solves only as accurately as landing within the target
+    needs. Converged once the merit of the exact residual is at most
+    ``target``, so a start within target is returned as is. Iterations
+    and merits are appended to ``report``.
     """
     res = residual(x)
     merit = _weighted_norm(w, res)
@@ -330,7 +360,7 @@ def _newton_attempt(x, residual, solve, w, target, cfg, report, name) -> np.ndar
             return x
         if it == cfg.max_iter:
             break
-        step = solve(x, -w * res)
+        step = solve(x, -w * res, _forcing(merit, target))
         report.iterations += 1
         s = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
@@ -428,9 +458,9 @@ def solve_rho_delta(
     def residual(r):
         return (k @ r) / w + delta * r + tau * log_barrier(r, delta) - gv
 
-    def solve(r, rhs):
+    def solve(r, rhs, eta):  # solves to the floor of the forcing term, whatever eta
         jac = _stiffness_plus_diagonal(ops, w * (delta + tau * log_barrier_slope(r, delta)))
-        return _linear_solve(jac, rhs, factors, "rho")
+        return _linear_solve(jac, rhs, factors, "rho", _ETA_MIN)
 
     rho, report = _damped_newton([rho], residual, solve, w, gv, cfg, "density")
     return NodeField.from_flat(g.grid, rho), report
@@ -492,11 +522,11 @@ def solve_rho(
     def residual(s):  # in units of ln rho
         return (c * (k @ np.expm1(s)) / w + tau * s + shift) / tau
 
-    def solve(s, rhs):
+    def solve(s, rhs, eta):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
         d = tau * w / rho
         jac = _stiffness_plus_diagonal(ops, d)
-        return tau * _linear_solve(jac, rhs, factors, "rho", _cosine_preconditioner(ops, d)) / rho
+        return tau * _linear_solve(jac, rhs, factors, "rho", eta, _cosine_preconditioner(ops, d)) / rho
 
     warm = rho0 is not None and np.min(rho0.values) > 0.0
     starts = ([np.log(rho0.flat) - sigma0] if warm else []) + [np.zeros(gv.size)]
@@ -673,9 +703,9 @@ def solve_u(
     def residual(vec):
         return apply_height_operator((ops, vec), params) + shift
 
-    def solve(vec, b):
+    def solve(vec, b, eta):
         hess, lon = _height_newton_matrices(ops, vec, params)
-        return _linear_solve(hess, b, factors, "u", lon)
+        return _linear_solve(hess, b, factors, "u", eta, lon)
 
     starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]
     v, report = _damped_newton(starts, residual, solve, w, rv, cfg, "height")

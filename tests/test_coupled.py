@@ -204,7 +204,9 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
     # height family factors the longitudinal part of its Newton matrix and
     # the density family factors nothing, its CG runs with the cosine
     # solve; in 1D every Newton matrix is tridiagonal and solved with
-    # dptsv, so nothing is factored and CG never runs
+    # dptsv, so nothing is factored and CG never runs. In 2D each linear
+    # solve is one Newton step, and CG to the forcing term takes exactly
+    # the direct path's Newton steps in each family and its outer steps
     data = ProblemData(smooth_field(grid, rng, offset=0.5), params_with(tau=tau))
     results = {}
     for direct in (True, False):
@@ -220,7 +222,43 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
     else:
         assert c_l["splu"] <= 2 and c_l["pcg"] > 0
         assert "rho" not in c_l["factors"] and "u" in c_l["factors"]
+        assert (c_l["rho"], c_l["u"], rep_l.iterations) == (c_d["rho"], c_d["u"], rep_d.iterations)
     for x, y in zip((t_l.u, t_l.rho), (t_d.u, t_d.rho)):
+        assert np.max(np.abs(x.values - y.values)) <= 1e-10 * np.max(np.abs(y.values))
+
+
+def stationary_2d_source(grid: Grid) -> NodeField:
+    """The stationary_2d benchmark's cosine source, without its seeded perturbation."""
+    base = ((0.8, -0.4, 0.25, -0.15), (-0.6, 0.3, -0.2, 0.1))
+    return NodeField(
+        grid,
+        sum(c * np.cos(k * np.pi * x) for x, coefs in zip(grid.meshgrid(), base) for k, c in enumerate(coefs, 1)),
+    )
+
+
+def test_forced_cg_cuts_the_iterations_of_fixed_tolerance_cg_in_the_same_newton_steps(monkeypatch):
+    # the stationary_2d family at 33^2: CG to each step's forcing term
+    # against CG to the fixed relative residual 1e-10 (every forcing term
+    # at its floor) and against direct solves of every Newton matrix. All
+    # three take the same outer and per-family Newton steps, both CG runs
+    # factor once, the forced one takes at most 60% of the fixed one's CG
+    # iterations and agrees with the direct fields
+    grid = Grid.rectangle((1.0, 1.0), (33, 33))
+    data = ProblemData(stationary_2d_source(grid), params_with(tau=0.05))
+    runs = {}
+    for name in ("forced", "fixed", "direct"):
+        with monkeypatch.context() as m:
+            counts = counted_linear_solves(m, direct=name == "direct")
+            if name == "fixed":
+                m.setattr(solvers, "_forcing", lambda merit, target: 1e-10)
+            runs[name] = (*solve_coupled(data), counts)
+    steps = {name: (rep.iterations, c["rho"], c["u"]) for name, (_, rep, c) in runs.items()}
+    assert runs["forced"][1].converged and steps["forced"] == steps["fixed"] == steps["direct"]
+    forced, fixed = runs["forced"][2], runs["fixed"][2]
+    assert forced["splu"] == fixed["splu"] == 1
+    assert 0 < forced["pcg"] <= 0.6 * fixed["pcg"]  # 33 against 59
+    (t, _, _), (t_d, _, _) = runs["forced"], runs["direct"]
+    for x, y in zip((t.u, t.rho), (t_d.u, t_d.rho)):
         assert np.max(np.abs(x.values - y.values)) <= 1e-10 * np.max(np.abs(y.values))
 
 

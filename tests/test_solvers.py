@@ -109,6 +109,47 @@ def test_pcg_with_the_factor_of_its_own_matrix_takes_one_iteration(rng):
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    target=st.floats(1e-14, 1e3),
+    ratios=st.lists(st.floats(1.0, 1e20, exclude_min=True), min_size=2, max_size=2),
+)
+def test_forcing_term_is_bounded_and_does_not_grow_with_the_merit(target, ratios):
+    # a Newton step runs only while merit > target
+    near, far = sorted(ratios)
+    eta_near, eta_far = solvers._forcing(near * target, target), solvers._forcing(far * target, target)
+    assert 1e-10 <= eta_far <= eta_near <= 0.1
+    assert solvers._forcing(1e12 * target, target) == 1e-10  # merit >> target: the tightest solve
+    assert solvers._forcing(2.0 * target, target) == 0.1  # within a factor 5 of the target: the loosest
+    assert solvers._forcing(1e3 * target, target) == pytest.approx(5e-4, rel=1e-14)
+
+
+def test_newton_steps_pass_their_forcing_term_to_cg(rng, monkeypatch):
+    # each 2D density step hands _forcing(merit before the step, target)
+    # to its linear solve, which runs CG to exactly that relative residual
+    grid = Grid.rectangle((1.0, 1.0), (17, 17))
+    tau = 0.05
+    g = NodeField(grid, tau * smooth_field(grid, rng, offset=0.5).values)
+    etas, tols = [], []
+    real_solve, real_pcg = solvers._linear_solve, solvers.pcg
+
+    def linear_solve(a, b, factors, family, eta, *rest):
+        etas.append(eta)
+        return real_solve(a, b, factors, family, eta, *rest)
+
+    def recording_pcg(matvec, b, precond, tol, maxiter):
+        tols.append(tol)
+        return real_pcg(matvec, b, precond, tol, maxiter)
+
+    monkeypatch.setattr(solvers, "_linear_solve", linear_solve)
+    monkeypatch.setattr(solvers, "pcg", recording_pcg)
+    _, rep = solve_rho(g, tau)
+    target = 1e-10 * (1.0 + np.sqrt(np.sum(mass_vector(grid) * (g.flat / tau) ** 2)))
+    assert rep.converged and rep.iterations == len(etas) > 1
+    assert etas == [solvers._forcing(m, target) for m in rep.residual_history[:-1]]
+    assert tols == etas and etas[0] == 1e-10 < etas[-1]
+
+
 def counting_splu(monkeypatch) -> list:
     """Record every matrix SuperLU factors."""
     factored = []
@@ -160,12 +201,12 @@ def test_linear_solve_refactors_when_the_lagged_factor_is_stale(rng, monkeypatch
     grid = Grid.rectangle((1.0, 1.0), (33, 33))
     b = rng.standard_normal(grid.node_count)
     factors = {}
-    solvers._linear_solve(density_matrix(grid, 1e3), b, factors, "rho")
+    solvers._linear_solve(density_matrix(grid, 1e3), b, factors, "rho", 1e-10)
     stale = factors["rho"]
     a = density_matrix(grid, 1e-3)
     expected = direct_solve(a.csc(), b)
     factored, failures = counting_splu(monkeypatch), pcg_failures(monkeypatch)
-    x = solvers._linear_solve(a, b, factors, "rho")
+    x = solvers._linear_solve(a, b, factors, "rho", 1e-10)
     assert failures == [f"conjugate gradient failed to reach tolerance in {solvers._PCG_MAX_ITER} iterations"]
     assert len(factored) == 1 and factors["rho"] is not stale
     assert_built_from(factored[0], a)
@@ -180,7 +221,7 @@ def test_linear_solve_refactors_when_the_curvature_guard_fires(rng, monkeypatch)
     broken = SimpleNamespace(solve=np.zeros_like)
     factors = {"u": broken}
     failures = pcg_failures(monkeypatch)
-    x = solvers._linear_solve(a, b, factors, "u")
+    x = solvers._linear_solve(a, b, factors, "u", 1e-10)
     assert len(failures) == 1 and "nonpositive curvature" in failures[0]
     assert factors["u"] is not broken
     np.testing.assert_array_equal(x, direct_solve(a.csc(), b))
@@ -205,7 +246,7 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
 
     monkeypatch.setattr(solvers, "pcg", failing)
     factored = counting_splu(monkeypatch)
-    x = solvers._linear_solve(hess, b, factors, "u", lon)
+    x = solvers._linear_solve(hess, b, factors, "u", 1e-10, lon)
     assert len(calls) == 1 + held
     assert len(factored) == 2
     assert_built_from(factored[0], lon)
@@ -232,7 +273,7 @@ def test_tridiagonal_solves_use_dptsv_and_match_superlu(n, seed, scale):
     factors = {}
     with pytest.MonkeyPatch.context() as m:
         factored, cg = counting_splu(m), counting_pcg(m)
-        x = solvers._linear_solve(as_newton_matrix(a, Grid.interval(1.0, n)), b, factors, "rho")
+        x = solvers._linear_solve(as_newton_matrix(a, Grid.interval(1.0, n)), b, factors, "rho", 1e-10)
     assert factored == [] and cg == [] and factors == {}
     assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
@@ -259,10 +300,10 @@ def test_matrices_off_the_tridiagonal_pattern_never_reach_dptsv(rng, monkeypatch
     calls = recording_dptsv(monkeypatch)
     for a, p in ((density_matrix(plane, 0.1), None), (hess, lon)):
         b = rng.standard_normal(a.csc().shape[0])
-        x = solvers._linear_solve(a, b, {}, "u", p)
+        x = solvers._linear_solve(a, b, {}, "u", 1e-10, p)
         assert np.linalg.norm(a.csc() @ x - b) <= 1e-9 * np.linalg.norm(b)
     assert calls == []
-    solvers._linear_solve(density_matrix(line, 0.1), rng.standard_normal(line.node_count), {}, "rho")
+    solvers._linear_solve(density_matrix(line, 0.1), rng.standard_normal(line.node_count), {}, "rho", 1e-10)
     assert len(calls) == 1
 
 
@@ -276,7 +317,7 @@ def test_tridiagonal_matrix_with_a_nonpositive_pivot_takes_the_superlu_path(rng,
     b = rng.standard_normal(grid.node_count)
     factors = {}
     calls, factored = recording_dptsv(monkeypatch), counting_splu(monkeypatch)
-    x = solvers._linear_solve(a, b, factors, "rho")
+    x = solvers._linear_solve(a, b, factors, "rho", 1e-10)
     assert len(calls) == 1 and len(factored) == 1 and set(factors) == {"rho"}
     assert_built_from(factored[0], a)
     np.testing.assert_array_equal(x, direct_solve(a.csc(), b))
