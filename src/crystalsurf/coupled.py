@@ -237,11 +237,15 @@ def _residual_fields(ops: mesh.GridOperators, data: ProblemData, ubar: float, v:
 def coupled_residuals(v: NodeField, s: NodeField, data: ProblemData) -> tuple[float, float]:
     """|R1| / (1 + |f|) and |R2| / (1 + |ln rho|), weighted L2, at v = u - ubar
     and s = ln rho - tau ubar, with ubar = ``mean_height_target(data)``."""
-    ops = mesh.operators(v.grid)
-    ubar = mean_height_target(data)
-    r1, r2 = _residual_fields(ops, data, ubar, v.flat, s.flat)
+    return _coupled_residuals(mesh.operators(v.grid), data, mean_height_target(data), v.flat, s.flat)
+
+
+def _coupled_residuals(ops: mesh.GridOperators, data: ProblemData, ubar: float, v: np.ndarray, s: np.ndarray) -> tuple:
+    """``coupled_residuals`` at the flat fluctuations v and s about the
+    caller's ubar, which must be ``mean_height_target(data)``."""
+    r1, r2 = _residual_fields(ops, data, ubar, v, s)
     s1 = ops.norm_lp(r1, 2.0) / (1.0 + ops.norm_lp(data.f.flat, 2.0))
-    s2 = ops.norm_lp(r2, 2.0) / (1.0 + ops.norm_lp(data.params.tau * ubar + s.flat, 2.0))
+    s2 = ops.norm_lp(r2, 2.0) / (1.0 + ops.norm_lp(data.params.tau * ubar + s, 2.0))
     return s1, s2
 
 
@@ -324,11 +328,12 @@ def _joint_newton(
     elif not change <= cfg.tol_fixed_point:
         refusal = f"last step in v {change:.3g} exceeds tol_fixed_point {cfg.tol_fixed_point:g}"
     else:
-        v, s = NodeField.from_flat(grid, _pin_mean(x[0::2], ops, 0.0)), NodeField.from_flat(grid, x[1::2])
-        r1, r2 = coupled_residuals(v, s, data)
+        v = _pin_mean(x[0::2], ops, 0.0)
+        r1, r2 = _coupled_residuals(ops, data, ubar, v, x[1::2])
         report.residual_history.append(max(r1, r2))
         if max(r1, r2) <= cfg.tol_residual:
             report.converged = True
+            v, s = NodeField.from_flat(grid, v), NodeField.from_flat(grid, x[1::2])
             return WeakSolutionTriple(ubar, v, s, p.tau, (r1, r2)), report
         refusal = f"coupled residual {max(r1, r2):.3g} exceeds tol_residual {cfg.tol_residual:g}"
     raise SolverError(f"coupled Newton result fails the outer stopping test: {refusal}", report)
@@ -406,13 +411,14 @@ def _anderson_loop(data: ProblemData, cfg: PicardConfig, newton_cfg, ubar: float
         u_new = _pin_mean(u_new, ops, ubar)
         change = ops.norm_lp(u_new - uf, 2.0)
         u, uf = NodeField.from_flat(grid, u_new), u_new
-        v, s = (NodeField.from_flat(grid, x) for x in (uf - ubar, np.log(rho.flat) - data.params.tau * ubar))
-        r1, r2 = coupled_residuals(v, s, data)
+        v, s = uf - ubar, np.log(rho.flat) - data.params.tau * ubar
+        r1, r2 = _coupled_residuals(ops, data, ubar, v, s)
         res = max(r1, r2)
         report.iterations += 1
         report.residual_history.append(res)
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
             report.converged = True
+            v, s = NodeField.from_flat(grid, v), NodeField.from_flat(grid, s)
             triple = WeakSolutionTriple(ubar, v, s, data.params.tau, (r1, r2))
             triple.u, triple.rho = u, rho  # the loop's own fields, not rebuilt from (v, s)
             return triple, report

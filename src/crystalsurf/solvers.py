@@ -47,35 +47,40 @@ The scalar problems' linear systems are symmetric positive definite
 ``dgbsv``). On a 1D grid every Newton matrix lies on the tridiagonal
 pattern of K, and ``_linear_solve`` solves it directly with LAPACK's
 ``dptsv`` (L D L^T in O(n), no pivoting) and holds no factor. A 2D
-matrix goes to SuperLU, which orders the columns by
-multiple minimum degree on A^T + A (COLAMD orders for A^T A and fills
-more) and keeps its default threshold pivoting. ``_linear_solve`` keeps
-the last factor of each Newton family, "rho" and "u", in a ``factors``
+matrix is solved by ``pcg``: ``_linear_solve`` keeps the last
+preconditioner of each Newton family, "rho" and "u", in a ``factors``
 cache (one per ``coupled.solve_coupled`` call or standalone solve) and
-solves by ``pcg``, conjugate gradient on the Newton matrix
-preconditioned with that lagged factor, in at most ``_PCG_MAX_ITER``
-iterations to the relative residual eta = clamp(0.5 target / merit,
-1e-10, 0.1), the forcing term of the Newton step (``_forcing``; cf.
-Eisenstat & Walker 1996): each step solves only as accurately as
-landing within the Newton target needs, and the direct 1D solves
-ignore it. When CG fails (the cap, or
-nonpositive curvature), or no factor is held, the step runs CG with the
-family's own preconditioner, and when that fails too, the Newton matrix
-is factored, the solve is direct and the cache keeps the factor. A
-tridiagonal matrix on which ``dptsv`` meets a nonpositive pivot (it is
-not numerically SPD) takes that path with no preconditioner of its
-own. The 2D density family preconditions with ``_cosine_solver``, a
-solve of K + cbar W by two DCT-Is (real FFTs of the even extension,
-from ``numpy.fft``) in O(n log n) with no factor (Concus & Golub 1973):
-on this node-centred trapezoid grid W^-1 K is the reflective Neumann
-Laplacian, which the tensor cosine modes diagonalize exactly, and
-cbar = tau mean_w(1/rho) matches the Newton matrix K + diag(tau W/rho)
-on the constant mode. When cbar is not finite or lies below the
-rounding of K, the step goes straight to the factor. The 2D height
-family factors the Hessian's longitudinal part P = sum D_l^T
-diag(W h_ll / dim) D_l + delta K + tau W, which has the 5-point pattern
-of K where the 2D Hessian has 21 points and about a fifth of its LU
-fill, and runs CG on the Hessian's product with it. In 1D, P is the
+runs conjugate gradient on the Newton matrix preconditioned with it, in
+at most ``_PCG_MAX_ITER`` iterations to the relative residual
+eta = clamp(0.5 target / merit, 1e-10, 0.1), the forcing term of the
+Newton step (``_forcing``; cf. Eisenstat & Walker 1996): each step
+solves only as accurately as landing within the Newton target needs,
+and the direct 1D solves ignore it. When CG fails (the cap, or
+nonpositive curvature), or no preconditioner is held, the step runs CG
+with the family's own preconditioner, factored when it is a matrix, and
+when that fails too, the Newton matrix is factored, the solve is direct
+and the cache keeps the factor. Only these fallbacks reach SuperLU,
+which orders the columns by multiple minimum degree on A^T + A (COLAMD
+orders for A^T A and fills more) and keeps its default threshold
+pivoting. A tridiagonal matrix on which ``dptsv`` meets a nonpositive
+pivot (it is not numerically SPD) takes that path with no
+preconditioner of its own. The 2D density family preconditions with
+``_cosine_solver``, a solve of K + cbar W by two DCT-Is (real FFTs of
+the even extension, from ``numpy.fft``) in O(n log n) with no factor
+(Concus & Golub 1973): on this node-centred trapezoid grid W^-1 K is
+the reflective Neumann Laplacian, which the tensor cosine modes
+diagonalize exactly, and cbar = tau mean_w(1/rho) matches the Newton
+matrix K + diag(tau W/rho) on the constant mode. When cbar is not
+finite or lies below the rounding of K, the step goes straight to the
+factor. The 2D height family preconditions with the Hessian's
+longitudinal part P = sum D_l^T diag(W h_ll / dim) D_l + delta K + tau W,
+which has the 5-point pattern of K where the 2D Hessian has 21 points
+and about a fifth of its LU fill. At the flat heights v = 0 every h_ll
+is the same constant, so P = alpha K + tau W, which the cosine solve
+inverts exactly (``_flat_height_preconditioner``); an empty height
+cache starts with it. Every 2D ``coupled.solve_coupled`` takes its
+first height step there, so a 2D solve factors nothing unless a CG
+fails, and then P is factored at the step's heights. In 1D, P is the
 Newton matrix itself.
 
 Below the public ``NodeField`` API the solvers run on flat float64
@@ -93,7 +98,8 @@ Its longitudinal part P lies on the pattern of K, where its data is
 one small linear map per grid (``GridOperators.stiffness_map``, four entries
 per edge, built straight from the two nonzeros of each row of D_l)
 applied to the (D_l, D_l) coefficients, plus delta K, plus tau W on the
-diagonal. In 1D, P is the height matrix. Only the rare fallback that
+diagonal. In 1D, P is the height matrix; in 2D its data is read only
+when CG with the held preconditioner fails. Only the rare fallback that
 factors the height matrix itself builds it as CSC, by sparse products
 of the edge operators. ``_linear_solve`` hands a 1D matrix's data
 straight to ``dptsv`` and builds the CSC matrix that SuperLU and CG
@@ -109,6 +115,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -269,8 +276,10 @@ def _linear_solve(
     touched. When ``dptsv`` meets a nonpositive pivot (a is not
     numerically SPD), or the grid is 2D, a is built as CSC, and a
     ``_HeightHessian`` is applied
-    matrix-free. CG runs preconditioned with the lagged factor of
-    ``family`` when the cache holds one. Otherwise, or when CG fails, CG
+    matrix-free. CG runs preconditioned with the lagged preconditioner of
+    ``family`` when the cache holds one: a SuperLU factor, or any object
+    with its ``solve`` (the height family's flat-state cosine solve,
+    ``_flat_height_preconditioner``). Otherwise, or when CG fails, CG
     runs with ``p``, an SPD operator close to a in spectrum: a function
     applying its inverse is used as is, a matrix is factored and the
     cache keeps that factor. When ``p`` is a (None means a) or that CG
@@ -637,6 +646,21 @@ def _height_newton_matrices(
     return _HeightHessian(ops, coef, params.tau * ops.w), lon
 
 
+def _flat_height_preconditioner(ops: mesh.GridOperators, params: ModelParams) -> SimpleNamespace | None:
+    """P^-1 at the flat heights v = 0 of a 2D grid, behind a SuperLU
+    factor's ``solve`` name, with no factorization.
+
+    Every edge gradient sample is 0 there, so every h_ll is the one
+    constant h(0)_ll and P = alpha K + tau W, alpha = h(0)_ll / dim + delta
+    (K is sum D_l^T diag(W) D_l): P^-1 = ``_cosine_preconditioner`` of
+    K + (tau / alpha) W, divided by alpha. None where that is None (in 1D,
+    and when tau / alpha lies below the rounding of K).
+    """
+    alpha = energy_hessian(np.zeros(ops.grid.dim), params)[0, 0] / ops.grid.dim + params.delta
+    flat = _cosine_preconditioner(ops, (params.tau / alpha) * ops.w)
+    return None if flat is None else SimpleNamespace(solve=lambda r: flat(r) / alpha)
+
+
 def _height_operator(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> np.ndarray:
     return (_energy_gradient(ops, v, params) + params.delta * (ops.k @ v)) / ops.w + params.tau * v
 
@@ -680,13 +704,16 @@ def solve_u(
     above the tolerance at small tau and fine grids. ``u0`` is a warm
     start: Newton runs from v = u0 - ubar first and, if that fails, from
     v = 0, with both attempts in the returned report. ``factors`` is a
-    linear-solve cache (``_linear_solve``), family "u", which in 2D
-    holds a factor of the Hessian's longitudinal part P or, after a
-    failed CG from a fresh factor of P, of the Hessian; None gives the
-    solve a cache of its own. A 2D step runs CG on the matrix-free
-    Hessian (``_HeightHessian``) and assembles it only for that factor.
-    A 1D step solves its tridiagonal Hessian, which is P, with ``dptsv``
-    and factors only when that meets a nonpositive pivot.
+    linear-solve cache (``_linear_solve``), family "u"; None gives the
+    solve a cache of its own. In 2D a cache without "u" gets the cosine
+    solve of the Hessian's longitudinal part P at v = 0
+    (``_flat_height_preconditioner``), exact for a cold first step and
+    no factor. When CG with the held preconditioner fails, the cache
+    gets a factor of P at the step's heights or, when CG from that fails
+    too, of the Hessian. A 2D step runs CG on the matrix-free Hessian
+    (``_HeightHessian``) and assembles it only for that last factor. A 1D
+    step solves its tridiagonal Hessian, which is P, with ``dptsv`` and
+    factors only when that meets a nonpositive pivot.
     """
     if params.tau <= 0.0:
         raise SolverError(
@@ -699,6 +726,8 @@ def solve_u(
     ubar = float(np.sum(w * rv) / np.sum(w)) / params.tau
     shift = params.tau * ubar - rv
     factors = {} if factors is None else factors
+    if "u" not in factors and (flat := _flat_height_preconditioner(ops, params)) is not None:
+        factors["u"] = flat
 
     def residual(vec):
         return apply_height_operator((ops, vec), params) + shift

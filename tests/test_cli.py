@@ -93,10 +93,12 @@ def test_deterministic_outputs(tmp_path):
 
 
 def test_2d_stationary_runs_share_no_factor(tmp_path, monkeypatch):
-    # a 2D solve preconditions with the factors of its own call only: a
-    # factor kept from an earlier op would spare the next op its own
-    # factorizations and change its bytes. The one factor per op is the
-    # height family's; the density family runs CG with the cosine solve
+    # a 2D solve preconditions with what its own call builds only: a
+    # preconditioner kept from an earlier op would change the next op's
+    # bytes. No op factors: every op's first height solve finds a fresh,
+    # empty cache and seeds it with its own flat-state cosine solve, which
+    # the op's later height solves reuse, and the density family runs CG
+    # with the cosine solve
     def config(value):
         patch = {"box": [[0.2, 0.6], [0.1, 0.4]], "value": value}
         return {
@@ -108,12 +110,26 @@ def test_2d_stationary_runs_share_no_factor(tmp_path, monkeypatch):
     factored = []
     real = solvers.spla.splu
     monkeypatch.setattr(solvers.spla, "splu", lambda a, **kw: factored.append(a) or real(a, **kw))
-    counts = []
+    caches = []  # the cache of every height solve, and whether it held "u" on entry
+    real_solve_u = coupled.solve_u
+
+    def solve_u(*args, factors, **kwargs):
+        caches.append((factors, "u" in factors))
+        return real_solve_u(*args, factors=factors, **kwargs)
+
+    monkeypatch.setattr(coupled, "solve_u", solve_u)
+    counts, seeds = [], []
     for name, value in (("o1", 1.5), ("other", 1.6), ("o2", 1.5)):
         factored.clear()
+        caches.clear()
         run("stationary", config(value), tmp_path / name)
         counts.append(len(factored))
-    assert counts == [1, 1, 1]
+        cache = caches[0][0]
+        assert [held for _, held in caches] == [False] + [True] * (len(caches) - 1)
+        assert len(caches) > 1 and all(c is cache for c, _ in caches)
+        seeds.append(cache["u"])
+    assert counts == [0, 0, 0]
+    assert len({id(seed) for seed in seeds}) == 3
     for name in ("u.csv", "rho.csv", "phi.csv", "report.json"):
         assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
 

@@ -240,8 +240,9 @@ def test_forced_cg_cuts_the_iterations_of_fixed_tolerance_cg_in_the_same_newton_
     # the stationary_2d family at 33^2: CG to each step's forcing term
     # against CG to the fixed relative residual 1e-10 (every forcing term
     # at its floor) and against direct solves of every Newton matrix. All
-    # three take the same outer and per-family Newton steps, both CG runs
-    # factor once, the forced one takes at most 60% of the fixed one's CG
+    # three take the same outer and per-family Newton steps, neither CG run
+    # factors (the height family preconditions with the flat-state cosine
+    # solve), the forced one takes at most 60% of the fixed one's CG
     # iterations and agrees with the direct fields
     grid = Grid.rectangle((1.0, 1.0), (33, 33))
     data = ProblemData(stationary_2d_source(grid), params_with(tau=0.05))
@@ -255,10 +256,35 @@ def test_forced_cg_cuts_the_iterations_of_fixed_tolerance_cg_in_the_same_newton_
     steps = {name: (rep.iterations, c["rho"], c["u"]) for name, (_, rep, c) in runs.items()}
     assert runs["forced"][1].converged and steps["forced"] == steps["fixed"] == steps["direct"]
     forced, fixed = runs["forced"][2], runs["fixed"][2]
-    assert forced["splu"] == fixed["splu"] == 1
-    assert 0 < forced["pcg"] <= 0.6 * fixed["pcg"]  # 33 against 59
+    assert forced["splu"] == fixed["splu"] == 0
+    assert 0 < forced["pcg"] <= 0.6 * fixed["pcg"]  # 33 against 60
     (t, _, _), (t_d, _, _) = runs["forced"], runs["direct"]
     for x, y in zip((t.u, t.rho), (t_d.u, t_d.rho)):
+        assert np.max(np.abs(x.values - y.values)) <= 1e-10 * np.max(np.abs(y.values))
+
+
+def test_flat_state_seed_matches_the_path_that_factors_p(monkeypatch):
+    # the stationary_2d family at 33^2: every 2D solve_coupled takes its
+    # first height Newton step at the flat heights, whose P the height
+    # family's seed inverts by the cosine solve; the reference forces the
+    # seed empty, so that step factors P instead. The seeded path factors
+    # nothing, the reference once, and both take the same outer and
+    # per-family Newton steps, CG iterations within 1 and fields within 1e-10
+    grid = Grid.rectangle((1.0, 1.0), (33, 33))
+    data = ProblemData(stationary_2d_source(grid), params_with(tau=0.05))
+    runs = {}
+    for name in ("seeded", "factored"):
+        with monkeypatch.context() as m:
+            counts = counted_linear_solves(m, direct=False)
+            if name == "factored":
+                m.setattr(solvers, "_flat_height_preconditioner", lambda ops, params: None)
+            runs[name] = (*solve_coupled(data), counts)
+    (t, rep, c), (t_f, rep_f, c_f) = runs["seeded"], runs["factored"]
+    assert rep.converged and rep_f.converged
+    assert (rep.iterations, c["rho"], c["u"]) == (rep_f.iterations, c_f["rho"], c_f["u"])
+    assert c["splu"] == 0 and c_f["splu"] == 1
+    assert abs(c["pcg"] - c_f["pcg"]) <= 1
+    for x, y in zip((t.u, t.rho), (t_f.u, t_f.rho)):
         assert np.max(np.abs(x.values - y.values)) <= 1e-10 * np.max(np.abs(y.values))
 
 
@@ -267,8 +293,8 @@ def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkey
     # every 1D Newton matrix reaches dptsv (inner steps) or dgbsv (joint
     # steps) as data on its cached pattern, so no CSC matrix is built, and
     # the NodeFields are those of the public calls (picard_map's source,
-    # density, log-density and height, an iterate, and its fluctuations v
-    # and s for coupled_residuals), however many Newton steps and residual
+    # density, log-density and height, and an iterate) and the accepted
+    # fluctuations v and s, however many Newton steps and residual
     # evaluations the inner solves and the joint Newton take
     grid = Grid.interval(1.0, 129)
     f = NodeField.from_function(
@@ -307,13 +333,13 @@ def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkey
     triple, rep = solve_coupled(data)
     assert joint == [rep] and rep.converged and rep.iterations > 2 and counts["csc"] == 0
     assert counts["node_fields"] == 1 + 4 + 2
-    # the Anderson loop, the 1D reference: its first iterate and seven per
+    # the Anderson loop, the 1D reference: its first iterate, five per
     # outer step, whose two inner solves take more than one Newton step
-    # each on average
+    # each on average, and the accepted v and s
     counts.clear()
     triple, rep = anderson_loop(data)
     assert rep.converged and counts["csc"] == 0
-    assert counts["node_fields"] == 1 + 7 * rep.iterations
+    assert counts["node_fields"] == 1 + 5 * rep.iterations + 2
     assert counts["newton"] > 2 * rep.iterations
 
 
@@ -567,7 +593,7 @@ def evolve_residual_calls(grid, monkeypatch) -> tuple[list, list]:
     evaluation by evolve itself; return the accepted joint reports and the
     outer steps of each solve (0 for a joint one)."""
     calls, outer, triples = [], [], []
-    residuals, solve = coupled.coupled_residuals, coupled.solve_coupled
+    flat_residuals, solve = coupled._coupled_residuals, coupled.solve_coupled
     joint = joint_calls(monkeypatch)
 
     def solved(*args, **kwargs):
@@ -577,7 +603,7 @@ def evolve_residual_calls(grid, monkeypatch) -> tuple[list, list]:
         triples.append(triple)
         return triple, report
 
-    monkeypatch.setattr(coupled, "coupled_residuals", lambda *args: calls.append(args) or residuals(*args))
+    monkeypatch.setattr(coupled, "_coupled_residuals", lambda *args: calls.append(args) or flat_residuals(*args))
     monkeypatch.setattr(coupled, "solve_coupled", solved)
     u0 = NodeField.from_function(grid, lambda x, *y: 1.0 + 0.2 * np.cos(np.pi * x))
     p, dt = params_with(tau=1e-2), 0.05
@@ -588,7 +614,7 @@ def evolve_residual_calls(grid, monkeypatch) -> tuple[list, list]:
     # system gives on the solve's fluctuations
     prev, last = steps[-2:]
     data = ProblemData(NodeField(grid, prev.u.values / dt), capped_params(replace(p, a=1.0 / dt), PicardConfig()))
-    assert last.u is triples[-1].u and last.residuals == residuals(triples[-1].v, triples[-1].s, data)
+    assert last.u is triples[-1].u and last.residuals == coupled_residuals(triples[-1].v, triples[-1].s, data)
     return joint, outer
 
 

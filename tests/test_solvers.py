@@ -436,11 +436,14 @@ def test_1d_density_steps_match_the_parent_linear_solve(rng, monkeypatch):
 
 @ONE_AND_TWO_D
 def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkeypatch):
-    # 2D: every height factor is of a matrix on the 5-point pattern of K, and
-    # none has the 21-point pattern of a Newton matrix; 1D: the tridiagonal
-    # Newton matrix is solved with dptsv, so nothing is factored and CG
-    # never runs, and the heights are those of the linear solve without P
-    # to 1e-10 in as many Newton steps
+    # 2D: the pair factors nothing, its CG preconditioned with the flat-state
+    # cosine solve; with that seed forced empty it factors P at its first
+    # step, and every height factor is of a matrix on the 5-point pattern of
+    # K, none has the 21-point pattern of a Newton matrix, and the heights
+    # agree with the seeded pair's to 1e-10 in as many Newton steps. 1D: the
+    # tridiagonal Newton matrix is solved with dptsv, so nothing is factored
+    # and CG never runs, and the heights are those of the linear solve
+    # without P to 1e-10 in as many Newton steps
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     sources = [smooth_field(grid, rng, amplitude=0.5) for _ in range(2)]
     sources[1] = NodeField(grid, sources[0].values + 0.1 * sources[1].values)
@@ -468,6 +471,12 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
             assert np.max(np.abs(u - u_p)) <= 1e-10 * np.max(np.abs(u_p))
             assert its == its_p
         return
+    assert factored == [] and cg and set(factors) == {"u"}
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_linear_solve", lambda a, *rest: matrices.append(a) or real(a, *rest))
+        m.setattr(solvers, "_flat_height_preconditioner", lambda ops, params: None)
+        factored = counting_splu(m)
+        reference, factors = solve_pair()
     assert factored and set(factors) == {"u"}
     newton_nnz = {x.csc().nnz for x in matrices}
     for a in factored:
@@ -475,6 +484,65 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
         np.testing.assert_array_equal(a.indptr, k.indptr)
         np.testing.assert_array_equal(a.indices, k.indices)
     assert factors["u"].shape == k.shape
+    for (u, its), (u_r, its_r) in zip(results, reference):
+        assert np.max(np.abs(u - u_r)) <= 1e-10 * np.max(np.abs(u_r))
+        assert its == its_r
+
+
+@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("tau", [0.05, 1e-4])
+def test_flat_height_preconditioner_is_p_at_the_flat_state(n, tau, rng):
+    # the cosine solve against P, the longitudinal part of the height Newton
+    # matrix at v = 0, assembled, and a SuperLU solve of it, which a 2D
+    # height solve's first step factored before. The fluctuation of b (zero
+    # plain sum) and the constant mode W, whose solution is 1/tau, checked
+    # apart, as for the cosine solve itself: at tau 1e-4 a mixed b gives
+    # x ~ 1e4, whose rounding alone leaves a residual near 1e-8, and
+    # SuperLU's own solve then strays by about 1e-9 in the slowest modes
+    # while leaving a residual of 1e-15. No preconditioner in 1D
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=tau, delta=1e-6)
+    ops = operators(Grid.rectangle((1.0, 1.0), (n, n)))
+    flat = solvers._flat_height_preconditioner(ops, params)
+    p0 = solvers._height_newton_matrices(ops, np.zeros(ops.grid.node_count), params)[1].csc()
+    lu = spla.splu(p0, permc_spec="MMD_AT_PLUS_A")
+    for _ in range(3):
+        b = rng.standard_normal(ops.grid.node_count)
+        b -= b.mean()
+        x, expected = flat.solve(b), lu.solve(b)
+        for y in (x, expected):
+            assert np.linalg.norm(p0 @ y - b) <= 1e-12 * np.linalg.norm(b)
+        if tau == 0.05:
+            assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+    np.testing.assert_allclose(flat.solve(ops.w), 1.0 / tau, rtol=1e-12)
+    assert solvers._flat_height_preconditioner(operators(Grid.interval(1.0, n)), params) is None
+
+
+def test_height_solve_factors_p_at_its_current_v_when_cg_with_the_flat_seed_fails(rng, monkeypatch):
+    # a seed whose solve returns zero makes CG meet zero curvature at the
+    # first step of a warm start: that step factors P at its own v, not at
+    # the flat state, later steps run CG on that factor, and the solve
+    # converges to the heights of a cold solve
+    grid = Grid.rectangle((1.0, 1.0), (17, 17))
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=0.05, delta=1e-6)
+    rhs = smooth_field(grid, rng, amplitude=0.5)
+    expected, _ = solve_u(rhs, params)
+    u0 = NodeField(grid, expected.values + 0.01 * smooth_field(grid, rng).values)
+    monkeypatch.setattr(solvers, "_flat_height_preconditioner", lambda ops, p: SimpleNamespace(solve=np.zeros_like))
+    preconditioners = []
+    real = solvers._linear_solve
+    monkeypatch.setattr(
+        solvers, "_linear_solve", lambda a, b, factors, family, eta, p: preconditioners.append(p) or real(a, b, factors, family, eta, p)
+    )
+    factored, failures = counting_splu(monkeypatch), pcg_failures(monkeypatch)
+    u, rep = solve_u(rhs, params, u0=u0)
+    assert rep.converged and rep.iterations == len(preconditioners) > 1
+    assert len(failures) == 1 and "nonpositive curvature" in failures[0]
+    assert len(factored) == 1
+    assert_built_from(factored[0], preconditioners[0])
+    ops = operators(grid)
+    flat = solvers._height_newton_matrices(ops, np.zeros(grid.node_count), params)[1]
+    assert not np.array_equal(preconditioners[0].data, flat.data)
+    assert np.max(np.abs(u.values - expected.values)) <= 1e-10 * np.max(np.abs(expected.values))
 
 
 @ONE_AND_TWO_D
@@ -516,31 +584,42 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
 
 @ONE_AND_TWO_D
 def test_standalone_solves_share_no_factor(grid, rng, monkeypatch):
-    # a 2D solve given no cache holds one of its own: it factors its first
-    # Newton matrix and iterates on that factor, and a repeated solve
-    # factors again rather than reusing a factor of the earlier call; a 2D
-    # density solve preconditions with the cosine solve and factors nothing,
-    # and every 1D solve is direct with dptsv, with no factor and no CG
+    # a solve given no cache holds one of its own, and a repeated solve
+    # builds its own preconditioners rather than reusing those of the
+    # earlier call, in as many steps. In 2D the density solve preconditions
+    # with the cosine solve and the height solve with the flat-state cosine
+    # solve, and neither factors; the barrier density solve factors its
+    # first Newton matrix and iterates on that factor. Every 1D solve is
+    # direct with dptsv, with no factor, no CG and an empty cache
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     f = smooth_field(grid, rng, offset=0.5)
     g = NodeField(grid, params.tau * f.values)
     rhs = smooth_field(grid, rng)
     factored, cg = counting_splu(monkeypatch), counting_pcg(monkeypatch)
+    caches = []
+    real = solvers._linear_solve
+    monkeypatch.setattr(solvers, "_linear_solve", lambda a, b, factors, *rest: caches.append(factors) or real(a, b, factors, *rest))
     solves = (lambda: solve_rho(g, params.tau), lambda: solve_u(rhs, params), lambda: solve_rho_delta(f, 1.0, 1e-6))
     for solve in solves:
-        runs = []
+        runs, held = [], []
         for _ in range(2):
             factored.clear()
             cg.clear()
+            caches.clear()
             _, rep = solve()
             runs.append((len(factored), len(cg) > 0, rep.iterations))
+            assert caches and all(c is caches[0] for c in caches)
+            held.append(caches[0])
         assert runs[0] == runs[1]
+        assert held[0] is not held[1] and held[0].keys() == held[1].keys()
+        assert all(held[0][family] is not held[1][family] for family in held[0])
         if grid.dim == 1:
-            assert runs[0][:2] == (0, False) and runs[0][2] > 0
-        elif solve is solves[0]:
-            assert runs[0][0] == 0 < runs[0][2]
+            assert runs[0][:2] == (0, False) and runs[0][2] > 0 and held[0] == {}
+        elif solve is solves[2]:
+            assert 1 <= runs[0][0] < runs[0][2] and set(held[0]) == {"rho"}
         else:
-            assert 1 <= runs[0][0] < runs[0][2]
+            assert runs[0][:2] == (0, True) and runs[0][2] > 0
+            assert set(held[0]) == (set() if solve is solves[0] else {"u"})
 
 
 # ---------------------------------------------------------------------------
