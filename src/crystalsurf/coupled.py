@@ -227,11 +227,13 @@ def picard_map(
 
 
 def _residual_fields(ops: mesh.GridOperators, data: ProblemData, ubar: float, v: np.ndarray, s: np.ndarray) -> tuple:
-    """R1 and R2 (module docstring) at the flat fluctuations v and s."""
+    """R1 and R2 (module docstring) at the flat fluctuations v and s, and
+    the height operator's edge pass at v (``apply_height_operator``)."""
     p = data.params
     fluct = data.f.flat - (p.a + p.tau**2) * ubar  # f - mean_w(f), by the mean identity
     r1 = np.exp(p.tau * ubar) * (ops.k @ np.expm1(s)) / ops.w + p.tau * s + p.a * v - fluct
-    return r1, apply_height_operator((ops, v), p) - s
+    height, edges = apply_height_operator((ops, v), p)
+    return r1, height - s, edges
 
 
 def coupled_residuals(v: NodeField, s: NodeField, data: ProblemData) -> tuple[float, float]:
@@ -243,7 +245,7 @@ def coupled_residuals(v: NodeField, s: NodeField, data: ProblemData) -> tuple[fl
 def _coupled_residuals(ops: mesh.GridOperators, data: ProblemData, ubar: float, v: np.ndarray, s: np.ndarray) -> tuple:
     """``coupled_residuals`` at the flat fluctuations v and s about the
     caller's ubar, which must be ``mean_height_target(data)``."""
-    r1, r2 = _residual_fields(ops, data, ubar, v, s)
+    r1, r2, _ = _residual_fields(ops, data, ubar, v, s)
     s1 = ops.norm_lp(r1, 2.0) / (1.0 + ops.norm_lp(data.f.flat, 2.0))
     s2 = ops.norm_lp(r2, 2.0) / (1.0 + ops.norm_lp(data.params.tau * ubar + s, 2.0))
     return s1, s2
@@ -281,19 +283,21 @@ def _joint_newton(
     ops = mesh.operators(grid)
     w, n = ops.w, grid.node_count
     kd, ke = ops.k.data[::3], ops.k.data[1::3]
-    # the latest residual, which the core evaluates last at the point it
-    # returns, and the latest point a step was solved at
+    # the latest residual, its point and its edge pass (the core evaluates
+    # the residual last at the point it steps from or returns), and the
+    # latest point a step was solved at
     last = {}
 
     def residual(x):
         r = np.empty_like(x)
-        r[0::2], r[1::2] = _residual_fields(ops, data, ubar, x[0::2], x[1::2])
-        last["r"] = r
+        r[0::2], r[1::2], last["edges"] = _residual_fields(ops, data, ubar, x[0::2], x[1::2])
+        last["r"], last["at"] = r, x
         return r
 
     def solve(x, b, eta=None):  # dgbsv is direct: no forcing term
         last["x"] = x
-        h = solvers._height_newton_matrices(ops, x[0::2], p)[1].data  # P, the Hessian in 1D
+        edges = last["edges"] if x is last["at"] else None
+        h = solvers._height_newton_matrices(ops, x[0::2], p, edges)[1].data  # P, the Hessian in 1D
         rho = np.exp(p.tau * ubar + x[1::2])
         ab = np.zeros((10, 2 * n))  # A[i, j] at ab[6 + i - j, j]; rows 0-2 hold the LU fill
         ab[6, 0::2], ab[7, 0::2] = p.a * w, h[::3]

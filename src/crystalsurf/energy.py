@@ -8,7 +8,15 @@ a tau-regularization of (1/p)|z|^p + beta0 |z| that removes the gradient
 degeneracy of the p-term and the kink of the total-variation term. Its
 gradient factors through the scalar flux coefficient
 
-    F(s) = (s + tau)^((p-2)/2) + beta0 (s + tau)^(-1/2),   grad e(z) = F(|z|^2) z.
+    F(s) = (s + tau)^((p-2)/2) + beta0 (s + tau)^(-1/2),   grad e(z) = F(|z|^2) z,
+
+the sum of the two flux terms a_p = m^((p-2)/2) and a_tv = beta0 m^(-1/2)
+at m = s + tau. Since e is radial, its Hessian is
+
+    F(|z|^2) I + B(|z|^2) z z^T,   B = 2 F' = ((p-2) a_p - a_tv) / m,
+
+and ``hessian_coefficients`` is the one place the pair (F, B) is formed:
+``energy_hessian`` and the height solver's edge coefficients both read it.
 
 This module also provides the logarithmic barrier used by the regularized
 density solver and the subgradient selection for the total-variation term
@@ -27,6 +35,7 @@ __all__ = [
     "ModelParams",
     "energy_density",
     "flux_coefficient",
+    "hessian_coefficients",
     "energy_gradient",
     "energy_hessian",
     "log_barrier",
@@ -79,6 +88,17 @@ def energy_density(z, params: ModelParams):
     return (1.0 / params.p) * m ** (0.5 * params.p) + params.beta0 * np.sqrt(m)
 
 
+def _flux_terms(s, params: ModelParams):
+    """m = s + tau and the two terms a_p = m^((p-2)/2) and
+    a_tv = beta0 m^(-1/2) of F(s) = a_p + a_tv. Raises when s + tau = 0,
+    where the total-variation part is singular; for s >= 0 only tau = 0
+    allows that, so only then is m scanned."""
+    m = np.asarray(s, dtype=float) + params.tau
+    if params.tau <= 0.0 and np.any(m <= 0.0):
+        raise ValueError("the flux coefficient requires s + tau > 0")
+    return m, m ** (0.5 * (params.p - 2.0)), params.beta0 / np.sqrt(m)
+
+
 def flux_coefficient(s, params: ModelParams):
     """Scalar coefficient F(s) with grad e(z) = F(|z|^2) z.
 
@@ -86,11 +106,17 @@ def flux_coefficient(s, params: ModelParams):
     p <= 2, nonincreasing in s. Raises when s + tau = 0, where the
     total-variation part is singular; solvers must pass tau > 0.
     """
-    s = np.asarray(s, dtype=float)
-    m = s + params.tau
-    if np.any(m <= 0.0):
-        raise ValueError("flux coefficient requires s + tau > 0")
-    return m ** (0.5 * (params.p - 2.0)) + params.beta0 / np.sqrt(m)
+    _, a_p, a_tv = _flux_terms(s, params)
+    return a_p + a_tv
+
+
+def hessian_coefficients(s, params: ModelParams):
+    """The pair (F(s), B(s)) of the Hessian F I + B z z^T of
+    ``energy_density`` at |z|^2 = s: F = a_p + a_tv, the flux coefficient,
+    and B = 2 F'(s) = ((p-2) a_p - a_tv) / m. Raises as
+    ``flux_coefficient`` does."""
+    m, a_p, a_tv = _flux_terms(s, params)
+    return a_p + a_tv, ((params.p - 2.0) * a_p - a_tv) / m
 
 
 def energy_gradient(z, params: ModelParams):
@@ -110,25 +136,16 @@ def energy_gradient(z, params: ModelParams):
 
 
 def energy_hessian(z, params: ModelParams):
-    """Hessian of ``energy_density``, shape (..., N, N).
+    """Hessian of ``energy_density``, shape (..., N, N): F I + B z z^T
+    with the pair of ``hessian_coefficients``.
 
     Symmetric positive definite with smallest eigenvalue at least
     (p - 1) (|z|^2 + tau)^((p-2)/2). Requires |z|^2 + tau > 0.
     """
     z = np.asarray(z, dtype=float)
-    n = z.shape[-1]
-    s = np.sum(z * z, axis=-1)
-    m = s + params.tau
-    if np.any(m <= 0.0):
-        raise ValueError("energy hessian requires |z|^2 + tau > 0")
-    eye = np.eye(n)
-    outer = z[..., :, None] * z[..., None, :] / m[..., None, None]
-    a_p = m ** (0.5 * (params.p - 2.0))
-    a_tv = params.beta0 / np.sqrt(m)
-    return (
-        a_p[..., None, None] * (eye + (params.p - 2.0) * outer)
-        + a_tv[..., None, None] * (eye - outer)
-    )
+    f, b = hessian_coefficients(np.sum(z * z, axis=-1), params)
+    outer = z[..., :, None] * z[..., None, :]
+    return f[..., None, None] * np.eye(z.shape[-1]) + b[..., None, None] * outer
 
 
 def log_barrier(s, delta: float):

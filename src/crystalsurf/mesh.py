@@ -382,7 +382,8 @@ class GridOperators:
     them; in 1D ``k.data`` holds the diagonal at [::3] and the
     subdiagonal at [1::3]. ``diagonal``, ``stiffness_map`` and
     ``cosine_spectrum`` are built on first use. The methods are the
-    bodies of the public ``NodeField`` functions of the same names.
+    bodies of the public ``NodeField`` functions of the same names;
+    ``integral`` and the L^2 ``norm_lp`` are each one dot product with W.
     """
 
     grid: Grid
@@ -436,10 +437,12 @@ class GridOperators:
         return lam, float(np.prod([2 * (n - 1) for n in self.grid.cells]))
 
     def integral(self, v: np.ndarray) -> float:
-        return float(np.sum(v * self.w))
+        return float(self.w @ v)
 
     def norm_lp(self, v: np.ndarray, p: float) -> float:
-        return float(np.sum(self.w * np.abs(v) ** p) ** (1.0 / p))
+        if p == 2.0:
+            return float(np.sqrt(v @ (self.w * v)))
+        return float((self.w @ np.abs(v) ** p) ** (1.0 / p))
 
     def w1p_norm(self, v: np.ndarray, p: float) -> float:
         return float((np.sum(self.w * np.abs(v) ** p) + self.gradient_power_integral(v, p)) ** (1.0 / p))

@@ -22,16 +22,29 @@ solved by minimizing the discrete energy
 
 whose exact gradient and Hessian are given by the sparse edge
 operators D_i of ``mesh.edge_stencil`` (the longitudinal D_l, then in
-2D the transverse D_t) and the edge gradient samples z of
-``mesh.edge_gradients``: the gradient is sum_i D_i^T (W F z_i) and the
-Hessian sum_ij D_i^T diag(W h_ij) D_j, with h the edgewise energy
-Hessian, in every dimension alike. The 1/dim factor compensates for
-sampling the full edge gradient once per axis family. Strict convexity
-of the edge energy makes the Hessian symmetric positive definite, so
-Newton converges quadratically and the minimizer is unique. Newton runs
-on the fluctuation about the solution's exact mean mean_w(rhs)/tau,
-which keeps the rounding error of the residual proportional to the
-fluctuation.
+2D the transverse D_t) and the edge gradients z_i = D_i u: the gradient
+is sum_i D_i^T (W F z_i) / dim and the Hessian
+sum_ij D_i^T diag(c_ij) D_j, in every dimension alike. The edge energy
+is radial, so its Hessian is F I + B z z^T with B = 2 F'(|z|^2), and
+c_ij = (W / dim) (F delta_ij + B z_i z_j) in closed form
+(``energy.hessian_coefficients``); delta K adds delta W to c_ll. The
+1/dim factor compensates for sampling the full edge gradient once per
+axis family. Strict convexity of the edge energy makes the Hessian
+symmetric positive definite, so Newton converges quadratically and the
+minimizer is unique. Newton runs on the fluctuation about the
+solution's exact mean mean_w(rhs)/tau, which keeps the rounding error of
+the residual proportional to the fluctuation.
+
+Each Newton point is evaluated once. ``_edge_pass`` forms z per axis
+family, then (F, B) at |z|^2 from m = |z|^2 + tau and the flux terms
+a_p = m^((p-2)/2) and a_tv = beta0 m^(-1/2), and the edge coefficients
+q_i = W F / dim (plus delta W on the longitudinal one) and W B / dim;
+the residual is built from it, and the Newton core always steps from
+the point of its latest residual, so the step's Newton matrix reuses
+that pass
+(``_height_newton_matrices``), as does the 1D joint Newton's banded
+matrix in ``coupled``. The residual's merit is one dot product with W
+(``_weighted_norm``).
 
 One Newton core, ``_damped_newton``, owns the starts (a warm start, when
 given, then the cold one), the target, the Armijo line search on the
@@ -92,13 +105,13 @@ K + diag(tau W/rho) is a copy of the data of K plus tau W/rho at K's
 diagonal positions (``GridOperators.diagonal``). The
 2D height Newton matrix is never assembled on a step: CG needs only its
 products, and ``_HeightHessian`` applies H v = sum_families sum_i
-D_i^T (sum_j c_ij D_j v) + tau W v, c_ij = W h_ij / dim with delta W on
-c_ll, from the edge operators and the step's energy Hessian samples.
-Its longitudinal part P lies on the pattern of K, where its data is
+D_i^T (sum_j c_ij D_j v) + tau W v from the edge operators and the
+closed-form c_ij of the step's edge pass, kept as one edge array per
+(i, j) pair. Its longitudinal part P lies on the pattern of K, where its data is
 one small linear map per grid (``GridOperators.stiffness_map``, four entries
 per edge, built straight from the two nonzeros of each row of D_l)
-applied to the (D_l, D_l) coefficients, plus delta K, plus tau W on the
-diagonal. In 1D, P is the height matrix; in 2D its data is read only
+applied to the (D_l, D_l) coefficients c_ll, which carry delta K, plus
+tau W on the diagonal. In 1D, P is the height matrix; in 2D its data is read only
 when CG with the held preconditioner fails. Only the rare fallback that
 factors the height matrix itself builds it as CSC, by sparse products
 of the edge operators. ``_linear_solve`` hands a 1D matrix's data
@@ -124,11 +137,12 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from . import mesh
-from .energy import (
+from .energy import (  # energy_hessian and flux_coefficient: names bench/tracing.py patches here
     ModelParams,
     energy_density,
     energy_hessian,
     flux_coefficient,
+    hessian_coefficients,
     log_barrier,
     log_barrier_slope,
 )
@@ -319,7 +333,7 @@ def _factor(a: sp.csc_matrix):
 
 
 def _weighted_norm(w: np.ndarray, r: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(w * r * r)))
+    return float(np.sqrt(r @ (w * r)))
 
 
 def _damped_newton(starts, residual, solve, w, source, cfg, name) -> tuple:
@@ -573,37 +587,57 @@ def height_energy(u: NodeField, params: ModelParams, rhs: NodeField) -> float:
     return surface_energy(u, params) + quad - float(np.sum(ops.w * rhs.flat * uf))
 
 
-def _energy_gradient(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Exact gradient of the edge-energy sum at the flat heights v: sum
-    over operators D^T (W F z)."""
-    out = np.zeros(v.size)
-    for z, wvec, adjoints in zip(ops.edge_samples(v), ops.edge_weights, ops.adjoints):
-        f = flux_coefficient(np.sum(z * z, axis=-1), params)
-        for i, dt in enumerate(adjoints):
-            out += dt @ (wvec * (f * z[:, i]))
-    return out / ops.grid.dim
+class _EdgeFamily(NamedTuple):
+    """The edge energy of one axis family at the flat heights v: the
+    gradient components z_i = D_i v (longitudinal first), the flux
+    coefficients q_i = W F / dim, plus delta W on the longitudinal one,
+    and wb = W B / dim, with the pair (F, B) of
+    ``energy.hessian_coefficients`` at |z|^2. The family's part of the
+    W-weighted height operator is sum_i D_i^T (q_i z_i), and the edge
+    coefficients of its Newton matrix are c_ij = q_i delta_ij + wb z_i z_j."""
+
+    z: list[np.ndarray]
+    q: list[np.ndarray]
+    wb: np.ndarray
+
+
+def _edge_pass(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> list[_EdgeFamily]:
+    """Evaluate every edge of ``ops`` once at the flat heights v: one
+    ``_EdgeFamily`` per axis family, from which both the height residual
+    and the Newton matrix at v are built."""
+    dim, out = ops.grid.dim, []
+    for stencil, wvec in zip(ops.stencils, ops.edge_weights):
+        z = [d @ v for d in stencil]
+        f, b = hessian_coefficients(sum(zi * zi for zi in z), params)
+        f /= dim
+        q = [wvec * (f + params.delta), *(wvec * f for _ in z[1:])]
+        out.append(_EdgeFamily(z, q, wvec * (b / dim)))
+    return out
 
 
 class _HeightHessian(NamedTuple):
     """The 2D height Newton matrix H = sum over axis families of
     sum_ij D_i^T diag(c_ij) D_j + tau W, kept as its edge coefficients:
-    ``coef[k][i, j]`` is c_ij = W h_ij / dim on the edges of family k,
-    with delta W added to c_ll, which carries delta K (K is
-    sum D_l^T diag(W) D_l); each c is a (dim, dim, edges) array.
-    ``dot`` applies H with four sparse products per family, and ``csc``
-    assembles it by sparse products of the edge operators, which only a
-    factor of H needs."""
+    ``coef[k][i][j]`` is c_ij on the edges of family k, in the closed form
+    c_ij = (W / dim) (F delta_ij + B z_i z_j) with the pair (F, B) of
+    ``energy.hessian_coefficients``, and delta W added to c_ll, which
+    carries delta K (K is sum D_l^T diag(W) D_l). ``dot`` applies H with
+    four sparse products per family, and ``csc`` assembles it by sparse
+    products of the edge operators, which only a factor of H needs."""
 
     ops: mesh.GridOperators
-    coef: list[np.ndarray]
+    coef: list[list[list[np.ndarray]]]
     tau_w: np.ndarray
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         out = self.tau_w * v
         for c, stencil, adjoints in zip(self.coef, self.ops.stencils, self.ops.adjoints):
-            flux = np.einsum("ije,je->ie", c, [d @ v for d in stencil])  # D_j v once per family
-            for dt, f in zip(adjoints, flux):
-                out += dt @ f
+            g = [d @ v for d in stencil]  # D_j v once per family
+            for dt, ci in zip(adjoints, c):
+                flux = ci[0] * g[0]
+                for cij, gj in zip(ci[1:], g[1:]):
+                    flux += cij * gj
+                out += dt @ flux
         return out
 
     def csc(self) -> sp.csc_matrix:
@@ -616,33 +650,39 @@ class _HeightHessian(NamedTuple):
 
 
 def _height_newton_matrices(
-    ops: mesh.GridOperators, v: np.ndarray, params: ModelParams
+    ops: mesh.GridOperators, v: np.ndarray, params: ModelParams, edges: list[_EdgeFamily] | None = None
 ) -> tuple[_HeightHessian | _Matrix, _Matrix]:
     """W times the Jacobian of ``apply_height_operator`` at the flat
     heights v, and its longitudinal part, the preconditioner of
-    ``solve_u``.
+    ``solve_u``, both from ``edges``, the ``_edge_pass`` at v (the one
+    that evaluated the residual at v, or a fresh one when None).
 
-    The first is the exact energy Hessian sum_ij D_i^T diag(W h_ij) D_j
-    / dim plus delta K + tau W (symmetric positive definite), as the
-    matrix-free ``_HeightHessian`` of the energy Hessian samples. The
-    second, P = sum D_l^T diag(W h_ll / dim) D_l + delta K + tau W, is
-    its data on the pattern of K: ``ops.stiffness_map`` applied to the
-    (D_l, D_l) coefficients, plus delta K, plus tau W on the diagonal. A 1D
-    edge family has no transverse operator, so there P is the first matrix
-    itself.
+    The first is the exact energy Hessian sum_ij D_i^T diag(c_ij) D_j
+    plus tau W (symmetric positive definite), with the closed-form edge
+    coefficients c_ij = q_i delta_ij + wb z_i z_j of the ``_EdgeFamily``,
+    (W / dim) (F delta_ij + B z_i z_j) plus delta W on c_ll, as the
+    matrix-free ``_HeightHessian``; no per-edge matrix is formed. The
+    second, P = sum D_l^T diag(c_ll) D_l + tau W, is its data on the
+    pattern of K: ``ops.stiffness_map`` applied to the c_ll of every
+    family, plus tau W on the diagonal. A 1D edge family has no
+    transverse operator, so there P is the first matrix itself.
     """
     dim = ops.grid.dim
-    coef = [
-        np.multiply(energy_hessian(z, params).transpose(1, 2, 0), wvec, order="C") / dim
-        for z, wvec in zip(ops.edge_samples(v), ops.edge_weights)
-    ]
-    data = ops.stiffness_map @ np.concatenate([c[0, 0] for c in coef]) + params.delta * ops.k.data
+    edges = _edge_pass(ops, v, params) if edges is None else edges
+    coef = []
+    for e in edges:
+        c = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            bz = e.wb * e.z[i]
+            for j in range(i, dim):
+                c[i][j] = c[j][i] = bz * e.z[j]  # one array for c_ij = c_ji
+            c[i][i] += e.q[i]
+        coef.append(c)
+    data = ops.stiffness_map @ np.concatenate([c[0][0] for c in coef])
     data[ops.diagonal] += params.tau * ops.w
     lon = _Matrix(data, ops)
     if dim == 1:
         return lon, lon
-    for c, wvec in zip(coef, ops.edge_weights):
-        c[0, 0] += params.delta * wvec
     return _HeightHessian(ops, coef, params.tau * ops.w), lon
 
 
@@ -650,19 +690,16 @@ def _flat_height_preconditioner(ops: mesh.GridOperators, params: ModelParams) ->
     """P^-1 at the flat heights v = 0 of a 2D grid, behind a SuperLU
     factor's ``solve`` name, with no factorization.
 
-    Every edge gradient sample is 0 there, so every h_ll is the one
-    constant h(0)_ll and P = alpha K + tau W, alpha = h(0)_ll / dim + delta
+    Every edge gradient z is 0 there, so every c_ll is the one multiple
+    (F(0) / dim + delta) W, F(0) from ``energy.hessian_coefficients``,
+    and P = alpha K + tau W, alpha = F(0) / dim + delta
     (K is sum D_l^T diag(W) D_l): P^-1 = ``_cosine_preconditioner`` of
     K + (tau / alpha) W, divided by alpha. None where that is None (in 1D,
     and when tau / alpha lies below the rounding of K).
     """
-    alpha = energy_hessian(np.zeros(ops.grid.dim), params)[0, 0] / ops.grid.dim + params.delta
+    alpha = float(hessian_coefficients(0.0, params)[0]) / ops.grid.dim + params.delta
     flat = _cosine_preconditioner(ops, (params.tau / alpha) * ops.w)
     return None if flat is None else SimpleNamespace(solve=lambda r: flat(r) / alpha)
-
-
-def _height_operator(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> np.ndarray:
-    return (_energy_gradient(ops, v, params) + params.delta * (ops.k @ v)) / ops.w + params.tau * v
 
 
 def apply_height_operator(u: NodeField, params: ModelParams) -> NodeField:
@@ -671,15 +708,27 @@ def apply_height_operator(u: NodeField, params: ModelParams) -> NodeField:
     The divergence-form term is the weighted dual of the edge-energy
     gradient, so its weighted node sum vanishes identically; manufactured
     sources built from this function are recovered exactly by ``solve_u``.
+    Both it and the viscous term difference first: the flux of each edge
+    is (F / dim + delta) W z_l on the longitudinal component and
+    F W z_t / dim on the transverse one, from one ``_edge_pass``.
 
     Below the public API ``u`` may also be a pair (``mesh.GridOperators``,
-    flat heights), and the result is then flat too: ``solve_u``
+    flat heights v), and the result is then the flat values and the
+    ``_edge_pass`` at v, from which ``_height_newton_matrices`` builds the
+    Newton matrix at v without evaluating an edge again. ``solve_u``
     evaluates each residual with one such call, which is the count
-    ``bench/tracing.py`` reads as ``solvers.u_residual_evals``.
+    ``bench/tracing.py`` reads as ``solvers.u_residual_evals``; the 1D
+    joint Newton's residual makes one too, through ``coupled``'s import.
     """
-    if isinstance(u, NodeField):
-        return NodeField.from_flat(u.grid, _height_operator(mesh.operators(u.grid), u.flat, params))
-    return _height_operator(*u, params)
+    field = isinstance(u, NodeField)
+    ops, v = (mesh.operators(u.grid), u.flat) if field else u
+    edges = _edge_pass(ops, v, params)
+    out = np.zeros(v.size)
+    for e, adjoints in zip(edges, ops.adjoints):
+        for dt, qi, zi in zip(adjoints, e.q, e.z):
+            out += dt @ (qi * zi)
+    out = out / ops.w + params.tau * v
+    return NodeField.from_flat(u.grid, out) if field else (out, edges)
 
 
 def solve_u(
@@ -728,12 +777,15 @@ def solve_u(
     factors = {} if factors is None else factors
     if "u" not in factors and (flat := _flat_height_preconditioner(ops, params)) is not None:
         factors["u"] = flat
+    point = [None, None]  # the heights of the latest residual and their edge pass
 
     def residual(vec):
-        return apply_height_operator((ops, vec), params) + shift
+        r, edges = apply_height_operator((ops, vec), params)
+        point[:] = vec, edges
+        return r + shift
 
-    def solve(vec, b, eta):
-        hess, lon = _height_newton_matrices(ops, vec, params)
+    def solve(vec, b, eta):  # the core steps from the point of its latest residual
+        hess, lon = _height_newton_matrices(ops, vec, params, point[1] if vec is point[0] else None)
         return _linear_solve(hess, b, factors, "u", eta, lon)
 
     starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]

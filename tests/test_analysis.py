@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalsurf.energy import ModelParams
-from crystalsurf.mesh import Grid, NodeField, integrate, norm_lp
+from crystalsurf.mesh import Grid, NodeField, edge_gradients, edge_weight_vectors, gradient_matrices, integrate, norm_lp
 from crystalsurf.coupled import PicardConfig, ProblemData, mms_convergence, solve_coupled
 from crystalsurf.solvers import apply_height_operator, solve_rho, solve_u
 from crystalsurf.analysis import (
@@ -86,6 +86,86 @@ def test_audit_matches_independent_summation(grid, rng):
         sum(w[i] * (p.tau * math.log(triple.rho.values[i])) ** 2 for i in range(x.size))
     )
     assert rep.tau_log_vs_f["2"]["tau_log_rho"] == pytest.approx(lam2, rel=1e-10)
+
+
+def multipass_audit(u, rho, data):
+    """The audit as a separate reduction per quantity, with the multi-pass
+    formulas of norm_lp, w1p_norm, dirichlet_integral and _sup_ratio that
+    the one-pass audit replaced (sums over w times the integrand)."""
+    p, grid = data.params, u.grid
+    w = grid.node_weights().reshape(-1)
+    uf, f = u.flat, data.f.flat
+
+    def norm(v, lam):
+        return float(np.sum(w * np.abs(v) ** lam) ** (1.0 / lam))
+
+    def sup_ratio(part, fpart):
+        sup = float(np.max(part))
+        if sup == 0.0:
+            return 0.0
+        denom = float(np.sum(part * w)) + norm(fpart, 2.0) ** (1.0 / (p.p - 1.0)) + math.sqrt(p.tau)
+        return sup / denom if denom > 0.0 else math.inf
+
+    log_rho = np.log(rho.flat)
+    grad_p = sum(
+        float(np.sum(we * np.linalg.norm(z, axis=-1).ravel() ** p.p)) for z, we in zip(edge_gradients(u), edge_weight_vectors(grid))
+    ) / grid.dim
+    sqrt_rho = np.sqrt(rho.flat)
+    dirichlet = sum(float(np.sum(we * (d @ sqrt_rho) ** 2)) for d, we in zip(gradient_matrices(grid), edge_weight_vectors(grid)))
+    u_plus, u_minus = np.maximum(uf, 0.0), np.maximum(-uf, 0.0)
+    return {
+        "dirichlet_sqrt_rho": dirichlet,
+        "w1p_u": float((np.sum(w * np.abs(uf) ** p.p) + grad_p) ** (1.0 / p.p)),
+        "l1_log_rho": float(np.sum(np.abs(log_rho) * w)),
+        "tau_log_vs_f": {
+            str(int(lam)): {"tau_log_rho": norm(p.tau * log_rho, lam), "source": norm(f - p.a * uf, lam)} for lam in (1.0, 2.0)
+        },
+        "mean_identity_residual": abs((p.a + p.tau**2) * float(np.sum(uf * w)) - float(np.sum(f * w))),
+        "sup_u_plus": float(np.max(u_plus)),
+        "sup_u_minus": float(np.max(u_minus)),
+        "sup_bound_ratio_plus": sup_ratio(u_plus, np.maximum(f, 0.0)),
+        "sup_bound_ratio_minus": sup_ratio(u_minus, np.maximum(-f, 0.0)),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cells=st.one_of(st.tuples(st.integers(17, 257)), st.tuples(st.integers(5, 33), st.integers(5, 33))),
+    u_sign=st.sampled_from(["mixed", "negative", "positive"]),
+    f_sign=st.sampled_from(["mixed", "negative", "positive"]),
+    p=st.sampled_from([1.1, 1.5, 2.0]),
+    tau=st.sampled_from([1e-4, 0.05, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pass_audit_matches_the_multipass_formulas(cells, u_sign, f_sign, p, tau, seed):
+    # random fields on 1D grids of 17-257 nodes and 2D grids up to 33^2;
+    # u < 0 everywhere takes the sup_u_plus = 0 branch, f of one sign
+    # leaves one sup ratio's f part zero
+    grid = Grid(len(cells), (1.0,) * len(cells), cells)
+    rng = np.random.default_rng(seed)
+
+    def field(sign):
+        values = rng.standard_normal(grid.shape)
+        shifted = {"mixed": values, "negative": -np.abs(values) - 0.1, "positive": np.abs(values) + 0.1}[sign]
+        return NodeField(grid, shifted)
+
+    u, f = field(u_sign), field(f_sign)
+    rho = NodeField(grid, np.exp(2.0 * rng.standard_normal(grid.shape)))
+    data = ProblemData(f, params_with(p=p, tau=tau, a=rng.uniform(0.1, 10.0)))
+    got = apriori_audit(u, rho, data).to_dict()
+    expected = multipass_audit(u, rho, data)
+    assert (got["sup_u_plus"] == 0.0) == (u_sign == "negative")
+    # the residual is a difference of two integrals: bound it by their size
+    a = data.params.a + tau**2
+    scale = a * abs(integrate(u)) + abs(integrate(f))
+    assert abs(got.pop("mean_identity_residual") - expected.pop("mean_identity_residual")) <= 1e-13 * scale
+    for lam, pair in expected.pop("tau_log_vs_f").items():
+        for key, value in pair.items():
+            assert got["tau_log_vs_f"][lam][key] == pytest.approx(value, rel=1e-13, abs=0.0)
+    del got["tau_log_vs_f"]
+    assert set(got) == set(expected)
+    for key, value in expected.items():
+        assert got[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
 
 
 def test_audit_log_source_bound(grid, rng):

@@ -134,12 +134,18 @@ def test_2d_stationary_runs_share_no_factor(tmp_path, monkeypatch):
         assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
 
 
-def test_cli_import_leaves_scipy_fft_out():
-    # the cosine solve uses numpy.fft: importing scipy.fft costs a one-shot
-    # run about 90 ms and 5 MB of resident memory
+def test_cli_import_leaves_sympy_scipy_fft_and_scipy_special_out():
+    # every run pays the CLI's import. The cosine solve uses numpy.fft:
+    # importing scipy.fft costs a one-shot run 70-120 ms and 5 MB of
+    # resident memory. sympy is imported only inside the cosine mms
+    # builder, and nothing here needs scipy.special
     src = str(Path(crystalsurf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, crystalsurf.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"
+    heavy = ("sympy", "scipy.fft", "scipy.special")
+    code = (
+        "import sys, crystalsurf.cli; "
+        f"print(sorted(m for m in sys.modules if any(m == h or m.startswith(h + '.') for h in {heavy!r})))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -9,6 +9,7 @@ from crystalsurf.energy import (
     energy_gradient,
     energy_hessian,
     flux_coefficient,
+    hessian_coefficients,
     log_barrier,
     log_barrier_slope,
     subgradient_select,
@@ -91,6 +92,50 @@ def test_hessian_matches_finite_differences(p, tau, rng):
             fd[:, i] = (energy_gradient(z + e, params) - energy_gradient(z - e, params)) / (2 * h)
         hess = energy_hessian(z, params)
         assert np.abs(hess - fd).max() <= 1e-5 * np.abs(hess).max()
+
+
+def broadcast_hessian(z, params):
+    """The energy Hessian as it was written before the (F, B) pair, from
+    (..., N, N) outer products: a_p (I + (p - 2) z z^T / m) + a_tv (I - z z^T / m)."""
+    m = np.sum(z * z, axis=-1) + params.tau
+    outer = z[..., :, None] * z[..., None, :] / m[..., None, None]
+    a_p = m ** (0.5 * (params.p - 2.0))
+    a_tv = params.beta0 / np.sqrt(m)
+    eye = np.eye(z.shape[-1])
+    return a_p[..., None, None] * (eye + (params.p - 2.0) * outer) + a_tv[..., None, None] * (eye - outer)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([1, 2]),
+    p=st.floats(1.0, 2.0, exclude_min=True),
+    beta0=st.floats(0.1, 10.0),
+    tau=st.floats(1e-6, 1.0),
+    size=st.floats(0.0, 1e3),
+    angle=st.floats(0.0, 2.0 * np.pi),
+)
+def test_hessian_pair_matches_the_broadcast_formula_and_the_gradient_jacobian(dim, p, beta0, tau, size, angle):
+    # F I + B z z^T from hessian_coefficients against the outer-product
+    # formula it replaced, and against central differences of
+    # energy_gradient with a step scaled to sqrt(m), the length over which
+    # the Hessian varies. Both are accurate relative to F, the size of the
+    # terms: along z they cancel to (p - 1) a_p + a_tv tau / m, which is
+    # F times 1e-4 at p near 1 and |z|^2 >> tau
+    params = ModelParams(p=p, beta0=beta0, tau=tau)
+    z = size * np.array([np.cos(angle), np.sin(angle)][:dim])
+    hess = energy_hessian(z, params)
+    f, b = hessian_coefficients(np.sum(z * z), params)
+    assert f == flux_coefficient(np.sum(z * z), params)
+    m = np.sum(z * z) + tau
+    np.testing.assert_array_equal(hess, f * np.eye(dim) + b * np.outer(z, z))
+    np.testing.assert_allclose(hess, broadcast_hessian(z, params), rtol=0.0, atol=1e-13 * f)
+    step = 1e-5 * np.sqrt(m)
+    jac = np.empty((dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = step
+        jac[:, j] = (energy_gradient(z + e, params) - energy_gradient(z - e, params)) / (2.0 * step)
+    np.testing.assert_allclose(hess, jac, rtol=0.0, atol=1e-7 * f)
 
 
 def test_hessian_closed_form_at_origin():

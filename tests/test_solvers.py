@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalsurf import solvers
-from crystalsurf.coupled import ProblemData, picard_map
+from crystalsurf.coupled import ProblemData, picard_map, solve_coupled
 from crystalsurf.energy import ModelParams, energy_hessian, log_barrier
 from crystalsurf.mesh import (
     Grid,
@@ -1067,6 +1067,72 @@ def hess_formula(g, u, params):
             for j, d_j in enumerate(ops):
                 ref = ref + d_i.T @ sp.diags(wvec * h[..., i, j].ravel()) @ d_j / g.dim
     return ref
+
+
+def assert_same_newton_matrices(got, expected):
+    """Two results of _height_newton_matrices hold the same bits: P's data
+    and, in 2D, every edge array of the matrix-free Hessian."""
+    (hess, lon), (hess_e, lon_e) = got, expected
+    np.testing.assert_array_equal(lon.data, lon_e.data)
+    if isinstance(hess, solvers._Matrix):
+        assert hess is lon and hess_e is lon_e
+        return
+    np.testing.assert_array_equal(hess.tau_w, hess_e.tau_w)
+    for c, c_ref in zip(hess.coef, hess_e.coef, strict=True):
+        for ci, ci_ref in zip(c, c_ref, strict=True):
+            for cij, cij_ref in zip(ci, ci_ref, strict=True):
+                np.testing.assert_array_equal(cij, cij_ref)
+
+
+def recording_newton_matrices(monkeypatch) -> list:
+    """Record (heights, edge pass given, result) of every Newton matrix build."""
+    builds = []
+    real = solvers._height_newton_matrices
+
+    def recording(ops, v, params, edges=None):
+        out = real(ops, v, params, edges)
+        builds.append((ops, v.copy(), params, edges is not None, out))
+        return out
+
+    monkeypatch.setattr(solvers, "_height_newton_matrices", recording)
+    return builds
+
+
+def test_2d_height_newton_matrices_reuse_the_residuals_edge_pass(rng, monkeypatch):
+    # every step of a 2D solve_u builds its Newton matrices from the edge
+    # pass of the residual at the same heights, and they hold the same bits
+    # as matrices built from scratch there, which heights scaled by 1.001
+    # do not
+    grid = Grid.rectangle((1.0, 2.0), (17, 13))
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
+    fresh, builds = solvers._height_newton_matrices, recording_newton_matrices(monkeypatch)
+    u, rep = solve_u(smooth_field(grid, rng, amplitude=0.5), params)
+    assert rep.converged and len(builds) == rep.iterations >= 2
+    for ops, v, p, shared, out in builds:
+        assert shared
+        assert_same_newton_matrices(out, fresh(ops, v, p))
+    ops, v, p, _, out = builds[-1]
+    with pytest.raises(AssertionError):
+        assert_same_newton_matrices(out, fresh(ops, 1.001 * v, p))
+
+
+def test_1d_joint_newton_matrices_reuse_the_residuals_edge_pass(rng, monkeypatch):
+    # every Newton step of a cold 1D solve (its map's height steps, then
+    # the joint steps) and the extra joint step that measures the last
+    # change of a warm solve started at that solution builds P from the
+    # edge pass of the residual at its heights, with the same bits as P
+    # built from scratch there
+    grid = Grid.interval(1.0, 65)
+    data = ProblemData(smooth_field(grid, rng, offset=0.5), ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-2, delta=1e-6))
+    fresh, builds = solvers._height_newton_matrices, recording_newton_matrices(monkeypatch)
+    triple, rep = solve_coupled(data)
+    cold = len(builds)
+    _, rep_warm = solve_coupled(data, u0=triple.u, rho0=triple.rho)
+    assert rep.converged and cold > rep.iterations - 1
+    assert rep_warm.converged and rep_warm.iterations == 1 and len(builds) == cold + 1
+    for ops, v, p, shared, out in builds:
+        assert shared
+        assert_same_newton_matrices(out, fresh(ops, v, p))
 
 
 @HESS_GRIDS
