@@ -380,9 +380,10 @@ class GridOperators:
     ``stencils[k][0]`` is D_k. K is symmetric, so its CSR arrays are also
     its CSC arrays, and every Newton matrix of the solvers is data on
     them; in 1D ``k.data`` holds the diagonal at [::3] and the
-    subdiagonal at [1::3]. ``diagonal``, ``stiffness_map`` and
-    ``cosine_spectrum`` are built on first use. The methods are the
-    bodies of the public ``NodeField`` functions of the same names;
+    subdiagonal at [1::3]. ``diagonal``, ``stiffness_map``,
+    ``cosine_spectrum`` and ``cosine_matrices`` are built on first use.
+    The methods are the bodies of the public ``NodeField`` functions of
+    the same names;
     ``integral`` and the L^2 ``norm_lp`` are each one dot product with W.
     """
 
@@ -435,6 +436,20 @@ class GridOperators:
         for n, h in zip(self.grid.cells, self.grid.h):
             lam = np.add.outer(lam, (2.0 * np.sin(0.5 * np.pi * np.arange(n) / (n - 1)) / h) ** 2)
         return lam, float(np.prod([2 * (n - 1) for n in self.grid.cells]))
+
+    @functools.cached_property
+    def cosine_matrices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per axis, the unnormalized DCT-I matrix T_a and T_a diag(1 / w_a),
+        w_a the axis's trapezoid weights: T_a[k, i] = c_i cos(pi i k / N_a),
+        N_a = n_a - 1, c_i = 1 at the two end nodes and 2 between. The
+        angle is reduced exactly, as i k mod 2 N_a, before it is scaled."""
+        out = []
+        for n, h in zip(self.grid.cells, self.grid.h):
+            w = _trapezoid(n, h)
+            t = np.cos(np.pi / (n - 1) * (np.outer(np.arange(n), np.arange(n)) % (2 * (n - 1))))
+            t[:, 1:-1] *= 2.0
+            out.append((t, t / w))
+        return tuple(out)
 
     def integral(self, v: np.ndarray) -> float:
         return float(self.w @ v)

@@ -78,12 +78,13 @@ orders for A^T A and fills more) and keeps its default threshold
 pivoting. A tridiagonal matrix on which ``dptsv`` meets a nonpositive
 pivot (it is not numerically SPD) takes that path with no
 preconditioner of its own. The 2D density family preconditions with
-``_cosine_solver``, a solve of K + cbar W by two DCT-Is (real FFTs of
-the even extension, from ``numpy.fft``) in O(n log n) with no factor
-(Concus & Golub 1973): on this node-centred trapezoid grid W^-1 K is
-the reflective Neumann Laplacian, which the tensor cosine modes
-diagonalize exactly, and cbar = tau mean_w(1/rho) matches the Newton
-matrix K + diag(tau W/rho) on the constant mode. When cbar is not
+``_cosine_solver``, a solve of K + cbar W by two DCT-Is, each two
+products with the per-axis DCT-I matrices that ``mesh.GridOperators``
+caches (the fast diagonalization of Lynch, Rice & Thomas 1964), with
+no factor (Concus & Golub 1973): on this node-centred trapezoid grid
+W^-1 K is the reflective Neumann Laplacian, which the tensor cosine
+modes diagonalize exactly, and cbar = tau mean_w(1/rho) matches the
+Newton matrix K + diag(tau W/rho) on the constant mode. When cbar is not
 finite or lies below the rounding of K, the step goes straight to the
 factor. The 2D height family preconditions with the Hessian's
 longitudinal part P = sum D_l^T diag(W h_ll / dim) D_l + delta K + tau W,
@@ -93,8 +94,8 @@ is the same constant, so P = alpha K + tau W, which the cosine solve
 inverts exactly (``_flat_height_preconditioner``); an empty height
 cache starts with it. Every 2D ``coupled.solve_coupled`` takes its
 first height step there, so a 2D solve factors nothing unless a CG
-fails, and then P is factored at the step's heights. In 1D, P is the
-Newton matrix itself.
+fails, and then P is built and factored at the step's heights. In 1D,
+P is the Newton matrix itself.
 
 Below the public ``NodeField`` API the solvers run on flat float64
 arrays. Each solve fetches its grid's record, ``mesh.operators``, once,
@@ -111,8 +112,10 @@ closed-form c_ij of the step's edge pass, kept as one edge array per
 one small linear map per grid (``GridOperators.stiffness_map``, four entries
 per edge, built straight from the two nonzeros of each row of D_l)
 applied to the (D_l, D_l) coefficients c_ll, which carry delta K, plus
-tau W on the diagonal. In 1D, P is the height matrix; in 2D its data is read only
-when CG with the held preconditioner fails. Only the rare fallback that
+tau W on the diagonal (``_longitudinal_part``). In 1D, P is the height
+matrix, built at every step; in 2D it is a ``_LazyMatrix``, built only
+when CG with the held preconditioner fails and P is factored, so a 2D
+step whose CG converges builds no P. Only the rare fallback that
 factors the height matrix itself builds it as CSC, by sparse products
 of the edge operators. ``_linear_solve`` hands a 1D matrix's data
 straight to ``dptsv`` and builds the CSC matrix that SuperLU and CG
@@ -277,7 +280,7 @@ def _linear_solve(
     factors: dict,
     family: str,
     eta: float,
-    p: _Matrix | Callable[[np.ndarray], np.ndarray] | None = None,
+    p: _Matrix | _LazyMatrix | Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solve a x = b for a symmetric positive definite a, by CG to the
     relative residual ``eta``, the Newton step's forcing term
@@ -295,10 +298,11 @@ def _linear_solve(
     with its ``solve`` (the height family's flat-state cosine solve,
     ``_flat_height_preconditioner``). Otherwise, or when CG fails, CG
     runs with ``p``, an SPD operator close to a in spectrum: a function
-    applying its inverse is used as is, a matrix is factored and the
-    cache keeps that factor. When ``p`` is a (None means a) or that CG
-    fails too, the cache keeps a fresh factor of a, the one place a
-    ``_HeightHessian`` is assembled, and the solve is direct."""
+    applying its inverse is used as is, a matrix (a ``_LazyMatrix`` is
+    built here) is factored and the cache keeps that factor. When ``p``
+    is a (None means a) or that CG fails too, the cache keeps a fresh
+    factor of a, the one place a ``_HeightHessian`` is assembled, and the
+    solve is direct."""
     if p is a:
         p = None
     if isinstance(a, _Matrix):
@@ -412,31 +416,22 @@ def _stiffness_plus_diagonal(ops: mesh.GridOperators, d: np.ndarray) -> _Matrix:
     return _Matrix(data, ops)
 
 
-def _dct1(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DCT-I along every axis, y_k = x_0 + (-1)^k x_N +
-    2 sum_0<i<N x_i cos(pi i k / N): the real FFT of the even extension
-    x_0 .. x_N .. x_1, whose imaginary part vanishes."""
-    for axis in range(x.ndim):
-        inner = (slice(None),) * axis + (slice(-2, 0, -1),)
-        x = np.fft.rfft(np.concatenate([x, x[inner]], axis=axis), axis=axis).real
-    return x
-
-
 def _cosine_solver(ops: mesh.GridOperators, c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """(K + cW)^-1, for c > 0, as a function applied in O(n log n) with
-    no factorization (Concus & Golub 1973).
+    """(K + cW)^-1 on a 2D grid, for c > 0, as four dense matrix products
+    with no factorization (Concus & Golub 1973; Lynch, Rice & Thomas 1964).
 
-    With T the DCT-I of ``_dct1`` and L the spectrum of W^-1 K,
+    With T = T0 (x) T1 the unnormalized DCT-I and L the spectrum of W^-1 K,
     (K + cW)^-1 = T diag(1 / (prod 2 N_a (L + c))) T W^-1: the cosine
     modes diagonalize W^-1 K (``ops.cosine_spectrum``) and T^2 = prod 2 N_a.
-    The operator is symmetric positive definite.
+    W = w0 (x) w1, so ``ops.cosine_matrices`` folds W^-1 into the first
+    pair of products. The operator is symmetric positive definite.
     """
     lam, scale = ops.cosine_spectrum
     inv = 1.0 / (scale * (lam + c))
-    w = ops.w.reshape(ops.grid.shape)
+    (t0, s0), (t1, s1) = ops.cosine_matrices
 
     def solve(b: np.ndarray) -> np.ndarray:
-        return _dct1(inv * _dct1(b.reshape(w.shape) / w)).reshape(-1)
+        return (t0 @ (inv * (s0 @ b.reshape(inv.shape) @ s1.T)) @ t1.T).reshape(-1)
 
     return solve
 
@@ -651,7 +646,7 @@ class _HeightHessian(NamedTuple):
 
 def _height_newton_matrices(
     ops: mesh.GridOperators, v: np.ndarray, params: ModelParams, edges: list[_EdgeFamily] | None = None
-) -> tuple[_HeightHessian | _Matrix, _Matrix]:
+) -> tuple[_HeightHessian | _Matrix, _Matrix | _LazyMatrix]:
     """W times the Jacobian of ``apply_height_operator`` at the flat
     heights v, and its longitudinal part, the preconditioner of
     ``solve_u``, both from ``edges``, the ``_edge_pass`` at v (the one
@@ -662,10 +657,12 @@ def _height_newton_matrices(
     coefficients c_ij = q_i delta_ij + wb z_i z_j of the ``_EdgeFamily``,
     (W / dim) (F delta_ij + B z_i z_j) plus delta W on c_ll, as the
     matrix-free ``_HeightHessian``; no per-edge matrix is formed. The
-    second, P = sum D_l^T diag(c_ll) D_l + tau W, is its data on the
-    pattern of K: ``ops.stiffness_map`` applied to the c_ll of every
-    family, plus tau W on the diagonal. A 1D edge family has no
-    transverse operator, so there P is the first matrix itself.
+    second is P = sum D_l^T diag(c_ll) D_l + tau W, its data on the
+    pattern of K from ``_longitudinal_part``. A 1D edge family has no
+    transverse operator, so there P is the first matrix itself and is
+    built at once. In 2D, P is a ``_LazyMatrix``: its data is built only
+    when ``_linear_solve`` factors it, after CG with the held
+    preconditioner fails.
     """
     dim = ops.grid.dim
     edges = _edge_pass(ops, v, params) if edges is None else edges
@@ -678,12 +675,30 @@ def _height_newton_matrices(
                 c[i][j] = c[j][i] = bz * e.z[j]  # one array for c_ij = c_ji
             c[i][i] += e.q[i]
         coef.append(c)
-    data = ops.stiffness_map @ np.concatenate([c[0][0] for c in coef])
-    data[ops.diagonal] += params.tau * ops.w
-    lon = _Matrix(data, ops)
+    tau_w = params.tau * ops.w
     if dim == 1:
+        lon = _longitudinal_part(ops, coef, tau_w)
         return lon, lon
-    return _HeightHessian(ops, coef, params.tau * ops.w), lon
+    return _HeightHessian(ops, coef, tau_w), _LazyMatrix(lambda: _longitudinal_part(ops, coef, tau_w))
+
+
+def _longitudinal_part(ops: mesh.GridOperators, coef: list[list[list[np.ndarray]]], tau_w: np.ndarray) -> _Matrix:
+    """P = sum D_l^T diag(c_ll) D_l + tau W as its data on the pattern of
+    K: ``ops.stiffness_map`` applied to the c_ll of every family in
+    ``coef`` (``_HeightHessian.coef``), plus ``tau_w`` on the diagonal."""
+    data = ops.stiffness_map @ np.concatenate([c[0][0] for c in coef])
+    data[ops.diagonal] += tau_w
+    return _Matrix(data, ops)
+
+
+class _LazyMatrix(NamedTuple):
+    """A ``_Matrix`` that ``build()`` makes only when ``csc`` is asked for,
+    which only a factor of it needs."""
+
+    build: Callable[[], _Matrix]
+
+    def csc(self) -> sp.csc_matrix:
+        return self.build().csc()
 
 
 def _flat_height_preconditioner(ops: mesh.GridOperators, params: ModelParams) -> SimpleNamespace | None:

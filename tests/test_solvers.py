@@ -176,6 +176,19 @@ def counting_pcg(monkeypatch) -> list:
     return calls
 
 
+def counting_p_builds(monkeypatch) -> list:
+    """Record every P that ``solvers._longitudinal_part`` builds."""
+    built = []
+    real = solvers._longitudinal_part
+
+    def counting(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solvers, "_longitudinal_part", counting)
+    return built
+
+
 def pcg_failures(monkeypatch) -> list:
     """Record the message of every SolverError that ``pcg`` raises."""
     failures = []
@@ -249,7 +262,7 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
     x = solvers._linear_solve(hess, b, factors, "u", 1e-10, lon)
     assert len(calls) == 1 + held
     assert len(factored) == 2
-    assert_built_from(factored[0], lon)
+    assert_built_from(factored[0], lon.build())
     np.testing.assert_array_equal(factored[1].toarray(), hess.csc().toarray())
     ref = hess_formula(grid, u, params).toarray()
     np.testing.assert_allclose(factored[1].toarray(), ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
@@ -349,11 +362,46 @@ def parent_linear_solve(a, b, factors, family, *rest):
     return lu.solve(b)
 
 
-@pytest.mark.parametrize(
+COSINE_GRIDS = pytest.mark.parametrize(
     "grid",
-    [Grid.rectangle((1.0, 1.0), (17, 17)), Grid.rectangle((1.0, 2.0), (9, 17))],
-    ids=["square", "9x17"],
+    [Grid.rectangle((1.0, 1.0), (17, 17)), Grid.rectangle((1.0, 2.0), (9, 17)), Grid.rectangle((1.0, 1.0), (9, 17))],
+    ids=["square", "9x17", "9x17-unequal-h"],
 )
+
+
+def dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I along every axis, y_k = x_0 + (-1)^k x_N +
+    2 sum_0<i<N x_i cos(pi i k / N): the real FFT of the even extension
+    x_0 .. x_N .. x_1, whose imaginary part vanishes. The reference for
+    the matrix-product transforms of ``GridOperators.cosine_matrices``."""
+    for axis in range(x.ndim):
+        inner = (slice(None),) * axis + (slice(-2, 0, -1),)
+        x = np.fft.rfft(np.concatenate([x, x[inner]], axis=axis), axis=axis).real
+    return x
+
+
+@COSINE_GRIDS
+def test_cosine_solve_matches_the_fft_dct1_reference(grid, rng):
+    # T0 X T1^T is the FFT DCT-I of X, T_a diag(1/w_a) folds in the
+    # trapezoid weights of its own axis, and the solve's four products
+    # match the FFT solve T diag(inv) T W^-1 b, inv = 1 / (scale (L + c))
+    ops = operators(grid)
+    (t0, s0), (t1, s1) = ops.cosine_matrices
+    x = rng.standard_normal(grid.shape)
+    expected = dct1(x)
+    assert np.max(np.abs(t0 @ x @ t1.T - expected)) <= 1e-12 * np.max(np.abs(expected))
+    w = mass_vector(grid).reshape(grid.shape)
+    expected = dct1(x / w)
+    assert np.max(np.abs(s0 @ x @ s1.T - expected)) <= 1e-12 * np.max(np.abs(expected))
+    lam, scale = ops.cosine_spectrum
+    for c in (1e-8, 1.0, 1e3):
+        b = rng.standard_normal(grid.node_count)
+        expected = dct1(dct1(b.reshape(grid.shape) / w) / (scale * (lam + c))).reshape(-1)
+        got = solvers._cosine_solver(ops, c)(b)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@COSINE_GRIDS
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e3])
 def test_cosine_solve_inverts_the_shifted_stiffness(grid, c, rng):
     # the fluctuation of b (zero plain sum, so no constant mode) and the
@@ -517,6 +565,19 @@ def test_flat_height_preconditioner_is_p_at_the_flat_state(n, tau, rng):
     assert solvers._flat_height_preconditioner(operators(Grid.interval(1.0, n)), params) is None
 
 
+@ONE_AND_TWO_D
+def test_height_solve_builds_p_only_to_factor_it(grid, rng, monkeypatch):
+    # a 2D solve whose CG converges with the flat-state seed at every step
+    # builds no P and factors nothing; a 1D step's P is its Newton matrix,
+    # built once per step
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=0.05, delta=1e-6)
+    factored, failures, built = counting_splu(monkeypatch), pcg_failures(monkeypatch), counting_p_builds(monkeypatch)
+    u, rep = solve_u(smooth_field(grid, rng, amplitude=0.5), params)
+    assert rep.converged and rep.iterations >= 2
+    assert factored == [] and failures == []
+    assert len(built) == (rep.iterations if grid.dim == 1 else 0)
+
+
 def test_height_solve_factors_p_at_its_current_v_when_cg_with_the_flat_seed_fails(rng, monkeypatch):
     # a seed whose solve returns zero makes CG meet zero curvature at the
     # first step of a warm start: that step factors P at its own v, not at
@@ -533,15 +594,16 @@ def test_height_solve_factors_p_at_its_current_v_when_cg_with_the_flat_seed_fail
     monkeypatch.setattr(
         solvers, "_linear_solve", lambda a, b, factors, family, eta, p: preconditioners.append(p) or real(a, b, factors, family, eta, p)
     )
-    factored, failures = counting_splu(monkeypatch), pcg_failures(monkeypatch)
+    factored, failures, built = counting_splu(monkeypatch), pcg_failures(monkeypatch), counting_p_builds(monkeypatch)
     u, rep = solve_u(rhs, params, u0=u0)
     assert rep.converged and rep.iterations == len(preconditioners) > 1
     assert len(failures) == 1 and "nonpositive curvature" in failures[0]
-    assert len(factored) == 1
-    assert_built_from(factored[0], preconditioners[0])
+    assert len(factored) == 1 and len(built) == 1
+    assert_built_from(factored[0], built[0])
+    np.testing.assert_array_equal(preconditioners[0].build().data, built[0].data)
     ops = operators(grid)
     flat = solvers._height_newton_matrices(ops, np.zeros(grid.node_count), params)[1]
-    assert not np.array_equal(preconditioners[0].data, flat.data)
+    assert not np.array_equal(built[0].data, flat.build().data)
     assert np.max(np.abs(u.values - expected.values)) <= 1e-10 * np.max(np.abs(expected.values))
 
 
@@ -1071,12 +1133,14 @@ def hess_formula(g, u, params):
 
 def assert_same_newton_matrices(got, expected):
     """Two results of _height_newton_matrices hold the same bits: P's data
-    and, in 2D, every edge array of the matrix-free Hessian."""
+    (in 2D, as its lazy builder makes it) and, in 2D, every edge array of
+    the matrix-free Hessian."""
     (hess, lon), (hess_e, lon_e) = got, expected
-    np.testing.assert_array_equal(lon.data, lon_e.data)
     if isinstance(hess, solvers._Matrix):
         assert hess is lon and hess_e is lon_e
+        np.testing.assert_array_equal(lon.data, lon_e.data)
         return
+    np.testing.assert_array_equal(lon.build().data, lon_e.build().data)
     np.testing.assert_array_equal(hess.tau_w, hess_e.tau_w)
     for c, c_ref in zip(hess.coef, hess_e.coef, strict=True):
         for ci, ci_ref in zip(c, c_ref, strict=True):
@@ -1155,8 +1219,11 @@ def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
     for z, wvec, mat in zip(edge_gradients(u), edge_weight_vectors(g), gradient_matrices(g)):
         ref_lon = ref_lon + mat.T @ sp.diags(wvec * energy_hessian(z, params)[..., 0, 0].ravel()) @ mat / g.dim
     assert (lon is hess) == (g.dim == 1)
-    assert lon.ops is operators(g) and lon.ops.k is k
-    np.testing.assert_allclose(lon.csc().toarray(), ref_lon.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    assert isinstance(lon, solvers._Matrix if g.dim == 1 else solvers._LazyMatrix)
+    built = lon if g.dim == 1 else lon.build()
+    assert built.ops is operators(g) and built.ops.k is k
+    np.testing.assert_allclose(built.csc().toarray(), ref_lon.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    np.testing.assert_array_equal(lon.csc().toarray(), built.csc().toarray())
 
 
 def test_newton_solves_leave_cached_operators_unchanged(params, rng):
@@ -1168,13 +1235,15 @@ def test_newton_solves_leave_cached_operators_unchanged(params, rng):
     cached = [k.data, k.indices, k.indptr, diagonal, stiffness_map.data, stiffness_map.indices, stiffness_map.indptr]
     before = [a.copy() for a in cached]
     solve_rho(smooth_field(g, rng), 0.3)
-    spectrum = ops.cosine_spectrum[0]  # built by the 2D density solve's preconditioner
-    cached.append(spectrum)
-    before.append(spectrum.copy())
+    spectrum, transforms = ops.cosine_spectrum[0], ops.cosine_matrices  # built by the 2D density solve's preconditioner
+    built = [spectrum, *(t for pair in transforms for t in pair)]
+    cached += built
+    before += [a.copy() for a in built]
     solve_rho(smooth_field(g, rng), 0.3)
     solve_u(smooth_field(g, rng), params)
     assert operators(g) is ops and stiffness_matrix(g) is k
     assert ops.diagonal is diagonal and ops.stiffness_map is stiffness_map and ops.cosine_spectrum[0] is spectrum
+    assert ops.cosine_matrices is transforms
     for a, b in zip(cached, before):
         np.testing.assert_array_equal(a, b)
 
