@@ -26,8 +26,22 @@ relaxation as mixing weight; when the combined residual grows the
 history is dropped, so the next update is the plain damped step
 pin(u + w F). The height viscosity is capped at
 ``PicardConfig.delta_polish`` and the capped system solved in one pass.
-The outer report records one residual per outer step; the inner Newton
-loops keep their own iteration counts.
+
+Each outer step is decided, in its stopping test and in the adaptation
+of the weight, on the coupled residual at the map's own output
+(pin(B(u)), rho), which the inner solves have already evaluated: with
+r_rho and r_h the density (in units of ln rho) and height residuals at
+the fields they return, R1 below is tau r_rho + a F and R2 is r_h plus
+tau times the pin's constant shift (``_map_residuals``), so a step
+costs no edge pass beyond its inner Newton points. Once that residual and
+the step's change pass, the residual of the pair the loop returns, the
+mixed update and rho, is evaluated directly once; it must pass too, and
+it is the triple's. Every later height solve starts at the field the
+previous one returned and takes its first residual and Newton matrix
+from that solve's last edge pass (``solvers.solve_u``'s ``u0_report``).
+The outer report records the map-output residual of each outer step,
+then the returned pair's; the inner Newton loops keep their own
+iteration counts.
 
 The coupled residuals are written once, in the fluctuations
 v = u - ubar and s = ln rho - tau ubar about the known mean height ubar:
@@ -35,9 +49,9 @@ v = u - ubar and s = ln rho - tau ubar about the known mean height ubar:
     R1 = c K expm1(s)/w + tau s + a v - (f - mean_w(f)),   R2 = A(v) - s,
 
 with c = e^(tau ubar) and A the height operator. ``coupled_residuals``
-normalizes them, and the Anderson loop stops on it with v and s formed
-from its u and rho. A ``WeakSolutionTriple`` carries (ubar, v, s), so
-rounding in u = ubar + v sets no floor under a residual.
+normalizes them, and the Anderson loop accepts its result on it with v
+and s formed from its u and rho. A ``WeakSolutionTriple`` carries
+(ubar, v, s), so rounding in u = ubar + v sets no floor under a residual.
 
 A 1D solve is ``_joint_newton``, the damped Newton core of ``solvers``
 on (v, s), whose merit interleaves R1 and R2: from a warm start (a
@@ -203,11 +217,17 @@ def picard_map(
     rho0: NodeField | None = None,
     u0: NodeField | None = None,
     factors: dict | None = None,
+    reports: list | None = None,
 ) -> tuple[NodeField, NodeField]:
     """One composition step: density solve with source f - a v, then height solve.
 
     ``rho0`` and ``u0`` warm-start the two inner solves (cold when None);
     ``factors`` is their shared linear-solve cache (``solvers._linear_solve``).
+    ``reports``, when a list, ends holding this call's density and height
+    SolveReports, whose ``residual`` is each solve's residual at the
+    field it returned; a height report it already holds is passed on as
+    ``solve_u``'s ``u0_report``, so a ``u0`` that the previous call
+    returned costs its warm start no edge pass.
     Solver failures are re-raised tagged with the stage that failed.
     """
     p = data.params
@@ -215,14 +235,16 @@ def picard_map(
         raise ValueError("the coupled map requires tau > 0")
     g = NodeField(data.f.grid, data.f.values - p.a * v.values)
     try:
-        rho, _ = solve_rho(g, p.tau, newton_cfg, rho0=rho0, factors=factors)
+        rho, rep_rho = solve_rho(g, p.tau, newton_cfg, rho0=rho0, factors=factors)
     except SolverError as err:
         raise SolverError(f"rho-stage: {err}", err.report) from err
     rhs = NodeField(data.f.grid, np.log(rho.values))
     try:
-        u, _ = solve_u(rhs, p, newton_cfg, u0=u0, factors=factors)
+        u, rep_u = solve_u(rhs, p, newton_cfg, u0=u0, factors=factors, u0_report=reports[1] if reports else None)
     except SolverError as err:
         raise SolverError(f"u-stage: {err}", err.report) from err
+    if reports is not None:
+        reports[:] = rep_rho, rep_u
     return u, rho
 
 
@@ -246,9 +268,28 @@ def _coupled_residuals(ops: mesh.GridOperators, data: ProblemData, ubar: float, 
     """``coupled_residuals`` at the flat fluctuations v and s about the
     caller's ubar, which must be ``mean_height_target(data)``."""
     r1, r2, _ = _residual_fields(ops, data, ubar, v, s)
+    return _residual_norms(ops, data, r1, r2, data.params.tau * ubar + s)
+
+
+def _residual_norms(ops: mesh.GridOperators, data: ProblemData, r1: np.ndarray, r2: np.ndarray, log_rho) -> tuple:
+    """The normalized norms of ``coupled_residuals`` of the fields R1 and
+    R2 at a density whose logarithm is ``log_rho``."""
     s1 = ops.norm_lp(r1, 2.0) / (1.0 + ops.norm_lp(data.f.flat, 2.0))
-    s2 = ops.norm_lp(r2, 2.0) / (1.0 + ops.norm_lp(data.params.tau * ubar + s, 2.0))
+    s2 = ops.norm_lp(r2, 2.0) / (1.0 + ops.norm_lp(log_rho, 2.0))
     return s1, s2
+
+
+def _map_residuals(ops: mesh.GridOperators, data: ProblemData, fmap, shift: float, reports: list, log_rho) -> tuple:
+    """``coupled_residuals`` at (pin(B(u)), rho) from the inner solves of
+    the map that gave them (``picard_map``'s ``reports``), with no edge
+    pass: R1 = tau r_rho + a F and R2 = r_h + tau shift, with r_rho (in
+    units of ln rho) and r_h the density and height residuals at the
+    returned fields, F = pin(B(u)) - u (``fmap``) and ``shift`` the pin's
+    constant pin(B(u)) - B(u): A(v + const) = A(v) + tau const."""
+    p = data.params
+    r1 = p.tau * reports[0].residual + p.a * fmap
+    r2 = reports[1].residual + p.tau * shift
+    return _residual_norms(ops, data, r1, r2, log_rho)
 
 
 def _pin_mean(u: np.ndarray, ops: mesh.GridOperators, target: float) -> np.ndarray:
@@ -386,23 +427,27 @@ def _anderson_loop(data: ProblemData, cfg: PicardConfig, newton_cfg, ubar: float
     """The Anderson loop (see the module docstring) on the capped ``data``
     from the pinned heights ``uf`` and the density ``rho0`` (cold when None).
     Each later outer step warm-starts its inner solves from the previous
-    step's density and height map. The mixing history and the linear-solve
-    cache live for this call. A non-finite outer iterate is a ValueError,
+    step's density and height map, and its height solve from that map's
+    end point. The mixing history, the linear-solve cache and the latest
+    map's inner reports live for this call. A non-finite outer iterate is a ValueError,
     as NodeField raises, before the mean pin spreads it to every node."""
     grid = data.f.grid
     ops = mesh.operators(grid)
     report = SolveReport()
     u = NodeField.from_flat(grid, uf)
     rho, u_map = rho0, None
-    factors = {}
+    factors, inner = {}, []  # the linear-solve cache; the latest map's inner reports
     omega = cfg.relaxation
     prev_res = np.inf
     sqrt_w = np.sqrt(ops.w)
     us, fs = [], []  # the last iterates and their residuals pin(B(u)) - u, flat
     for _ in range(cfg.max_outer):
-        u_map, rho = picard_map(u, data, newton_cfg, rho0=rho, u0=u_map, factors=factors)
+        u_map, rho = picard_map(u, data, newton_cfg, rho0=rho, u0=u_map, factors=factors, reports=inner)
+        shift = ubar - ops.integral(u_map.flat) / grid.volume  # pin(B(u)) = B(u) + shift
         us.append(uf)
-        fs.append(_pin_mean(u_map.flat, ops, ubar) - uf)
+        fs.append(u_map.flat + shift - uf)
+        log_rho = np.log(rho.flat)
+        res = max(_map_residuals(ops, data, fs[-1], shift, inner, log_rho))
         del us[: -_ANDERSON_DEPTH - 1], fs[: -_ANDERSON_DEPTH - 1]
         step = omega * fs[-1]
         if len(fs) > 1:  # gamma = argmin |F - dF gamma|_W; lstsq copes with rank-deficient dF
@@ -415,17 +460,18 @@ def _anderson_loop(data: ProblemData, cfg: PicardConfig, newton_cfg, ubar: float
         u_new = _pin_mean(u_new, ops, ubar)
         change = ops.norm_lp(u_new - uf, 2.0)
         u, uf = NodeField.from_flat(grid, u_new), u_new
-        v, s = uf - ubar, np.log(rho.flat) - data.params.tau * ubar
-        r1, r2 = _coupled_residuals(ops, data, ubar, v, s)
-        res = max(r1, r2)
         report.iterations += 1
         report.residual_history.append(res)
         if change <= cfg.tol_fixed_point and res <= cfg.tol_residual:
-            report.converged = True
-            v, s = NodeField.from_flat(grid, v), NodeField.from_flat(grid, s)
-            triple = WeakSolutionTriple(ubar, v, s, data.params.tau, (r1, r2))
-            triple.u, triple.rho = u, rho  # the loop's own fields, not rebuilt from (v, s)
-            return triple, report
+            v, s = uf - ubar, log_rho - data.params.tau * ubar
+            r1, r2 = _coupled_residuals(ops, data, ubar, v, s)  # of the pair returned
+            if max(r1, r2) <= cfg.tol_residual:
+                report.converged = True
+                report.residual_history.append(max(r1, r2))
+                v, s = NodeField.from_flat(grid, v), NodeField.from_flat(grid, s)
+                triple = WeakSolutionTriple(ubar, v, s, data.params.tau, (r1, r2))
+                triple.u, triple.rho = u, rho  # the loop's own fields, not rebuilt from (v, s)
+                return triple, report
         if res < prev_res:
             omega = min(1.0, omega * 1.2)
         else:
@@ -513,7 +559,7 @@ def evolve(
     source u^n/dt; per the mean identity the discrete mass satisfies
     int u^{n+1} = int u^n / (1 + tau^2 dt) exactly. Each step starts
     from the previous step's height and density. The recorded residuals
-    are those ``solve_coupled`` evaluated on its last outer step, of the
+    are those ``solve_coupled`` evaluated on the pair it returned, of the
     system solved at the capped viscosity. The surface energy is recorded
     per step as a diagnostic. A step failure ends the trajectory with the
     SolverError tagged ``step <n>: ``. The inputs are validated at the

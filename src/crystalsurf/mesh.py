@@ -40,6 +40,7 @@ cancels the constant exactly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +113,11 @@ class Grid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.cells))
+        return int(math.prod(self.cells))
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.extents))
+        return float(math.prod(self.extents))
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return np.linspace(0.0, self.extents[axis], self.cells[axis])

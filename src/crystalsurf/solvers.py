@@ -44,7 +44,8 @@ the point of its latest residual, so the step's Newton matrix reuses
 that pass
 (``_height_newton_matrices``), as does the 1D joint Newton's banded
 matrix in ``coupled``. The residual's merit is one dot product with W
-(``_weighted_norm``).
+(``_weighted_norm``). A height solve started at the field an earlier one
+returned takes that solve's last pass too (``solve_u``'s ``u0_report``).
 
 One Newton core, ``_damped_newton``, owns the starts (a warm start, when
 given, then the cold one), the target, the Armijo line search on the
@@ -123,8 +124,11 @@ read only on their paths, so a 1D solve builds none.
 
 A ``SolveReport`` holds an iteration count, a residual history and a
 convergence flag: here Newton steps and the merit before each step and at
-the end of each attempt. ``coupled.solve_coupled``'s report counts joint
-steps in 1D and outer steps, with one equation residual after each, in 2D.
+the end of each attempt, and a converged solve's residual at the point
+it returned (``solve_u`` also that point's edge pass, for a later warm
+start there). ``coupled.solve_coupled``'s report counts joint steps in
+1D and outer steps in 2D, with the coupled residual at each step's map
+output, then at the returned pair.
 """
 
 from __future__ import annotations
@@ -199,11 +203,21 @@ def _require_int(name: str, value, minimum: int) -> None:
 @dataclass
 class SolveReport:
     """Iteration trace of one nonlinear solve: steps taken, the merit
-    (residual norm) before each step and at the end, and convergence."""
+    (residual norm) before each step and at the end, and convergence.
+
+    A converged Newton solve also keeps ``residual``, the residual array
+    at the point it returned, as it evaluated it and in its own units
+    (ln rho for ``solve_rho``); ``solve_u`` keeps in ``end`` that point's
+    height-operator values and edge pass (``_HeightEnd``), which a later
+    ``solve_u`` started at the returned field takes (clearing ``end``) for
+    its first residual. Neither is a dataclass field, so neither is
+    compared, printed or part of ``to_dict``."""
 
     iterations: int = 0
     residual_history: list[float] = field(default_factory=list)
     converged: bool = False
+    residual = None  # set on the instance, as ``end`` is
+    end = None
 
     def to_dict(self) -> dict:
         """The fields as ``dataclasses.asdict`` gives them, without its deep copy."""
@@ -376,14 +390,15 @@ def _newton_attempt(x, residual, solve, w, target, cfg, report, name) -> np.ndar
     each step solves only as accurately as landing within the target
     needs. Converged once the merit of the exact residual is at most
     ``target``, so a start within target is returned as is. Iterations
-    and merits are appended to ``report``.
+    and merits are appended to ``report``, and a converged attempt sets
+    its ``residual`` to the residual at the returned point.
     """
     res = residual(x)
     merit = _weighted_norm(w, res)
     for it in range(cfg.max_iter + 1):
         report.residual_history.append(merit)
         if merit <= target:
-            report.converged = True
+            report.converged, report.residual = True, res
             return x
         if it == cfg.max_iter:
             break
@@ -596,6 +611,20 @@ class _EdgeFamily(NamedTuple):
     wb: np.ndarray
 
 
+class _HeightEnd(NamedTuple):
+    """The point a ``solve_u`` returned: the field ``u``, the parameters
+    and grid record it was solved with, and at its flat fluctuation v
+    (u = ubar + v) the values A(v) of ``apply_height_operator`` and their
+    ``_edge_pass``."""
+
+    u: NodeField
+    params: ModelParams
+    ops: mesh.GridOperators
+    v: np.ndarray
+    values: np.ndarray
+    edges: list[_EdgeFamily]
+
+
 def _edge_pass(ops: mesh.GridOperators, v: np.ndarray, params: ModelParams) -> list[_EdgeFamily]:
     """Evaluate every edge of ``ops`` once at the flat heights v: one
     ``_EdgeFamily`` per axis family, from which both the height residual
@@ -731,9 +760,11 @@ def apply_height_operator(u: NodeField, params: ModelParams) -> NodeField:
     flat heights v), and the result is then the flat values and the
     ``_edge_pass`` at v, from which ``_height_newton_matrices`` builds the
     Newton matrix at v without evaluating an edge again. ``solve_u``
-    evaluates each residual with one such call, which is the count
-    ``bench/tracing.py`` reads as ``solvers.u_residual_evals``; the 1D
-    joint Newton's residual makes one too, through ``coupled``'s import.
+    evaluates each residual with one such call, except a warm start at
+    the field an earlier ``solve_u`` returned, whose values it shifts;
+    that is the count ``bench/tracing.py`` reads as
+    ``solvers.u_residual_evals``. The 1D joint Newton's residual makes
+    one too, through ``coupled``'s import.
     """
     field = isinstance(u, NodeField)
     ops, v = (mesh.operators(u.grid), u.flat) if field else u
@@ -752,6 +783,7 @@ def solve_u(
     cfg: NewtonConfig | None = None,
     u0: NodeField | None = None,
     factors: dict | None = None,
+    u0_report: SolveReport | None = None,
 ) -> tuple[NodeField, SolveReport]:
     """Minimize the discrete height energy; Newton with Armijo backtracking.
 
@@ -767,7 +799,15 @@ def solve_u(
     proportional to |v|, not |u|, which would otherwise floor the merit
     above the tolerance at small tau and fine grids. ``u0`` is a warm
     start: Newton runs from v = u0 - ubar first and, if that fails, from
-    v = 0, with both attempts in the returned report. ``factors`` is a
+    v = 0, with both attempts in the returned report. When ``u0`` is the
+    very field that an earlier ``solve_u`` returned, at the same params,
+    and ``u0_report`` is that solve's report, the warm start's residual
+    and first Newton matrix come from the report's ``end`` without an
+    edge pass: the start differs from that end point by the difference
+    of the two solves' means, a constant, which the edge gradients do not
+    see, and A(v + const) = A(v) + tau const. The solve takes the end
+    from the report (it sets ``u0_report.end`` to None), so the end's
+    edge pass is freed once Newton leaves the start. ``factors`` is a
     linear-solve cache (``_linear_solve``), family "u"; None gives the
     solve a cache of its own. In 2D a cache without "u" gets the cosine
     solve of the Hessian's longitudinal part P at v = 0
@@ -792,17 +832,30 @@ def solve_u(
     factors = {} if factors is None else factors
     if "u" not in factors and (flat := _flat_height_preconditioner(ops, params)) is not None:
         factors["u"] = flat
-    point = [None, None]  # the heights of the latest residual and their edge pass
+    point = [None, None, None]  # the heights of the latest residual, A there and its edge pass
+    starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]
+    end = u0_report.end if u0_report is not None else None
+    if end is not None and end.u is u0 and end.ops is ops and end.params == params:
+        u0_report.end = None  # taken: held only until Newton leaves the start
+    else:
+        end = None
 
     def residual(vec):
-        r, edges = apply_height_operator((ops, vec), params)
-        point[:] = vec, edges
-        return r + shift
+        nonlocal end
+        if end is not None and vec is starts[0]:  # the earlier solve's end point, shifted
+            values, edges = end.values + params.tau * (vec - end.v), end.edges
+            end = None
+        else:
+            values, edges = apply_height_operator((ops, vec), params)
+        point[:] = vec, values, edges
+        return values + shift
 
     def solve(vec, b, eta):  # the core steps from the point of its latest residual
-        hess, lon = _height_newton_matrices(ops, vec, params, point[1] if vec is point[0] else None)
+        hess, lon = _height_newton_matrices(ops, vec, params, point[2] if vec is point[0] else None)
         return _linear_solve(hess, b, factors, "u", eta, lon)
 
-    starts = ([u0.flat - ubar] if u0 is not None else []) + [np.zeros(grid.node_count)]
     v, report = _damped_newton(starts, residual, solve, w, rv, cfg, "height")
-    return NodeField.from_flat(grid, ubar + v), report
+    u = NodeField.from_flat(grid, ubar + v)
+    if point[0] is v:
+        report.end = _HeightEnd(u, params, ops, v, point[1], point[2])
+    return u, report

@@ -65,6 +65,18 @@ def test_grid_validation():
     assert g.volume == 6.0
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.interval(0.7, 129), Grid.rectangle((0.3, 1.7), (9, 17)), Grid(2, (0.1, 0.7), (5.0, 3))],
+    ids=["1d", "2d", "2d-float-cells"],
+)
+def test_grid_counts_match_the_numpy_products(grid):
+    # node_count and volume are the numpy products of cells and extents,
+    # bit for bit, and the count is a Python int
+    assert type(grid.node_count) is int and grid.node_count == int(np.prod(grid.cells))
+    assert grid.volume == float(np.prod(grid.extents))
+
+
 def test_field_validation():
     g = Grid.interval(1.0, 5)
     with pytest.raises(ValueError):

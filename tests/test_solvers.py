@@ -1180,6 +1180,50 @@ def test_2d_height_newton_matrices_reuse_the_residuals_edge_pass(rng, monkeypatc
         assert_same_newton_matrices(out, fresh(ops, 1.001 * v, p))
 
 
+@ONE_AND_TWO_D
+def test_height_warm_start_reuses_only_the_end_of_the_solve_that_returned_it(grid, rng, monkeypatch):
+    # a solve_u started at the very field an earlier solve_u returned, at the
+    # same params and with that solve's report, takes its first residual from
+    # the report's end, although the new source moves the mean: one
+    # apply_height_operator call fewer and the same Newton steps. The end is
+    # taken from the report, so it serves one start. An equal copy of the
+    # field, another solve's report, a report with no end or other params
+    # evaluate the start afresh and leave the report's end in place
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-2, delta=1e-6)
+    rhs = smooth_field(grid, rng, amplitude=0.5)
+    rhs2 = NodeField(grid, rhs.values + 0.05 * smooth_field(grid, rng).values + 0.01)
+    real_apply, evals = solvers.apply_height_operator, []
+    monkeypatch.setattr(solvers, "apply_height_operator", lambda *args: evals.append(None) or real_apply(*args))
+
+    def counted(p=params, **kwargs):
+        evals.clear()
+        out = solve_u(rhs2, p, **kwargs)
+        return len(evals), out
+
+    u, rep = solve_u(rhs, params)
+    assert rep.end.u is u
+    n_fresh, (u_fresh, rep_fresh) = counted(u0=u)
+    n_end, (u_end, rep_end) = counted(u0=u, u0_report=rep)
+    assert rep.end is None and rep_end.end.u is u_end
+    assert rep_end.converged and rep_end.iterations == rep_fresh.iterations >= 1
+    assert n_end == n_fresh - 1
+    np.testing.assert_allclose(rep_end.residual_history, rep_fresh.residual_history, rtol=1e-6, atol=1e-14)
+    assert np.max(np.abs(u_end.values - u_fresh.values)) <= 1e-12 * np.max(np.abs(u_fresh.values))
+    assert counted(u0=u, u0_report=rep)[0] == n_fresh
+    other_params = dataclasses.replace(params, beta0=2.0)
+    for case in ("copy", "other report", "no end", "other params"):
+        u, rep = solve_u(rhs, params)
+        _, other = solve_u(NodeField(grid, rhs.values + 0.1), params)
+        p, u0, u0_report = {
+            "copy": (params, NodeField(grid, u.values.copy()), rep),
+            "other report": (params, u, other),
+            "no end": (params, u, SolveReport()),
+            "other params": (other_params, u, rep),
+        }[case]
+        assert counted(p, u0=u0, u0_report=u0_report)[0] == counted(p, u0=u0)[0], case
+        assert rep.end.u is u and other.end.u is not u
+
+
 def test_1d_joint_newton_matrices_reuse_the_residuals_edge_pass(rng, monkeypatch):
     # every Newton step of a cold 1D solve (its map's height steps, then
     # the joint steps) and the extra joint step that measures the last
