@@ -22,10 +22,16 @@ O(a) rate independent of tau, and the mean identity then holds to
 rounding on every converged solve. Each update is Anderson mixing
 (Anderson 1965; Walker & Ni 2011) of the projected residuals
 F = pin(B(u)) - u of the last ``_ANDERSON_DEPTH`` + 1 iterates, with the
-relaxation as mixing weight; when the combined residual grows the
-history is dropped, so the next update is the plain damped step
-pin(u + w F). The height viscosity is capped at
-``PicardConfig.delta_polish`` and the capped system solved in one pass.
+relaxation as mixing weight, 1 (undamped) by default; when the combined
+residual grows the weight is halved and the history is dropped, so the
+next update is the plain damped step pin(u + w F). The loop can run
+undamped because ``solve_rho`` holds the mean of ln rho to tol_residual
+(1 + |ln rho|_w): tau times the pin's shift is minus the W-mean of the
+density residual, so R2 (below) carries that mean unscaled, and a warm
+density start within the density Newton target, which grows like 1/tau,
+could leave R2 just above tol_residual at every outer step. The height
+viscosity is capped at ``PicardConfig.delta_polish`` and the capped
+system solved in one pass.
 
 Each outer step is decided, in its stopping test and in the adaptation
 of the weight, on the coupled residual at the map's own output
@@ -136,17 +142,17 @@ class PicardConfig:
     """Outer fixed-point iteration controls.
 
     ``relaxation`` is the Anderson mixing weight of the outer update, the
-    plain damped step's weight when the mixing history is empty. It is
-    adapted: grown by 1.2 (capped at 1) when the combined equation
-    residual shrinks; halved when it grows, and then the mixing history
-    is dropped.
+    plain damped step's weight when the mixing history is empty; the
+    default 1 starts undamped. It is adapted: grown by 1.2 (capped at 1)
+    when the combined equation residual shrinks; halved when it grows,
+    and then the mixing history is dropped.
     ``delta_polish`` caps the height viscosity: the coupled solve runs
     at min(params.delta, delta_polish), or at params.delta when it is
     None (as the manufactured-solution study needs, whose analytic
     operator carries params.delta).
     """
 
-    relaxation: float = 0.5
+    relaxation: float = 1.0
     tol_fixed_point: float = 1e-9
     max_outer: int = 200
     tol_residual: float = 1e-8

@@ -520,6 +520,15 @@ def _node_rows(grid: Grid) -> str:
 
 
 @functools.lru_cache(maxsize=None)
+def _node_coords(grid: Grid) -> np.ndarray:
+    """Node coordinates, one row per node in row-major order, as
+    ``read_node_csv`` compares them; cached per grid, read-only."""
+    coords = np.stack([m.reshape(-1) for m in grid.meshgrid()], axis=1)
+    coords.flags.writeable = False
+    return coords
+
+
+@functools.lru_cache(maxsize=None)
 def _edge_rows(grid: Grid) -> str:
     """Whole-file template of ``write_edge_csv``: the header, then midpoint
     and axis of every edge, one axis family after the other; cached per grid."""
@@ -554,8 +563,8 @@ def read_node_csv(path, grid: Grid) -> NodeField:
             f"csv holds {raw.shape[0]} rows of {raw.shape[1]} columns, "
             f"grid needs {grid.node_count} nodes in {grid.dim}D"
         )
-    coords = np.stack([m.reshape(-1) for m in grid.meshgrid()], axis=1)
-    if not np.allclose(raw[:, : grid.dim], coords, rtol=0.0, atol=1e-12):
+    # within 1e-12 of the grid's, as np.allclose(rtol=0, atol=1e-12); NaN and inf fail
+    if not np.max(np.abs(raw[:, : grid.dim] - _node_coords(grid))) <= 1e-12:
         raise ValueError("csv node coordinates do not match the grid")
     return NodeField.from_flat(grid, raw[:, grid.dim])
 

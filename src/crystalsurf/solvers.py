@@ -7,9 +7,11 @@ Density problem (limit semilinear equation):
 solved by ``solve_rho`` with damped Newton on s = ln rho - mean_w(g)/tau,
 so the density is positive by construction and the residual differences
 only the fluctuation of rho. Warm and cold solves are the same loop from
-different starts. ``solve_rho_delta`` solves the paper's barrier
-regularization -lap rho + delta rho + tau psi_delta(rho) = g for
-delta in (0,1) by Newton on rho itself.
+different starts; a linear step on the mean mode then holds the mean of
+ln rho, which the equation fixes at mean_w(g)/tau, to its own bound.
+``solve_rho_delta`` solves the paper's barrier regularization
+-lap rho + delta rho + tau psi_delta(rho) = g for delta in (0,1) by
+Newton on rho itself.
 
 Height problem (convex variational equation):
 
@@ -522,12 +524,24 @@ def solve_rho(
     converged density that underflows to 0 at some node is a SolverError
     naming the underflow.
 
+    Integrating the equation gives tau int ln rho = int g (K's columns
+    sum to zero), so the W-mean of the residual is exactly
+    m = mean_w(s) = mean_w(ln rho) - mean_w(g)/tau. The Newton target
+    grows like 1/tau, while the coupled solve's height equation reads the
+    mean of ln rho against tol (1 + |ln rho|_w). So once Newton stops,
+    when |m| exceeds tol (1 + |ln rho|_w), one more step is solved with
+    the Newton matrix at the returned point and the right-hand side
+    -W m 1, with no line search, and the report's ``residual`` is
+    evaluated afresh at the corrected point.
+
     Newton starts from s = ln rho0 - sigma0 when ``rho0`` is strictly
     positive (typically the density of a nearby source) and from s = 0
     otherwise. A failed warm start is retried from s = 0, and the report
-    keeps both attempts' iterations and residuals. A warm start already
-    within tolerance is returned unchanged. Raises SolverError before any
-    exponential is taken when |sigma0| exceeds ln(max float).
+    keeps both attempts' iterations and residuals. A warm start within
+    the Newton target and within the mean's bound is returned unchanged;
+    one within the target only comes back with its mean corrected. Raises
+    SolverError before any exponential is taken when |sigma0| exceeds
+    ln(max float).
     ``factors`` is a linear-solve cache (``_linear_solve``), family "rho";
     None gives the solve a cache of its own. In 2D each step runs CG
     preconditioned with the cosine solve of K + cbar W,
@@ -564,7 +578,12 @@ def solve_rho(
     warm = rho0 is not None and np.min(rho0.values) > 0.0
     starts = ([np.log(rho0.flat) - sigma0] if warm else []) + [np.zeros(gv.size)]
     s, report = _damped_newton(starts, residual, solve, w, gv / tau, cfg, "density")
-    if warm and s is starts[0]:  # a warm start within target is returned unchanged
+    m = float(w @ report.residual) / float(np.sum(w))  # mean_w(s) = mean_w(ln rho) - mean_w(g)/tau
+    bound = (cfg or NewtonConfig()).tol_residual * (1.0 + _weighted_norm(w, s + sigma0))
+    if abs(m) > bound:  # one Newton solve on the mean mode, no line search
+        s = s + solve(s, -w * m, _forcing(abs(m), bound))
+        report.residual = residual(s)
+    if warm and s is starts[0]:  # a warm start within both bounds is returned unchanged
         return NodeField.from_flat(grid, rho0.flat.copy()), report
     rho = c * np.exp(s)
     if not np.min(rho) > 0.0:

@@ -275,6 +275,41 @@ def test_node_csv_round_trip(tmp_path, rng):
         read_node_csv(path, Grid.rectangle((1.0, 2.0), (9, 6)))
 
 
+CSV_GRIDS = (Grid.interval(1.0, 5), Grid.interval(3.0, 4), Grid.rectangle((1.0, 2.0), (3, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, len(CSV_GRIDS) - 1),
+    node=st.integers(0, 11),
+    column=st.integers(0, 1),
+    offset=st.one_of(
+        st.sampled_from([0.0, 1e-12, -1e-12, 1.0000000000000002e-12, 2e-12, np.nan, np.inf, -np.inf]),
+        st.floats(-3e-12, 3e-12),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+)
+def test_csv_coordinate_check_agrees_with_allclose(tmp_path_factory, which, node, column, offset):
+    # read_node_csv accepts a file exactly when np.allclose(rtol=0,
+    # atol=1e-12) accepts its coordinates against the grid's, NaN and inf
+    # included; one coordinate of one node is moved by ``offset``
+    g = CSV_GRIDS[which]
+    coords = np.stack([m.reshape(-1) for m in g.meshgrid()], axis=1)
+    moved = coords.copy()
+    with np.errstate(invalid="ignore"):
+        moved[node % g.node_count, column % g.dim] += offset
+    path = tmp_path_factory.mktemp("csv") / "moved.csv"
+    rows = "".join(",".join(f"{x!r}" for x in row) + ",0.5\n" for row in moved.tolist())
+    path.write_text(",".join(["x", "y"][: g.dim]) + ",value\n" + rows, encoding="utf-8")
+    parsed = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, : g.dim]
+    try:
+        read_node_csv(path, g)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == np.allclose(parsed, coords, rtol=0.0, atol=1e-12)
+
+
 def reference_csv(names, blocks) -> bytes:
     """Row-by-row %.17g formatting of blocks of equal-shape columns in C order."""
     row = ",".join(["%.17g"] * len(names)) + "\n"

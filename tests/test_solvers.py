@@ -855,6 +855,53 @@ def test_rho_warm_start_at_tolerance_converges_without_fallback(grid, rng):
     np.testing.assert_array_equal(rho.values, rho_cold.values)
 
 
+@ONE_AND_TWO_D
+def test_rho_warm_start_within_target_gets_its_log_mean_corrected(grid):
+    # tau int ln rho = int g, so the W-mean of the residual (in units of
+    # ln rho) is mean_w(ln rho) - mean_w(g)/tau. The Newton target
+    # tol (1 + |g/tau|_w) grows like 1/tau and the mean's bound
+    # tol (1 + |ln rho|_w) does not: the warm start below lies within the
+    # target, so Newton takes no step, with its log mean 10 bounds off, and
+    # it is returned within the bound. Its residual's unweighted mean is
+    # -10 bounds, so a correction by the unweighted mean would leave it 20
+    # bounds off. Started again at the corrected density, the solve
+    # returns it unchanged
+    tau, tol = 1e-3, NewtonConfig().tol_residual
+    w = operators(grid).w
+    g = NodeField(grid, sum(0.4 * np.cos(np.pi * x) - 0.2 * np.cos(2 * np.pi * x) for x in grid.meshgrid()))
+
+    def mean_w(x):
+        return float(w @ x) / float(np.sum(w))
+
+    def log_mean_error(rho):  # mean_w(ln rho) - mean_w(g)/tau and its bound
+        ln = np.log(rho.flat)
+        return mean_w(ln) - mean_w(g.flat) / tau, tol * (1.0 + np.sqrt(ln @ (w * ln)))
+
+    rho, _ = solve_rho(g, tau)
+    bound = log_mean_error(rho)[1]
+    # the start's residual is rho's plus e, whose weighted mean is 10 bounds
+    # and unweighted mean -10: e = 10 bound plus a multiple of the boundary
+    # indicator less its weighted mean
+    edge = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        edge[(slice(None),) * axis + ([0, -1],)] = 1.0
+    q = edge.reshape(-1) - mean_w(edge.reshape(-1))
+    e = 10.0 * bound - 20.0 * bound * q / np.mean(q)
+    jac = (stiffness_matrix(grid) + sp.diags(tau * w / rho.flat)).tocsc()  # W J in rho ds
+    rho0 = NodeField.from_flat(grid, rho.flat * np.exp(spla.spsolve(jac, tau * w * e) / rho.flat))
+    err0, bound0 = log_mean_error(rho0)
+    assert err0 > 9.0 * bound0
+    out, rep = solve_rho(g, tau, rho0=rho0)
+    err, bound = log_mean_error(out)
+    assert rep.converged and rep.iterations == 0
+    assert abs(err) <= bound
+    # the report's residual is that of the corrected density
+    assert abs(mean_w(rep.residual) - err) <= 1e-2 * bound
+    again, rep_again = solve_rho(g, tau, rho0=out)
+    assert rep_again.iterations == 0
+    np.testing.assert_array_equal(again.values, out.values)
+
+
 def test_rho_warm_failure_falls_back_to_cold_schedule(grid, rng, monkeypatch):
     # a failed warm start is retried from s = ln rho - sigma0 = 0 in the same loop
     g = smooth_field(grid, rng)
