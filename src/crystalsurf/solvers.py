@@ -104,11 +104,14 @@ Below the public ``NodeField`` API the solvers run on flat float64
 arrays. Each solve fetches its grid's record, ``mesh.operators``, once,
 so its Newton loop wraps no field and makes no per-grid cache lookup.
 A Newton matrix on the pattern of K is a ``_Matrix``, its data on that
-record, so it can only be data on its own grid's K. The density matrix
-K + diag(tau W/rho) is a copy of the data of K plus tau W/rho at K's
-diagonal positions (``GridOperators.diagonal``). The
-2D height Newton matrix is never assembled on a step: CG needs only its
-products, and ``_HeightHessian`` applies H v = sum_families sum_i
+record, so it can only be data on its own grid's K. The data of the
+density matrix K + diag(tau W/rho) is a copy of the data of K plus
+tau W/rho at K's diagonal positions (``GridOperators.diagonal``); a 1D
+step builds it for ``dptsv``. No 2D Newton matrix is assembled on a
+step, since CG needs only its products: ``_ShiftedStiffness`` applies
+the density matrix as K x + (tau W/rho) x from the cached K and builds
+its data only when ``_linear_solve`` factors it, and
+``_HeightHessian`` applies H v = sum_families sum_i
 D_i^T (sum_j c_ij D_j v) + tau W v from the edge operators and the
 closed-form c_ij of the step's edge pass, kept as one edge array per
 (i, j) pair. Its longitudinal part P lies on the pattern of K, where its data is
@@ -121,8 +124,8 @@ when CG with the held preconditioner fails and P is factored, so a 2D
 step whose CG converges builds no P. Only the rare fallback that
 factors the height matrix itself builds it as CSC, by sparse products
 of the edge operators. ``_linear_solve`` hands a 1D matrix's data
-straight to ``dptsv`` and builds the CSC matrix that SuperLU and CG
-read only on their paths, so a 1D solve builds none.
+straight to ``dptsv`` and builds a CSC matrix only for SuperLU, or for
+CG after ``dptsv`` meets a nonpositive pivot, so a 1D solve builds none.
 
 A ``SolveReport`` holds an iteration count, a residual history and a
 convergence flag: here Newton steps and the merit before each step and at
@@ -243,7 +246,9 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
     """Preconditioned conjugate gradient for SPD systems: ``precond(r)``
     applies the inverse of the preconditioner to a residual.
 
-    Stops at |b - A x|_2 <= tol |b|_2, the Euclidean norm. A Newton step
+    Stops at |b - A x|_2 <= tol |b|_2, the Euclidean norm, tested as
+    r.r <= (tol |b|_2)^2 with one dot product per iteration; the search
+    direction is updated in place. A Newton step
     passes b = -W res and its forcing term as ``tol`` (``_forcing``),
     while the Newton merit is the W-weighted norm of res; the factor
     0.5 in the forcing term covers the mismatch, at most
@@ -254,9 +259,10 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
     iterations do not reach the relative residual ``tol``.
     """
     x = np.zeros_like(b)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    bb = float(b @ b)
+    if bb == 0.0:
         return x, 0
+    stop = tol * tol * bb
     r = b.copy()
     z = precond(r)
     p = z.copy()
@@ -269,11 +275,12 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol * bnorm:
+        if float(r @ r) <= stop:
             return x, it
         z = precond(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
@@ -307,9 +314,11 @@ def _linear_solve(
     read straight from ``a.data``, an L D L^T factorization without
     pivoting; no CSC matrix is built and the ``factors`` cache is not
     touched. When ``dptsv`` meets a nonpositive pivot (a is not
-    numerically SPD), or the grid is 2D, a is built as CSC, and a
-    ``_HeightHessian`` is applied
-    matrix-free. CG runs preconditioned with the lagged preconditioner of
+    numerically SPD), or a 2D ``_Matrix`` is given, a is built as CSC.
+    The 2D Newton matrices of the solvers, a ``_ShiftedStiffness`` (the
+    density family) and a ``_HeightHessian``, are applied matrix-free,
+    and their ``csc`` is built only for a factor of a itself. CG runs
+    preconditioned with the lagged preconditioner of
     ``family`` when the cache holds one: a SuperLU factor, or any object
     with its ``solve`` (the height family's flat-state cosine solve,
     ``_flat_height_preconditioner``). Otherwise, or when CG fails, CG
@@ -317,7 +326,7 @@ def _linear_solve(
     applying its inverse is used as is, a matrix (a ``_LazyMatrix`` is
     built here) is factored and the cache keeps that factor. When ``p``
     is a (None means a) or that CG fails too, the cache keeps a fresh
-    factor of a, the one place a ``_HeightHessian`` is assembled, and the
+    factor of a, the one place a 2D Newton matrix is assembled, and the
     solve is direct."""
     if p is a:
         p = None
@@ -340,7 +349,7 @@ def _linear_solve(
             return pcg(a.dot, b, p, eta, _PCG_MAX_ITER)[0]
         except SolverError:
             pass  # p is too far from a: solve with a factor of a itself
-    factors[family] = lu = _factor(a.csc() if isinstance(a, _HeightHessian) else a)
+    factors[family] = lu = _factor(a if sp.issparse(a) else a.csc())
     return lu.solve(b)
 
 
@@ -431,6 +440,21 @@ def _stiffness_plus_diagonal(ops: mesh.GridOperators, d: np.ndarray) -> _Matrix:
     data = ops.k.data.copy()
     data[ops.diagonal] += d
     return _Matrix(data, ops)
+
+
+class _ShiftedStiffness(NamedTuple):
+    """K + diag(d) applied matrix-free, as K x + d x from the cached K:
+    CG needs only its products. ``csc`` builds its data on the pattern of
+    K (``_stiffness_plus_diagonal``), which only a factor of it needs."""
+
+    ops: mesh.GridOperators
+    d: np.ndarray
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return self.ops.k @ x + self.d * x
+
+    def csc(self) -> sp.csc_matrix:
+        return _stiffness_plus_diagonal(self.ops, self.d).csc()
 
 
 def _cosine_solver(ops: mesh.GridOperators, c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -545,9 +569,11 @@ def solve_rho(
     ``factors`` is a linear-solve cache (``_linear_solve``), family "rho";
     None gives the solve a cache of its own. In 2D each step runs CG
     preconditioned with the cosine solve of K + cbar W,
-    cbar = tau mean_w(1/rho) (``_cosine_preconditioner``), and the cache
-    gets a factor only when that CG fails or cbar is out of range. A 1D
-    step solves its tridiagonal matrix with ``dptsv`` and factors only
+    cbar = tau mean_w(1/rho) (``_cosine_preconditioner``), on the Newton
+    matrix applied as K x + (tau W/rho) x (``_ShiftedStiffness``), and the
+    cache gets a factor only when that CG fails or cbar is out of range;
+    only such a step builds the matrix's data, once. A 1D step builds that
+    data, solves its tridiagonal matrix with ``dptsv`` and factors only
     when that meets a nonpositive pivot.
     """
     if tau <= 0.0:
@@ -572,7 +598,7 @@ def solve_rho(
     def solve(s, rhs, eta):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
         d = tau * w / rho
-        jac = _stiffness_plus_diagonal(ops, d)
+        jac = _stiffness_plus_diagonal(ops, d) if grid.dim == 1 else _ShiftedStiffness(ops, d)
         return tau * _linear_solve(jac, rhs, factors, "rho", eta, _cosine_preconditioner(ops, d)) / rho
 
     warm = rho0 is not None and np.min(rho0.values) > 0.0

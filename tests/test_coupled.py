@@ -710,6 +710,42 @@ def test_evolve_residuals_of_the_solved_system(grid):
         assert max(step.residuals) <= PicardConfig().tol_residual
 
 
+@pytest.mark.parametrize(
+    "grid, tau, amplitude, t_end, dts",
+    [
+        (Grid.interval(1.0, 129), 1e-3, 1.0, 0.004, (8e-4, 4e-4, 2e-4, 1e-4, 5e-5)),
+        (Grid.rectangle((1.0, 1.0), (33, 33)), 0.2, 0.02, 0.008, (4e-3, 2e-3, 1e-3, 5e-4)),
+    ],
+    ids=["1d", "2d"],
+)
+def test_evolve_converges_first_order_in_dt(grid, tau, amplitude, t_end, dts):
+    # backward Euler: halving dt roughly halves the height's change at t_end.
+    # u0 is 1 plus the evolve_1d base cosines (0.2, -0.1, 0.06, -0.04) in x,
+    # and in 2D (0.1, -0.05, 0.03) in y, scaled by the amplitude; t_end comes
+    # before the surface flattens (ptp(u) at t_end is 5.6e-4 in 1D and 4.6e-4
+    # in 2D with the finest dt). The successive RMS differences of u at t_end
+    # shrink by 2.81, 2.76, 2.55 in 1D and 1.99, 2.08 in 2D; every ratio must
+    # lie in [1.8, 3.2] (an observed order within [0.85, 1.68]), where a
+    # second-order scheme gives 4 and a step inconsistent in dt gives 1. 2D
+    # steps at tau 1e-3, or at dt below 5e-4 here, exit 3 with an underflowing
+    # density (ROADMAP item 17), so the 2D case runs at tau 0.2
+    modes = ((0.2, -0.1, 0.06, -0.04), (0.1, -0.05, 0.03))
+    coords = grid.meshgrid()
+    u0 = NodeField(grid, 1.0 + amplitude * sum(
+        c * np.cos(k * np.pi * x) for x, cs in zip(coords, modes) for k, c in enumerate(cs, 1)
+    ))
+    w = operators(grid).w
+    finals = []
+    for dt in dts:
+        *_, last = evolve(u0, dt=dt, nsteps=round(t_end / dt), params=params_with(tau=tau))
+        assert last.time == pytest.approx(t_end, rel=1e-12)
+        finals.append(last.u.flat)
+    assert np.ptp(finals[-1]) > 1e-4
+    diffs = [np.sqrt(w @ (a - b) ** 2 / np.sum(w)) for a, b in zip(finals, finals[1:])]
+    ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+    assert all(1.8 <= r <= 3.2 for r in ratios), ratios
+
+
 def evolve_residual_calls(grid, monkeypatch) -> tuple[list, list]:
     """Evolve three steps, and check that each records the pair that
     solve_coupled evaluated last, and that the residuals run once per

@@ -72,6 +72,78 @@ def test_pcg_rejects_indefinite_matrix():
         pcg(lambda v: a @ v, np.array([0.0, 1.0, 0.0]), lambda r: r, tol=1e-12, maxiter=100)
 
 
+def reference_pcg(matvec, b, precond, tol, maxiter):
+    """``pcg`` with its stopping test on np.linalg.norm(r) <= tol |b| and a
+    freshly allocated search direction each iteration: the reference the
+    one-dot-product test and the in-place update are checked against."""
+    x = np.zeros_like(b)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x, 0
+    r = b.copy()
+    z = precond(r)
+    p = z.copy()
+    rz = float(r @ z)
+    for it in range(1, maxiter + 1):
+        ap = matvec(p)
+        pap = float(p @ ap)
+        if pap <= 0.0:
+            raise SolverError("conjugate gradient hit nonpositive curvature (matrix not SPD)")
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x, it
+        z = precond(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["spd", "zero-b", "indefinite", "capped"]),
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**31 - 1),
+    spread=st.floats(0.0, 8.0),
+    tol=st.floats(1e-12, 0.1),
+    jacobi=st.booleans(),
+)
+def test_pcg_matches_the_reference_iteration(kind, n, seed, spread, tol, jacobi):
+    # random SPD systems with eigenvalues over 10^spread, b = 0, symmetric
+    # matrices with a negative eigenvalue, and a cap of n/4 + 1 iterations,
+    # too few for 1e-14 with eigenvalues over at least 10^4: the same
+    # outcome, message, iteration count and number of products, and x
+    # within 1e-13 relative
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eig = 10.0 ** rng.uniform(0.0, max(spread, 4.0) if kind == "capped" else spread, n)
+    if kind == "indefinite":
+        eig[rng.integers(n)] *= -1.0
+    a = (q * eig) @ q.T
+    b = np.zeros(n) if kind == "zero-b" else rng.standard_normal(n)
+    d = np.abs(np.diag(a)) if jacobi else np.ones(n)
+    tol, maxiter = (1e-14, 1 + n // 4) if kind == "capped" else (tol, 10 * n)
+
+    def outcome(solver):
+        calls = []
+        try:
+            x, its = solver(lambda v: calls.append(v) or a @ v, b, lambda r: r / d, tol, maxiter)
+        except SolverError as err:
+            return str(err), None, len(calls)
+        return its, x, len(calls)
+
+    (its, x, calls), (its_r, x_r, calls_r) = outcome(pcg), outcome(reference_pcg)
+    assert its == its_r and calls == calls_r
+    if kind == "capped":
+        assert its == f"conjugate gradient failed to reach tolerance in {maxiter} iterations"
+    if kind == "zero-b":
+        assert its == 0 and not x.any()
+    if x_r is not None:
+        assert np.linalg.norm(x - x_r) <= 1e-13 * np.linalg.norm(x_r)
+
+
 def density_matrix(grid, tau):
     """K + diag(tau W), the density Newton matrix at rho = 1, as its data
     on the pattern of the grid's K (the linear solve's argument)."""
@@ -176,16 +248,18 @@ def counting_pcg(monkeypatch) -> list:
     return calls
 
 
-def counting_p_builds(monkeypatch) -> list:
-    """Record every P that ``solvers._longitudinal_part`` builds."""
+def counting_builds(monkeypatch, name: str = "_longitudinal_part") -> list:
+    """Record every ``_Matrix`` that ``solvers.<name>`` builds: the height
+    family's P (``_longitudinal_part``) or the density Newton matrix
+    (``_stiffness_plus_diagonal``)."""
     built = []
-    real = solvers._longitudinal_part
+    real = getattr(solvers, name)
 
     def counting(*args):
         built.append(real(*args))
         return built[-1]
 
-    monkeypatch.setattr(solvers, "_longitudinal_part", counting)
+    monkeypatch.setattr(solvers, name, counting)
     return built
 
 
@@ -421,6 +495,23 @@ def test_cosine_solve_inverts_the_shifted_stiffness(grid, c, rng):
     assert abs(v @ x - b @ solvers._cosine_solver(operators(grid), c)(v)) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(x)
 
 
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from(COSINE_GRIDS.args[1]), seed=st.integers(0, 2**31 - 1), span=st.floats(0.0, 16.0))
+def test_shifted_stiffness_product_matches_its_csc_matrix(grid, seed, span):
+    # the 2D density Newton matrix K + diag(d), applied as K x + d x, against
+    # the product with the CSC matrix of its data on K's pattern, for random
+    # positive d over 10^span about W; csc() builds exactly that matrix
+    ops = operators(grid)
+    rng = np.random.default_rng(seed)
+    d = ops.w * 10.0 ** rng.uniform(-0.5 * span, 0.5 * span, grid.node_count)
+    x = rng.standard_normal(grid.node_count)
+    op = solvers._ShiftedStiffness(ops, d)
+    data = solvers._stiffness_plus_diagonal(ops, d)
+    expected = data.csc() @ x
+    assert np.linalg.norm(op.dot(x) - expected) <= 1e-14 * np.linalg.norm(expected)
+    assert_built_from(op.csc(), data)
+
+
 def test_cosine_preconditioner_is_2d_only_and_guards_its_shift():
     plane, line = Grid.rectangle((1.0, 1.0), (17, 17)), Grid.interval(1.0, 17)
     line_ops, plane_ops = operators(line), operators(plane)
@@ -571,11 +662,77 @@ def test_height_solve_builds_p_only_to_factor_it(grid, rng, monkeypatch):
     # builds no P and factors nothing; a 1D step's P is its Newton matrix,
     # built once per step
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=0.05, delta=1e-6)
-    factored, failures, built = counting_splu(monkeypatch), pcg_failures(monkeypatch), counting_p_builds(monkeypatch)
+    factored, failures, built = counting_splu(monkeypatch), pcg_failures(monkeypatch), counting_builds(monkeypatch)
     u, rep = solve_u(smooth_field(grid, rng, amplitude=0.5), params)
     assert rep.converged and rep.iterations >= 2
     assert factored == [] and failures == []
     assert len(built) == (rep.iterations if grid.dim == 1 else 0)
+
+
+@ONE_AND_TWO_D
+def test_density_solve_builds_its_newton_matrix_only_to_factor_it(grid, rng, monkeypatch):
+    # a 2D solve whose CG converges with the cosine preconditioner at every
+    # step applies K + diag(tau W/rho) as K x + d x and builds none of its
+    # data; a 1D step's data is what dptsv reads, built once per step
+    tau = 0.05
+    g = NodeField(grid, tau * smooth_field(grid, rng, offset=0.5).values)
+    factored, failures = counting_splu(monkeypatch), pcg_failures(monkeypatch)
+    built = counting_builds(monkeypatch, "_stiffness_plus_diagonal")
+    rho, rep = solve_rho(g, tau)
+    assert rep.converged and rep.iterations >= 2
+    assert factored == [] and failures == []
+    assert len(built) == (rep.iterations if grid.dim == 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "tau, sigma0, amplitude, forced, cold_step_factors",
+    [(0.1, 60.0, 1.0, False, True), (10.0, 0.0, 10.0, False, False), (0.05, 0.0, 1.0, True, True)],
+    ids=["constant-mode-below-rounding", "cg-fails", "cg-forced-to-fail"],
+)
+def test_2d_density_step_that_factors_builds_the_csc_of_its_newton_matrix_once(
+    tau, sigma0, amplitude, forced, cold_step_factors, monkeypatch
+):
+    # the inputs of test_2d_density_solve_falls_back_to_the_lu_path, and a
+    # smooth one with CG forced to fail at every step. Each step that
+    # factors builds the data of K + diag(tau W/rho) once and factors
+    # exactly its CSC matrix, K's pattern with that data: K off the
+    # diagonal and K's diagonal plus a positive d (below its rounding at
+    # sigma0 = 60), at the cold start rho = c with d = tau W/c exactly. A
+    # step whose CG converges, on the cosine solve or
+    # on the held factor, builds nothing. With every step direct, the
+    # densities are bit-equal to those of direct solves of that CSC matrix
+    grid = Grid.rectangle((1.0, 1.0), (33, 33))
+    g = NodeField.from_function(
+        grid, lambda x, y: tau * (sigma0 + amplitude * np.cos(np.pi * x) * np.cos(np.pi * y))
+    )
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_linear_solve", lambda a, b, *rest: direct_solve(a.csc(), b))
+        expected, rep_direct = solve_rho(g, tau)
+    if forced:
+        def failing(*args):
+            raise SolverError("conjugate gradient failed to reach tolerance")
+
+        monkeypatch.setattr(solvers, "pcg", failing)
+    factored = counting_splu(monkeypatch)
+    built = counting_builds(monkeypatch, "_stiffness_plus_diagonal")
+    rho, rep = solve_rho(g, tau)
+    assert rep.converged and rep.iterations == rep_direct.iterations
+    assert len(factored) == len(built) >= 1
+    assert len(built) == rep.iterations if forced else len(built) <= rep.iterations
+    ops = operators(grid)
+    off = np.ones(ops.k.nnz, dtype=bool)
+    off[ops.diagonal] = False
+    for a, b in zip(factored, built):
+        assert_built_from(a, b)
+        np.testing.assert_array_equal(a.data[off], ops.k.data[off])
+        assert np.all(a.data[ops.diagonal] >= ops.k.data[ops.diagonal])
+    if cold_step_factors:
+        c = np.exp(float(np.sum(ops.w * g.flat) / np.sum(ops.w)) / tau)
+        np.testing.assert_array_equal(factored[0].toarray(), (ops.k + sp.diags(tau * ops.w / c)).toarray())
+    if forced:
+        np.testing.assert_array_equal(rho.values, expected.values)
+    else:
+        assert np.max(np.abs(rho.values - expected.values)) <= 1e-10 * np.max(expected.values)
 
 
 def test_height_solve_factors_p_at_its_current_v_when_cg_with_the_flat_seed_fails(rng, monkeypatch):
@@ -594,7 +751,7 @@ def test_height_solve_factors_p_at_its_current_v_when_cg_with_the_flat_seed_fail
     monkeypatch.setattr(
         solvers, "_linear_solve", lambda a, b, factors, family, eta, p: preconditioners.append(p) or real(a, b, factors, family, eta, p)
     )
-    factored, failures, built = counting_splu(monkeypatch), pcg_failures(monkeypatch), counting_p_builds(monkeypatch)
+    factored, failures, built = counting_splu(monkeypatch), pcg_failures(monkeypatch), counting_builds(monkeypatch)
     u, rep = solve_u(rhs, params, u0=u0)
     assert rep.converged and rep.iterations == len(preconditioners) > 1
     assert len(failures) == 1 and "nonpositive curvature" in failures[0]
