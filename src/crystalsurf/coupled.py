@@ -344,11 +344,11 @@ def _joint_newton(
     def solve(x, b, eta=None):  # dgbsv is direct: no forcing term
         last["x"] = x
         edges = last["edges"] if x is last["at"] else None
-        h = solvers._height_newton_matrices(ops, x[0::2], p, edges)[1].data  # P, the Hessian in 1D
+        hd, he = solvers._height_newton_matrices(ops, x[0::2], p, edges)  # the tridiagonal Hessian
         rho = np.exp(p.tau * ubar + x[1::2])
         ab = np.zeros((10, 2 * n))  # A[i, j] at ab[6 + i - j, j]; rows 0-2 hold the LU fill
-        ab[6, 0::2], ab[7, 0::2] = p.a * w, h[::3]
-        ab[9, 0:-2:2] = ab[5, 2::2] = h[1::3]
+        ab[6, 0::2], ab[7, 0::2] = p.a * w, hd
+        ab[9, 0:-2:2] = ab[5, 2::2] = he
         ab[6, 1::2], ab[5, 1::2] = -w, kd * rho + p.tau * w
         ab[7, 1:-2:2], ab[3, 3::2] = ke * rho[:-1], ke * rho[1:]
         step, info = lapack.dgbsv(3, 3, ab, b, overwrite_ab=1)[2:]
@@ -423,7 +423,7 @@ def solve_coupled(
         return _anderson_loop(data, cfg, newton_cfg, ubar, uf, rho0)
     if rho0 is not None and np.min(rho0.values) > 0.0:
         return _joint_newton(data, cfg, newton_cfg, ubar, uf, rho0)
-    u_map, rho_map = picard_map(NodeField.from_flat(grid, uf), data, newton_cfg, rho0=rho0, factors={})
+    u_map, rho_map = picard_map(NodeField.from_flat(grid, uf), data, newton_cfg, rho0=rho0)
     triple, report = _joint_newton(data, cfg, newton_cfg, ubar, _pin_mean(u_map.flat, ops, ubar), rho_map)
     report.iterations += 1
     return triple, report

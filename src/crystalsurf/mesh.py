@@ -378,11 +378,10 @@ class GridOperators:
     ``w`` is ``mass_vector`` and ``k`` ``stiffness_matrix``; ``stencils``,
     ``adjoints`` and ``edge_weights`` hold ``edge_stencil``,
     ``edge_adjoints`` and ``edge_weight_vectors`` per axis family, so
-    ``stencils[k][0]`` is D_k. K is symmetric, so its CSR arrays are also
-    its CSC arrays, and every Newton matrix of the solvers is data on
-    them; in 1D ``k.data`` holds the diagonal at [::3] and the
-    subdiagonal at [1::3]. ``diagonal``, ``stiffness_map``,
-    ``cosine_spectrum`` and ``cosine_matrices`` are built on first use.
+    ``stencils[k][0]`` is D_k. In 1D ``k.data`` holds K's diagonal at
+    [::3] and its off-diagonal at [1::3], which the tridiagonal Newton
+    matrices of the solvers start from. ``cosine_spectrum`` and
+    ``cosine_matrices`` are built on first use.
     The methods are the bodies of the public ``NodeField`` functions of
     the same names;
     ``integral`` and the L^2 ``norm_lp`` are each one dot product with W.
@@ -394,32 +393,6 @@ class GridOperators:
     stencils: tuple[tuple[sp.csr_matrix, ...], ...]
     adjoints: tuple[tuple[sp.csr_matrix, ...], ...]
     edge_weights: tuple[np.ndarray, ...]
-
-    @functools.cached_property
-    def diagonal(self) -> np.ndarray:
-        """Positions of K's diagonal in ``k.data``."""
-        return np.flatnonzero(self.k.indices == np.repeat(np.arange(self.grid.node_count), np.diff(self.k.indptr)))
-
-    @functools.cached_property
-    def stiffness_map(self) -> sp.csc_matrix:
-        """The linear map from edge coefficients c, concatenated over the
-        axis families, to the data of sum D_l^T diag(c) D_l on the pattern
-        of K (of K itself when c is the edge weights)."""
-        k, n = self.k, self.grid.node_count
-        rows = np.repeat(np.arange(n), np.diff(k.indptr))
-        # row e of D_l has two nonzeros, at the edge's end nodes a and b, so
-        # column e of the map holds D_l[e, x] D_l[e, y] at the position of
-        # (x, y) in K's data for each x, y in {a, b}; K's rows are sorted, and
-        # the keys x n + y pass int32 beyond 46341 nodes
-        mats = [ops[0] for ops in self.stencils]
-        ends = np.concatenate([d.indices.reshape(-1, 2) for d in mats]).astype(np.int64)
-        vals = np.concatenate([d.data.reshape(-1, 2) for d in mats])
-        x, y = [0, 0, 1, 1], [0, 1, 0, 1]
-        pos = np.searchsorted(rows * n + k.indices, ends[:, x] * n + ends[:, y])
-        return sp.csc_matrix(
-            ((vals[:, x] * vals[:, y]).ravel(), pos.ravel(), np.arange(0, pos.size + 1, 4)),
-            shape=(k.nnz, len(ends)),
-        )
 
     @functools.cached_property
     def cosine_spectrum(self) -> tuple[np.ndarray, float]:

@@ -60,10 +60,12 @@ search constants are fixed here.
 
 The scalar problems' linear systems are symmetric positive definite
 (``coupled`` solves the joint Newton's nonsymmetric banded one with
-``dgbsv``). On a 1D grid every Newton matrix lies on the tridiagonal
-pattern of K, and ``_linear_solve`` solves it directly with LAPACK's
-``dptsv`` (L D L^T in O(n), no pivoting) and holds no factor. A 2D
-matrix is solved by ``pcg``: ``_linear_solve`` keeps the last
+``dgbsv``). On a 1D grid every Newton matrix is tridiagonal, held as
+LAPACK's pair (d, e) of its diagonal and off-diagonal, and
+``_tridiagonal_solve`` solves it directly with ``dptsv`` (L D L^T in
+O(n), no pivoting); a nonpositive pivot (the matrix is not numerically
+SPD) is a SolverError naming the matrix's family and ``dptsv``'s info.
+A 2D matrix is solved by ``pcg``: ``_linear_solve`` keeps the last
 preconditioner of each Newton family, "rho" and "u", in a ``factors``
 cache (one per ``coupled.solve_coupled`` call or standalone solve) and
 runs conjugate gradient on the Newton matrix preconditioned with it, in
@@ -75,12 +77,10 @@ and the direct 1D solves ignore it. When CG fails (the cap, or
 nonpositive curvature), or no preconditioner is held, the step runs CG
 with the family's own preconditioner, factored when it is a matrix, and
 when that fails too, the Newton matrix is factored, the solve is direct
-and the cache keeps the factor. Only these fallbacks reach SuperLU,
+and the cache keeps the factor. Only these 2D fallbacks reach SuperLU,
 which orders the columns by multiple minimum degree on A^T + A (COLAMD
 orders for A^T A and fills more) and keeps its default threshold
-pivoting. A tridiagonal matrix on which ``dptsv`` meets a nonpositive
-pivot (it is not numerically SPD) takes that path with no
-preconditioner of its own. The 2D density family preconditions with
+pivoting. The 2D density family preconditions with
 ``_cosine_solver``, a solve of K + cbar W by two DCT-Is, each two
 products with the per-axis DCT-I matrices that ``mesh.GridOperators``
 caches (the fast diagonalization of Lynch, Rice & Thomas 1964), with
@@ -97,35 +97,27 @@ is the same constant, so P = alpha K + tau W, which the cosine solve
 inverts exactly (``_flat_height_preconditioner``); an empty height
 cache starts with it. Every 2D ``coupled.solve_coupled`` takes its
 first height step there, so a 2D solve factors nothing unless a CG
-fails, and then P is built and factored at the step's heights. In 1D,
-P is the Newton matrix itself.
+fails, and then P is assembled and factored at the step's heights. In
+1D, P is the Newton matrix itself.
 
 Below the public ``NodeField`` API the solvers run on flat float64
 arrays. Each solve fetches its grid's record, ``mesh.operators``, once,
 so its Newton loop wraps no field and makes no per-grid cache lookup.
-A Newton matrix on the pattern of K is a ``_Matrix``, its data on that
-record, so it can only be data on its own grid's K. The data of the
-density matrix K + diag(tau W/rho) is a copy of the data of K plus
-tau W/rho at K's diagonal positions (``GridOperators.diagonal``); a 1D
-step builds it for ``dptsv``. No 2D Newton matrix is assembled on a
-step, since CG needs only its products: ``_ShiftedStiffness`` applies
-the density matrix as K x + (tau W/rho) x from the cached K and builds
-its data only when ``_linear_solve`` factors it, and
-``_HeightHessian`` applies H v = sum_families sum_i
-D_i^T (sum_j c_ij D_j v) + tau W v from the edge operators and the
-closed-form c_ij of the step's edge pass, kept as one edge array per
-(i, j) pair. Its longitudinal part P lies on the pattern of K, where its data is
-one small linear map per grid (``GridOperators.stiffness_map``, four entries
-per edge, built straight from the two nonzeros of each row of D_l)
-applied to the (D_l, D_l) coefficients c_ll, which carry delta K, plus
-tau W on the diagonal (``_longitudinal_part``). In 1D, P is the height
-matrix, built at every step; in 2D it is a ``_LazyMatrix``, built only
-when CG with the held preconditioner fails and P is factored, so a 2D
-step whose CG converges builds no P. Only the rare fallback that
-factors the height matrix itself builds it as CSC, by sparse products
-of the edge operators. ``_linear_solve`` hands a 1D matrix's data
-straight to ``dptsv`` and builds a CSC matrix only for SuperLU, or for
-CG after ``dptsv`` meets a nonpositive pivot, so a 1D solve builds none.
+A 1D step builds its pair (d, e) in fresh arrays. The density matrix is
+(K_diag + tau W/rho, K_off), with K's diagonal and off-diagonal read
+from its CSR data at strides of three. The height matrix
+D_l^T diag(c_ll) D_l + tau W has d_i = c_(i-1)/h^2 + c_i/h^2 + tau w_i
+and e_i = -c_i/h^2 (``_height_newton_matrices``); the 1D joint Newton's
+band reads that pair too. No 2D Newton matrix is assembled on a step, since CG needs only
+its products: ``_ShiftedStiffness`` applies the density matrix as
+K x + (tau W/rho) x from the cached K, and ``_HeightHessian`` applies
+H v = sum_families sum_i D_i^T (sum_j c_ij D_j v) + tau W v from the
+edge operators and the closed-form c_ij of the step's edge pass, kept
+as one edge array per (i, j) pair; P is the ``_HeightHessian`` of the
+(D_l, D_l) coefficients c_ll alone, which carry delta K. Each ``csc``
+assembles its matrix by sparse products only when ``_linear_solve``
+factors it, so a 2D step whose CG converges builds none, and a 1D solve
+builds no CSC matrix at all.
 
 A ``SolveReport`` holds an iteration count, a residual history and a
 convergence flag: here Newton steps and the merit before each step and at
@@ -285,57 +277,43 @@ def pcg(matvec, b: np.ndarray, precond, tol: float, maxiter: int) -> tuple[np.nd
     raise SolverError(f"conjugate gradient failed to reach tolerance in {maxiter} iterations")
 
 
-class _Matrix(NamedTuple):
-    """A Newton matrix as its CSC data on the pattern of its own grid's K
-    (``mesh.GridOperators``)."""
-
-    data: np.ndarray
-    ops: mesh.GridOperators
-
-    def csc(self) -> sp.csc_matrix:
-        k = self.ops.k
-        return sp.csc_matrix((self.data, k.indices, k.indptr), shape=k.shape)
+def _tridiagonal_solve(d: np.ndarray, e: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """Solve a x = b for the symmetric tridiagonal a with diagonal d and
+    off-diagonal e, a 1D Newton matrix, by LAPACK's ``dptsv`` (L D L^T in
+    O(n), no pivoting). A nonpositive pivot (a is not numerically
+    positive definite) is a SolverError naming the ``name`` Newton
+    matrix and ``dptsv``'s info."""
+    x, info = lapack.dptsv(d, e, b)[2:]
+    if info != 0:
+        raise SolverError(
+            f"the tridiagonal {name} Newton matrix is not numerically positive definite (dptsv info {info})"
+        )
+    return x
 
 
 def _linear_solve(
-    a: _Matrix | _HeightHessian,
+    a: _ShiftedStiffness | _HeightHessian,
     b: np.ndarray,
     factors: dict,
     family: str,
     eta: float,
-    p: _Matrix | _LazyMatrix | Callable[[np.ndarray], np.ndarray] | None = None,
+    p: _HeightHessian | Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Solve a x = b for a symmetric positive definite a, by CG to the
-    relative residual ``eta``, the Newton step's forcing term
+    """Solve a x = b for a symmetric positive definite 2D Newton matrix a,
+    by CG to the relative residual ``eta``, the Newton step's forcing term
     (``_forcing``), or directly.
 
-    A ``_Matrix`` of a 1D grid lies on the tridiagonal pattern of its K,
-    and the solve is LAPACK's ``dptsv`` on the diagonal and subdiagonal
-    read straight from ``a.data``, an L D L^T factorization without
-    pivoting; no CSC matrix is built and the ``factors`` cache is not
-    touched. When ``dptsv`` meets a nonpositive pivot (a is not
-    numerically SPD), or a 2D ``_Matrix`` is given, a is built as CSC.
-    The 2D Newton matrices of the solvers, a ``_ShiftedStiffness`` (the
-    density family) and a ``_HeightHessian``, are applied matrix-free,
-    and their ``csc`` is built only for a factor of a itself. CG runs
-    preconditioned with the lagged preconditioner of
+    a, a ``_ShiftedStiffness`` (the density family) or a ``_HeightHessian``,
+    is applied matrix-free, and its ``csc`` is built only for a factor of a
+    itself. CG runs preconditioned with the lagged preconditioner of
     ``family`` when the cache holds one: a SuperLU factor, or any object
     with its ``solve`` (the height family's flat-state cosine solve,
     ``_flat_height_preconditioner``). Otherwise, or when CG fails, CG
     runs with ``p``, an SPD operator close to a in spectrum: a function
-    applying its inverse is used as is, a matrix (a ``_LazyMatrix`` is
-    built here) is factored and the cache keeps that factor. When ``p``
-    is a (None means a) or that CG fails too, the cache keeps a fresh
-    factor of a, the one place a 2D Newton matrix is assembled, and the
-    solve is direct."""
-    if p is a:
-        p = None
-    if isinstance(a, _Matrix):
-        if a.ops.grid.dim == 1:
-            x, info = lapack.dptsv(a.data[::3], a.data[1::3], b)[2:]
-            if info == 0:
-                return x
-        a = a.csc()
+    applying its inverse is used as is, a matrix is built by its ``csc``
+    and factored, and the cache keeps that factor. When ``p`` is None or
+    that CG fails too, the cache keeps a fresh factor of a, the one place
+    a 2D Newton matrix is assembled, and the solve is direct."""
     if family in factors:
         try:
             return pcg(a.dot, b, factors[family].solve, eta, _PCG_MAX_ITER)[0]
@@ -349,7 +327,7 @@ def _linear_solve(
             return pcg(a.dot, b, p, eta, _PCG_MAX_ITER)[0]
         except SolverError:
             pass  # p is too far from a: solve with a factor of a itself
-    factors[family] = lu = _factor(a if sp.issparse(a) else a.csc())
+    factors[family] = lu = _factor(a.csc())
     return lu.solve(b)
 
 
@@ -435,17 +413,10 @@ def _newton_attempt(x, residual, solve, w, target, cfg, report, name) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _stiffness_plus_diagonal(ops: mesh.GridOperators, d: np.ndarray) -> _Matrix:
-    """K + diag(d) on the pattern of K, in fresh data."""
-    data = ops.k.data.copy()
-    data[ops.diagonal] += d
-    return _Matrix(data, ops)
-
-
 class _ShiftedStiffness(NamedTuple):
-    """K + diag(d) applied matrix-free, as K x + d x from the cached K:
-    CG needs only its products. ``csc`` builds its data on the pattern of
-    K (``_stiffness_plus_diagonal``), which only a factor of it needs."""
+    """The 2D density Newton matrix K + diag(d), applied matrix-free as
+    K x + d x from the cached K: CG needs only its products. ``csc``
+    assembles it, which only a factor of it needs."""
 
     ops: mesh.GridOperators
     d: np.ndarray
@@ -454,7 +425,7 @@ class _ShiftedStiffness(NamedTuple):
         return self.ops.k @ x + self.d * x
 
     def csc(self) -> sp.csc_matrix:
-        return _stiffness_plus_diagonal(self.ops, self.d).csc()
+        return sp.csc_matrix(self.ops.k + sp.diags(self.d))
 
 
 def _cosine_solver(ops: mesh.GridOperators, c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -480,8 +451,8 @@ def _cosine_solver(ops: mesh.GridOperators, c: float) -> Callable[[np.ndarray], 
 def _cosine_preconditioner(ops: mesh.GridOperators, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     """``_cosine_solver`` of K + cbar W, cbar = sum d / sum W, for the
     Newton matrix K + diag(d) of a 2D grid: both have the same constant
-    mode. None in 1D, where a Newton matrix that ``dptsv`` rejects is
-    factored, and when cbar is not finite or not above eps times the
+    mode. None in 1D, where every Newton matrix goes to ``dptsv``, and
+    when cbar is not finite or not above eps times the
     largest eigenvalue of W^-1 K (tau W/rho underflows to 0 for rho near
     e^709, and lies below the rounding of K from rho near e^25 at tau 0.1
     on 33^2): the constant mode is then lost to rounding, CG cannot
@@ -518,8 +489,10 @@ def solve_rho_delta(
         return (k @ r) / w + delta * r + tau * log_barrier(r, delta) - gv
 
     def solve(r, rhs, eta):  # solves to the floor of the forcing term, whatever eta
-        jac = _stiffness_plus_diagonal(ops, w * (delta + tau * log_barrier_slope(r, delta)))
-        return _linear_solve(jac, rhs, factors, "rho", _ETA_MIN)
+        d = w * (delta + tau * log_barrier_slope(r, delta))
+        if g.grid.dim == 1:
+            return _tridiagonal_solve(k.data[::3] + d, k.data[1::3], rhs, "density")
+        return _linear_solve(_ShiftedStiffness(ops, d), rhs, factors, "rho", _ETA_MIN)
 
     rho, report = _damped_newton([rho], residual, solve, w, gv, cfg, "density")
     return NodeField.from_flat(g.grid, rho), report
@@ -572,9 +545,10 @@ def solve_rho(
     cbar = tau mean_w(1/rho) (``_cosine_preconditioner``), on the Newton
     matrix applied as K x + (tau W/rho) x (``_ShiftedStiffness``), and the
     cache gets a factor only when that CG fails or cbar is out of range;
-    only such a step builds the matrix's data, once. A 1D step builds that
-    data, solves its tridiagonal matrix with ``dptsv`` and factors only
-    when that meets a nonpositive pivot.
+    only such a step assembles the matrix, once. A 1D step solves its
+    tridiagonal matrix (K_diag + tau W/rho, K_off) with ``dptsv``, and
+    fails with a SolverError naming it when that meets a nonpositive
+    pivot; ``factors`` is then not used.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive for the limit density problem")
@@ -598,8 +572,11 @@ def solve_rho(
     def solve(s, rhs, eta):
         rho = np.maximum(c * np.exp(s), _RHO_FLOOR)
         d = tau * w / rho
-        jac = _stiffness_plus_diagonal(ops, d) if grid.dim == 1 else _ShiftedStiffness(ops, d)
-        return tau * _linear_solve(jac, rhs, factors, "rho", eta, _cosine_preconditioner(ops, d)) / rho
+        if grid.dim == 1:
+            y = _tridiagonal_solve(k.data[::3] + d, k.data[1::3], rhs, "density")
+        else:
+            y = _linear_solve(_ShiftedStiffness(ops, d), rhs, factors, "rho", eta, _cosine_preconditioner(ops, d))
+        return tau * y / rho
 
     warm = rho0 is not None and np.min(rho0.values) > 0.0
     starts = ([np.log(rho0.flat) - sigma0] if warm else []) + [np.zeros(gv.size)]
@@ -720,23 +697,25 @@ class _HeightHessian(NamedTuple):
 
 def _height_newton_matrices(
     ops: mesh.GridOperators, v: np.ndarray, params: ModelParams, edges: list[_EdgeFamily] | None = None
-) -> tuple[_HeightHessian | _Matrix, _Matrix | _LazyMatrix]:
+) -> tuple[np.ndarray, np.ndarray] | tuple[_HeightHessian, _HeightHessian]:
     """W times the Jacobian of ``apply_height_operator`` at the flat
-    heights v, and its longitudinal part, the preconditioner of
-    ``solve_u``, both from ``edges``, the ``_edge_pass`` at v (the one
-    that evaluated the residual at v, or a fresh one when None).
+    heights v, from ``edges``, the ``_edge_pass`` at v (the one that
+    evaluated the residual at v, or a fresh one when None): the exact
+    energy Hessian sum_ij D_i^T diag(c_ij) D_j plus tau W (symmetric
+    positive definite), with the closed-form edge coefficients
+    c_ij = q_i delta_ij + wb z_i z_j of the ``_EdgeFamily``,
+    (W / dim) (F delta_ij + B z_i z_j) plus delta W on c_ll.
 
-    The first is the exact energy Hessian sum_ij D_i^T diag(c_ij) D_j
-    plus tau W (symmetric positive definite), with the closed-form edge
-    coefficients c_ij = q_i delta_ij + wb z_i z_j of the ``_EdgeFamily``,
-    (W / dim) (F delta_ij + B z_i z_j) plus delta W on c_ll, as the
-    matrix-free ``_HeightHessian``; no per-edge matrix is formed. The
-    second is P = sum D_l^T diag(c_ll) D_l + tau W, its data on the
-    pattern of K from ``_longitudinal_part``. A 1D edge family has no
-    transverse operator, so there P is the first matrix itself and is
-    built at once. In 2D, P is a ``_LazyMatrix``: its data is built only
-    when ``_linear_solve`` factors it, after CG with the held
-    preconditioner fails.
+    On a 1D grid the Hessian is D_l^T diag(c_ll) D_l + tau W, returned as
+    the pair (d, e) of its diagonal and off-diagonal that ``dptsv`` and
+    ``coupled``'s ``dgbsv`` band read: D_l's entries are -+1/h, so
+    d_i = c_(i-1)/h^2 + c_i/h^2 + tau w_i and e_i = -c_i/h^2, with 1/h^2
+    taken as the square of an entry. On
+    a 2D grid it is the matrix-free ``_HeightHessian``, with its
+    longitudinal part P = sum D_l^T diag(c_ll) D_l + tau W, the
+    ``_HeightHessian`` of the c_ll alone, the preconditioner of
+    ``solve_u``; no per-edge matrix is formed, and P is assembled only
+    when ``_linear_solve`` factors it.
     """
     dim = ops.grid.dim
     edges = _edge_pass(ops, v, params) if edges is None else edges
@@ -751,28 +730,14 @@ def _height_newton_matrices(
         coef.append(c)
     tau_w = params.tau * ops.w
     if dim == 1:
-        lon = _longitudinal_part(ops, coef, tau_w)
-        return lon, lon
-    return _HeightHessian(ops, coef, tau_w), _LazyMatrix(lambda: _longitudinal_part(ops, coef, tau_w))
-
-
-def _longitudinal_part(ops: mesh.GridOperators, coef: list[list[list[np.ndarray]]], tau_w: np.ndarray) -> _Matrix:
-    """P = sum D_l^T diag(c_ll) D_l + tau W as its data on the pattern of
-    K: ``ops.stiffness_map`` applied to the c_ll of every family in
-    ``coef`` (``_HeightHessian.coef``), plus ``tau_w`` on the diagonal."""
-    data = ops.stiffness_map @ np.concatenate([c[0][0] for c in coef])
-    data[ops.diagonal] += tau_w
-    return _Matrix(data, ops)
-
-
-class _LazyMatrix(NamedTuple):
-    """A ``_Matrix`` that ``build()`` makes only when ``csc`` is asked for,
-    which only a factor of it needs."""
-
-    build: Callable[[], _Matrix]
-
-    def csc(self) -> sp.csc_matrix:
-        return self.build().csc()
+        dl = ops.stencils[0][0].data
+        vc = (dl[1] * dl[1]) * coef[0][0][0]
+        d = np.zeros(v.size)
+        d[:-1] += vc
+        d[1:] += vc
+        d += tau_w
+        return d, -vc
+    return _HeightHessian(ops, coef, tau_w), _HeightHessian(ops, [[[c[0][0]]] for c in coef], tau_w)
 
 
 def _flat_height_preconditioner(ops: mesh.GridOperators, params: ModelParams) -> SimpleNamespace | None:
@@ -861,8 +826,9 @@ def solve_u(
     gets a factor of P at the step's heights or, when CG from that fails
     too, of the Hessian. A 2D step runs CG on the matrix-free Hessian
     (``_HeightHessian``) and assembles it only for that last factor. A 1D
-    step solves its tridiagonal Hessian, which is P, with ``dptsv`` and
-    factors only when that meets a nonpositive pivot.
+    step solves its tridiagonal Hessian, which is P, with ``dptsv``, and
+    fails with a SolverError naming it when that meets a nonpositive
+    pivot; ``factors`` is then not used.
     """
     if params.tau <= 0.0:
         raise SolverError(
@@ -896,8 +862,10 @@ def solve_u(
         return values + shift
 
     def solve(vec, b, eta):  # the core steps from the point of its latest residual
-        hess, lon = _height_newton_matrices(ops, vec, params, point[2] if vec is point[0] else None)
-        return _linear_solve(hess, b, factors, "u", eta, lon)
+        a, p = _height_newton_matrices(ops, vec, params, point[2] if vec is point[0] else None)
+        if grid.dim == 1:  # the tridiagonal pair (d, e)
+            return _tridiagonal_solve(a, p, b, "height")
+        return _linear_solve(a, b, factors, "u", eta, p)
 
     v, report = _damped_newton(starts, residual, solve, w, rv, cfg, "height")
     u = NodeField.from_flat(grid, ubar + v)

@@ -135,10 +135,10 @@ def test_2d_stationary_runs_share_no_factor(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_sympy_scipy_fft_and_scipy_special_out():
-    # every run pays the CLI's import. The cosine solve uses numpy.fft:
-    # importing scipy.fft costs a one-shot run 70-120 ms and 5 MB of
-    # resident memory. sympy is imported only inside the cosine mms
-    # builder, and nothing here needs scipy.special
+    # every run pays the CLI's import. The cosine solve is four matrix
+    # products, with no FFT: importing scipy.fft costs a one-shot run
+    # 70-120 ms and 5 MB of resident memory. sympy is imported only inside
+    # the cosine mms builder, and nothing here needs scipy.special
     src = str(Path(crystalsurf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     heavy = ("sympy", "scipy.fft", "scipy.special")
@@ -651,8 +651,8 @@ def test_integral_float_counts_accepted(tmp_path):
 
 def test_singular_jacobian_is_solver_error(tmp_path, capsys):
     # on 5 nodes the p = 1.2 manufactured source drives the density to ~1e8,
-    # where tau/rho vanishes beside the singular Laplacian and SuperLU
-    # reports an exactly singular factor
+    # where tau/rho vanishes beside the singular Laplacian and dptsv meets
+    # a nonpositive pivot
     params = {"p": 1.2, "beta0": 1.0, "a": 1.0, "tau": 0.05, "delta": 1e-6}
     cfg = write_config(
         tmp_path / "c.json",
@@ -662,7 +662,7 @@ def test_singular_jacobian_is_solver_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver error:") and "Traceback" not in err
     # the density stays positive; the message names the failed factorization
-    assert "sparse factorization failed" in err
+    assert "the tridiagonal density Newton matrix is not numerically positive definite (dptsv info" in err
     assert "source too negative" not in err
 
 

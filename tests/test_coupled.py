@@ -163,24 +163,35 @@ def test_solve_coupled_2d(rng):
 
 
 def counted_linear_solves(monkeypatch, direct: bool) -> dict:
-    """Count the linear solves of each Newton family, the SuperLU factors
-    and the preconditioned CG iterations, and keep the last factor cache
-    (key "factors"); with ``direct`` every solve factors its own full
-    Newton matrix, built as CSC from its data, and solves with that factor.
-    A density solve whose right-hand side is a multiple of W is
-    ``solve_rho``'s mean-mode correction, not a Newton step: it is counted
-    under "rho_mean", not "rho"."""
+    """Count the linear solves of each Newton family, 2D (``_linear_solve``)
+    and 1D (``_tridiagonal_solve``), the SuperLU factors and the
+    preconditioned CG iterations, and keep the last factor cache (key
+    "factors"); with ``direct`` every solve factors its own full Newton
+    matrix, assembled as CSC, and solves with that factor. A density solve
+    whose right-hand side is a multiple of W is ``solve_rho``'s mean-mode
+    correction, not a Newton step: it is counted under "rho_mean", not "rho"."""
     counts = {"rho": 0, "rho_mean": 0, "u": 0, "splu": 0, "pcg": 0, "factors": {}}
-    real_solve, real_splu, real_pcg = solvers._linear_solve, solvers.spla.splu, solvers.pcg
+    real_solve, real_tridiagonal = solvers._linear_solve, solvers._tridiagonal_solve
+    real_splu, real_pcg = solvers.spla.splu, solvers.pcg
 
-    def linear_solve(a, b, factors, family, *rest):
-        ratio = b / a.ops.w if family == "rho" else None
+    def count(b, family, w):
+        ratio = b / w if family == "rho" else None
         mean_mode = ratio is not None and np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
         counts["rho_mean" if mean_mode else family] += 1
+
+    def linear_solve(a, b, factors, family, *rest):
+        count(b, family, a.ops.w)
         counts["factors"] = factors
         if direct:
             return splu(a.csc(), permc_spec="MMD_AT_PLUS_A").solve(b)
         return real_solve(a, b, factors, family, *rest)
+
+    def tridiagonal_solve(d, e, b, name):
+        # a 1D grid's W is a multiple of the unit interval's of as many nodes
+        count(b, {"density": "rho", "height": "u"}[name], operators(Grid.interval(1.0, b.size)).w)
+        if direct:
+            return splu(sp.diags([e, d, e], [-1, 0, 1], format="csc"), permc_spec="MMD_AT_PLUS_A").solve(b)
+        return real_tridiagonal(d, e, b, name)
 
     def splu(a, **kwargs):
         counts["splu"] += 1
@@ -192,6 +203,7 @@ def counted_linear_solves(monkeypatch, direct: bool) -> dict:
         return x, its
 
     monkeypatch.setattr(solvers, "_linear_solve", linear_solve)
+    monkeypatch.setattr(solvers, "_tridiagonal_solve", tridiagonal_solve)
     monkeypatch.setattr(solvers.spla, "splu", splu)
     monkeypatch.setattr(solvers, "pcg", pcg)
     return counts
@@ -226,6 +238,7 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
     (t_d, rep_d, c_d), (t_l, rep_l, c_l) = results[True], results[False]
     assert rep_l.converged and rep_l.iterations <= rep_d.iterations
     assert c_l["rho"] <= c_d["rho"] and c_l["u"] <= c_d["u"]
+    assert c_d["rho"] > 0 and c_d["u"] > 0
     assert c_d["splu"] == c_d["rho"] + c_d["rho_mean"] + c_d["u"] and c_d["pcg"] == 0
     assert c_l["rho_mean"] <= rep_l.iterations and c_d["rho_mean"] <= rep_d.iterations
     if grid.dim == 1:
@@ -327,7 +340,7 @@ def test_flat_state_seed_matches_the_path_that_factors_p(monkeypatch):
 def test_1d_coupled_solve_builds_no_csc_and_no_node_field_per_newton_step(monkeypatch):
     # below the NodeField API the outer and Newton loops run on flat arrays:
     # every 1D Newton matrix reaches dptsv (inner steps) or dgbsv (joint
-    # steps) as data on its cached pattern, so no CSC matrix is built, and
+    # steps) as its tridiagonal pair (d, e), so no CSC matrix is built, and
     # the NodeFields are those of the public calls (picard_map's source,
     # density, log-density and height, and an iterate) and the accepted
     # fluctuations v and s, however many Newton steps and residual
@@ -1111,7 +1124,9 @@ def test_cold_first_map_failure_raises_the_anderson_loops_error(monkeypatch):
     with pytest.raises(SolverError) as err:
         solve_coupled(data)
     assert str(err.value) == str(direct.value)
-    assert str(err.value).startswith("rho-stage: sparse factorization failed: Factor is exactly singular")
+    assert str(err.value) == (
+        "rho-stage: the tridiagonal density Newton matrix is not numerically positive definite (dptsv info 65)"
+    )
     assert err.value.report.to_dict() == direct.value.report.to_dict() and calls == []
 
 
@@ -1190,3 +1205,33 @@ def test_cold_1d_sweep_is_accepted_on_the_joint_path(nodes, monkeypatch):
 def test_former_outer_floor_cases_converge_on_the_joint_path(nodes, mean, tau, a, monkeypatch):
     # these stalled at residuals of 1.1e-8 to 7.4e-6, with ubar from 49.5 to 4950
     assert_accepted_on_the_joint_path(monkeypatch, [(nodes, mean, 1.0, tau, a)])
+
+
+SYMMETRIES = {
+    # the grid, the grid of the mapped problem, and the map of node arrays
+    "axis-swap": (Grid.rectangle((1.0, 0.3), (33, 17)), Grid.rectangle((0.3, 1.0), (17, 33)), np.transpose),
+    "reflect-1d": (Grid.interval(1.0, 65), Grid.interval(1.0, 65), lambda v: v[::-1]),
+    "reflect-2d-x": (Grid.rectangle((1.0, 0.3), (33, 17)), Grid.rectangle((1.0, 0.3), (33, 17)), lambda v: v[::-1]),
+    "reflect-2d-y": (Grid.rectangle((1.0, 0.3), (33, 17)), Grid.rectangle((1.0, 0.3), (33, 17)), lambda v: v[:, ::-1]),
+}
+
+
+@pytest.mark.parametrize("symmetry", list(SYMMETRIES))
+def test_solve_commutes_with_the_symmetries_of_the_box(symmetry, rng):
+    # a metamorphic test of the whole solve: the source mapped by a symmetry
+    # of the box, swapping the axes of an unequally spaced grid (with its
+    # extents) or reflecting an axis, x -> L - x, gives the mapped solution, u and
+    # rho within 1e-12 relative, in as many steps. The source is a random
+    # cosine series plus a product of the two axes' first modes, so it is
+    # neither separable nor symmetric under the reflection
+    grid, mapped_grid, mapping = SYMMETRIES[symmetry]
+    f = smooth_field(grid, rng, offset=0.5).values
+    f = f + rng.uniform(0.2, 0.5) * np.prod([np.cos(np.pi * x / e) for x, e in zip(grid.meshgrid(), grid.extents)], axis=0)
+    params = params_with(tau=0.05)
+    triple, rep = solve_coupled(ProblemData(NodeField(grid, f), params))
+    mapped, rep_mapped = solve_coupled(ProblemData(NodeField(mapped_grid, mapping(f)), params))
+    assert rep.converged and rep_mapped.converged and rep.iterations == rep_mapped.iterations
+    assert mapped_grid != grid or not np.allclose(mapping(f), f)  # a reflection moves the source
+    for x, x_mapped in ((triple.u, mapped.u), (triple.rho, mapped.rho)):
+        expected = mapping(x.values)
+        assert np.max(np.abs(x_mapped.values - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -213,28 +213,14 @@ def test_stiffness_matches_dirichlet_integral(rng):
     assert quad == pytest.approx(diff_dirichlet_integral(g, u), rel=1e-13)
 
 
-def assert_stiffness_map_reproduces_stiffness(g):
-    """The stiffness map takes the edge weights to the data of K itself."""
-    ops = operators(g)
-    data = ops.stiffness_map @ np.concatenate(ops.edge_weights)
-    np.testing.assert_allclose(data, ops.k.data, rtol=0.0, atol=1e-14 * np.abs(ops.k.data).max())
-
-
-@pytest.mark.parametrize(
-    "g",
-    [Grid.interval(2.0, 11), Grid.rectangle((1.0, 2.0), (9, 7)), Grid.rectangle((1.0, 2.0), (9, 17))],
-    ids=["1d", "2d", "2d-9x17"],
-)
-def test_stiffness_map_and_diagonal_reproduce_stiffness(g):
-    assert_stiffness_map_reproduces_stiffness(g)
-    ops = operators(g)
-    np.testing.assert_array_equal(ops.k.data[ops.diagonal], ops.k.diagonal())
-
-
-def test_stiffness_map_reproduces_stiffness_past_int32_position_keys():
-    # node pairs (a, b) are found in K's data by the key a n + b, which
-    # exceeds 2^31 from 46342 nodes on
-    assert_stiffness_map_reproduces_stiffness(Grid.interval(1.0, 50_001))
+@pytest.mark.parametrize("n", [3, 4, 11, 50_001])
+def test_1d_stiffness_data_holds_the_tridiagonal_at_strides_of_three(n):
+    # the 1D solvers read K's diagonal at data[::3] and its off-diagonal at
+    # data[1::3], the pair (d, e) that dptsv and dgbsv take
+    k = operators(Grid.interval(2.0, n)).k
+    np.testing.assert_array_equal(k.data[::3], k.diagonal())
+    np.testing.assert_array_equal(k.data[1::3], k.diagonal(1))
+    np.testing.assert_array_equal(k.data[2::3], k.diagonal(-1))
 
 
 def test_edge_gradient_transverse_reconstruction():

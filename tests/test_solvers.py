@@ -145,31 +145,50 @@ def test_pcg_matches_the_reference_iteration(kind, n, seed, spread, tol, jacobi)
 
 
 def density_matrix(grid, tau):
-    """K + diag(tau W), the density Newton matrix at rho = 1, as its data
-    on the pattern of the grid's K (the linear solve's argument)."""
+    """K + diag(tau W), the 2D density Newton matrix at rho = 1 (the
+    linear solve's argument)."""
     ops = operators(grid)
-    return solvers._stiffness_plus_diagonal(ops, tau * ops.w)
+    return solvers._ShiftedStiffness(ops, tau * ops.w)
 
 
-def as_newton_matrix(a, grid):
-    """A CSC matrix on the pattern of the grid's K as its data there, the
-    linear solve's argument."""
-    ops = operators(grid)
-    np.testing.assert_array_equal(a.indptr, ops.k.indptr)
-    np.testing.assert_array_equal(a.indices, ops.k.indices)
-    return solvers._Matrix(a.data, ops)
+def tridiagonal_csc(d, e):
+    """The symmetric tridiagonal matrix with diagonal d and off-diagonal e, as CSC."""
+    return sp.diags([e, d, e], [-1, 0, 1], format="csc")
 
 
 def height_newton_matrices(u, params):
-    """The height Newton matrix and its longitudinal part at the field u."""
+    """The height Newton matrices at the field u: in 1D the pair (d, e) of
+    the tridiagonal Hessian, in 2D the Hessian and its longitudinal part."""
     return solvers._height_newton_matrices(operators(u.grid), u.flat, params)
 
 
+def hessian_csc(u, params):
+    """The height Newton matrix at the field u, assembled as CSC."""
+    a, b = height_newton_matrices(u, params)
+    return tridiagonal_csc(a, b) if u.grid.dim == 1 else a.csc()
+
+
+def assert_on_the_pattern_of(a, k):
+    """The CSC matrix a has exactly the nonzero pattern of K."""
+    a = a.sorted_indices()
+    np.testing.assert_array_equal(a.indptr, k.indptr)
+    np.testing.assert_array_equal(a.indices, k.indices)
+
+
+def on_diagonal(k):
+    """Whether each entry of the CSR (or CSC) arrays of K lies on its diagonal."""
+    return k.indices == np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
+
+
 def assert_built_from(csc, a):
-    """The CSC matrix is a's data on the pattern of a's K."""
-    np.testing.assert_array_equal(csc.indptr, a.ops.k.indptr)
-    np.testing.assert_array_equal(csc.indices, a.ops.k.indices)
-    np.testing.assert_array_equal(csc.data, a.data)
+    """The CSC matrix is K + diag(d) of the ``_ShiftedStiffness`` a: the
+    pattern of a's K, K's data off the diagonal and K's diagonal plus d on it."""
+    k = a.ops.k
+    np.testing.assert_array_equal(csc.indptr, k.indptr)
+    np.testing.assert_array_equal(csc.indices, k.indices)
+    expected = k.data.copy()
+    expected[on_diagonal(k)] += a.d
+    np.testing.assert_array_equal(csc.data, expected)
 
 
 def test_pcg_with_the_factor_of_its_own_matrix_takes_one_iteration(rng):
@@ -248,18 +267,18 @@ def counting_pcg(monkeypatch) -> list:
     return calls
 
 
-def counting_builds(monkeypatch, name: str = "_longitudinal_part") -> list:
-    """Record every ``_Matrix`` that ``solvers.<name>`` builds: the height
-    family's P (``_longitudinal_part``) or the density Newton matrix
-    (``_stiffness_plus_diagonal``)."""
+def counting_builds(monkeypatch, cls=solvers._HeightHessian) -> list:
+    """Record (matrix, CSC matrix) for every 2D Newton matrix that
+    ``cls.csc`` assembles: the height family's Hessian or P
+    (``_HeightHessian``), or the density Newton matrix (``_ShiftedStiffness``)."""
     built = []
-    real = getattr(solvers, name)
+    real = cls.csc
 
-    def counting(*args):
-        built.append(real(*args))
-        return built[-1]
+    def counting(self):
+        built.append((self, real(self)))
+        return built[-1][1]
 
-    monkeypatch.setattr(solvers, name, counting)
+    monkeypatch.setattr(cls, "csc", counting)
     return built
 
 
@@ -281,6 +300,20 @@ def pcg_failures(monkeypatch) -> list:
 
 def direct_solve(a, b):
     return spla.splu(a, permc_spec="MMD_AT_PLUS_A").solve(b)
+
+
+def solve_directly(monkeypatch, record: list | None = None) -> None:
+    """Solve every Newton step's linear system, 2D (``_linear_solve``) and
+    1D (``_tridiagonal_solve``), with a SuperLU factor of its CSC matrix,
+    which ``record`` collects when given."""
+
+    def direct(a, b):
+        if record is not None:
+            record.append(a)
+        return direct_solve(a, b)
+
+    monkeypatch.setattr(solvers, "_linear_solve", lambda a, b, *rest: direct(a.csc(), b))
+    monkeypatch.setattr(solvers, "_tridiagonal_solve", lambda d, e, b, name: direct(tridiagonal_csc(d, e), b))
 
 
 def test_linear_solve_refactors_when_the_lagged_factor_is_stale(rng, monkeypatch):
@@ -336,7 +369,8 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
     x = solvers._linear_solve(hess, b, factors, "u", 1e-10, lon)
     assert len(calls) == 1 + held
     assert len(factored) == 2
-    assert_built_from(factored[0], lon.build())
+    assert_on_the_pattern_of(factored[0], operators(grid).k)  # P has the 5-point pattern of K
+    np.testing.assert_array_equal(factored[0].toarray(), lon.csc().toarray())
     np.testing.assert_array_equal(factored[1].toarray(), hess.csc().toarray())
     ref = hess_formula(grid, u, params).toarray()
     np.testing.assert_allclose(factored[1].toarray(), ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
@@ -349,19 +383,18 @@ def test_linear_solve_factors_the_newton_matrix_when_cg_on_a_fresh_p_factor_fail
 @given(n=st.integers(3, 1025), seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([1e-3, 1.0, 1e4]))
 def test_tridiagonal_solves_use_dptsv_and_match_superlu(n, seed, scale):
     # random diagonally dominant SPD tridiagonal matrices, given as their
-    # CSC data on the pattern of an n-node 1D K: no SuperLU factor, no CG,
-    # the cache stays empty and x matches a SuperLU solve
+    # pair (d, e): no SuperLU factor, no CG, one dptsv call, and x matches
+    # a SuperLU solve
     rng = np.random.default_rng(seed)
     e = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.1, 1.0, n - 1)
     d = np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)] + rng.uniform(1e-3, 1.0, n)
-    a = scale * sp.diags([e, d, e], [-1, 0, 1], format="csc")
+    a = scale * tridiagonal_csc(d, e)
     b = rng.standard_normal(n)
     expected = direct_solve(a, b)
-    factors = {}
     with pytest.MonkeyPatch.context() as m:
-        factored, cg = counting_splu(m), counting_pcg(m)
-        x = solvers._linear_solve(as_newton_matrix(a, Grid.interval(1.0, n)), b, factors, "rho", 1e-10)
-    assert factored == [] and cg == [] and factors == {}
+        factored, cg, calls = counting_splu(m), counting_pcg(m), recording_dptsv(m)
+        x = solvers._tridiagonal_solve(a.diagonal(), a.diagonal(1), b, "density")
+    assert factored == [] and cg == [] and len(calls) == 1
     assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
@@ -379,8 +412,8 @@ def recording_dptsv(monkeypatch) -> list:
 
 
 def test_matrices_off_the_tridiagonal_pattern_never_reach_dptsv(rng, monkeypatch):
-    # 2D density and height Newton matrices; a matrix off the pattern of
-    # its own grid's K cannot be built
+    # 2D density and height Newton matrices go to CG or SuperLU, never to
+    # dptsv; a 1D density solve reaches it at every Newton step
     plane, line = Grid.rectangle((1.0, 1.0), (17, 17)), Grid.interval(1.0, 65)
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     hess, lon = height_newton_matrices(smooth_field(plane, rng, amplitude=0.5), params)
@@ -390,50 +423,58 @@ def test_matrices_off_the_tridiagonal_pattern_never_reach_dptsv(rng, monkeypatch
         x = solvers._linear_solve(a, b, {}, "u", 1e-10, p)
         assert np.linalg.norm(a.csc() @ x - b) <= 1e-9 * np.linalg.norm(b)
     assert calls == []
-    solvers._linear_solve(density_matrix(line, 0.1), rng.standard_normal(line.node_count), {}, "rho", 1e-10)
-    assert len(calls) == 1
+    _, rep = solve_rho(NodeField(line, 0.1 * smooth_field(line, rng, offset=0.5).values), 0.1)
+    assert rep.converged and len(calls) >= rep.iterations > 0
 
 
-def test_tridiagonal_matrix_with_a_nonpositive_pivot_takes_the_superlu_path(rng, monkeypatch):
-    # dptsv meets the negative diagonal entry and reports it; the step then
-    # factors the matrix with SuperLU, and the cache keeps that factor
-    grid = Grid.interval(1.0, 65)
-    a = density_matrix(grid, 0.1)
-    a.data[3 * 20] = -1.0  # the diagonal entry of column 20
-    assert a.csc()[20, 20] == -1.0
-    b = rng.standard_normal(grid.node_count)
-    factors = {}
+def test_tridiagonal_matrix_with_a_nonpositive_pivot_is_a_named_solver_error(monkeypatch):
+    # dptsv meets the negative diagonal entry of column 20, so the leading
+    # minor of order 21 is not positive definite: the solve fails naming
+    # the matrix family and dptsv's info, and nothing is factored
+    ops = operators(Grid.interval(1.0, 65))
+    d = ops.k.data[::3] + 0.1 * ops.w
+    d[20] = -1.0
     calls, factored = recording_dptsv(monkeypatch), counting_splu(monkeypatch)
-    x = solvers._linear_solve(a, b, factors, "rho", 1e-10)
-    assert len(calls) == 1 and len(factored) == 1 and set(factors) == {"rho"}
-    assert_built_from(factored[0], a)
-    np.testing.assert_array_equal(x, direct_solve(a.csc(), b))
+    message = r"^the tridiagonal height Newton matrix is not numerically positive definite \(dptsv info 21\)$"
+    with pytest.raises(SolverError, match=message) as err:
+        solvers._tridiagonal_solve(d, ops.k.data[1::3], np.ones(65), "height")
+    assert len(calls) == 1 and factored == []
+    assert err.value.report.to_dict() == SolveReport().to_dict()
 
 
-def test_1d_density_solve_with_a_singular_newton_matrix_still_fails_in_superlu(monkeypatch):
+def test_1d_density_solve_with_a_singular_newton_matrix_names_dptsv(monkeypatch):
     # mean(g)/tau = 30 on the 65-node interval: tau W/rho lies below the
-    # rounding of K, so dptsv meets a nonpositive pivot and SuperLU an
-    # exactly zero one
+    # rounding of K, so dptsv meets a nonpositive pivot in the last row at
+    # the first Newton step, and the solve fails naming the tridiagonal
+    # density Newton matrix, with no SuperLU factor
     grid = Grid.interval(1.0, 65)
     g = NodeField.from_function(grid, lambda x: 0.03 + 1e-3 * np.cos(np.pi * x))
     calls, factored = recording_dptsv(monkeypatch), counting_splu(monkeypatch)
-    with pytest.raises(SolverError, match="sparse factorization failed: Factor is exactly singular"):
+    message = r"^the tridiagonal density Newton matrix is not numerically positive definite \(dptsv info 65\)$"
+    with pytest.raises(SolverError, match=message) as err:
         solve_rho(g, 1e-3)
-    assert len(calls) == 1 and len(factored) == 1
+    assert len(calls) == 1 and factored == []
+    assert err.value.report.iterations == 0 and not err.value.report.converged
 
 
-def parent_linear_solve(a, b, factors, family, *rest):
-    """The linear solve before preconditioning with P, on the CSC matrix
-    of a's data: CG with the held factor, capped at 10 iterations, else a
-    direct solve with a fresh factor of a, which the cache keeps."""
-    a = a.csc()
-    if family in factors:
-        try:
-            return pcg(a.dot, b, factors[family].solve, 1e-10, 10)[0]
-        except SolverError:
-            pass
-    factors[family] = lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
-    return lu.solve(b)
+def parent_tridiagonal_solves(monkeypatch) -> None:
+    """Solve every 1D Newton step as the lagged-LU linear solve did before
+    dptsv, on the CSC matrix of its pair (d, e): CG with the family's held
+    factor, capped at 10 iterations, else a direct solve with a fresh
+    factor, which one cache for the patch's lifetime keeps."""
+    factors = {}
+
+    def solve(d, e, b, family):
+        a = tridiagonal_csc(d, e)
+        if family in factors:
+            try:
+                return pcg(a.dot, b, factors[family].solve, 1e-10, 10)[0]
+            except SolverError:
+                pass
+        factors[family] = lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
+        return lu.solve(b)
+
+    monkeypatch.setattr(solvers, "_tridiagonal_solve", solve)
 
 
 COSINE_GRIDS = pytest.mark.parametrize(
@@ -499,17 +540,17 @@ def test_cosine_solve_inverts_the_shifted_stiffness(grid, c, rng):
 @given(grid=st.sampled_from(COSINE_GRIDS.args[1]), seed=st.integers(0, 2**31 - 1), span=st.floats(0.0, 16.0))
 def test_shifted_stiffness_product_matches_its_csc_matrix(grid, seed, span):
     # the 2D density Newton matrix K + diag(d), applied as K x + d x, against
-    # the product with the CSC matrix of its data on K's pattern, for random
-    # positive d over 10^span about W; csc() builds exactly that matrix
+    # the product with its CSC matrix, for random positive d over 10^span
+    # about W; csc() builds K's pattern with K's data plus d on the diagonal
     ops = operators(grid)
     rng = np.random.default_rng(seed)
     d = ops.w * 10.0 ** rng.uniform(-0.5 * span, 0.5 * span, grid.node_count)
     x = rng.standard_normal(grid.node_count)
     op = solvers._ShiftedStiffness(ops, d)
-    data = solvers._stiffness_plus_diagonal(ops, d)
-    expected = data.csc() @ x
+    csc = op.csc()
+    assert_built_from(csc, op)
+    expected = csc @ x
     assert np.linalg.norm(op.dot(x) - expected) <= 1e-14 * np.linalg.norm(expected)
-    assert_built_from(op.csc(), data)
 
 
 def test_cosine_preconditioner_is_2d_only_and_guards_its_shift():
@@ -546,10 +587,38 @@ def test_2d_density_solve_falls_back_to_the_lu_path(tau, sigma0, amplitude):
     assert abs(mean_log - sigma0) <= 1e-10 * (1.0 + sigma0)
 
 
+def test_2d_coupled_solve_is_rescued_by_the_lu_path(monkeypatch):
+    # the stationary_2d benchmark's cosine spectrum x20 at tau 1, 33^2: ln rho
+    # spans -40 to 1.6, CG on the cosine preconditioner hits its iteration
+    # cap, and the solve converges only through SuperLU factors (6 of them
+    # in 5 outer steps); with factoring disabled it fails at the density
+    # stage. The mean identity (a + tau^2) int u = int f holds to rounding
+    grid = Grid.rectangle((1.0, 1.0), (33, 33))
+    base = ((0.8, -0.4, 0.25, -0.15), (-0.6, 0.3, -0.2, 0.1))
+    f = NodeField(
+        grid, 20.0 * sum(c * np.cos(k * np.pi * x) for x, cs in zip(grid.meshgrid(), base) for k, c in enumerate(cs, 1))
+    )
+    params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1.0, delta=1e-6)
+    with monkeypatch.context() as m:
+        factored = counting_splu(m)
+        triple, rep = solve_coupled(ProblemData(f, params))
+    assert rep.converged and len(factored) >= 1
+    int_f = integrate(f)
+    assert abs((params.a + params.tau**2) * integrate(triple.u) - int_f) <= 1e-12 * (1.0 + abs(int_f))
+
+    def no_factor(a):
+        raise SolverError("factoring disabled")
+
+    monkeypatch.setattr(solvers, "_factor", no_factor)
+    with pytest.raises(SolverError, match="^rho-stage: factoring disabled$"):
+        solve_coupled(ProblemData(f, params))
+
+
 def test_1d_density_steps_match_the_parent_linear_solve(rng, monkeypatch):
     # 1D density steps solve their tridiagonal Newton matrix with dptsv:
     # no SuperLU factor, no CG and an empty cache, with the densities of the
-    # lagged-LU linear solve to 1e-10 in as many Newton steps
+    # lagged-LU linear solve to 1e-10 in as many Newton steps, which
+    # factors at least once
     grid = Grid.interval(1.0, 65)
     tau = 1e-3
     sources = [NodeField(grid, tau * smooth_field(grid, rng, offset=0.5).values) for _ in range(2)]
@@ -566,8 +635,10 @@ def test_1d_density_steps_match_the_parent_linear_solve(rng, monkeypatch):
         factored, cg = counting_splu(m), counting_pcg(m)
         results, factors = solve_pair()
     assert factored == [] and cg == [] and factors == {}
-    monkeypatch.setattr(solvers, "_linear_solve", parent_linear_solve)
+    parent_tridiagonal_solves(monkeypatch)
+    factored = counting_splu(monkeypatch)
     parent, _ = solve_pair()
+    assert factored
     for (rho, its), (rho_p, its_p) in zip(results, parent):
         assert np.max(np.abs(rho - rho_p)) <= 1e-10 * np.max(np.abs(rho_p))
         assert its == its_p
@@ -581,8 +652,8 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
     # K, none has the 21-point pattern of a Newton matrix, and the heights
     # agree with the seeded pair's to 1e-10 in as many Newton steps. 1D: the
     # tridiagonal Newton matrix is solved with dptsv, so nothing is factored
-    # and CG never runs, and the heights are those of the linear solve
-    # without P to 1e-10 in as many Newton steps
+    # and CG never runs, and the heights are those of the lagged-LU linear
+    # solve to 1e-10 in as many Newton steps
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     sources = [smooth_field(grid, rng, amplitude=0.5) for _ in range(2)]
     sources[1] = NodeField(grid, sources[0].values + 0.1 * sources[1].values)
@@ -599,13 +670,15 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
     real = solvers._linear_solve
     with monkeypatch.context() as m:
         m.setattr(solvers, "_linear_solve", lambda a, *rest: matrices.append(a) or real(a, *rest))
-        factored, cg = counting_splu(m), counting_pcg(m)
+        factored, cg, tridiagonal = counting_splu(m), counting_pcg(m), recording_dptsv(m)
         results, factors = solve_pair()
     if grid.dim == 1:
-        assert matrices and factored == [] and cg == [] and factors == {}
+        assert tridiagonal and matrices == [] and factored == [] and cg == [] and factors == {}
         with monkeypatch.context() as m:
-            m.setattr(solvers, "_linear_solve", parent_linear_solve)
+            parent_tridiagonal_solves(m)
+            factored = counting_splu(m)
             parent, _ = solve_pair()
+        assert factored
         for (u, its), (u_p, its_p) in zip(results, parent):
             assert np.max(np.abs(u - u_p)) <= 1e-10 * np.max(np.abs(u_p))
             assert its == its_p
@@ -620,8 +693,7 @@ def test_height_solves_factor_the_longitudinal_part_in_2d_only(grid, rng, monkey
     newton_nnz = {x.csc().nnz for x in matrices}
     for a in factored:
         assert a.nnz not in newton_nnz
-        np.testing.assert_array_equal(a.indptr, k.indptr)
-        np.testing.assert_array_equal(a.indices, k.indices)
+        assert_on_the_pattern_of(a, k)
     assert factors["u"].shape == k.shape
     for (u, its), (u_r, its_r) in zip(results, reference):
         assert np.max(np.abs(u - u_r)) <= 1e-10 * np.max(np.abs(u_r))
@@ -659,29 +731,30 @@ def test_flat_height_preconditioner_is_p_at_the_flat_state(n, tau, rng):
 @ONE_AND_TWO_D
 def test_height_solve_builds_p_only_to_factor_it(grid, rng, monkeypatch):
     # a 2D solve whose CG converges with the flat-state seed at every step
-    # builds no P and factors nothing; a 1D step's P is its Newton matrix,
-    # built once per step
+    # assembles no P and factors nothing; a 1D step's P is its tridiagonal
+    # Newton matrix, built once per step for dptsv
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=0.05, delta=1e-6)
     factored, failures, built = counting_splu(monkeypatch), pcg_failures(monkeypatch), counting_builds(monkeypatch)
+    tridiagonal = recording_dptsv(monkeypatch)
     u, rep = solve_u(smooth_field(grid, rng, amplitude=0.5), params)
     assert rep.converged and rep.iterations >= 2
-    assert factored == [] and failures == []
-    assert len(built) == (rep.iterations if grid.dim == 1 else 0)
+    assert factored == [] and failures == [] and built == []
+    assert len(tridiagonal) == (rep.iterations if grid.dim == 1 else 0)
 
 
 @ONE_AND_TWO_D
 def test_density_solve_builds_its_newton_matrix_only_to_factor_it(grid, rng, monkeypatch):
     # a 2D solve whose CG converges with the cosine preconditioner at every
-    # step applies K + diag(tau W/rho) as K x + d x and builds none of its
-    # data; a 1D step's data is what dptsv reads, built once per step
+    # step applies K + diag(tau W/rho) as K x + d x and never assembles it;
+    # a 1D step builds the pair (d, e) that dptsv reads, once per step
     tau = 0.05
     g = NodeField(grid, tau * smooth_field(grid, rng, offset=0.5).values)
     factored, failures = counting_splu(monkeypatch), pcg_failures(monkeypatch)
-    built = counting_builds(monkeypatch, "_stiffness_plus_diagonal")
+    built, tridiagonal = counting_builds(monkeypatch, solvers._ShiftedStiffness), recording_dptsv(monkeypatch)
     rho, rep = solve_rho(g, tau)
     assert rep.converged and rep.iterations >= 2
-    assert factored == [] and failures == []
-    assert len(built) == (rep.iterations if grid.dim == 1 else 0)
+    assert factored == [] and failures == [] and built == []
+    assert len(tridiagonal) == (rep.iterations if grid.dim == 1 else 0)
 
 
 @pytest.mark.parametrize(
@@ -694,12 +767,11 @@ def test_2d_density_step_that_factors_builds_the_csc_of_its_newton_matrix_once(
 ):
     # the inputs of test_2d_density_solve_falls_back_to_the_lu_path, and a
     # smooth one with CG forced to fail at every step. Each step that
-    # factors builds the data of K + diag(tau W/rho) once and factors
-    # exactly its CSC matrix, K's pattern with that data: K off the
-    # diagonal and K's diagonal plus a positive d (below its rounding at
-    # sigma0 = 60), at the cold start rho = c with d = tau W/c exactly. A
-    # step whose CG converges, on the cosine solve or
-    # on the held factor, builds nothing. With every step direct, the
+    # factors assembles K + diag(tau W/rho) once and factors exactly that
+    # CSC matrix: K's pattern, K's data off the diagonal and K's diagonal
+    # plus a positive d (below its rounding at sigma0 = 60), at the cold
+    # start rho = c with d = tau W/c exactly. A step whose CG converges, on
+    # the cosine solve or on the held factor, assembles nothing. With every step direct, the
     # densities are bit-equal to those of direct solves of that CSC matrix
     grid = Grid.rectangle((1.0, 1.0), (33, 33))
     g = NodeField.from_function(
@@ -714,18 +786,18 @@ def test_2d_density_step_that_factors_builds_the_csc_of_its_newton_matrix_once(
 
         monkeypatch.setattr(solvers, "pcg", failing)
     factored = counting_splu(monkeypatch)
-    built = counting_builds(monkeypatch, "_stiffness_plus_diagonal")
+    built = counting_builds(monkeypatch, solvers._ShiftedStiffness)
     rho, rep = solve_rho(g, tau)
     assert rep.converged and rep.iterations == rep_direct.iterations
     assert len(factored) == len(built) >= 1
     assert len(built) == rep.iterations if forced else len(built) <= rep.iterations
     ops = operators(grid)
-    off = np.ones(ops.k.nnz, dtype=bool)
-    off[ops.diagonal] = False
-    for a, b in zip(factored, built):
-        assert_built_from(a, b)
-        np.testing.assert_array_equal(a.data[off], ops.k.data[off])
-        assert np.all(a.data[ops.diagonal] >= ops.k.data[ops.diagonal])
+    diagonal = on_diagonal(ops.k)
+    for a, (op, csc) in zip(factored, built):
+        assert a is csc
+        assert_built_from(a, op)
+        np.testing.assert_array_equal(a.data[~diagonal], ops.k.data[~diagonal])
+        assert np.all(a.data[diagonal] >= ops.k.data[diagonal])
     if cold_step_factors:
         c = np.exp(float(np.sum(ops.w * g.flat) / np.sum(ops.w)) / tau)
         np.testing.assert_array_equal(factored[0].toarray(), (ops.k + sp.diags(tau * ops.w / c)).toarray())
@@ -756,11 +828,11 @@ def test_height_solve_factors_p_at_its_current_v_when_cg_with_the_flat_seed_fail
     assert rep.converged and rep.iterations == len(preconditioners) > 1
     assert len(failures) == 1 and "nonpositive curvature" in failures[0]
     assert len(factored) == 1 and len(built) == 1
-    assert_built_from(factored[0], built[0])
-    np.testing.assert_array_equal(preconditioners[0].build().data, built[0].data)
+    (p, csc), = built
+    assert p is preconditioners[0] and factored[0] is csc
     ops = operators(grid)
     flat = solvers._height_newton_matrices(ops, np.zeros(grid.node_count), params)[1]
-    assert not np.array_equal(built[0].data, flat.build().data)
+    assert not np.array_equal(csc.toarray(), flat.csc().toarray())
     assert np.max(np.abs(u.values - expected.values)) <= 1e-10 * np.max(np.abs(expected.values))
 
 
@@ -785,7 +857,7 @@ def test_lagged_factors_match_direct_solves(grid, tau, rng, monkeypatch):
 
     factored = counting_splu(monkeypatch)
     with monkeypatch.context() as m:
-        m.setattr(solvers, "_linear_solve", lambda a, b, *rest: direct_solve(a.csc(), b))
+        solve_directly(m)
         direct, direct_iterations = solve_pair(None)
     assert len(factored) == sum(direct_iterations)
     factored.clear()
@@ -809,7 +881,7 @@ def test_standalone_solves_share_no_factor(grid, rng, monkeypatch):
     # with the cosine solve and the height solve with the flat-state cosine
     # solve, and neither factors; the barrier density solve factors its
     # first Newton matrix and iterates on that factor. Every 1D solve is
-    # direct with dptsv, with no factor, no CG and an empty cache
+    # direct with dptsv, with no factor, no CG and no cache
     params = ModelParams(p=1.5, beta0=1.0, a=1.0, tau=1e-3, delta=1e-6)
     f = smooth_field(grid, rng, offset=0.5)
     g = NodeField(grid, params.tau * f.values)
@@ -827,14 +899,18 @@ def test_standalone_solves_share_no_factor(grid, rng, monkeypatch):
             caches.clear()
             _, rep = solve()
             runs.append((len(factored), len(cg) > 0, rep.iterations))
+            if grid.dim == 1:
+                assert caches == []
+                continue
             assert caches and all(c is caches[0] for c in caches)
             held.append(caches[0])
         assert runs[0] == runs[1]
+        if grid.dim == 1:
+            assert runs[0][:2] == (0, False) and runs[0][2] > 0
+            continue
         assert held[0] is not held[1] and held[0].keys() == held[1].keys()
         assert all(held[0][family] is not held[1][family] for family in held[0])
-        if grid.dim == 1:
-            assert runs[0][:2] == (0, False) and runs[0][2] > 0 and held[0] == {}
-        elif solve is solves[2]:
+        if solve is solves[2]:
             assert 1 <= runs[0][0] < runs[0][2] and set(held[0]) == {"rho"}
         else:
             assert runs[0][:2] == (0, True) and runs[0][2] > 0
@@ -952,15 +1028,10 @@ def test_rho_continuation_stage_stability(rng):
 
 
 def newton_matrices(monkeypatch) -> list:
-    """Record every matrix the Newton solves pass to the linear solve, as
-    the CSC matrix of its data, and solve with a factor of that matrix."""
+    """Record every matrix the Newton solves pass to a linear solve, as its
+    CSC matrix, and solve with a factor of that matrix."""
     matrices = []
-
-    def recording(a, b, *rest):
-        matrices.append(a.csc())
-        return direct_solve(matrices[-1], b)
-
-    monkeypatch.setattr(solvers, "_linear_solve", recording)
+    solve_directly(monkeypatch, matrices)
     return matrices
 
 
@@ -1299,7 +1370,7 @@ def test_height_hessian_matches_operator_jacobian(hess_grid, params, rng):
     g = hess_grid
     u = NodeField(g, 0.3 * rng.standard_normal(g.shape))
     w = mass_vector(g)
-    hess = height_newton_matrices(u, params)[0].csc().toarray()
+    hess = hessian_csc(u, params).toarray()
     eps = 1e-6
     jac = np.empty_like(hess)
     for j in range(g.node_count):
@@ -1336,20 +1407,18 @@ def hess_formula(g, u, params):
 
 
 def assert_same_newton_matrices(got, expected):
-    """Two results of _height_newton_matrices hold the same bits: P's data
-    (in 2D, as its lazy builder makes it) and, in 2D, every edge array of
-    the matrix-free Hessian."""
-    (hess, lon), (hess_e, lon_e) = got, expected
-    if isinstance(hess, solvers._Matrix):
-        assert hess is lon and hess_e is lon_e
-        np.testing.assert_array_equal(lon.data, lon_e.data)
-        return
-    np.testing.assert_array_equal(lon.build().data, lon_e.build().data)
-    np.testing.assert_array_equal(hess.tau_w, hess_e.tau_w)
-    for c, c_ref in zip(hess.coef, hess_e.coef, strict=True):
-        for ci, ci_ref in zip(c, c_ref, strict=True):
-            for cij, cij_ref in zip(ci, ci_ref, strict=True):
-                np.testing.assert_array_equal(cij, cij_ref)
+    """Two results of _height_newton_matrices hold the same bits: in 1D
+    the tridiagonal pair (d, e), in 2D every edge array of the matrix-free
+    Hessian and of its longitudinal part P."""
+    for a, a_ref in zip(got, expected, strict=True):
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, a_ref)
+            continue
+        np.testing.assert_array_equal(a.tau_w, a_ref.tau_w)
+        for c, c_ref in zip(a.coef, a_ref.coef, strict=True):
+            for ci, ci_ref in zip(c, c_ref, strict=True):
+                for cij, cij_ref in zip(ci, ci_ref, strict=True):
+                    np.testing.assert_array_equal(cij, cij_ref)
 
 
 def recording_newton_matrices(monkeypatch) -> list:
@@ -1454,9 +1523,14 @@ def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
     g = hess_grid
     u = NodeField(g, 0.3 * rng.standard_normal(g.shape))
     ref = hess_formula(g, u, params)
-    hess, lon = height_newton_matrices(u, params)
-    np.testing.assert_allclose(hess.csc().toarray(), ref.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
-    product = hess.csc().dot if g.dim == 1 else hess.dot  # a 1D Newton matrix is its data on K's pattern
+    a, b = height_newton_matrices(u, params)
+    if g.dim == 1:  # the pair (d, e) of the tridiagonal Hessian, which is its own longitudinal part
+        hess = lon = tridiagonal_csc(a, b)
+        product = hess.dot
+    else:
+        assert a.ops is operators(g) and b.ops is a.ops
+        hess, lon, product = a.csc(), b.csc(), a.dot
+    np.testing.assert_allclose(hess.toarray(), ref.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
     for v in rng.standard_normal((3, g.node_count)):
         expected = ref @ v
         assert np.linalg.norm(product(v) - expected) <= 1e-14 * np.linalg.norm(expected)
@@ -1466,21 +1540,28 @@ def test_height_newton_matrix_matches_product_formula(hess_grid, params, rng):
     ref_lon = params.delta * k + sp.diags(params.tau * mass_vector(g))
     for z, wvec, mat in zip(edge_gradients(u), edge_weight_vectors(g), gradient_matrices(g)):
         ref_lon = ref_lon + mat.T @ sp.diags(wvec * energy_hessian(z, params)[..., 0, 0].ravel()) @ mat / g.dim
-    assert (lon is hess) == (g.dim == 1)
-    assert isinstance(lon, solvers._Matrix if g.dim == 1 else solvers._LazyMatrix)
-    built = lon if g.dim == 1 else lon.build()
-    assert built.ops is operators(g) and built.ops.k is k
-    np.testing.assert_allclose(built.csc().toarray(), ref_lon.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
-    np.testing.assert_array_equal(lon.csc().toarray(), built.csc().toarray())
+    np.testing.assert_allclose(lon.toarray(), ref_lon.toarray(), rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    assert_on_the_pattern_of(lon, k)
 
 
 def test_newton_solves_leave_cached_operators_unchanged(params, rng):
-    # both assemblies copy into fresh data arrays, never into a cached one,
-    # and no solve replaces a member of the grid's record
+    # every Newton matrix is built in fresh arrays or applied matrix-free,
+    # never written into a cached one, and no solve replaces a member of
+    # the grid's record. The 1D solves read K's diagonal and off-diagonal
+    # as strided views of its data, and leave them unchanged
+    line = Grid.interval(1.0, 33)
+    line_k = operators(line).k
+    line_before = line_k.data.copy()
+    solve_rho(smooth_field(line, rng), 0.3)
+    solve_rho_delta(smooth_field(line, rng), 0.3, 1e-3)
+    solve_u(smooth_field(line, rng), params)
+    solve_coupled(ProblemData(smooth_field(line, rng, offset=0.5), params))
+    np.testing.assert_array_equal(line_k.data, line_before)
+    assert operators(line).k is line_k
     g = Grid.rectangle((1.0, 2.0), (9, 7))
     ops = operators(g)
-    k, diagonal, stiffness_map = ops.k, ops.diagonal, ops.stiffness_map
-    cached = [k.data, k.indices, k.indptr, diagonal, stiffness_map.data, stiffness_map.indices, stiffness_map.indptr]
+    k = ops.k
+    cached = [k.data, k.indices, k.indptr]
     before = [a.copy() for a in cached]
     solve_rho(smooth_field(g, rng), 0.3)
     spectrum, transforms = ops.cosine_spectrum[0], ops.cosine_matrices  # built by the 2D density solve's preconditioner
@@ -1490,7 +1571,7 @@ def test_newton_solves_leave_cached_operators_unchanged(params, rng):
     solve_rho(smooth_field(g, rng), 0.3)
     solve_u(smooth_field(g, rng), params)
     assert operators(g) is ops and stiffness_matrix(g) is k
-    assert ops.diagonal is diagonal and ops.stiffness_map is stiffness_map and ops.cosine_spectrum[0] is spectrum
+    assert ops.cosine_spectrum[0] is spectrum
     assert ops.cosine_matrices is transforms
     for a, b in zip(cached, before):
         np.testing.assert_array_equal(a, b)
